@@ -18,8 +18,10 @@ from .qgroup import FiniteQuantumGroup, block_decompose
 
 def corep_catalog(G: FiniteQuantumGroup):
     """One unitary corepresentation per block of the dual algebra, checked."""
-    if getattr(G, "_corep_catalog", None) is not None:
-        return G._corep_catalog
+    return G.cached("corep_catalog", _corep_catalog)
+
+
+def _corep_catalog(G):
     dual = build_dual(G)
     bd = block_decompose(dual.group)
     n = G.dim
@@ -42,7 +44,6 @@ def corep_catalog(G: FiniteQuantumGroup):
                 "dual block %d is not unitary (residual %.3e)" % (k, ures))
         cat.append(V)
     cat.sort(key=lambda V: (V.d, _sort_key(V)))
-    G._corep_catalog = cat
     return cat
 
 

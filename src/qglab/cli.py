@@ -44,12 +44,12 @@ def _parser():
                         help="path to an instance JSON file (repeatable)")
     common.add_argument("--builtin", action="append", default=[],
                         help="builtin instance name (repeatable)")
-    common.add_argument("--seed", type=int, default=1)
+    common.add_argument("--seed", type=int, default=SuiteConfig.seed)
     common.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE", help="tolerance override")
-    common.add_argument("--trials", type=int, default=50)
-    common.add_argument("--copies", type=int, default=16)
-    common.add_argument("--length", type=int, default=4)
+    common.add_argument("--trials", type=int, default=SuiteConfig.trials)
+    common.add_argument("--copies", type=int, default=SuiteConfig.copies)
+    common.add_argument("--length", type=int, default=SuiteConfig.length)
     common.add_argument("--dim-cap", type=int, default=None)
     common.add_argument("--format", choices=("json", "md"), default="json")
     common.add_argument("--out", default=None)

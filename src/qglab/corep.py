@@ -186,22 +186,22 @@ def corep_distance(X: Corepresentation, Y: Corepresentation) -> float:
     return float(np.max(np.abs(X.tensor - Y.tensor)))
 
 
-def smallest_singular_value(V: Corepresentation) -> float:
-    s = np.linalg.svd(V.gns_matrix(), compute_uv=False)
-    return float(s[-1])
+def _ratio_test(g, rtol=INVERTIBILITY_RTOL):
+    """(sigma_min >= rtol * sigma_max, sigma_min) for the matrix g."""
+    s = np.linalg.svd(g, compute_uv=False)
+    return bool(s[-1] >= rtol * s[0]), s[-1]
 
 
 def is_invertible(V: Corepresentation, rtol: float = INVERTIBILITY_RTOL) -> bool:
-    s = np.linalg.svd(V.gns_matrix(), compute_uv=False)
-    return bool(s[-1] >= rtol * s[0])
+    return _ratio_test(V.gns_matrix(), rtol)[0]
 
 
 def inverse_corep(V: Corepresentation, tol: float = 1e-8) -> Corepresentation:
     """(S (x) id)V, certified as a two-sided inverse of V in A (x) M_d."""
-    s = np.linalg.svd(V.gns_matrix(), compute_uv=False)
-    if s[-1] < INVERTIBILITY_RTOL * s[0]:
+    ok, smin = _ratio_test(V.gns_matrix())
+    if not ok:
         raise NotInvertibleError(
-            "corepresentation is singular (smallest singular value %.3e)" % s[-1])
+            "corepresentation is singular (smallest singular value %.3e)" % smin)
     W = _antipode_slice(V)
     one = corep_one(V.owner, V.d)
     left = corep_distance(corep_product(W, V), one)
@@ -267,15 +267,16 @@ def unitarize(V: Corepresentation, tol: float = 1e-8):
     V' = (1 (x) T^(1/2)) V (1 (x) T^(-1/2)) unitary.
     """
     G = V.owner
-    s = np.linalg.svd(V.gns_matrix(), compute_uv=False)
-    if s[-1] < INVERTIBILITY_RTOL * s[0]:
+    g = V.gns_matrix()
+    ok, smin = _ratio_test(g)
+    if not ok:
         raise NotInvertibleError(
-            "cannot unitarize a singular corepresentation (sigma_min %.3e)" % s[-1])
+            "cannot unitarize a singular corepresentation (sigma_min %.3e)" % smin)
     VstarV = corep_product(corep_adjoint(V), V)
     T = np.einsum("ijm,m->ij", VstarV.tensor, G.haar)
     T = (T + T.conj().T) / 2
     w, U = np.linalg.eigh(T)
-    inv_norm = float(np.linalg.norm(np.linalg.inv(V.gns_matrix()), 2))
+    inv_norm = float(np.linalg.norm(np.linalg.inv(g), 2))
     floor = 1.0 / inv_norm ** 2
     if np.min(w) < floor - max(tol, 1e-8):
         raise NotInvertibleError(

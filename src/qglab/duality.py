@@ -58,10 +58,8 @@ class MultiplicativeUnitary:
 
 def _leg1_expand(owner, X, rtol=1e-8):
     """Write X on H (x) H as sum_i lambda(e_i) (x) Z_i; return (Z, residual)."""
-    gd = owner.gns()
     n = owner.dim
-    Lmat = np.stack([gd.left_action(owner.basis_element(i)).reshape(-1)
-                     for i in range(n)], axis=1)
+    Lmat = owner.gns().image_matrix
     B = X.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     C, *_ = np.linalg.lstsq(Lmat, B, rcond=None)
     resid = float(np.linalg.norm(Lmat @ C - B) / max(1.0, np.linalg.norm(B)))
@@ -70,8 +68,10 @@ def _leg1_expand(owner, X, rtol=1e-8):
 
 
 def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
-    if getattr(G, "_mult_unitary", None) is not None:
-        return G._mult_unitary
+    return G.cached("build_w", _build_w)
+
+
+def _build_w(G):
     gd = G.gns()
     n = G.dim
     # W* on coefficients: (a (x) b) -> Delta(b)(a (x) 1)
@@ -93,7 +93,7 @@ def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
     S23 = np.kron(eye, swap)
     W13 = S23 @ W12 @ S23
     pent = float(np.linalg.norm(W12 @ W13 @ W23 - W23 @ W12, 2))
-    lam_basis = [gd.left_action(G.basis_element(i)) for i in range(n)]
+    lam_basis = gd.basis_images
     cop_resid = 0.0
     for i in range(n):
         lhs = sum(G.coproduct[i, j, k] * np.kron(lam_basis[j], lam_basis[k])
@@ -101,9 +101,7 @@ def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
         rhs = Wstar @ np.kron(eye, lam_basis[i]) @ W
         cop_resid = max(cop_resid, float(np.linalg.norm(lhs - rhs, 2)))
     Z, exp_resid = _leg1_expand(G, W)
-    out = MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid, pent, cop_resid)
-    G._mult_unitary = out
-    return out
+    return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid, pent, cop_resid)
 
 
 def _e(n, i):
@@ -119,20 +117,18 @@ def lambda_rep(Wd: MultiplicativeUnitary, w: Functional) -> np.ndarray:
 class DualQuantumGroup:
     """The dual instance plus its concrete identification inside B(H_h)."""
 
-    def __init__(self, owner, group, Wd, Z, What, What_slices, Lambda_hat_mat,
-                 phihat_one, extraction_residual):
+    def __init__(self, owner, group, Wd, Z, zpinv, What, What_slices,
+                 Lambda_hat_mat, phihat_one, extraction_residual):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
         self.Wd = Wd
         self.Z = Z                          # Z[mu] = lambda(omega_mu) on H
+        self._zpinv = zpinv                 # pseudo-inverse of the stacked Z
         self.What = What                    # Sigma W* Sigma
         self.What_slices = What_slices      # What = sum_mu Z_mu (x) Yhat_mu
         self.Lambda_hat_mat = Lambda_hat_mat  # columns Lambda^(lambda(omega_mu))
         self.phihat_one = float(phihat_one)
         self.extraction_residual = float(extraction_residual)
-        n = owner.dim
-        self._zpinv = np.linalg.pinv(
-            np.stack([z.reshape(-1) for z in Z], axis=1))
         self.Jhat_mat = (Lambda_hat_mat @ group.star.T
                          @ np.conj(np.linalg.inv(Lambda_hat_mat)))
 
@@ -180,8 +176,10 @@ class DualQuantumGroup:
 
 
 def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
-    if getattr(G, "_dual", None) is not None:
-        return G._dual
+    return G.cached("build_dual", _build_dual)
+
+
+def _build_dual(G):
     Wd = build_w(G)
     gd = G.gns()
     n = G.dim
@@ -250,10 +248,8 @@ def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
     resid = max(resid, float(np.linalg.norm(zmat @ Cc - B)
                              / max(1.0, np.linalg.norm(B))))
     What_slices = Cc.reshape(n, n, n)
-    out = DualQuantumGroup(G, dual_group, Wd, Z, What, What_slices, Lhat,
-                           phihat_one, resid)
-    G._dual = out
-    return out
+    return DualQuantumGroup(G, dual_group, Wd, Z, zpinv, What, What_slices,
+                            Lhat, phihat_one, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +264,10 @@ def biduality(G: FiniteQuantumGroup) -> dict:
     matched against the left regular image of G by solving linear systems;
     the report carries the worst violation over all structural checks.
     """
+    return G.cached("biduality", _biduality)
+
+
+def _biduality(G):
     d1 = build_dual(G)
     Ghat = d1.group
     d2 = build_dual(Ghat)

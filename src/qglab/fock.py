@@ -19,6 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BudgetError, ConvergenceError, StructuralError
+from .qgroup import StarAlgebra
 
 DEFAULT_DIM_CAP = 200_000
 
@@ -27,30 +28,18 @@ DEFAULT_DIM_CAP = 200_000
 # Free factors
 
 
-class FreeFactor:
+class FreeFactor(StarAlgebra):
     """A finite-dimensional C*-algebra with a faithful state, GNS-represented.
 
-    Elements are coefficient vectors over the stored basis; the factor keeps
-    the unit vector xi = Lambda(1), an orthonormal frame for its complement,
-    and hands out the (scalar, replace-matrix, contract-row, create-column)
-    data that drive the word-level free action.
+    The algebra core (coefficient maps and GNS data) comes from
+    ``qgroup.StarAlgebra``; the factor adds the unit vector xi = Lambda(1),
+    an orthonormal frame for its complement, and the (scalar, create-column,
+    contract-row, replace-matrix) data that drive the word-level free action.
     """
 
     def __init__(self, mult, unit, star, state, name="factor"):
-        self.name = name
-        self.mult = np.asarray(mult, dtype=complex)
-        self.unit = np.asarray(unit, dtype=complex)
-        self.star = np.asarray(star, dtype=complex)
-        self.state = np.asarray(state, dtype=complex)
-        self.dim = self.unit.shape[0]
-        gram = np.einsum("ip,pjq,q->ij", self.star, self.mult, self.state)
-        gram = (gram + gram.conj().T) / 2
-        w, V = np.linalg.eigh(gram)
-        if np.min(w) <= self.dim * 1e-12 * max(1.0, float(np.max(w))):
-            raise StructuralError("factor state is not faithful")
-        self.lam = V @ np.diag(np.sqrt(w)) @ V.conj().T
-        self.lam_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
-        self.xi = self.lam @ self.unit
+        super().__init__(name, mult, unit, star, state)
+        self.xi = self.gns().lambda_map @ self.unit
         nrm = np.linalg.norm(self.xi)
         if abs(nrm - 1.0) > 1e-10:
             raise StructuralError("state is not normalized (||xi|| = %.6f)" % nrm)
@@ -62,26 +51,17 @@ class FreeFactor:
         self.P0 = Q[:, 1:]
         self.dim0 = self.dim - 1
 
-    def gns_matrix(self, coeffs):
-        lmat = np.einsum("i,ijk->kj", np.asarray(coeffs, dtype=complex), self.mult)
-        return self.lam @ lmat @ self.lam_inv
+    def _gns_matrix(self, coeffs):
+        return self.gns().left_action(self.element(coeffs))
 
     def phi(self, coeffs) -> complex:
         return complex(np.dot(self.state, np.asarray(coeffs, dtype=complex)))
 
     def cstar_norm(self, coeffs) -> float:
-        return float(np.linalg.norm(self.gns_matrix(coeffs), 2))
-
-    def adjoint_coeffs(self, coeffs):
-        return np.einsum("i,ij->j", np.conj(np.asarray(coeffs, dtype=complex)),
-                         self.star)
-
-    def multiply_coeffs(self, a, b):
-        return np.einsum("ijk,i,j->k", self.mult, np.asarray(a, complex),
-                         np.asarray(b, complex))
+        return float(np.linalg.norm(self._gns_matrix(coeffs), 2))
 
     def action_data(self, coeffs):
-        m = self.gns_matrix(coeffs)
+        m = self._gns_matrix(coeffs)
         create = self.P0.conj().T @ (m @ self.xi)
         annihilate = (self.xi.conj() @ m) @ self.P0
         replace = self.P0.conj().T @ m @ self.P0
@@ -224,7 +204,7 @@ class FreeOperator:
 
     def adjoint(self):
         f = self.space.factors[self.factor_index]
-        return free_action(self.space, self.factor_index, f.adjoint_coeffs(self.coeffs))
+        return free_action(self.space, self.factor_index, f.star_coeffs(self.coeffs))
 
 
 def free_action(F: FockSpace, i: int, coeffs) -> FreeOperator:
@@ -411,9 +391,9 @@ def khintchine_check(a_family, x_family, F: FockSpace, domain_len=None,
         a = np.atleast_2d(np.asarray(a, dtype=complex))
         f = F.factors[i]
         term1 = max(term1, float(np.linalg.norm(a, 2)) * op.cstar_norm)
-        xs = f.adjoint_coeffs(coeffs)
-        s_col += a.conj().T @ a * f.phi(f.multiply_coeffs(xs, coeffs))
-        s_row += a @ a.conj().T * f.phi(f.multiply_coeffs(coeffs, xs))
+        xs = f.star_coeffs(coeffs)
+        s_col += a.conj().T @ a * f.phi(f.mult_coeffs(xs, coeffs))
+        s_row += a @ a.conj().T * f.phi(f.mult_coeffs(coeffs, xs))
     term2 = float(np.sqrt(np.linalg.norm(s_col, 2)))
     term3 = float(np.sqrt(np.linalg.norm(s_row, 2)))
     rhs = max(term1, term2, term3)
@@ -448,10 +428,11 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
         if abs(f0.phi(b)) > 1e-10:
             raise StructuralError("coefficient space is not centred")
     # Gram forms of Lambda(x) and Lambda(x*)
-    V1 = f0.lam @ B                      # columns Lambda(b_t)
+    lam = f0.gns().lambda_map
+    V1 = lam @ B                         # columns Lambda(b_t)
     G1 = V1.conj().T @ V1
-    Bs = np.stack([f0.adjoint_coeffs(B[:, t]) for t in range(B.shape[1])], axis=1)
-    V2 = f0.lam @ Bs
+    Bs = np.stack([f0.star_coeffs(B[:, t]) for t in range(B.shape[1])], axis=1)
+    V2 = lam @ Bs
     G2 = V2.conj().T @ V2
     import scipy.linalg as sla
     C2 = float(np.sqrt(max(sla.eigh(G2, G1, eigvals_only=True))))

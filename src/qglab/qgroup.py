@@ -1,5 +1,6 @@
 """Finite quantum groups as structure tensors, with validation, GNS data and
-Wedderburn block decomposition.
+Wedderburn block decomposition, on a core shared with the free factors of
+``fock``: a finite-dimensional C*-algebra with a faithful state.
 
 An instance stores a basis e_0..e_{n-1} of a finite-dimensional Hopf *-algebra
 together with:
@@ -10,7 +11,7 @@ together with:
     counit[i]        eps(e_i)
     antipode[i,j]    S(e_i) = sum_j antipode[i,j] e_j
     star[i,j]        (sum_i a_i e_i)* = sum_{i,j} conj(a_i) star[i,j] e_j
-    haar[i]          h(e_i)
+    haar[i]          h(e_i), the state of the algebra core
 
 All semantics are relative to the stored basis; no canonical form is assumed.
 Every finite quantum group is of Kac type, so the validator requires S^2 = id
@@ -39,52 +40,53 @@ def _c(x):
     return np.asarray(x, dtype=complex)
 
 
-class FiniteQuantumGroup:
-    """Immutable container for the structure tensors of a finite quantum group."""
+_RANKS = {"mult": 3, "unit": 1, "star": 2, "state": 1,
+          "coproduct": 3, "counit": 1, "antipode": 2}
 
-    def __init__(self, name, mult, unit, coproduct, counit, antipode, star, haar,
-                 basis_labels=None):
+
+class StarAlgebra:
+    """A finite-dimensional C*-algebra with a faithful state, on a stored basis.
+
+    Holds the (mult, unit, star, state) tensors read-only, the coefficient
+    maps, the GNS construction of the state, and one cache of derived data
+    keyed by stage and arguments.  Keyword tensors in ``more`` (the coalgebra
+    of a quantum group) get the same shape, finiteness and read-only checks.
+    """
+
+    def __init__(self, name, mult, unit, star, state, basis_labels=None,
+                 **more):
         self.name = str(name)
-        self.mult = _c(mult)
-        self.unit = _c(unit)
-        self.coproduct = _c(coproduct)
-        self.counit = _c(counit)
-        self.antipode = _c(antipode)
-        self.star = _c(star)
-        self.haar = _c(haar)
-        n = self.unit.shape[0] if self.unit.ndim == 1 else -1
-        self.dim = n
-        shapes = {
-            "mult": (self.mult, (n, n, n)),
-            "unit": (self.unit, (n,)),
-            "coproduct": (self.coproduct, (n, n, n)),
-            "counit": (self.counit, (n,)),
-            "antipode": (self.antipode, (n, n)),
-            "star": (self.star, (n, n)),
-            "haar": (self.haar, (n,)),
-        }
+        unit = _c(unit)
+        n = unit.shape[0] if unit.ndim == 1 else -1
         if n <= 0:
             raise StructuralError("unit must be a nonempty vector")
-        for key, (arr, want) in shapes.items():
+        self.dim = n
+        for key, arr in dict(mult=mult, unit=unit, star=star, state=state,
+                             **more).items():
+            arr = _c(arr)
+            want = (n,) * _RANKS[key]
             if arr.shape != want:
                 raise StructuralError(
                     "field %r has shape %s, expected %s" % (key, arr.shape, want))
+            if not np.all(np.isfinite(arr.view(float))):
+                raise StructuralError("structure tensors contain non-finite entries")
+            arr.setflags(write=False)
+            setattr(self, key, arr)
         if basis_labels is None:
             basis_labels = ["e%d" % i for i in range(n)]
         if len(basis_labels) != n:
             raise StructuralError("basis_labels length %d != dim %d"
                                   % (len(basis_labels), n))
         self.basis_labels = [str(b) for b in basis_labels]
-        for arr in (self.mult, self.unit, self.coproduct, self.counit,
-                    self.antipode, self.star, self.haar):
-            if not np.all(np.isfinite(arr.view(float))):
-                raise StructuralError("structure tensors contain non-finite entries")
-            arr.setflags(write=False)
-        self._gns = None
-        self._blocks = None
+        self._cache = {}
 
-    def __repr__(self):
-        return "FiniteQuantumGroup(%r, dim=%d)" % (self.name, self.dim)
+    def cached(self, stage, build, *args):
+        """build(self, *args), computed once per (stage, args); a build that
+        raises stores nothing."""
+        key = (stage,) + args
+        if key not in self._cache:
+            self._cache[key] = build(self, *args)
+        return self._cache[key]
 
     # -- elements ---------------------------------------------------------
 
@@ -110,13 +112,6 @@ class FiniteQuantumGroup:
     def star_coeffs(self, a):
         return np.einsum("i,ij->j", np.conj(a), self.star)
 
-    def antipode_coeffs(self, a):
-        return np.einsum("i,ij->j", a, self.antipode)
-
-    def coproduct_coeffs(self, a):
-        """Delta(a) as an (n, n) coefficient array over e_j (x) e_k."""
-        return np.einsum("i,ijk->jk", a, self.coproduct)
-
     def left_mult_matrix(self, a):
         """Matrix of y -> a y on coefficient vectors."""
         return np.einsum("i,ijk->kj", a, self.mult)
@@ -128,20 +123,43 @@ class FiniteQuantumGroup:
     def is_commutative(self, tol=STRUCT_TOL):
         return np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= tol
 
+    def gns(self):
+        return self.cached("gns", _build_gns)
+
+
+class FiniteQuantumGroup(StarAlgebra):
+    """Immutable container for the structure tensors of a finite quantum group;
+    the Haar state is the state of its algebra core."""
+
+    def __init__(self, name, mult, unit, coproduct, counit, antipode, star, haar,
+                 basis_labels=None):
+        super().__init__(name, mult, unit, star, haar, basis_labels,
+                         coproduct=coproduct, counit=counit, antipode=antipode)
+
+    @property
+    def haar(self):
+        return self.state
+
+    def __repr__(self):
+        return "FiniteQuantumGroup(%r, dim=%d)" % (self.name, self.dim)
+
+    def antipode_coeffs(self, a):
+        return np.einsum("i,ij->j", a, self.antipode)
+
+    def coproduct_coeffs(self, a):
+        """Delta(a) as an (n, n) coefficient array over e_j (x) e_k."""
+        return np.einsum("i,ijk->jk", a, self.coproduct)
+
     def is_cocommutative(self, tol=STRUCT_TOL):
         return np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1))) <= tol
 
     # -- cached constructions ----------------------------------------------
 
-    def gns(self):
-        if self._gns is None:
-            self._gns = _build_gns(self)
-        return self._gns
+    # Bound in this class body as well, where perfbench/tracer.py wraps it.
+    gns = StarAlgebra.gns
 
     def block_decomposition(self, tol=NORM_RTOL, seed=7):
-        if self._blocks is None:
-            self._blocks = _block_decompose(self, tol=tol, seed=seed)
-        return self._blocks
+        return self.cached("block_decomposition", _block_decompose, tol, seed)
 
 
 class AlgebraElement:
@@ -313,10 +331,12 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
 
 
 class GnsData:
-    """GNS space of the Haar state: Lambda, left action, modular conjugation.
+    """GNS space of the state: Lambda, left action, modular conjugation, and
+    the left-regular images of the basis.
 
-    The Haar state is tracial, so the modular operator is the identity and
-    J Lambda(x) = Lambda(x*) realizes the Tomita conjugation exactly.
+    For a quantum group the state is the tracial Haar state, so the modular
+    operator is the identity and J Lambda(x) = Lambda(x*) realizes the
+    Tomita conjugation exactly.
     """
 
     def __init__(self, owner, lam, lam_inv, gram):
@@ -328,6 +348,11 @@ class GnsData:
         # conjugate-linear J: v -> Jmat conj(v)
         self.modular_conj = lam @ owner.star.T @ np.conj(lam_inv)
         self.modular_op = np.eye(owner.dim)
+        # lambda(e_i), and the same images as the columns of an n^2 x n matrix
+        self.basis_images = [self.left_action(owner.basis_element(i))
+                             for i in range(owner.dim)]
+        self.image_matrix = np.stack([m.reshape(-1) for m in self.basis_images],
+                                     axis=1)
 
     def Lambda(self, a: AlgebraElement) -> np.ndarray:
         return self.lambda_map @ a.coeffs
@@ -345,8 +370,7 @@ class GnsData:
 
     def left_action_inv(self, m: np.ndarray, rtol=1e-9):
         """Solve lambda_h(a) = m for a; residual must stay below rtol * ||m||."""
-        A = np.stack([self.left_action(self.owner.basis_element(i)).reshape(-1)
-                      for i in range(self.owner.dim)], axis=1)
+        A = self.image_matrix
         coeffs, *_ = np.linalg.lstsq(A, m.reshape(-1), rcond=None)
         resid = np.linalg.norm(A @ coeffs - m.reshape(-1))
         scale = max(1.0, np.linalg.norm(m))
@@ -360,17 +384,17 @@ class GnsData:
         return self.modular_conj @ np.conj(v)
 
 
-def _build_gns(G: FiniteQuantumGroup) -> GnsData:
-    gram = np.einsum("ip,pjq,q->ij", G.star, G.mult, G.haar)
+def _build_gns(A: StarAlgebra) -> GnsData:
+    gram = np.einsum("ip,pjq,q->ij", A.star, A.mult, A.state)
     gram = (gram + gram.conj().T) / 2
     w, V = np.linalg.eigh(gram)
-    if np.min(w) <= G.dim * 1e-13 * max(1.0, np.max(w)):
+    if np.min(w) <= A.dim * 1e-13 * max(1.0, np.max(w)):
         raise InvalidInstanceError(
-            "haar state is not faithful: Gram matrix h(e_i* e_j) has smallest "
+            "state is not faithful: Gram matrix h(e_i* e_j) has smallest "
             "eigenvalue %.3e" % float(np.min(w)))
     lam = V @ np.diag(np.sqrt(w)) @ V.conj().T
     lam_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
-    return GnsData(G, lam, lam_inv, gram)
+    return GnsData(A, lam, lam_inv, gram)
 
 
 def gns(G: FiniteQuantumGroup) -> GnsData:
@@ -393,12 +417,9 @@ class BlockDecomposition:
         self.owner = owner
         self.isometries = isometries              # one n x n_k frame per block
         self.sizes = [P.shape[1] for P in isometries]
-        gd = owner.gns()
-        cols = []
-        for i in range(owner.dim):
-            m = gd.left_action(owner.basis_element(i))
-            cols.append(np.concatenate(
-                [(P.conj().T @ m @ P).reshape(-1) for P in isometries]))
+        cols = [np.concatenate([(P.conj().T @ m @ P).reshape(-1)
+                                for P in isometries])
+                for m in owner.gns().basis_images]
         self.forward_matrix = np.stack(cols, axis=1)   # coeffs -> stacked blocks
         self.backward_matrix = np.linalg.inv(self.forward_matrix)
 
@@ -436,9 +457,8 @@ def _commutant_basis(mats):
 
 
 def _block_decompose(G, tol=NORM_RTOL, seed=7, max_attempts=25):
-    gd = G.gns()
     n = G.dim
-    mats = [gd.left_action(G.basis_element(i)) for i in range(n)]
+    mats = G.gns().basis_images
     comm = _commutant_basis(mats)
     rng = np.random.default_rng(seed)
     last_gap = None

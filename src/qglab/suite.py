@@ -39,6 +39,7 @@ from .corep import (
     zero_corep,
 )
 from .duality import (
+    biduality,
     build_dual,
     build_w,
     multiplier_from_coefficient,
@@ -71,7 +72,7 @@ class SuiteConfig:
     suites: tuple = SUITE_NAMES
     seed: int = 1
     trials: int = 50
-    copies: int = 4
+    copies: int = 16
     length: int = 4
     dim_cap: int = DEFAULT_DIM_CAP
     tol: dict = field(default_factory=dict)
@@ -232,7 +233,7 @@ def run_duality(cfg, report):
         rec.check("dual-haar", "dual Haar state is bi-invariant", haar_inv,
                   cfg.tolerance("dual", 1e-9), digest=_digest(label))
         t0 = time.perf_counter()
-        bid = biduality_cached(G)
+        bid = biduality(G)
         rec.check("biduality", "double dual is canonically *-isomorphic to G",
                   bid["max_violation"], cfg.tolerance("biduality", 1e-8),
                   digest=_digest(label), t0=t0)
@@ -241,13 +242,6 @@ def run_duality(cfg, report):
             np.stack([z.reshape(-1) for z in dual.Z], axis=1), tol=1e-9)
         rec.check("regularity", "slices of W span A and the dual image",
                   0.0 if zrank == n else 1.0, 0.5, digest=_digest(label))
-
-
-def biduality_cached(G):
-    if getattr(G, "_biduality", None) is None:
-        from .duality import biduality
-        G._biduality = biduality(G)
-    return G._biduality
 
 
 def _trial_dims(G, rng, count):

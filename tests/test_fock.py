@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qglab.errors import BudgetError, StructuralError
+from qglab.builders import builtin_instance
+from qglab.errors import BudgetError, InvalidInstanceError, StructuralError
 from qglab.fock import (
     amplified_sum,
     build_fock,
@@ -24,6 +25,7 @@ from qglab.fock import (
     z2_factor,
     z2_symmetry,
 )
+from qglab.qgroup import FiniteQuantumGroup
 
 
 # --- independent symbolic oracle -------------------------------------------
@@ -64,6 +66,15 @@ def oracle_vacuum(F, ops):
 
 
 # --- dimensions and actions -------------------------------------------------
+
+
+def test_factor_rejects_unfaithful_state():
+    # the factor shares the GNS build, and its faithfulness check, of qgroup
+    G = builtin_instance("c_z2")
+    bad = FiniteQuantumGroup("bad_haar", G.mult, G.unit, G.coproduct,
+                             G.counit, G.antipode, G.star, [1.0, 0.0])
+    with pytest.raises(InvalidInstanceError):
+        factor_from_quantum_group(bad)
 
 
 def test_fock_dimensions():
@@ -121,7 +132,7 @@ def test_star_homomorphism_on_exact_zone():
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         opa = free_action(F, 0, a)
         opb = free_action(F, 0, b)
-        opab = free_action(F, 0, f.multiply_coeffs(a, b))
+        opab = free_action(F, 0, f.mult_coeffs(a, b))
         prod = (opa.matrix @ opb.matrix)[:, mask]
         assert abs(prod - opab.matrix[:, mask]).max() < 1e-10
         # adjoints agree exactly for compressions

@@ -3,7 +3,12 @@ decomposition on the shipped instances."""
 
 import numpy as np
 import pytest
-from qglab.errors import InvalidInstanceError, OwnerMismatchError, StructuralError
+from qglab.errors import (
+    DegeneracyError,
+    InvalidInstanceError,
+    OwnerMismatchError,
+    StructuralError,
+)
 from qglab.qgroup import (
     FiniteQuantumGroup,
     adjoint,
@@ -208,6 +213,23 @@ def test_block_decompose_kac_paljutkin():
         a = G.element(rng.standard_normal(8) + 1j * rng.standard_normal(8))
         back = bd.backward(bd.forward(a))
         assert np.max(np.abs(back.coeffs - a.coeffs)) < 1e-10
+
+
+def test_block_decomposition_cache_is_keyed_by_arguments():
+    G = kac_paljutkin()
+    bd = G.block_decomposition()
+    assert G.block_decomposition() is bd
+    assert G.block_decomposition(seed=7) is bd      # the default, spelled out
+    other = G.block_decomposition(seed=8)
+    assert other is not bd
+    assert other.sizes == bd.sizes
+
+
+def test_block_decomposition_cache_does_not_answer_other_tolerances():
+    G = kac_paljutkin()
+    G.block_decomposition()
+    with pytest.raises(DegeneracyError):
+        G.block_decomposition(tol=1e-30)
 
 
 def test_block_forward_is_star_homomorphism():

@@ -160,3 +160,29 @@ def test_cli_md_format():
     r = _cli("validate", "--builtin", "c_z2", "--format", "md")
     assert r.returncode == 0
     assert "aggregate: PASS" in r.stdout
+
+
+def test_corpus_suites_keep_one_keyed_cache():
+    G = builtin_instance("cg_s3")
+    rep = run_suite(SuiteConfig(instances=[("cg_s3", G)],
+                                suites=("validate", "duality", "corep",
+                                        "multiplier", "unitarize"),
+                                trials=2))
+    assert rep.passed
+    old = {"_gns", "_blocks", "_mult_unitary", "_dual", "_corep_catalog",
+           "_biduality"}
+    assert not old & set(vars(G))
+    tensors = {"mult", "unit", "star", "state", "coproduct", "counit",
+               "antipode"}
+    assert set(vars(G)) - tensors == {"name", "dim", "basis_labels", "_cache"}
+    stages = {key[0] for key in G._cache}
+    assert {"gns", "build_w", "build_dual", "corep_catalog",
+            "biduality"} <= stages
+
+
+def test_cli_defaults_come_from_suite_config():
+    from qglab import cli
+    args = cli._parser().parse_args(["all"])
+    cfg = SuiteConfig()
+    assert (args.seed, args.trials, args.copies, args.length) == \
+        (cfg.seed, cfg.trials, cfg.copies, cfg.length)
