@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import Functional, convolve, module_action
+from .convolution import Functional, basis_functional, convolve, module_action
 from .corep import Corepresentation, cb_norm, coefficient, generator_of, is_corep
-from .errors import InvalidInstanceError, NotInvertibleError, OwnerMismatchError
+from .errors import (BudgetError, InvalidInstanceError, NotInvertibleError,
+                     OwnerMismatchError)
 from .qgroup import (
     AlgebraElement,
     FiniteQuantumGroup,
@@ -28,12 +29,9 @@ from .qgroup import (
 )
 
 
-def _swap_matrix(n):
-    S = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            S[i * n + j, j * n + i] = 1.0
-    return S
+# Bytes build_w may spend on the n^3 x n^3 complex pentagon difference:
+# 16 n^6 <= 2^28 allows n <= 16.
+PENTAGON_BUDGET_BYTES = 2 ** 28
 
 
 class MultiplicativeUnitary:
@@ -56,15 +54,49 @@ class MultiplicativeUnitary:
         return np.einsum("m,mij->ij", w.coeffs, self.leg1_slices)
 
 
-def _leg1_expand(owner, X, rtol=1e-8):
-    """Write X on H (x) H as sum_i lambda(e_i) (x) Z_i; return (Z, residual)."""
-    n = owner.dim
-    Lmat = owner.gns().image_matrix
-    B = X.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    C, *_ = np.linalg.lstsq(Lmat, B, rcond=None)
-    resid = float(np.linalg.norm(Lmat @ C - B) / max(1.0, np.linalg.norm(B)))
-    Z = C.reshape(n, n, n)
-    return Z, resid
+def _leg1_expand(L, X):
+    """Write X on H (x) H as sum_i L_i (x) Z_i, where the columns of L are
+    vec(L_i); return (Z, residual)."""
+    n = L.shape[1]
+    B = _legs(X).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    C, *_ = np.linalg.lstsq(L, B, rcond=None)
+    resid = float(np.linalg.norm(L @ C - B) / max(1.0, np.linalg.norm(B)))
+    return C.reshape(n, n, n), resid
+
+
+def _legs(U):
+    """U on H (x) H as U[a, b, x, y]: output legs a, b and input legs x, y."""
+    n = int(round(np.sqrt(U.shape[0])))
+    return U.reshape(n, n, n, n)
+
+
+def _pentagon_residual(W):
+    """Spectral norm of W12 W13 W23 - W23 W12 on H (x) H (x) H.
+
+    W13 W23 share leg 3 (s), W12 W13 leg 1 (p) and W12 W23 leg 2 (q); in
+    W23 W12 only leg 2 (q) is shared.  No Kronecker factor is formed.
+    """
+    W4 = _legs(W)
+    n = W4.shape[0]
+    diff = (np.einsum("abpq,pcxs,qsyz->abcxyz", W4, W4, W4, optimize=True)
+            - np.einsum("bcqz,aqxy->abcxyz", W4, W4, optimize=True))
+    return float(np.linalg.norm(diff.reshape(n ** 3, n ** 3), 2))
+
+
+def _conjugate_leg2(U, X):
+    """U* (1 (x) X_i) U as [i, a, b, c, d] for each X_i in the stack X: X_i acts
+    on leg 2 only, so the legs (x, y) of U* meet (x, z) of U and X_i joins y, z."""
+    U4 = _legs(U)
+    return np.einsum("xyab,iyz,xzcd->iabcd", U4.conj(), X, U4, optimize=True)
+
+
+def _coproduct_residual(W, coproduct, images):
+    """max_i || (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W ||, the
+    first term with lambda(e_j) on leg 1 and lambda(e_k) on leg 2."""
+    n = len(images)
+    diff = (np.einsum("ijk,jac,kbd->iabcd", coproduct, images, images, optimize=True)
+            - _conjugate_leg2(W, images)).reshape(n, n * n, n * n)
+    return float(np.max(np.linalg.norm(diff, 2, axis=(1, 2))))
 
 
 def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
@@ -72,8 +104,16 @@ def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
 
 
 def _build_w(G):
-    gd = G.gns()
+    """W with its unitarity, pentagon, coproduct and leg-one residuals.  The
+    pentagon and coproduct residuals contract W on single legs (see their
+    helpers) and stay spectral norms of the full operators; the pentagon
+    difference is n^3 x n^3, so n is checked against the budget first."""
     n = G.dim
+    need = 16 * n ** 6
+    if need > PENTAGON_BUDGET_BYTES:
+        raise BudgetError("pentagon check of W needs %d bytes at n = %d (budget %d)"
+                          % (need, n, PENTAGON_BUDGET_BYTES))
+    gd = G.gns()
     # W* on coefficients: (a (x) b) -> Delta(b)(a (x) 1)
     wstar_c = np.einsum("mjq,jip->pqim", G.coproduct, G.mult).reshape(n * n, n * n)
     lam2 = np.kron(gd.lambda_map, gd.lambda_map)
@@ -86,28 +126,10 @@ def _build_w(G):
     if unit_resid > 1e-8:
         raise InvalidInstanceError(
             "fundamental operator is not unitary (residual %.3e)" % unit_resid)
-    eye = np.eye(n)
-    swap = _swap_matrix(n)
-    W12 = np.kron(W, eye)
-    W23 = np.kron(eye, W)
-    S23 = np.kron(eye, swap)
-    W13 = S23 @ W12 @ S23
-    pent = float(np.linalg.norm(W12 @ W13 @ W23 - W23 @ W12, 2))
-    lam_basis = gd.basis_images
-    cop_resid = 0.0
-    for i in range(n):
-        lhs = sum(G.coproduct[i, j, k] * np.kron(lam_basis[j], lam_basis[k])
-                  for j in range(n) for k in range(n))
-        rhs = Wstar @ np.kron(eye, lam_basis[i]) @ W
-        cop_resid = max(cop_resid, float(np.linalg.norm(lhs - rhs, 2)))
-    Z, exp_resid = _leg1_expand(G, W)
+    pent = _pentagon_residual(W)
+    cop_resid = _coproduct_residual(W, G.coproduct, np.stack(gd.basis_images))
+    Z, exp_resid = _leg1_expand(gd.image_matrix, W)
     return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid, pent, cop_resid)
-
-
-def _e(n, i):
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
 
 
 def lambda_rep(Wd: MultiplicativeUnitary, w: Functional) -> np.ndarray:
@@ -118,9 +140,10 @@ class DualQuantumGroup:
     """The dual instance plus its concrete identification inside B(H_h)."""
 
     def __init__(self, owner, group, Wd, Z, zpinv, What, What_slices,
-                 Lambda_hat_mat, phihat_one, extraction_residual):
+                 Lambda_hat_mat, phihat_one, extraction_residual, validation):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
+        self.validation = validation        # validate(group, tol=1e-9)
         self.Wd = Wd
         self.Z = Z                          # Z[mu] = lambda(omega_mu) on H
         self._zpinv = zpinv                 # pseudo-inverse of the stacked Z
@@ -133,12 +156,6 @@ class DualQuantumGroup:
                          @ np.conj(np.linalg.inv(Lambda_hat_mat)))
 
     # -- concrete maps ------------------------------------------------------
-
-    def functional(self, coeffs) -> Functional:
-        return Functional(self.group, coeffs)
-
-    def lambda_of(self, w: Functional) -> np.ndarray:
-        return self.Wd.lambda_of(w)
 
     def lambda_hat(self, what: Functional) -> np.ndarray:
         """lambda-hat(omega-hat) = (omega-hat (x) id)W-hat, an element of M."""
@@ -155,9 +172,6 @@ class DualQuantumGroup:
             raise InvalidInstanceError(
                 "matrix is not in the dual algebra (residual %.3e)" % resid)
         return c
-
-    def Lambda_hat(self, what_element_coeffs) -> np.ndarray:
-        return self.Lambda_hat_mat @ np.asarray(what_element_coeffs, dtype=complex)
 
     def Lambda_hat_of_functional(self, w: Functional) -> np.ndarray:
         """Lambda^(lambda(omega)) from <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))."""
@@ -180,11 +194,20 @@ def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
 
 
 def _build_dual(G):
+    """Extract the dual instance from the slices Z_mu = lambda(omega_mu) of W,
+    expanding products, adjoints and coproducts back in the Z_mu.
+
+    W-hat* (1 (x) Z_mu) W-hat = sum_ab c[a,b] Z_a (x) Z_b, grouped as rows
+    (i, k) of leg 1 and columns (j, l) of leg 2, reads zmat c zmat^T = T_mu
+    (zmat has columns vec(Z_a)).  zmat has full column rank, so
+    pinv(zmat (x) zmat) = zpinv (x) zpinv and c = zpinv T_mu zpinv^T is the
+    least-squares solution of the n^4 x n^2 system in vec(Z_a (x) Z_b).
+    """
     Wd = build_w(G)
     gd = G.gns()
     n = G.dim
-    Z = [Wd.lambda_of(Functional(G, _e(n, mu))) for mu in range(n)]
-    zmat = np.stack([z.reshape(-1) for z in Z], axis=1)
+    Z = Wd.leg1_slices                  # Z[mu] = (omega_mu (x) id)W
+    zmat = Z.reshape(n, n * n).T
     if np.linalg.matrix_rank(zmat, tol=1e-9) < n:
         raise InvalidInstanceError("left regular representation is not injective")
     zpinv = np.linalg.pinv(zmat)
@@ -196,40 +219,24 @@ def _build_dual(G):
         resid = max(resid, float(np.linalg.norm(zmat @ c - m.reshape(-1))))
         return c
 
-    # multiplication and coproduct through the GNS picture
-    mult_hat = np.zeros((n, n, n), dtype=complex)
-    for mu in range(n):
-        for nu in range(n):
-            mult_hat[mu, nu] = expand(Z[mu] @ Z[nu])
-    swap = _swap_matrix(n)
-    What = swap @ Wd.W.conj().T @ swap
-    What_star = What.conj().T
-    zz = np.stack([np.kron(Z[a], Z[b]).reshape(-1)
-                   for a in range(n) for b in range(n)], axis=1)
-    zz_pinv = np.linalg.pinv(zz)
-    cop_hat = np.zeros((n, n, n), dtype=complex)
-    eye = np.eye(n)
-    for mu in range(n):
-        target = What_star @ np.kron(eye, Z[mu]) @ What
-        c = zz_pinv @ target.reshape(-1)
-        resid = max(resid, float(np.linalg.norm(zz @ c - target.reshape(-1))))
-        cop_hat[mu] = c.reshape(n, n)
-    # unit, counit
+    mult_hat = np.array([[expand(a @ b) for b in Z] for a in Z])
+    Wstar = Wd.W.conj().T
+    What = _legs(Wstar).transpose(1, 0, 3, 2).reshape(n * n, n * n)  # Sigma W* Sigma
+    T = _conjugate_leg2(What, Z).transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
+    cop_hat = zpinv @ T @ zpinv.T
+    resid = max(resid, float(np.max(np.linalg.norm(
+        zmat @ cop_hat @ zmat.T - T, axis=(1, 2)))))
     unit_hat = G.counit.copy()
     counit_hat = G.unit.copy()
     # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*)
-    Zstar_slices, exp_resid = _leg1_expand(G, Wd.W.conj().T)
+    Zstar_slices, exp_resid = _leg1_expand(gd.image_matrix, Wstar)
     resid = max(resid, exp_resid)
-    antipode_hat = np.zeros((n, n), dtype=complex)
-    for mu in range(n):
-        antipode_hat[mu] = expand(Zstar_slices[mu])
+    antipode_hat = np.array([expand(z) for z in Zstar_slices])
     # star: the sharp involution implemented by the concrete adjoint
-    star_hat = np.zeros((n, n), dtype=complex)
-    for mu in range(n):
-        star_hat[mu] = expand(Z[mu].conj().T)
+    star_hat = np.array([expand(z.conj().T) for z in Z])
     # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
-    Lhat = np.stack([gd.lambda_inv @ (G.star @ _e(n, mu)) for mu in range(n)],
-                    axis=1)
+    Lhat = np.stack([gd.lambda_inv @ (G.star @ basis_functional(G, mu).coeffs)
+                     for mu in range(n)], axis=1)
     xi_one = Lhat @ unit_hat
     phihat_one = float(np.real(np.vdot(xi_one, xi_one)))
     haar_hat = np.array([np.vdot(xi_one, Lhat[:, mu]) for mu in range(n)])
@@ -238,18 +245,15 @@ def _build_dual(G):
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    rep = validate(dual_group, tol=1e-9)
-    if not rep.passed:
+    validation = validate(dual_group, tol=1e-9)
+    if not validation.passed:
         raise InvalidInstanceError(
             "extracted dual instance fails validation (max violation %.3e)"
-            % rep.max_violation)
-    B = What.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    Cc, *_ = np.linalg.lstsq(zmat, B, rcond=None)
-    resid = max(resid, float(np.linalg.norm(zmat @ Cc - B)
-                             / max(1.0, np.linalg.norm(B))))
-    What_slices = Cc.reshape(n, n, n)
+            % validation.max_violation)
+    What_slices, exp_resid = _leg1_expand(zmat, What)
+    resid = max(resid, exp_resid)
     return DualQuantumGroup(G, dual_group, Wd, Z, zpinv, What, What_slices,
-                            Lhat, phihat_one, resid)
+                            Lhat, phihat_one, resid, validation)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +365,16 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     def Lstar(m):
         return sum(c_mats[i] @ m @ a_mats[i] for i in range(d))
 
-    Lmat = np.zeros((n, n), dtype=complex)
-    for mu in range(n):
-        Lmat[mu] = dual.expand_in_dual(Lstar(dual.Z[mu]))
+    LZ = [Lstar(z) for z in dual.Z]
+    Lmat = np.array([dual.expand_in_dual(m) for m in LZ])
     residual_action = 0.0
     for nu in range(n):
-        what = Functional(dual.group, _e(n, nu))
+        what = basis_functional(dual.group, nu)
         lhs = dual.lambda_hat(apply_multiplier(Lmat, what))
         rhs = lx @ dual.lambda_hat(what)
         residual_action = max(residual_action,
                               float(np.linalg.norm(lhs - rhs, 2)))
-    lhs_w = sum(np.kron(Lstar(dual.Z[mu]), dual.What_slices[mu])
-                for mu in range(n))
+    lhs_w = sum(np.kron(m, y) for m, y in zip(LZ, dual.What_slices))
     rhs_w = np.kron(np.eye(n), lx) @ dual.What
     residual_w = float(np.linalg.norm(lhs_w - rhs_w, 2))
     sum_cc = sum((multiply(adjoint(c), c) for c in c_els), start=G.zero())

@@ -274,7 +274,7 @@ def _as_matrix(x):
 
 
 def compression_norm(x, F: FockSpace = None, domain_len=None, amp_dim=None,
-                     tol=1e-8, max_iter=2000, seed=0, use_lanczos=True) -> float:
+                     tol=1e-8, max_iter=2000, seed=0) -> float:
     """Norm of the compression of x to words of length <= domain_len, by power
     iteration on x*x; every reported value is a certified lower bound on the
     true operator norm because the compressed action zone is exact."""
@@ -295,12 +295,10 @@ def compression_norm(x, F: FockSpace = None, domain_len=None, amp_dim=None,
     mask = np.repeat(F.length_mask(domain_len), amp_dim)
     keep = np.nonzero(mask)[0]
     sub = m.tocsr()[keep][:, keep]
-    return _largest_singular_value(sub, tol=tol, max_iter=max_iter, seed=seed,
-                                   use_lanczos=use_lanczos)
+    return _largest_singular_value(sub, tol=tol, max_iter=max_iter, seed=seed)
 
 
-def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0,
-                            use_lanczos=True) -> float:
+def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0) -> float:
     n = sub.shape[0]
     if n == 0:
         return 0.0
@@ -326,7 +324,8 @@ def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0,
             converged = True
             break
         prev = sigma
-    if not converged and use_lanczos:
+    lanczos_error = None
+    if not converged:
         try:
             gram = spla.LinearOperator(
                 (n, n), matvec=lambda y: subH @ (sub @ y), dtype=complex)
@@ -335,13 +334,13 @@ def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0,
                               maxiter=300, tol=1e-10)
             best = max(best, float(np.sqrt(max(vals[0].real, 0.0))))
             converged = True
-        except Exception:
-            pass
+        except spla.ArpackError as exc:    # ArpackNoConvergence included
+            lanczos_error = str(exc)
     if not converged:
         raise ConvergenceError(
             "power iteration did not converge",
             diagnostics={"iterations": max_iter, "last": prev, "best": best,
-                         "tol": tol})
+                         "tol": tol, "lanczos_error": lanczos_error})
     return best
 
 

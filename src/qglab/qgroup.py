@@ -291,20 +291,20 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
                    mx(np.einsum("ijk,k->ij", D, eps) - eye)))
     rep.record("coproduct is an algebra homomorphism",
                mx(np.einsum("ijk,kab->ijab", M, D)
-                  - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M)))
+                  - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M, optimize=True)))
     rep.record("coproduct unital",
                mx(np.einsum("i,iab->ab", u, D) - np.outer(u, u)))
     rep.record("coproduct is a *-map",
                mx(np.einsum("ij,jab->iab", C, D)
-                  - np.einsum("ijk,ja,kb->iab", np.conj(D), C, C)))
+                  - np.einsum("ijk,ja,kb->iab", np.conj(D), C, C, optimize=True)))
     rep.record("antipode law m(S x id)Delta = unit.eps",
-               mx(np.einsum("ijk,jp,pkl->il", D, S, M) - np.outer(eps, u)))
+               mx(np.einsum("ijk,jp,pkl->il", D, S, M, optimize=True) - np.outer(eps, u)))
     rep.record("antipode law m(id x S)Delta = unit.eps",
-               mx(np.einsum("ijk,kq,jql->il", D, S, M) - np.outer(eps, u)))
+               mx(np.einsum("ijk,kq,jql->il", D, S, M, optimize=True) - np.outer(eps, u)))
     rep.record("star involutive", mx(np.conj(C) @ C - eye))
     rep.record("star anti-multiplicative",
                mx(np.einsum("ijk,kl->ijl", np.conj(M), C)
-                  - np.einsum("jp,iq,pql->ijl", C, C, M)))
+                  - np.einsum("jp,iq,pql->ijl", C, C, M, optimize=True)))
     rep.record("S.*.S.* = id", mx(np.conj(C @ S) @ (C @ S) - eye))
     # Kac conditions: required, not optional.
     rep.record("antipode involutive (Kac)", mx(S @ S - eye))
@@ -313,7 +313,7 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
     rep.record("haar tracial",
                mx(np.einsum("ijk,k->ij", M, h) - np.einsum("jik,k->ij", M, h)))
     rep.record("haar hermitian h(x*) = conj h(x)", mx(C @ h - np.conj(h)))
-    gram = np.einsum("ip,pjq,q->ij", C, M, h)  # h(e_i* e_j)
+    gram = np.einsum("ip,pjq,q->ij", C, M, h, optimize=True)  # h(e_i* e_j)
     rep.record("haar positive (Gram hermitian PSD)",
                max(mx(gram - gram.conj().T),
                    max(0.0, -float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2))))))

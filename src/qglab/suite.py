@@ -219,17 +219,12 @@ def run_duality(cfg, report):
                   t0=t0)
         t0 = time.perf_counter()
         dual = build_dual(G)
-        hrep = validate(dual.group, tol=1e-9)
+        hrep = dual.validation
         rec.check("dual-axioms", "extracted dual instance satisfies all axioms",
                   hrep.max_violation, cfg.tolerance("dual", 1e-9),
                   digest=_digest(label), t0=t0)
-        haar_inv = max(
-            float(np.max(np.abs(np.einsum("ijk,j->ik", dual.group.coproduct,
-                                          dual.group.haar)
-                                - np.outer(dual.group.haar, dual.group.unit)))),
-            float(np.max(np.abs(np.einsum("ijk,k->ij", dual.group.coproduct,
-                                          dual.group.haar)
-                                - np.outer(dual.group.haar, dual.group.unit)))))
+        haar_inv = max(v for axiom, v in hrep.checks if axiom.startswith(
+            ("haar left invariant", "haar right invariant")))
         rec.check("dual-haar", "dual Haar state is bi-invariant", haar_inv,
                   cfg.tolerance("dual", 1e-9), digest=_digest(label))
         t0 = time.perf_counter()
@@ -237,11 +232,9 @@ def run_duality(cfg, report):
         rec.check("biduality", "double dual is canonically *-isomorphic to G",
                   bid["max_violation"], cfg.tolerance("biduality", 1e-8),
                   digest=_digest(label), t0=t0)
-        n = G.dim
-        zrank = np.linalg.matrix_rank(
-            np.stack([z.reshape(-1) for z in dual.Z], axis=1), tol=1e-9)
+        zrank = np.linalg.matrix_rank(dual.Z.reshape(G.dim, -1), tol=1e-9)
         rec.check("regularity", "slices of W span A and the dual image",
-                  0.0 if zrank == n else 1.0, 0.5, digest=_digest(label))
+                  0.0 if zrank == G.dim else 1.0, 0.5, digest=_digest(label))
 
 
 def _trial_dims(G, rng, count):

@@ -1,9 +1,18 @@
 """Multiplicative unitary, dual instance extraction, biduality, multipliers,
 and the concrete pairing identity."""
 
-import numpy as np
+import time
 
-from qglab.builders import builtin_instance, from_group_algebra, cyclic_table
+import numpy as np
+import pytest
+
+from qglab.builders import (
+    builtin_instance,
+    cyclic_table,
+    from_function_algebra,
+    from_group_algebra,
+    symmetric_table,
+)
 from qglab.catalog import corep_catalog, unitary_corepresentation
 from qglab.convolution import (
     Functional,
@@ -15,6 +24,8 @@ from qglab.convolution import (
 )
 from qglab.corep import random_invertible_corep
 from qglab.duality import (
+    _coproduct_residual,
+    _pentagon_residual,
     apply_multiplier,
     biduality,
     build_dual,
@@ -23,6 +34,7 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
+from qglab.errors import BudgetError
 from qglab.qgroup import validate, block_decompose
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
@@ -264,3 +276,82 @@ def test_regularity_slices_span():
         assert np.linalg.matrix_rank(zmat, tol=1e-9) == G.dim
         ymat = np.stack([y.reshape(-1) for y in dual.What_slices], axis=1)
         assert np.linalg.matrix_rank(ymat, tol=1e-9) == G.dim
+
+
+# --- leg-wise contractions against the dense Kronecker formulas ------------
+
+
+def _swap_matrix(n):
+    S = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            S[i * n + j, j * n + i] = 1.0
+    return S
+
+
+def _random_unitary(m, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q
+
+
+def test_pentagon_residual_matches_kron_formula():
+    rng = np.random.default_rng(5)
+    n = 3
+    W = _random_unitary(n * n, rng)
+    eye = np.eye(n)
+    W12, W23 = np.kron(W, eye), np.kron(eye, W)
+    S23 = np.kron(eye, _swap_matrix(n))
+    W13 = S23 @ W12 @ S23
+    dense = np.linalg.norm(W12 @ W13 @ W23 - W23 @ W12, 2)
+    assert dense > 0.5     # W is no multiplicative unitary
+    assert abs(_pentagon_residual(W) - dense) <= 1e-12 * dense
+
+
+def test_coproduct_residual_matches_kron_formula():
+    rng = np.random.default_rng(6)
+    n = 3
+    W = _random_unitary(n * n, rng)
+    D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    L = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    dense = max(
+        np.linalg.norm(
+            sum(D[i, j, k] * np.kron(L[j], L[k]) for j in range(n) for k in range(n))
+            - W.conj().T @ np.kron(np.eye(n), L[i]) @ W, 2)
+        for i in range(n))
+    assert dense > 0.5
+    assert abs(_coproduct_residual(W, D, L) - dense) <= 1e-12 * dense
+
+
+def test_factored_coproduct_solve_matches_pinv_of_kron_system():
+    G = builtin_instance("kac_paljutkin")
+    n = G.dim
+    dual = build_dual(G)
+    swap = _swap_matrix(n)
+    What = swap @ dual.Wd.W.conj().T @ swap
+    assert np.array_equal(dual.What, What)
+    Z = dual.Z
+    zz = np.stack([np.kron(Z[a], Z[b]).reshape(-1)
+                   for a in range(n) for b in range(n)], axis=1)
+    zz_pinv = np.linalg.pinv(zz)
+    for mu in range(n):
+        target = What.conj().T @ np.kron(np.eye(n), Z[mu]) @ What
+        c = (zz_pinv @ target.reshape(-1)).reshape(n, n)
+        assert np.max(np.abs(c - dual.group.coproduct[mu])) < 1e-12
+
+
+def test_dual_keeps_its_validation_report():
+    dual = build_dual(builtin_instance("kac_paljutkin"))
+    assert dual.validation.passed and dual.validation.tol == 1e-9
+    assert dual.validation.max_violation == validate(dual.group, tol=1e-9).max_violation
+
+
+@pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
+def test_build_w_refuses_n24_before_allocating(build):
+    # the n^3 x n^3 pentagon difference would take 3 GiB at n = 24
+    G = build(symmetric_table(4))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError):
+        build_w(G)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(BudgetError):
+        build_dual(G)

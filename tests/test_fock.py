@@ -5,9 +5,16 @@ Khintchine probes, and the bounded-not-cb construction."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from qglab import fock as fock_module
 from qglab.builders import builtin_instance
-from qglab.errors import BudgetError, InvalidInstanceError, StructuralError
+from qglab.errors import (
+    BudgetError,
+    ConvergenceError,
+    InvalidInstanceError,
+    StructuralError,
+)
 from qglab.fock import (
     amplified_sum,
     build_fock,
@@ -374,3 +381,29 @@ def test_empirical_phi_star_lower_bound():
         x = sum(rho[i] * rep.u_ops[i].matrix for i in range(4))
         lows.append(compression_norm(x, F, seed=1) / np.linalg.norm(rho))
     assert min(lows) > 0.5
+
+
+# --- solver failures --------------------------------------------------------
+
+
+def _unconverged_call(monkeypatch, exc):
+    # max_iter=3 stops the power iteration before its convergence test, so the
+    # Lanczos fallback always runs; here it raises exc
+    def eigsh(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(fock_module.spla, "eigsh", eigsh)
+    sub = sp.random(300, 300, density=0.02, random_state=0, format="csr")
+    return fock_module._largest_singular_value(sub, max_iter=3)
+
+
+def test_lanczos_programming_errors_propagate(monkeypatch):
+    with pytest.raises(TypeError, match="not an ARPACK failure"):
+        _unconverged_call(monkeypatch, TypeError("not an ARPACK failure"))
+
+
+def test_lanczos_failure_is_reported_in_diagnostics(monkeypatch):
+    exc = spla.ArpackNoConvergence("No convergence", np.array([]), np.array([]))
+    with pytest.raises(ConvergenceError) as info:
+        _unconverged_call(monkeypatch, exc)
+    assert "No convergence" in info.value.diagnostics["lanczos_error"]
+    assert info.value.diagnostics["iterations"] == 3

@@ -275,3 +275,35 @@ def test_builders_reject_bad_table():
 def test_all_builtins_validate():
     for name in BUILTIN_NAMES:
         assert validate(builtin_instance(name), tol=1e-10).passed, name
+
+
+def _homomorphism_dense(G):
+    # "coproduct is an algebra homomorphism" by the plain 4-operand einsum,
+    # which loops over all eight indices
+    M, D = G.mult, G.coproduct
+    return float(np.max(np.abs(
+        np.einsum("ijk,kab->ijab", M, D)
+        - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M))))
+
+
+def test_validate_contracted_homomorphism_check_matches_dense_einsum():
+    G = builtin_instance("cg_s3")
+    cop = np.array(G.coproduct)
+    cop[1, 1, 1] += 1e-3
+    bad = FiniteQuantumGroup("cg_s3_bad_cop", G.mult, G.unit, cop, G.counit,
+                             G.antipode, G.star, G.haar)
+    rep = validate(bad, tol=1e-10)
+    assert not rep.passed
+    got = dict(rep.checks)["coproduct is an algebra homomorphism"]
+    assert got > 1e-4
+    assert abs(got - _homomorphism_dense(bad)) <= 1e-12 * got
+    assert dict(validate(G).checks)["coproduct is an algebra homomorphism"] == \
+        _homomorphism_dense(G)
+
+
+@pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
+def test_s4_instances_validate(build):
+    # n = 24; the plain 8-index einsum would take minutes here
+    G = build(symmetric_table(4))
+    assert G.dim == 24
+    assert validate(G, tol=1e-10).passed
