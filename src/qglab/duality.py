@@ -33,6 +33,9 @@ from .qgroup import (
 # 16 n^6 <= 2^28 allows n <= 16.
 PENTAGON_BUDGET_BYTES = 2 ** 28
 
+# Bound on the extracted dual's validation violations and extraction residual.
+DUAL_TOL = 1e-9
+
 
 class MultiplicativeUnitary:
     """W on H_h (x) H_h with its leg-one expansion over the algebra basis."""
@@ -143,7 +146,7 @@ class DualQuantumGroup:
                  Lambda_hat_mat, phihat_one, extraction_residual, validation):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
-        self.validation = validation        # validate(group, tol=1e-9)
+        self.validation = validation        # validate(group, tol=DUAL_TOL)
         self.Wd = Wd
         self.Z = Z                          # Z[mu] = lambda(omega_mu) on H
         self._zpinv = zpinv                 # pseudo-inverse of the stacked Z
@@ -245,13 +248,16 @@ def _build_dual(G):
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    validation = validate(dual_group, tol=1e-9)
+    What_slices, exp_resid = _leg1_expand(zmat, What)
+    resid = max(resid, exp_resid)
+    if resid > DUAL_TOL:
+        raise InvalidInstanceError(
+            "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))
+    validation = validate(dual_group, tol=DUAL_TOL)
     if not validation.passed:
         raise InvalidInstanceError(
             "extracted dual instance fails validation (max violation %.3e)"
             % validation.max_violation)
-    What_slices, exp_resid = _leg1_expand(zmat, What)
-    resid = max(resid, exp_resid)
     return DualQuantumGroup(G, dual_group, Wd, Z, zpinv, What, What_slices,
                             Lhat, phihat_one, resid, validation)
 

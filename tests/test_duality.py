@@ -34,7 +34,8 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from qglab.errors import BudgetError
+from qglab import duality
+from qglab.errors import BudgetError, InvalidInstanceError
 from qglab.qgroup import validate, block_decompose
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
@@ -66,6 +67,7 @@ def test_w_invariants_all_instances():
         assert Wd.pentagon_residual < 1e-9, name
         assert Wd.coproduct_residual < 1e-9, name
         assert Wd.expansion_residual < 1e-9, name
+        assert build_dual(G).extraction_residual < 1e-9, name
 
 
 def test_w_implements_coproduct_group_algebra_z2():
@@ -343,6 +345,20 @@ def test_dual_keeps_its_validation_report():
     dual = build_dual(builtin_instance("kac_paljutkin"))
     assert dual.validation.passed and dual.validation.tol == 1e-9
     assert dual.validation.max_violation == validate(dual.group, tol=1e-9).max_violation
+
+
+def test_dual_extraction_residual_is_bounded(monkeypatch):
+    G = builtin_instance("cg_s3")
+    build_w(G)                          # W keeps its own, untouched expansion
+    expand = duality._leg1_expand
+
+    def off_by_1e_6(L, X):
+        slices, resid = expand(L, X)
+        return slices, resid + 1e-6
+
+    monkeypatch.setattr(duality, "_leg1_expand", off_by_1e_6)
+    with pytest.raises(InvalidInstanceError, match="extraction residual"):
+        build_dual(G)
 
 
 @pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])

@@ -1,16 +1,21 @@
 """Suite orchestration and the command-line interface: determinism, report
 formats, and the exit-code contract."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
+from qglab import suite
 from qglab.builders import builtin_instance
 from qglab.serialize import instance_to_dict, load_instance
 from qglab.suite import (
+    SUITE_NAMES,
+    TOLERANCES,
     SuiteConfig,
     SuiteReport,
     emit_report,
@@ -150,10 +155,47 @@ def test_cli_noncb_report_fields():
     r = _cli("noncb", "--copies", "4", "--length", "3")
     assert r.returncode == 0, r.stderr
     d = json.loads(r.stdout)
-    for key in ("config", "certified_lower", "analytic_bounds", "ratios",
-                "runtime_ms", "records"):
+    for key in ("config", "noncb", "runtime_ms", "records"):
         assert key in d
+    for key in ("certified_lower", "analytic_bounds", "ratios", "measured"):
+        assert key in d["noncb"]
     assert d["pass"] is True
+
+
+def test_khintchine_and_noncb_keep_their_own_extra():
+    d = json.loads(emit_report(run_suite(small_cfg(("khintchine", "noncb"))),
+                               "json"))
+    assert set(d["khintchine"]) == {"ratios", "analytic_bounds",
+                                    "certified_lower"}
+    assert d["khintchine"]["analytic_bounds"] == {"khintchine_constant": 3.0}
+    assert len(d["khintchine"]["ratios"]) == 5      # N = 2, 4 and 2, 4, 6
+    assert set(d["noncb"]) == {"ratios", "analytic_bounds", "certified_lower",
+                               "measured"}
+    assert d["noncb"]["analytic_bounds"]["bounded_upper"] == 6.0
+
+
+def test_every_record_times_its_own_work(monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(suite, "time", types.SimpleNamespace(
+        perf_counter=lambda: float(next(ticks))))
+    rep = run_suite(small_cfg(SUITE_NAMES, trials=2, copies=5))
+    assert {r.name.split("/")[0] for r in rep.records} == set(SUITE_NAMES)
+    assert all(r.runtime_ms > 0 for r in rep.records)
+    assert sum(r.runtime_ms for r in rep.records) <= rep.runtime_ms
+
+
+def test_every_tolerance_name_reaches_a_record():
+    overrides = {name: 1e-3 * (1 + k / 100) for k, name in enumerate(TOLERANCES)}
+    rep = run_suite(small_cfg(SUITE_NAMES, trials=2, tol=overrides))
+    assert rep.passed
+    assert set(overrides.values()) <= {r.tol for r in rep.records}
+    assert rep.to_dict()["config"]["tol_overrides"] == overrides
+
+
+def test_cli_unknown_tolerance_name_is_exit_2():
+    r = _cli("validate", "--builtin", "c_z2", "--tol", "pentgon=1e-3")
+    assert r.returncode == 2
+    assert "pentgon" in r.stderr and r.stdout == ""
 
 
 def test_cli_md_format():
