@@ -55,13 +55,6 @@ class Corepresentation:
         return "Corepresentation(%r, d=%d)" % (self.owner.name, self.d)
 
 
-def corep_from_elements(entries) -> Corepresentation:
-    d = len(entries)
-    owner = entries[0][0].owner
-    t = np.stack([np.stack([e.coeffs for e in row]) for row in entries])
-    return Corepresentation(owner, t.reshape(d, d, owner.dim))
-
-
 def trivial_corep(G: FiniteQuantumGroup, d: int = 1) -> Corepresentation:
     t = np.zeros((d, d, G.dim), dtype=complex)
     for i in range(d):
@@ -190,10 +183,6 @@ def _ratio_test(g, rtol=INVERTIBILITY_RTOL):
     """(sigma_min >= rtol * sigma_max, sigma_min) for the matrix g."""
     s = np.linalg.svd(g, compute_uv=False)
     return bool(s[-1] >= rtol * s[0]), s[-1]
-
-
-def is_invertible(V: Corepresentation, rtol: float = INVERTIBILITY_RTOL) -> bool:
-    return _ratio_test(V.gns_matrix(), rtol)[0]
 
 
 def inverse_corep(V: Corepresentation, tol: float = 1e-8) -> Corepresentation:

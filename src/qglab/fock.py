@@ -3,6 +3,15 @@ centred GNS vectors, sparse free actions, certified norm lower bounds, and
 the bounded-but-not-completely-bounded representation built from free
 symmetries.
 
+Words are integer arrays, not tuples: word k is its first factor, the slot
+of its first letter and the index of the word without that letter, laid out
+layer by layer so that the words starting with one factor are contiguous.
+The per-factor index maps that assemble each free action are slices and
+reshapes of these arrays.  The free symmetries of the non-cb representation
+are kept as one sparse matrix, vstack(u_1, ..., u_N) less its empty rows,
+so one matvec gives every u_i xi and one adjoint matvec gives
+sum_i u_i* eta_i.
+
 Truncation semantics: operators are stored as P pi(a) P for the orthogonal
 projection P onto words of length <= max_len.  On the subspace of words of
 length <= max_len - 1 every single action is exact, so norms of compressions
@@ -13,6 +22,7 @@ are ever claimed from truncated data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,7 +133,17 @@ def fock_dimension(dims0, max_len) -> int:
 
 
 class FockSpace:
-    """Word basis of the truncated free product and per-factor index maps."""
+    """Word basis of the truncated free product and per-factor index maps.
+
+    Word k is stored as integers: ``first[k]`` (its first factor, -1 for the
+    vacuum), ``slot[k]`` (the slot of its first letter in that factor's
+    frame) and ``rest[k]`` (the index of the word without its first letter).
+    Layer L + 1 lists, for each factor i in turn, the layer-L words that do
+    not start with i, each followed by every slot, so the words that start
+    with i are contiguous within a layer, one row of slots per rest.
+    ``words`` and ``index`` give the same basis as tuples; they are built on
+    first use, and nothing in qglab reads them.
+    """
 
     def __init__(self, factors, max_len, dim_cap=DEFAULT_DIM_CAP):
         if max_len < 1:
@@ -136,48 +156,50 @@ class FockSpace:
             raise BudgetError("Fock dimension %d exceeds the cap %d"
                               % (dim, dim_cap))
         N = len(self.factors)
-        words = [()]
-        by_len = [[()]]
+        self.dim = dim
+        self.first = np.empty(dim, dtype=int)
+        self.slot = np.empty(dim, dtype=int)
+        self.rest = np.empty(dim, dtype=int)
+        self.first[0] = self.slot[0] = self.rest[0] = -1
+        sizes = [1]
+        lo, hi = 0, 1
         for _ in range(max_len):
-            layer = []
+            at = hi
             for i in range(N):
-                for w in by_len[-1]:
-                    if w and w[0][0] == i:
-                        continue
-                    for p in range(dims0[i]):
-                        layer.append(((i, p),) + w)
-            by_len.append(layer)
-            words.extend(layer)
-        self.words = words
-        self.index = {w: k for k, w in enumerate(words)}
-        self.dim = len(words)
-        self.lengths = np.array([len(w) for w in words], dtype=int)
+                parents = lo + np.nonzero(self.first[lo:hi] != i)[0]
+                d = dims0[i]
+                end = at + len(parents) * d
+                self.first[at:end] = i
+                self.slot[at:end] = np.tile(np.arange(d), len(parents))
+                self.rest[at:end] = np.repeat(parents, d)
+                at = end
+            lo, hi = hi, at
+            sizes.append(hi - lo)
+        self.lengths = np.repeat(np.arange(max_len + 1), sizes)
         # per-factor index arrays driving the sparse assembly
         self._prepend = []
         self._first = []
-        idx = self.index
-        for i in range(N):
-            src, dst = [], []
-            for k, w in enumerate(words):
-                if (w and w[0][0] == i) or len(w) >= max_len:
-                    continue
-                src.append(k)
-                dst.append([idx[((i, p),) + w] for p in range(dims0[i])])
-            self._prepend.append((np.array(src, dtype=int),
-                                  np.array(dst, dtype=int).reshape(len(src), dims0[i])))
-            fsrc, fslot, frest, frepl = [], [], [], []
-            for k, w in enumerate(words):
-                if not w or w[0][0] != i:
-                    continue
-                fsrc.append(k)
-                fslot.append(w[0][1])
-                rest = w[1:]
-                frest.append(idx[rest])
-                frepl.append([idx[((i, p),) + rest] for p in range(dims0[i])])
-            self._first.append((np.array(fsrc, dtype=int),
-                                np.array(fslot, dtype=int),
-                                np.array(frest, dtype=int),
-                                np.array(frepl, dtype=int).reshape(len(fsrc), dims0[i])))
+        for i, d in enumerate(dims0):
+            kids = np.nonzero(self.first == i)[0]
+            src = np.nonzero((self.first != i) & (self.lengths < max_len))[0]
+            self._prepend.append((src, kids.reshape(len(src), d)))
+            fslot = self.slot[kids]
+            frepl = (kids - fslot)[:, None] + np.arange(d)
+            self._first.append((kids, fslot, self.rest[kids], frepl))
+
+    @cached_property
+    def words(self):
+        """The basis as tuples ((factor, slot), ...), the vacuum being ()."""
+        words = [()]
+        for f, s, r in zip(self.first[1:].tolist(), self.slot[1:].tolist(),
+                           self.rest[1:].tolist()):
+            words.append(((f, s),) + words[r])
+        return words
+
+    @cached_property
+    def index(self):
+        """word tuple -> basis index."""
+        return {w: k for k, w in enumerate(self.words)}
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -216,7 +238,7 @@ def free_action(F: FockSpace, i: int, coeffs) -> FreeOperator:
     phi, create, annihilate, replace = f.action_data(coeffs)
     rows, cols, vals = [], [], []
     # identity-component on the vacuum and on words starting elsewhere
-    other = np.nonzero([not w or w[0][0] != i for w in F.words])[0]
+    other = np.nonzero(F.first != i)[0]
     if abs(phi) > 0:
         rows.append(other)
         cols.append(other)
@@ -258,10 +280,11 @@ def vacuum_state(F: FockSpace, operators):
     Returns (value, exact): products longer than the truncation depth are
     flagged approximate rather than rejected.
     """
+    operators = list(operators)
     v = F.vacuum()
-    for op in reversed(list(operators)):
+    for op in reversed(operators):
         v = op.matrix @ v
-    exact = len(list(operators)) <= F.max_len
+    exact = len(operators) <= F.max_len
     return complex(v[0]), exact
 
 
@@ -418,8 +441,12 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
     coeff_basis: list of coefficient vectors (in the common factor's basis)
     spanning the coefficient space; every factor must carry the same algebra.
     C2 is exact (a ratio of two quadratic forms); C1 is the maximal ratio of
-    the C*-norm to the vacuum norm over the space, exact when the space is
-    one-dimensional and otherwise estimated by seeded ascent.
+    the C*-norm to the vacuum norm over the space.  C1 is exact when the
+    space is one-dimensional.  Otherwise ``C1_bracket`` = (lower, upper):
+    the lower end is the best of 64 seeded samples, the upper end the
+    certified row/column bound min(||sum_t l(b_t)* l(b_t)||, ||sum_t l(b_t)
+    l(b_t)*||)^(1/2) over a basis b_t whose vacuum vectors are orthonormal,
+    and ``C1`` and ``bound`` use the upper end.
     """
     f0 = F.factors[0]
     B = np.stack([np.asarray(b, dtype=complex) for b in coeff_basis], axis=1)
@@ -439,14 +466,20 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
     rng = np.random.default_rng(seed)
     if dim_space == 1:
         C1 = f0.cstar_norm(B[:, 0]) / float(np.linalg.norm(V1[:, 0]))
+        C1_lower = C1
     else:
-        C1 = 0.0
+        C1_lower = 0.0
         G1_isqrt = sla.fractional_matrix_power(G1, -0.5)
         for _ in range(64):
             y = rng.standard_normal(dim_space) + 1j * rng.standard_normal(dim_space)
             y /= np.linalg.norm(y)
             c = G1_isqrt @ y
-            C1 = max(C1, f0.cstar_norm(B @ c))
+            C1_lower = max(C1_lower, f0.cstar_norm(B @ c))
+        # ||sum_t c_t l(b_t)|| <= ||c|| ||column||, and likewise for the row
+        lams = [f0._gns_matrix(b) for b in (B @ G1_isqrt).T]
+        col = sum(m.conj().T @ m for m in lams)
+        row = sum(m @ m.conj().T for m in lams)
+        C1 = float(np.sqrt(min(np.linalg.norm(col, 2), np.linalg.norm(row, 2))))
     bound = 3.0 * max(C1, C2)
     N = len(F.factors)
     ratios = []
@@ -463,6 +496,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
         ratios.append(cert / nv)
     return {
         "C1": C1,
+        "C1_bracket": (C1_lower, C1),
         "C2": C2,
         "bound": bound,
         "max_ratio": max(ratios) if ratios else 0.0,
@@ -495,6 +529,21 @@ class NonCbRep:
                 raise StructuralError("symmetry must be centred")
         self.u_coeffs = u
         self.u_ops = [free_action(F, i, u) for i in range(self.N)]
+        # the family stacked without its empty rows: row k of `stack` is row
+        # word[k] of u_{owner[k]}, so one matvec gives every u_i xi and one
+        # adjoint matvec sums the u_i* eta_i; by_owner and by_word sum the
+        # live rows per operator and per word
+        stack = sp.vstack([op.matrix for op in self.u_ops], format="csr")
+        live = np.flatnonzero(np.diff(stack.indptr))
+        self.owner, self.word = np.divmod(live, F.dim)
+        self.stack = stack[live]
+        self.stack_h = self.stack.conj().T.tocsr()
+        ones = np.ones(len(live), dtype=complex)
+        cols = np.arange(len(live))
+        self.by_owner = sp.csr_matrix((ones, (self.owner, cols)),
+                                      shape=(self.N, len(live)))
+        self.by_word = sp.csr_matrix((ones, (self.word, cols)),
+                                     shape=(F.dim, len(live)))
         self.theta_units = [self._theta_unit(i) for i in range(1, self.N + 1)]
         pairs = [(self.u_ops[i], self.theta_units[i]) for i in range(self.N)]
         self.V_tensor, self.amp_dim = amplified_sum(pairs, F)
@@ -507,7 +556,7 @@ class NonCbRep:
 
     def phi_map(self, xi, eta) -> np.ndarray:
         """(omega(u_i))_i for the vector functional omega = omega_{xi,eta}."""
-        return np.array([np.vdot(eta, op.matrix @ xi) for op in self.u_ops])
+        return self.by_owner @ ((self.stack @ xi) * np.conj(eta)[self.word])
 
     def theta0(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
@@ -552,19 +601,20 @@ def pi_norm_search(rep: NonCbRep, restarts=6, inner=25, seed=0, tol=1e-8) -> flo
         eta /= np.linalg.norm(eta)
         prev = 0.0
         for _ in range(inner):
-            piw = rep.pi_rep(xi, eta)
+            images = rep.stack @ xi           # every u_i xi on its live rows
+            piw = rep.theta0(rep.by_owner @ (images * np.conj(eta)[rep.word]))
             val = float(np.linalg.norm(piw, 2))
             best = max(best, val)
             U, _, Vh = np.linalg.svd(piw)
             ell, r = U[:, 0], Vh[0].conj()
             weights = np.array([np.vdot(ell, m @ r) for m in rep.theta_units])
-            M = sum(np.conj(weights[i]) * rep.u_ops[i].matrix
-                    for i in range(rep.N))
-            w = M @ xi
+            # M = sum_i conj(w_i) u_i: M xi from the images, M* eta from
+            # one adjoint matvec
+            w = rep.by_word @ (np.conj(weights)[rep.owner] * images)
             if np.linalg.norm(w) < 1e-14:
                 break
             eta = w / np.linalg.norm(w)
-            w2 = M.conj().T @ eta
+            w2 = rep.stack_h @ (weights[rep.owner] * eta[rep.word])
             if np.linalg.norm(w2) < 1e-14:
                 break
             xi = w2 / np.linalg.norm(w2)

@@ -81,27 +81,6 @@ def instance_from_dict(data: dict) -> FiniteQuantumGroup:
                               tensors["haar"], basis_labels=labels)
 
 
-def corep_to_dict(V) -> dict:
-    """{dim_d, entries}: entries is a d x d array of complex n-vectors."""
-    return {"dim_d": V.d, "entries": _encode(V.tensor)}
-
-
-def corep_from_dict(G: FiniteQuantumGroup, data: dict):
-    from .corep import Corepresentation
-
-    if not isinstance(data, dict):
-        raise StructuralError("corepresentation must be a JSON object")
-    for key in ("dim_d", "entries"):
-        if key not in data:
-            raise StructuralError("missing field %r" % key)
-    d = data["dim_d"]
-    if not isinstance(d, int) or d <= 0:
-        raise StructuralError("field 'dim_d' must be a positive integer")
-    t = np.array(_decode(data["entries"], (d, d, G.dim), "entries"),
-                 dtype=complex)
-    return Corepresentation(G, t)
-
-
 def save_instance(G: FiniteQuantumGroup, path) -> None:
     with open(path, "w") as fh:
         json.dump(instance_to_dict(G), fh, indent=1, sort_keys=True)

@@ -2,6 +2,10 @@
 against an independent symbolic evaluator, certified compression norms,
 Khintchine probes, and the bounded-not-cb construction."""
 
+import os
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +20,7 @@ from qglab.errors import (
     StructuralError,
 )
 from qglab.fock import (
+    FockSpace,
     amplified_sum,
     build_fock,
     build_non_cb_rep,
@@ -33,6 +38,11 @@ from qglab.fock import (
     z2_symmetry,
 )
 from qglab.qgroup import FiniteQuantumGroup
+from qglab.suite import SuiteConfig, run_suite
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 
 # --- independent symbolic oracle -------------------------------------------
@@ -70,6 +80,190 @@ def oracle_vacuum(F, ops):
     for i, coeffs in reversed(ops):
         state = oracle_apply(F, i, coeffs, state)
     return state.get((), 0.0 + 0j)
+
+
+# --- tuple-based reference for the word tables -----------------------------
+# The word basis and index maps built by listing words as tuples, and the free
+# action assembled from them; FockSpace and free_action must agree bit for bit.
+
+
+def reference_space(factors, max_len):
+    factors = list(factors)
+    dims0 = [f.dim0 for f in factors]
+    N = len(factors)
+    words = [()]
+    by_len = [[()]]
+    for _ in range(max_len):
+        layer = []
+        for i in range(N):
+            for w in by_len[-1]:
+                if w and w[0][0] == i:
+                    continue
+                for p in range(dims0[i]):
+                    layer.append(((i, p),) + w)
+        by_len.append(layer)
+        words.extend(layer)
+    idx = {w: k for k, w in enumerate(words)}
+    prepend, first = [], []
+    for i in range(N):
+        src, dst = [], []
+        for k, w in enumerate(words):
+            if (w and w[0][0] == i) or len(w) >= max_len:
+                continue
+            src.append(k)
+            dst.append([idx[((i, p),) + w] for p in range(dims0[i])])
+        prepend.append((np.array(src, dtype=int),
+                        np.array(dst, dtype=int).reshape(len(src), dims0[i])))
+        fsrc, fslot, frest, frepl = [], [], [], []
+        for k, w in enumerate(words):
+            if not w or w[0][0] != i:
+                continue
+            fsrc.append(k)
+            fslot.append(w[0][1])
+            rest = w[1:]
+            frest.append(idx[rest])
+            frepl.append([idx[((i, p),) + rest] for p in range(dims0[i])])
+        first.append((np.array(fsrc, dtype=int), np.array(fslot, dtype=int),
+                      np.array(frest, dtype=int),
+                      np.array(frepl, dtype=int).reshape(len(fsrc), dims0[i])))
+    return SimpleNamespace(factors=factors, max_len=max_len, words=words,
+                           index=idx, dim=len(words),
+                           lengths=np.array([len(w) for w in words], dtype=int),
+                           _prepend=prepend, _first=first)
+
+
+def reference_free_action(F, i, coeffs):
+    f = F.factors[i]
+    phi, create, annihilate, replace = f.action_data(coeffs)
+    rows, cols, vals = [], [], []
+    other = np.nonzero([not w or w[0][0] != i for w in F.words])[0]
+    if abs(phi) > 0:
+        rows.append(other)
+        cols.append(other)
+        vals.append(np.full(len(other), phi, dtype=complex))
+    src, dst = F._prepend[i]
+    for p in range(f.dim0):
+        if len(src) and abs(create[p]) > 0:
+            rows.append(dst[:, p])
+            cols.append(src)
+            vals.append(np.full(len(src), create[p], dtype=complex))
+    fsrc, fslot, frest, frepl = F._first[i]
+    if len(fsrc):
+        for p in range(f.dim0):
+            rows.append(frepl[:, p])
+            cols.append(fsrc)
+            vals.append(replace[p, fslot])
+        rows.append(frest)
+        cols.append(fsrc)
+        vals.append(annihilate[fslot])
+    if rows:
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        vals = np.concatenate(vals)
+    else:
+        rows = cols = np.zeros(0, dtype=int)
+        vals = np.zeros(0, dtype=complex)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(F.dim, F.dim)).tocsr()
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kinds,max_len", [
+    (("z2",), 1), (("z2",), 5),
+    (("z2",) * 3, 1), (("z2",) * 3, 4), (("z2",) * 3, 6),
+    (("z2",) * 4, 2), (("z2",) * 4, 5),
+    (("m2",) * 3, 1), (("m2",) * 3, 3),
+    (("z2", "m2", "z2", "m2"), 2), (("m2", "z2", "z2"), 4),
+    (("m1", "z2", "z2"), 3),
+])
+def test_fock_space_matches_tuple_reference(kinds, max_len):
+    make = {"z2": z2_factor, "m1": lambda: matrix_factor(1),
+            "m2": lambda: matrix_factor(2)}
+    factors = [make[k]() for k in kinds]
+    F = build_fock(factors, max_len)
+    R = reference_space(factors, max_len)
+    assert F.dim == R.dim
+    assert F.words == R.words
+    assert F.index == R.index
+    assert _same_array(F.lengths, R.lengths)
+    for got, want in zip(F._prepend + F._first, R._prepend + R._first):
+        assert len(got) == len(want)
+        assert all(_same_array(a, b) for a, b in zip(got, want))
+    rng = np.random.default_rng(len(kinds) * 10 + max_len)
+    for i, f in enumerate(factors):
+        centred = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
+        centred = centred - f.phi(centred) * f.unit
+        for x in (rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim),
+                  centred, f.unit):
+            got = free_action(F, i, x).matrix
+            want = reference_free_action(R, i, np.asarray(x, dtype=complex))
+            for attr in ("indptr", "indices", "data"):
+                assert _same_array(getattr(got, attr), getattr(want, attr))
+
+
+def reference_pi_norm_search(rep, restarts=6, inner=25, seed=0, tol=1e-8):
+    """The ascent of pi_norm_search with one matvec per operator and the
+    operator sum M formed as a sparse matrix."""
+    F = rep.space
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    keep = np.nonzero(F.length_mask(F.max_len - 1))[0]
+    for _ in range(restarts):
+        xi = np.zeros(F.dim, dtype=complex)
+        eta = np.zeros(F.dim, dtype=complex)
+        xi[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+        eta[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+        xi /= np.linalg.norm(xi)
+        eta /= np.linalg.norm(eta)
+        prev = 0.0
+        for _ in range(inner):
+            vals = np.array([np.vdot(eta, op.matrix @ xi) for op in rep.u_ops])
+            piw = rep.theta0(vals)
+            val = float(np.linalg.norm(piw, 2))
+            best = max(best, val)
+            U, _, Vh = np.linalg.svd(piw)
+            ell, r = U[:, 0], Vh[0].conj()
+            weights = np.array([np.vdot(ell, m @ r) for m in rep.theta_units])
+            M = sum(np.conj(weights[i]) * rep.u_ops[i].matrix for i in range(rep.N))
+            w = M @ xi
+            if np.linalg.norm(w) < 1e-14:
+                break
+            eta = w / np.linalg.norm(w)
+            w2 = M.conj().T @ eta
+            if np.linalg.norm(w2) < 1e-14:
+                break
+            xi = w2 / np.linalg.norm(w2)
+            if abs(val - prev) < tol:
+                break
+            prev = val
+    return best
+
+
+def test_pi_norm_search_matches_per_operator_loop():
+    F = build_fock([z2_factor()] * 4, 4)
+    rep = build_non_cb_rep(4, F)
+    for seed in (0, 1, 2):
+        assert abs(pi_norm_search(rep, seed=seed)
+                   - reference_pi_norm_search(rep, seed=seed)) < 1e-12
+
+
+def test_hot_paths_never_touch_word_tuples(monkeypatch):
+    # the Fock suites and the benchmark pass run on the integer word arrays;
+    # the tuple views are for inspection only
+    def forbidden(self):
+        raise AssertionError("a hot path read the tuple word views")
+    monkeypatch.setattr(FockSpace, "words", property(forbidden))
+    monkeypatch.setattr(FockSpace, "index", property(forbidden))
+    cfg = SuiteConfig(instances=[], suites=("khintchine", "noncb"), seed=1,
+                      trials=2, copies=4, length=3)
+    rep = run_suite(cfg)
+    assert rep.records and all(r.passed for r in rep.records)
+    inp = workloads.make_inputs("fock-certify", 1, workloads.Params.tiny())
+    outcome = workloads.run_pass(inp)
+    verdict = workloads.check_pass(inp, outcome, None)
+    assert verdict.failed == 0, verdict.problems
 
 
 # --- dimensions and actions -------------------------------------------------
@@ -193,6 +387,17 @@ def test_vacuum_exactness_flag():
     assert not exact
 
 
+def test_vacuum_state_takes_a_generator():
+    # five alternating symmetries exceed depth 2: not exact, from a list or
+    # from a generator alike
+    F = build_fock([z2_factor()] * 2, 2)
+    ops = [free_action(F, i, z2_symmetry()) for i in range(2)]
+    seq = [0, 1, 0, 1, 0]
+    want = vacuum_state(F, [ops[i] for i in seq])
+    assert want[1] is False
+    assert vacuum_state(F, (ops[i] for i in seq)) == want
+
+
 def test_compression_norm_symmetry():
     F = build_fock([z2_factor()] * 2, 4)
     op = free_action(F, 0, z2_symmetry())
@@ -304,6 +509,25 @@ def test_norm_equivalence_quantum_group_factor():
     basis = [V.tensor[i, j] for i in range(2) for j in range(2)]
     F = build_fock([factor_from_quantum_group(G)] * 3, 3)
     rep = norm_equivalence(F, basis, sample_count=20, seed=5)
+    assert rep["ratios_ok"]
+
+
+@pytest.mark.parametrize("name", ["kac_paljutkin", "c_s3"])
+def test_norm_equivalence_certifies_c1(name):
+    # on the coefficient span of the two-dimensional irreducible the sampled
+    # C1 falls short of the true 2; the row/column bound reaches it
+    import qglab
+    from qglab.catalog import corep_catalog
+    G = qglab.builtin_instance(name)
+    V = [W for W in corep_catalog(G) if W.d == 2][0]
+    basis = [V.tensor[i, j] for i in range(2) for j in range(2)]
+    F = build_fock([factor_from_quantum_group(G)] * 2, 2)
+    rep = norm_equivalence(F, basis, sample_count=4, seed=0)
+    lower, upper = rep["C1_bracket"]
+    assert abs(upper - 2.0) < 1e-9
+    assert lower <= upper
+    assert rep["C1"] == upper
+    assert rep["bound"] == pytest.approx(6.0, abs=1e-9)
     assert rep["ratios_ok"]
 
 
