@@ -13,6 +13,8 @@ dual Tomita map equals the dual modular conjugation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .convolution import Functional, basis_functional, convolve, module_action
@@ -29,26 +31,50 @@ from .qgroup import (
 )
 
 
-# Bytes build_w may spend on the n^3 x n^3 complex pentagon difference:
-# 16 n^6 <= 2^28 allows n <= 16.
-PENTAGON_BUDGET_BYTES = 2 ** 28
+# Bytes the pentagon and coproduct checks of W may hold at once (see
+# _check_bytes): 16 (4 n^5 + 2 n^4) + 2^20 <= 2^29 allows n <= 24.
+PENTAGON_BUDGET_BYTES = 2 ** 29
 
 # Bound on the extracted dual's validation violations and extraction residual.
 DUAL_TOL = 1e-9
 
 
+def _check_bytes(n):
+    """Peak bytes of the pentagon and coproduct checks of W at dim H = n.
+
+    The coproduct residual holds four complex n^5 stacks at once (its first
+    term, and the conjugation's einsum temporaries and result) and n^4
+    temporaries; the pentagon bound holds only complex n^4 arrays, six at
+    most.  2^20 bytes cover numpy's iteration buffers.
+    """
+    return 16 * (4 * n ** 5 + 2 * n ** 4) + 2 ** 20
+
+
 class MultiplicativeUnitary:
-    """W on H_h (x) H_h with its leg-one expansion over the algebra basis."""
+    """W on H_h (x) H_h with its leg-one expansion over the algebra basis.
+
+    The pentagon and coproduct residuals are computed when first read, so a
+    W built only to extract a dual never pays for them.
+    """
 
     def __init__(self, owner, W, leg1_slices, expansion_residual,
-                 unitarity_residual, pentagon_residual, coproduct_residual):
+                 unitarity_residual):
         self.owner = owner
         self.W = W
         self.leg1_slices = leg1_slices      # W = sum_i lambda(e_i) (x) Z_i
         self.expansion_residual = float(expansion_residual)
         self.unitarity_residual = float(unitarity_residual)
-        self.pentagon_residual = float(pentagon_residual)
-        self.coproduct_residual = float(coproduct_residual)
+
+    @cached_property
+    def pentagon_residual(self) -> float:
+        """Certified upper bound on ||W12 W13 W23 - W23 W12||."""
+        return _pentagon_residual(self.W)
+
+    @cached_property
+    def coproduct_residual(self) -> float:
+        """max_i ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||."""
+        return _coproduct_residual(self.W, self.owner.coproduct,
+                                   np.stack(self.owner.gns().basis_images))
 
     def lambda_of(self, w: Functional) -> np.ndarray:
         """lambda(omega) = (omega (x) id)W on H_h."""
@@ -74,16 +100,37 @@ def _legs(U):
 
 
 def _pentagon_residual(W):
-    """Spectral norm of W12 W13 W23 - W23 W12 on H (x) H (x) H.
+    """sqrt(||D||_1 ||D||_inf), a certified upper bound on the spectral norm
+    of D = W12 W13 W23 - W23 W12 on H (x) H (x) H (Hoelder).
 
-    W13 W23 share leg 3 (s), W12 W13 leg 1 (p) and W12 W23 leg 2 (q); in
-    W23 W12 only leg 2 (q) is shared.  No Kronecker factor is formed.
+    D is formed one slice D[a, b] at a time, output legs 1 and 2 fixed: the
+    slice gives the absolute row sums of the rows (a, b, c) and adds its part
+    to the column sums over (x, y, z), then is dropped.  The n^6 array D is
+    never formed; three n^4 copies of W and a slice's n^4 temporaries are all
+    that is live.  W12 W13 contracts leg 1 (p), W23 then legs 2 and 3 (q, s);
+    W23 W12 contracts leg 2 (q).  When every row and column of D holds at
+    most one nonzero entry, all of one modulus, the bound equals ||D||.
     """
     W4 = _legs(W)
     n = W4.shape[0]
-    diff = (np.einsum("abpq,pcxs,qsyz->abcxyz", W4, W4, W4, optimize=True)
-            - np.einsum("bcqz,aqxy->abcxyz", W4, W4, optimize=True))
-    return float(np.linalg.norm(diff.reshape(n ** 3, n ** 3), 2))
+    m = n * n
+    w13 = W4.transpose(1, 2, 3, 0).reshape(m * n, n)        # [(c, x, s), p]
+    w23 = W4.transpose(2, 3, 0, 1).reshape(m, m)            # [(y, z), (q, s)]
+    w23_first = W4.transpose(0, 1, 3, 2).reshape(m * n, n)  # [(b, c, z), q]
+    row_max = 0.0
+    col_sums = np.zeros((n, n, n))                           # [y, z, x]
+    for a in range(n):
+        w12 = W4[a].reshape(n, m)                            # [q, (x, y)]
+        for b in range(n):
+            t = (w13 @ W4[a, b]).reshape(n, n, n, n)         # [c, x, s, q]
+            d = (w23 @ t.transpose(3, 2, 0, 1).reshape(m, m)).reshape(
+                n, n, n, n)                                  # [y, z, c, x]
+            d -= (w23_first[b * m:(b + 1) * m] @ w12).reshape(
+                n, n, n, n).transpose(3, 1, 0, 2)            # [c, z, x, y] as d
+            d = np.abs(d)
+            row_max = max(row_max, float(d.sum(axis=(0, 1, 3)).max()))
+            col_sums += d.sum(axis=2)
+    return float(np.sqrt(row_max * col_sums.max()))
 
 
 def _conjugate_leg2(U, X):
@@ -107,15 +154,17 @@ def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
 
 
 def _build_w(G):
-    """W with its unitarity, pentagon, coproduct and leg-one residuals.  The
-    pentagon and coproduct residuals contract W on single legs (see their
-    helpers) and stay spectral norms of the full operators; the pentagon
-    difference is n^3 x n^3, so n is checked against the budget first."""
+    """W with its unitarity and leg-one residuals.  The pentagon and
+    coproduct residuals are computed when first read, but the bytes they
+    need are checked against the budget here, before anything is allocated.
+    Both contract W leg by leg (see their helpers): the pentagon residual is
+    a certified upper bound on the spectral norm of the pentagon difference,
+    the coproduct residual a spectral norm."""
     n = G.dim
-    need = 16 * n ** 6
+    need = _check_bytes(n)
     if need > PENTAGON_BUDGET_BYTES:
-        raise BudgetError("pentagon check of W needs %d bytes at n = %d (budget %d)"
-                          % (need, n, PENTAGON_BUDGET_BYTES))
+        raise BudgetError("pentagon and coproduct checks of W need %d bytes "
+                          "at n = %d (budget %d)" % (need, n, PENTAGON_BUDGET_BYTES))
     gd = G.gns()
     # W* on coefficients: (a (x) b) -> Delta(b)(a (x) 1)
     wstar_c = np.einsum("mjq,jip->pqim", G.coproduct, G.mult).reshape(n * n, n * n)
@@ -129,10 +178,8 @@ def _build_w(G):
     if unit_resid > 1e-8:
         raise InvalidInstanceError(
             "fundamental operator is not unitary (residual %.3e)" % unit_resid)
-    pent = _pentagon_residual(W)
-    cop_resid = _coproduct_residual(W, G.coproduct, np.stack(gd.basis_images))
     Z, exp_resid = _leg1_expand(gd.image_matrix, W)
-    return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid, pent, cop_resid)
+    return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid)
 
 
 def lambda_rep(Wd: MultiplicativeUnitary, w: Functional) -> np.ndarray:

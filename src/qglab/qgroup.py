@@ -22,6 +22,7 @@ antipode to S for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -368,10 +369,16 @@ class GnsData:
         """Lambda(y) -> Lambda(y a)."""
         return self.lambda_map @ self.owner.right_mult_matrix(a.coeffs) @ self.lambda_inv
 
+    @cached_property
+    def _image_pinv(self):
+        return np.linalg.pinv(self.image_matrix)
+
     def left_action_inv(self, m: np.ndarray, rtol=1e-9):
-        """Solve lambda_h(a) = m for a; residual must stay below rtol * ||m||."""
+        """Solve lambda_h(a) = m for a by least squares, through the
+        pseudo-inverse of image_matrix formed on the first call; the residual
+        must stay below rtol * ||m||."""
         A = self.image_matrix
-        coeffs, *_ = np.linalg.lstsq(A, m.reshape(-1), rcond=None)
+        coeffs = self._image_pinv @ m.reshape(-1)
         resid = np.linalg.norm(A @ coeffs - m.reshape(-1))
         scale = max(1.0, np.linalg.norm(m))
         if resid > rtol * scale:

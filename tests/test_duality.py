@@ -2,6 +2,7 @@
 and the concrete pairing identity."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qglab.builders import (
     cyclic_table,
     from_function_algebra,
     from_group_algebra,
-    symmetric_table,
 )
 from qglab.catalog import corep_catalog, unitary_corepresentation
 from qglab.convolution import (
@@ -296,17 +296,44 @@ def _random_unitary(m, rng):
     return q
 
 
-def test_pentagon_residual_matches_kron_formula():
-    rng = np.random.default_rng(5)
-    n = 3
-    W = _random_unitary(n * n, rng)
+def _kron_pentagon_difference(W, n):
     eye = np.eye(n)
     W12, W23 = np.kron(W, eye), np.kron(eye, W)
     S23 = np.kron(eye, _swap_matrix(n))
     W13 = S23 @ W12 @ S23
-    dense = np.linalg.norm(W12 @ W13 @ W23 - W23 @ W12, 2)
-    assert dense > 0.5     # W is no multiplicative unitary
-    assert abs(_pentagon_residual(W) - dense) <= 1e-12 * dense
+    return W12 @ W13 @ W23 - W23 @ W12
+
+
+def _holder(D):
+    return np.sqrt(np.linalg.norm(D, 1) * np.linalg.norm(D, np.inf))
+
+
+def test_pentagon_residual_matches_kron_formula():
+    rng = np.random.default_rng(5)
+    n = 3
+    W = _random_unitary(n * n, rng)
+    D = _kron_pentagon_difference(W, n)
+    assert np.linalg.norm(D, 2) > 0.5     # W is no multiplicative unitary
+    res = _pentagon_residual(W)
+    assert abs(res - _holder(D)) <= 1e-12 * _holder(D)
+    assert res >= np.linalg.norm(D, 2)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (4, 0)])
+def test_pentagon_residual_sums_columns_over_slices(n, seed):
+    # rows (a, b, c) of D lie in slice a, but every column sum runs over all
+    # slices: pick W whose widest row and widest column part sit in two
+    # different slices, so a bound that kept per-slice maxima would differ
+    W = _random_unitary(n * n, np.random.default_rng(seed))
+    A = np.abs(_kron_pentagon_difference(W, n)).reshape(n, n * n, n ** 3)
+    row_slice = np.argmax(A.sum(axis=2).max(axis=1))
+    col = np.argmax(A.sum(axis=(0, 1)))
+    assert row_slice != np.argmax(A[:, :, col].sum(axis=1))
+    per_slice = max(np.sqrt(A[a].sum(axis=1).max() * A[a].sum(axis=0).max())
+                    for a in range(n))
+    holder = np.sqrt(A.sum(axis=2).max() * A.sum(axis=(0, 1)).max())
+    assert per_slice < holder * (1 - 1e-6)
+    assert abs(_pentagon_residual(W) - holder) <= 1e-12 * holder
 
 
 def test_coproduct_residual_matches_kron_formula():
@@ -362,12 +389,49 @@ def test_dual_extraction_residual_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
-def test_build_w_refuses_n24_before_allocating(build):
-    # the n^3 x n^3 pentagon difference would take 3 GiB at n = 24
-    G = build(symmetric_table(4))
+def test_build_w_refuses_n32_before_allocating(build):
+    # the pentagon and coproduct checks would hold 2.2 GB at n = 32
+    assert duality._check_bytes(24) <= duality.PENTAGON_BUDGET_BYTES
+    G = build(cyclic_table(32))
     t0 = time.perf_counter()
     with pytest.raises(BudgetError):
         build_w(G)
     assert time.perf_counter() - t0 < 1.0
     with pytest.raises(BudgetError):
         build_dual(G)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_residual_checks_stay_in_their_budget():
+    G = from_function_algebra(cyclic_table(12))
+    n = G.dim
+    W = build_w(G).W
+    pentagon = _traced_peak(_pentagon_residual, W)
+    assert pentagon <= duality._check_bytes(n)
+    assert pentagon < 16 * n ** 5       # slice-wise: no n^5 array is formed
+    images = np.stack(G.gns().basis_images)
+    assert (_traced_peak(_coproduct_residual, W, G.coproduct, images)
+            <= duality._check_bytes(n))
+
+
+def test_residuals_are_computed_when_first_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(duality, "_pentagon_residual",
+                        lambda W: calls.append("pentagon") or 0.0)
+    monkeypatch.setattr(duality, "_coproduct_residual",
+                        lambda *args: calls.append("coproduct") or 0.0)
+    G = builtin_instance("kac_paljutkin")
+    biduality(G)
+    assert calls == []
+    Wd = build_w(G)
+    for _ in range(2):                  # computed on the first read only
+        assert Wd.pentagon_residual == 0.0 and Wd.coproduct_residual == 0.0
+    assert calls == ["pentagon", "coproduct"]
