@@ -60,13 +60,22 @@ def _parser():
     return p
 
 
+def _number(kind, text, what):
+    """kind(text), with a parse error raised as a StructuralError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise StructuralError("%s must be %s, got %r" % (
+            what, "an integer" if kind is int else "a number", text)) from None
+
+
 def _tol_overrides(pairs):
     out = {}
     for item in pairs:
         if "=" not in item:
             raise StructuralError("tolerance override must be NAME=VALUE: %r" % item)
         k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
+        out[k.strip()] = _number(float, v, "tolerance %s" % k.strip())
     return out
 
 
@@ -75,7 +84,8 @@ def main(argv=None) -> int:
     try:
         dim_cap = args.dim_cap
         if dim_cap is None:
-            dim_cap = int(os.environ.get("QGLAB_DIM_CAP", DEFAULT_DIM_CAP))
+            dim_cap = _number(int, os.environ.get("QGLAB_DIM_CAP", DEFAULT_DIM_CAP),
+                              "QGLAB_DIM_CAP")
         instances = load_config_instances(args.builtin, args.instance)
         if args.command == "dual":
             from .duality import build_dual

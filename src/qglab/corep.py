@@ -41,15 +41,11 @@ class Corepresentation:
         return AlgebraElement(self.owner, self.tensor[i, j])
 
     def gns_matrix(self) -> np.ndarray:
-        """The image in B(C^d (x) H_h), blocks indexed by the matrix leg."""
-        gd = self.owner.gns()
+        """The image in B(C^d (x) H_h), blocks indexed by the matrix leg:
+        block (i, j) is lambda(v_ij)."""
         n = self.owner.dim
-        out = np.zeros((self.d * n, self.d * n), dtype=complex)
-        for i in range(self.d):
-            for j in range(self.d):
-                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = \
-                    gd.left_action(self.entry(i, j))
-        return out
+        blocks = np.tensordot(self.tensor, self.owner.gns().images, 1)
+        return blocks.transpose(0, 2, 1, 3).reshape(self.d * n, self.d * n)
 
     def __repr__(self):
         return "Corepresentation(%r, d=%d)" % (self.owner.name, self.d)
@@ -167,10 +163,6 @@ def corep_product(X: Corepresentation, Y: Corepresentation) -> Corepresentation:
     return Corepresentation(G, t)
 
 
-def corep_adjoint(X: Corepresentation) -> Corepresentation:
-    return _entrywise_adjoint_transpose(X)
-
-
 def corep_one(G: FiniteQuantumGroup, d: int) -> Corepresentation:
     return trivial_corep(G, d)
 
@@ -261,12 +253,11 @@ def unitarize(V: Corepresentation, tol: float = 1e-8):
     if not ok:
         raise NotInvertibleError(
             "cannot unitarize a singular corepresentation (sigma_min %.3e)" % smin)
-    VstarV = corep_product(corep_adjoint(V), V)
+    VstarV = corep_product(_entrywise_adjoint_transpose(V), V)
     T = np.einsum("ijm,m->ij", VstarV.tensor, G.haar)
     T = (T + T.conj().T) / 2
     w, U = np.linalg.eigh(T)
-    inv_norm = float(np.linalg.norm(np.linalg.inv(g), 2))
-    floor = 1.0 / inv_norm ** 2
+    floor = float(smin) ** 2        # 1 / ||V^-1||^2
     if np.min(w) < floor - max(tol, 1e-8):
         raise NotInvertibleError(
             "averaged operator is not positive definite above the invertibility "

@@ -24,6 +24,7 @@ from .errors import (BudgetError, InvalidInstanceError, NotInvertibleError,
 from .qgroup import (
     AlgebraElement,
     FiniteQuantumGroup,
+    SpanningFamily,
     adjoint,
     multiply,
     operator_norm,
@@ -74,7 +75,7 @@ class MultiplicativeUnitary:
     def coproduct_residual(self) -> float:
         """max_i ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||."""
         return _coproduct_residual(self.W, self.owner.coproduct,
-                                   np.stack(self.owner.gns().basis_images))
+                                   self.owner.gns().images)
 
     def lambda_of(self, w: Functional) -> np.ndarray:
         """lambda(omega) = (omega (x) id)W on H_h."""
@@ -83,14 +84,13 @@ class MultiplicativeUnitary:
         return np.einsum("m,mij->ij", w.coeffs, self.leg1_slices)
 
 
-def _leg1_expand(L, X):
-    """Write X on H (x) H as sum_i L_i (x) Z_i, where the columns of L are
-    vec(L_i); return (Z, residual)."""
-    n = L.shape[1]
-    B = _legs(X).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    C, *_ = np.linalg.lstsq(L, B, rcond=None)
-    resid = float(np.linalg.norm(L @ C - B) / max(1.0, np.linalg.norm(B)))
-    return C.reshape(n, n, n), resid
+def _leg1_expand(span, X):
+    """Write X on H (x) H as sum_i b_i (x) Z_i over the spanning family b_i
+    of ``span``; return (Z, residual relative to max(1, ||X||)).  Each leg-2
+    entry (b, y) of X is a matrix on leg 1, expanded in the b_i."""
+    c, resid = span.expand(_legs(X).transpose(1, 3, 0, 2))    # [b, y, i]
+    return (c.transpose(2, 0, 1),
+            float(np.linalg.norm(resid) / max(1.0, np.linalg.norm(X))))
 
 
 def _legs(U):
@@ -178,7 +178,7 @@ def _build_w(G):
     if unit_resid > 1e-8:
         raise InvalidInstanceError(
             "fundamental operator is not unitary (residual %.3e)" % unit_resid)
-    Z, exp_resid = _leg1_expand(gd.image_matrix, W)
+    Z, exp_resid = _leg1_expand(gd.span, W)
     return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid)
 
 
@@ -189,14 +189,14 @@ def lambda_rep(Wd: MultiplicativeUnitary, w: Functional) -> np.ndarray:
 class DualQuantumGroup:
     """The dual instance plus its concrete identification inside B(H_h)."""
 
-    def __init__(self, owner, group, Wd, Z, zpinv, What, What_slices,
+    def __init__(self, owner, group, Wd, span, What, What_slices,
                  Lambda_hat_mat, phihat_one, extraction_residual, validation):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
         self.validation = validation        # validate(group, tol=DUAL_TOL)
         self.Wd = Wd
-        self.Z = Z                          # Z[mu] = lambda(omega_mu) on H
-        self._zpinv = zpinv                 # pseudo-inverse of the stacked Z
+        self.span = span                    # the Z[mu] as a spanning family
+        self.Z = span.family                # Z[mu] = lambda(omega_mu) on H
         self.What = What                    # Sigma W* Sigma
         self.What_slices = What_slices      # What = sum_mu Z_mu (x) Yhat_mu
         self.Lambda_hat_mat = Lambda_hat_mat  # columns Lambda^(lambda(omega_mu))
@@ -215,9 +215,7 @@ class DualQuantumGroup:
 
     def expand_in_dual(self, m: np.ndarray, rtol=1e-7):
         """Coefficients of m in the basis lambda(omega_mu) of the dual algebra."""
-        c = self._zpinv @ m.reshape(-1)
-        resid = np.linalg.norm(
-            sum(c[k] * self.Z[k] for k in range(len(c))) - m)
+        c, resid = self.span.expand(m)
         if resid > rtol * max(1.0, np.linalg.norm(m)):
             raise InvalidInstanceError(
                 "matrix is not in the dual algebra (residual %.3e)" % resid)
@@ -257,46 +255,35 @@ def _build_dual(G):
     gd = G.gns()
     n = G.dim
     Z = Wd.leg1_slices                  # Z[mu] = (omega_mu (x) id)W
-    zmat = Z.reshape(n, n * n).T
+    span = SpanningFamily(Z)
+    zmat, zpinv = span.matrix, span.pinv
     if np.linalg.matrix_rank(zmat, tol=1e-9) < n:
         raise InvalidInstanceError("left regular representation is not injective")
-    zpinv = np.linalg.pinv(zmat)
-    resid = 0.0
-
-    def expand(m):
-        nonlocal resid
-        c = zpinv @ m.reshape(-1)
-        resid = max(resid, float(np.linalg.norm(zmat @ c - m.reshape(-1))))
-        return c
-
-    mult_hat = np.array([[expand(a @ b) for b in Z] for a in Z])
+    mult_hat, r_mult = span.expand(Z[:, None] @ Z[None])     # [a, b] = Z_a Z_b
     Wstar = Wd.W.conj().T
     What = _legs(Wstar).transpose(1, 0, 3, 2).reshape(n * n, n * n)  # Sigma W* Sigma
     T = _conjugate_leg2(What, Z).transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
     cop_hat = zpinv @ T @ zpinv.T
-    resid = max(resid, float(np.max(np.linalg.norm(
-        zmat @ cop_hat @ zmat.T - T, axis=(1, 2)))))
+    r_cop = np.linalg.norm(zmat @ cop_hat @ zmat.T - T, axis=(1, 2))
     unit_hat = G.counit.copy()
     counit_hat = G.unit.copy()
     # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*)
-    Zstar_slices, exp_resid = _leg1_expand(gd.image_matrix, Wstar)
-    resid = max(resid, exp_resid)
-    antipode_hat = np.array([expand(z) for z in Zstar_slices])
+    Zstar_slices, r_leg = _leg1_expand(gd.span, Wstar)
+    antipode_hat, r_anti = span.expand(Zstar_slices)
     # star: the sharp involution implemented by the concrete adjoint
-    star_hat = np.array([expand(z.conj().T) for z in Z])
+    star_hat, r_star = span.expand(Z.conj().transpose(0, 2, 1))
     # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
-    Lhat = np.stack([gd.lambda_inv @ (G.star @ basis_functional(G, mu).coeffs)
-                     for mu in range(n)], axis=1)
+    Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
     xi_one = Lhat @ unit_hat
     phihat_one = float(np.real(np.vdot(xi_one, xi_one)))
-    haar_hat = np.array([np.vdot(xi_one, Lhat[:, mu]) for mu in range(n)])
-    haar_hat = haar_hat / phihat_one
+    haar_hat = xi_one.conj() @ Lhat / phihat_one
     dual_group = FiniteQuantumGroup(
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    What_slices, exp_resid = _leg1_expand(zmat, What)
-    resid = max(resid, exp_resid)
+    What_slices, r_what = _leg1_expand(span, What)
+    resid = max(r_leg, r_what,
+                *(float(np.max(r)) for r in (r_mult, r_cop, r_anti, r_star)))
     if resid > DUAL_TOL:
         raise InvalidInstanceError(
             "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))
@@ -305,7 +292,7 @@ def _build_dual(G):
         raise InvalidInstanceError(
             "extracted dual instance fails validation (max violation %.3e)"
             % validation.max_violation)
-    return DualQuantumGroup(G, dual_group, Wd, Z, zpinv, What, What_slices,
+    return DualQuantumGroup(G, dual_group, Wd, span, What, What_slices,
                             Lhat, phihat_one, resid, validation)
 
 
@@ -333,13 +320,14 @@ def _biduality(G):
     lam_dual = Ghat.gns().lambda_map
     U = (d1.Lambda_hat_mat / np.sqrt(d1.phihat_one)) @ np.linalg.inv(lam_dual)
     viol = float(np.linalg.norm(U @ U.conj().T - np.eye(n), 2))
-    phi = np.zeros((n, n), dtype=complex)   # double-dual coeffs -> G coeffs
-    for rho in range(n):
-        X = U @ d2.Z[rho] @ U.conj().T
-        a = gd.left_action_inv(X, rtol=1e-7)
-        phi[rho] = a.coeffs
-        viol = max(viol, float(np.linalg.norm(
-            gd.left_action(a) - X) / max(1.0, np.linalg.norm(X))))
+    X = U @ d2.Z @ U.conj().T               # the double dual's images on H_h
+    phi, resid = gd.span.expand(X)          # double-dual coeffs -> G coeffs
+    resid = float(np.max(resid / np.maximum(1.0, np.linalg.norm(X, axis=(1, 2)))))
+    if resid > 1e-7:
+        raise InvalidInstanceError(
+            "double dual is not in the image of the left regular representation "
+            "(residual %.3e)" % resid)
+    viol = max(viol, resid)
     Gdd = d2.group
 
     def push(coeffs):

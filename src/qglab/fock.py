@@ -41,7 +41,7 @@ DEFAULT_DIM_CAP = 200_000
 class FreeFactor(StarAlgebra):
     """A finite-dimensional C*-algebra with a faithful state, GNS-represented.
 
-    The algebra core (coefficient maps and GNS data) comes from
+    The algebra core (coefficient maps, GNS data and the C*-norm) comes from
     ``qgroup.StarAlgebra``; the factor adds the unit vector xi = Lambda(1),
     an orthonormal frame for its complement, and the (scalar, create-column,
     contract-row, replace-matrix) data that drive the word-level free action.
@@ -61,17 +61,11 @@ class FreeFactor(StarAlgebra):
         self.P0 = Q[:, 1:]
         self.dim0 = self.dim - 1
 
-    def _gns_matrix(self, coeffs):
-        return self.gns().left_action(self.element(coeffs))
-
     def phi(self, coeffs) -> complex:
         return complex(np.dot(self.state, np.asarray(coeffs, dtype=complex)))
 
-    def cstar_norm(self, coeffs) -> float:
-        return float(np.linalg.norm(self._gns_matrix(coeffs), 2))
-
     def action_data(self, coeffs):
-        m = self._gns_matrix(coeffs)
+        m = self.gns().left_action(self.element(coeffs))
         create = self.P0.conj().T @ (m @ self.xi)
         annihilate = (self.xi.conj() @ m) @ self.P0
         replace = self.P0.conj().T @ m @ self.P0
@@ -220,9 +214,6 @@ class FreeOperator:
     matrix: sp.csr_matrix
     phi: complex
     cstar_norm: float
-
-    def __matmul__(self, v):
-        return self.matrix @ v
 
     def adjoint(self):
         f = self.space.factors[self.factor_index]
@@ -476,7 +467,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
             c = G1_isqrt @ y
             C1_lower = max(C1_lower, f0.cstar_norm(B @ c))
         # ||sum_t c_t l(b_t)|| <= ||c|| ||column||, and likewise for the row
-        lams = [f0._gns_matrix(b) for b in (B @ G1_isqrt).T]
+        lams = [f0.gns().left_action(f0.element(b)) for b in (B @ G1_isqrt).T]
         col = sum(m.conj().T @ m for m in lams)
         row = sum(m @ m.conj().T for m in lams)
         C1 = float(np.sqrt(min(np.linalg.norm(col, 2), np.linalg.norm(row, 2))))

@@ -113,10 +113,6 @@ class StarAlgebra:
     def star_coeffs(self, a):
         return np.einsum("i,ij->j", np.conj(a), self.star)
 
-    def left_mult_matrix(self, a):
-        """Matrix of y -> a y on coefficient vectors."""
-        return np.einsum("i,ijk->kj", a, self.mult)
-
     def right_mult_matrix(self, a):
         """Matrix of y -> y a on coefficient vectors."""
         return np.einsum("i,jik->kj", a, self.mult)
@@ -126,6 +122,11 @@ class StarAlgebra:
 
     def gns(self):
         return self.cached("gns", _build_gns)
+
+    def cstar_norm(self, coeffs) -> float:
+        """C*-norm of the element with these coefficients: the largest
+        singular value of its left regular image."""
+        return float(np.linalg.norm(self.gns().left_action(self.element(coeffs)), 2))
 
 
 class FiniteQuantumGroup(StarAlgebra):
@@ -331,9 +332,32 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
 # GNS construction
 
 
+class SpanningFamily:
+    """Least-squares expansion in a family of matrices b_0..b_{k-1}, given as
+    one (k, p, q) stack, through the pseudo-inverse of the family formed once.
+
+    ``expand(X)`` takes one p x q matrix or any stack of them and returns the
+    coefficients c, shape (..., k), with X ~ sum_m c[..., m] b_m, and the
+    residual ||sum_m c_m b_m - X|| (Frobenius) of each matrix, shape (...).
+    """
+
+    def __init__(self, family):
+        self.family = family
+        self.matrix = family.reshape(len(family), -1).T     # columns vec(b_m)
+        self.pinv = np.linalg.pinv(self.matrix)
+
+    def expand(self, X):
+        X = np.asarray(X)
+        batch = X.shape[:-2]
+        B = X.reshape(-1, self.matrix.shape[0])             # rows vec(X)
+        C = B @ self.pinv.T
+        resid = np.linalg.norm(C @ self.matrix.T - B, axis=1)
+        return C.reshape(batch + (-1,)), resid.reshape(batch)
+
+
 class GnsData:
-    """GNS space of the state: Lambda, left action, modular conjugation, and
-    the left-regular images of the basis.
+    """GNS space of the state: Lambda, the modular conjugation, and the left
+    regular images lambda(e_m) of the basis, built once as one stack.
 
     For a quantum group the state is the tracial Haar state, so the modular
     operator is the identity and J Lambda(x) = Lambda(x*) realizes the
@@ -342,53 +366,41 @@ class GnsData:
 
     def __init__(self, owner, lam, lam_inv, gram):
         self.owner = owner
-        self.gns_dim = owner.dim
         self.lambda_map = lam          # coefficients -> H_h  (Lambda)
         self.lambda_inv = lam_inv
         self.gram = gram               # gram[i,j] = h(e_i* e_j)
         # conjugate-linear J: v -> Jmat conj(v)
         self.modular_conj = lam @ owner.star.T @ np.conj(lam_inv)
-        self.modular_op = np.eye(owner.dim)
-        # lambda(e_i), and the same images as the columns of an n^2 x n matrix
-        self.basis_images = [self.left_action(owner.basis_element(i))
-                             for i in range(owner.dim)]
-        self.image_matrix = np.stack([m.reshape(-1) for m in self.basis_images],
-                                     axis=1)
+        # images[m] = lambda(e_m) = Lambda L_m Lambda^-1 with L_m the matrix
+        # of y -> e_m y on coefficients, L_m[k, j] = mult[m, j, k]
+        self.images = lam @ owner.mult.transpose(0, 2, 1) @ lam_inv
+        self.images.setflags(write=False)
 
     def Lambda(self, a: AlgebraElement) -> np.ndarray:
         return self.lambda_map @ a.coeffs
 
-    def Lambda_inv(self, v: np.ndarray) -> AlgebraElement:
-        return AlgebraElement(self.owner, self.lambda_inv @ v)
-
     def left_action(self, a: AlgebraElement) -> np.ndarray:
         """lambda_h(a) acting on H_h: Lambda(y) -> Lambda(a y)."""
-        return self.lambda_map @ self.owner.left_mult_matrix(a.coeffs) @ self.lambda_inv
+        return np.tensordot(a.coeffs, self.images, 1)
 
     def right_action(self, a: AlgebraElement) -> np.ndarray:
         """Lambda(y) -> Lambda(y a)."""
         return self.lambda_map @ self.owner.right_mult_matrix(a.coeffs) @ self.lambda_inv
 
     @cached_property
-    def _image_pinv(self):
-        return np.linalg.pinv(self.image_matrix)
+    def span(self) -> SpanningFamily:
+        """The images as a spanning family, for lambda_h(a) -> a."""
+        return SpanningFamily(self.images)
 
     def left_action_inv(self, m: np.ndarray, rtol=1e-9):
-        """Solve lambda_h(a) = m for a by least squares, through the
-        pseudo-inverse of image_matrix formed on the first call; the residual
-        must stay below rtol * ||m||."""
-        A = self.image_matrix
-        coeffs = self._image_pinv @ m.reshape(-1)
-        resid = np.linalg.norm(A @ coeffs - m.reshape(-1))
-        scale = max(1.0, np.linalg.norm(m))
-        if resid > rtol * scale:
+        """Solve lambda_h(a) = m for a by least squares; the residual must
+        stay below rtol * max(1, ||m||)."""
+        coeffs, resid = self.span.expand(m)
+        if resid > rtol * max(1.0, np.linalg.norm(m)):
             raise InvalidInstanceError(
                 "matrix is not in the image of the left regular representation "
                 "(residual %.3e)" % resid)
         return AlgebraElement(self.owner, coeffs)
-
-    def apply_J(self, v: np.ndarray) -> np.ndarray:
-        return self.modular_conj @ np.conj(v)
 
 
 def _build_gns(A: StarAlgebra) -> GnsData:
@@ -410,7 +422,7 @@ def gns(G: FiniteQuantumGroup) -> GnsData:
 
 def operator_norm(a: AlgebraElement) -> float:
     """C*-norm of a: largest singular value of its left regular image."""
-    return float(np.linalg.norm(a.owner.gns().left_action(a), 2))
+    return a.owner.cstar_norm(a.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +436,10 @@ class BlockDecomposition:
         self.owner = owner
         self.isometries = isometries              # one n x n_k frame per block
         self.sizes = [P.shape[1] for P in isometries]
-        cols = [np.concatenate([(P.conj().T @ m @ P).reshape(-1)
-                                for P in isometries])
-                for m in owner.gns().basis_images]
-        self.forward_matrix = np.stack(cols, axis=1)   # coeffs -> stacked blocks
+        images = owner.gns().images
+        self.forward_matrix = np.concatenate(          # coeffs -> stacked blocks
+            [(P.conj().T @ images @ P).reshape(owner.dim, -1) for P in isometries],
+            axis=1).T
         self.backward_matrix = np.linalg.inv(self.forward_matrix)
 
     def forward(self, a: AlgebraElement):
@@ -465,7 +477,7 @@ def _commutant_basis(mats):
 
 def _block_decompose(G, tol=NORM_RTOL, seed=7, max_attempts=25):
     n = G.dim
-    mats = G.gns().basis_images
+    mats = G.gns().images
     comm = _commutant_basis(mats)
     rng = np.random.default_rng(seed)
     last_gap = None
@@ -490,13 +502,12 @@ def _block_decompose(G, tol=NORM_RTOL, seed=7, max_attempts=25):
             continue
         frames = [U[:, list(g)] for g in idx_groups]
         ok = all(
-            max(np.linalg.norm(m @ P - P @ (P.conj().T @ m @ P)) for m in mats) < 1e-8 * scale
-            for P in frames)
+            np.max(np.linalg.norm(mats @ P - P @ (P.conj().T @ mats @ P), axis=(1, 2)))
+            < 1e-8 * scale for P in frames)
         if not ok:
             last_gap = float(np.min(gaps)) if len(gaps) else 0.0
             continue
-        chars = [np.array([np.trace(P.conj().T @ m @ P) for m in mats])
-                 for P in frames]
+        chars = [np.trace(P.conj().T @ mats @ P, axis1=1, axis2=2) for P in frames]
         classes = []
         for j, chi in enumerate(chars):
             for cls in classes:

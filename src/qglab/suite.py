@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -102,6 +103,11 @@ class SuiteConfig:
         if unknown:
             raise StructuralError("unknown tolerance name(s) %s; known: %s"
                                   % (", ".join(unknown), ", ".join(TOLERANCES)))
+        bad = sorted(k for k, v in self.tol.items()
+                     if not (isinstance(v, numbers.Real) and 0 < v < np.inf))
+        if bad:
+            raise StructuralError("tolerance(s) %s must be finite and > 0"
+                                  % ", ".join(bad))
 
     def tolerance(self, key):
         return float(self.tol.get(key, TOLERANCES[key]))
@@ -382,10 +388,10 @@ def run_unitarize(cfg, report):
             w = _random_functional(G, rng)
             worst_star = max(worst_star, float(np.linalg.norm(
                 pi_of(Vp, sharp(w)) - pi_of(Vp, w).conj().T, 2)))
-            inv_norm = float(np.linalg.norm(np.linalg.inv(V.gns_matrix()), 2))
+            # 1 / ||V^-1||^2 is the squared smallest singular value of V
             floor_margin = min(floor_margin,
                                float(np.min(np.linalg.eigvalsh(T)))
-                               - 1.0 / inv_norm ** 2)
+                               - float(np.linalg.norm(V.gns_matrix(), -2)) ** 2)
         rec.check("unitary", "V' = (1 (x) T^1/2) V (1 (x) T^-1/2) is unitary",
                   worst_unitary, tol8)
         rec.check("corep", "V' satisfies the corepresentation identity",

@@ -4,7 +4,7 @@ inversion, unitarization, degenerate essentials, and norms."""
 import numpy as np
 import pytest
 
-from qglab.builders import builtin_instance
+from qglab.builders import BUILTIN_NAMES, builtin_instance
 from qglab.catalog import available_dimensions, corep_catalog, unitary_corepresentation
 from qglab.convolution import (
     Functional,
@@ -314,6 +314,26 @@ def test_isometry_implies_unitary():
             eye = np.eye(g.shape[0])
             if np.linalg.norm(g.conj().T @ g - eye, 2) <= 1e-10:
                 assert np.linalg.norm(g @ g.conj().T - eye, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_gns_matrix_blocks_are_the_left_regular_images(name):
+    # oracle: lambda(a) = Lambda L(a) Lambda^-1, with L(a)[k, j] the
+    # coefficient of e_k in a e_j, read off mult
+    G = builtin_instance(name)
+    gd = G.gns()
+    dims = [d for d in available_dimensions(G) if d <= 4]
+    assert dims
+    for d in dims:
+        V, _, _ = random_invertible_corep(G, d, seed=40 + d)
+        g = V.gns_matrix()
+        n = G.dim
+        for i in range(d):
+            for j in range(d):
+                L = np.einsum("m,mjk->kj", V.tensor[i, j], G.mult)
+                ref = gd.lambda_map @ L @ gd.lambda_inv
+                block = g[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                assert np.max(np.abs(block - ref)) < 1e-13, (name, d, i, j)
 
 
 def test_available_dimensions():

@@ -36,7 +36,7 @@ from qglab.duality import (
 )
 from qglab import duality
 from qglab.errors import BudgetError, InvalidInstanceError
-from qglab.qgroup import validate, block_decompose
+from qglab.qgroup import SpanningFamily, block_decompose, validate
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
           "cg_z2", "cg_z3", "cg_z4", "cg_z2xz2", "cg_s3", "kac_paljutkin")
@@ -374,16 +374,28 @@ def test_dual_keeps_its_validation_report():
     assert dual.validation.max_violation == validate(dual.group, tol=1e-9).max_violation
 
 
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])
+def test_expand_in_dual_recovers_members_and_refuses_the_rest(name):
+    dual = build_dual(builtin_instance(name))
+    n = dual.group.dim
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    member = np.einsum("m,mij->ij", c, dual.Z)
+    assert np.max(np.abs(dual.expand_in_dual(member) - c)) < 1e-12
+    with pytest.raises(InvalidInstanceError, match="not in the dual algebra"):
+        dual.expand_in_dual(rng.standard_normal((n, n)))
+
+
 def test_dual_extraction_residual_is_bounded(monkeypatch):
     G = builtin_instance("cg_s3")
     build_w(G)                          # W keeps its own, untouched expansion
-    expand = duality._leg1_expand
+    expand = SpanningFamily.expand
 
-    def off_by_1e_6(L, X):
-        slices, resid = expand(L, X)
-        return slices, resid + 1e-6
+    def off_by_1e_6(self, X):
+        coeffs, resid = expand(self, X)
+        return coeffs, resid + 1e-6
 
-    monkeypatch.setattr(duality, "_leg1_expand", off_by_1e_6)
+    monkeypatch.setattr(SpanningFamily, "expand", off_by_1e_6)
     with pytest.raises(InvalidInstanceError, match="extraction residual"):
         build_dual(G)
 
@@ -417,7 +429,7 @@ def test_residual_checks_stay_in_their_budget():
     pentagon = _traced_peak(_pentagon_residual, W)
     assert pentagon <= duality._check_bytes(n)
     assert pentagon < 16 * n ** 5       # slice-wise: no n^5 array is formed
-    images = np.stack(G.gns().basis_images)
+    images = G.gns().images
     assert (_traced_peak(_coproduct_residual, W, G.coproduct, images)
             <= duality._check_bytes(n))
 

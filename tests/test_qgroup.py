@@ -104,7 +104,7 @@ def test_gns_c_z2_diagonal():
     for i in range(2):
         m = gd.left_action(G.basis_element(i))
         assert np.allclose(m, np.diag(np.diag(m)))
-    assert gd.gns_dim == 2
+    assert G.dim == 2
 
 
 def test_gns_group_algebra_regular_representation():
@@ -148,6 +148,24 @@ def test_gns_rejects_unfaithful_state():
     G = FiniteQuantumGroup("bad_haar", **t)
     with pytest.raises(InvalidInstanceError):
         G.gns()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_left_action_inv_inverts_left_action(name):
+    G = builtin_instance(name)
+    gd = G.gns()
+    rng = np.random.default_rng(21)
+    a = G.element(rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
+    assert np.max(np.abs(gd.left_action_inv(gd.left_action(a)).coeffs
+                         - a.coeffs)) < 1e-12
+    # a stack expands matrix by matrix, each with its own residual
+    coeffs, resid = gd.span.expand(gd.images[::-1])
+    assert coeffs.shape == (G.dim, G.dim) and resid.shape == (G.dim,)
+    assert np.max(np.abs(coeffs - np.eye(G.dim)[::-1])) < 1e-12
+    assert np.max(resid) < 1e-12
+    outside = rng.standard_normal((G.dim, G.dim))
+    with pytest.raises(InvalidInstanceError, match="not in the image"):
+        gd.left_action_inv(outside)
 
 
 def test_operator_norm_examples():

@@ -12,6 +12,7 @@ import pytest
 
 from qglab import suite
 from qglab.builders import builtin_instance
+from qglab.errors import StructuralError
 from qglab.serialize import instance_to_dict, load_instance
 from qglab.suite import (
     SUITE_NAMES,
@@ -97,10 +98,10 @@ def test_full_run_contains_anchors():
     assert rep.passed
 
 
-def _cli(*args):
+def _cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qglab.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
         cwd=os.path.join(os.path.dirname(__file__), os.pardir))
 
 
@@ -196,6 +197,28 @@ def test_cli_unknown_tolerance_name_is_exit_2():
     r = _cli("validate", "--builtin", "c_z2", "--tol", "pentgon=1e-3")
     assert r.returncode == 2
     assert "pentgon" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+def test_cli_malformed_tolerance_value_is_exit_2(value):
+    r = _cli("validate", "--builtin", "c_z2", "--tol", "validate=" + value)
+    assert r.returncode == 2
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_cli_malformed_dim_cap_env_is_exit_2():
+    r = _cli("validate", "--builtin", "c_z2",
+             env=dict(os.environ, QGLAB_DIM_CAP="lots"))
+    assert r.returncode == 2
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert "QGLAB_DIM_CAP" in r.stderr and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "1e-3"])
+def test_tolerance_values_must_be_finite_and_positive(value):
+    with pytest.raises(StructuralError, match="finite and > 0"):
+        SuiteConfig(tol={"validate": value})
 
 
 def test_cli_md_format():
