@@ -99,6 +99,10 @@ class SuiteConfig:
     tol: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, least in (("seed", 0), ("trials", 1), ("copies", 1)):
+            if getattr(self, name) < least:
+                raise StructuralError("%s must be >= %d, got %r"
+                                      % (name, least, getattr(self, name)))
         unknown = sorted(set(self.tol) - set(TOLERANCES))
         if unknown:
             raise StructuralError("unknown tolerance name(s) %s; known: %s"

@@ -4,6 +4,7 @@ Khintchine probes, and the bounded-not-cb construction."""
 
 import os
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -463,10 +464,11 @@ def test_khintchine_single_term_collapses():
     assert abs(rep["lhs_cert"] - rep["rhs_max"]) < 1e-9
 
 
-def test_khintchine_matrix_coefficients():
-    rng = np.random.default_rng(3)
-    N = 3
-    F = build_fock([matrix_factor(2)] * N, 5)
+def m2_family(N, max_len, seed):
+    """N free copies of M2 to depth max_len, with random 2x2 coefficients
+    a_i and random centred x_i, as in the khintchine suite."""
+    rng = np.random.default_rng(seed)
+    F = build_fock([matrix_factor(2)] * N, max_len)
     a_fam, x_fam = [], []
     for i in range(N):
         a_fam.append(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -474,6 +476,11 @@ def test_khintchine_matrix_coefficients():
         f = F.factors[i]
         x = x - f.phi(x) * f.unit
         x_fam.append((i, x))
+    return F, a_fam, x_fam
+
+
+def test_khintchine_matrix_coefficients():
+    F, a_fam, x_fam = m2_family(3, 5, seed=3)
     rep = khintchine_check(a_fam, x_fam, F, seed=2)
     assert rep["upper_certified"]
     assert rep["ratio"] == pytest.approx(rep["lhs_cert"] / rep["rhs_max"])
@@ -605,6 +612,105 @@ def test_empirical_phi_star_lower_bound():
         x = sum(rho[i] * rep.u_ops[i].matrix for i in range(4))
         lows.append(compression_norm(x, F, seed=1) / np.linalg.norm(rho))
     assert min(lows) > 0.5
+
+
+# --- zone-first compressions ------------------------------------------------
+# The reference route amplifies every action over the whole truncated space
+# and then extracts the exact zone with a length mask.
+
+
+def masked_compression(m, F, amp_dim, domain_len=None):
+    L = F.max_len - 1 if domain_len is None else domain_len
+    keep = np.nonzero(np.repeat(F.length_mask(L), amp_dim))[0]
+    return m.tocsr()[keep][:, keep]
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        assert _same_array(getattr(got, attr), getattr(want, attr))
+
+
+def norm_operands(monkeypatch):
+    """Every operator whose certified norm is taken, in call order."""
+    seen = []
+    solve = fock_module._largest_singular_value
+
+    def spy(sub, **kw):
+        seen.append(sub)
+        return solve(sub, **kw)
+    monkeypatch.setattr(fock_module, "_largest_singular_value", spy)
+    return seen
+
+
+@pytest.mark.parametrize("domain_len", [None, 1])
+@pytest.mark.parametrize("family", ["z2", "m2"])
+def test_khintchine_zone_operator_is_the_compression(monkeypatch, family,
+                                                     domain_len):
+    if family == "z2":
+        F = build_fock([z2_factor()] * 4, 4)
+        a_fam, x_fam = [1.0] * 4, [(i, z2_symmetry()) for i in range(4)]
+    else:
+        F, a_fam, x_fam = m2_family(4, 3, seed=4)
+    seen = norm_operands(monkeypatch)
+    khintchine_check(a_fam, x_fam, F, domain_len=domain_len, seed=1)
+    ops = [free_action(F, i, x) for i, x in x_fam]
+    full, k = amplified_sum(list(zip(ops, a_fam)), F)
+    assert len(seen) == 1
+    assert_same_csr(seen[0], masked_compression(full, F, k, domain_len))
+
+
+def test_noncb_zone_operators_are_the_compressions(monkeypatch):
+    N = 4
+    F = build_fock([z2_factor()] * N, 4)
+    seen = norm_operands(monkeypatch)
+    rep = cb_vs_bounded_probe(N, F, seed=2)["rep"]
+    generator, column = seen
+    assert_same_csr(generator, masked_compression(rep.V_tensor, F, N + 1))
+    mats = []
+    for i in range(1, N + 1):
+        m = np.zeros((N + 1, N + 1), dtype=complex)
+        m[i, 0] = 1.0
+        mats.append(m)
+    full, k = amplified_sum(list(zip(rep.u_ops, mats)), F)
+    assert_same_csr(column, masked_compression(full, F, k))
+
+
+def test_compression_norm_slices_the_zone(monkeypatch):
+    F = build_fock([z2_factor()] * 4, 5)
+    total = sum(free_action(F, i, z2_symmetry()).matrix for i in range(4))
+    seen = norm_operands(monkeypatch)
+    for L in range(F.max_len):
+        compression_norm(total, F, domain_len=L)
+    assert len(seen) == F.max_len
+    for L, sub in enumerate(seen):
+        assert_same_csr(sub, masked_compression(total, F, 1, L))
+    with pytest.raises(StructuralError, match="exact action zone"):
+        compression_norm(total, F, domain_len=F.max_len)
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_khintchine_memory_stays_in_the_zone():
+    # the full amplified operator has 130,178 rows and 1.13 M nonzeros; the
+    # zone has 8,678 rows
+    F, a_fam, x_fam = m2_family(6, 4, seed=0)
+    peak = traced_peak(lambda: khintchine_check(a_fam, x_fam, F, seed=1))
+    assert peak <= 16 * 2 ** 20
+
+
+def test_noncb_probe_memory_stays_in_the_zone():
+    # N=16, depth 4: the full generator has 983,569 rows, the zone 65,569
+    F = build_fock([z2_factor()] * 16, 4)
+    peak = traced_peak(lambda: cb_vs_bounded_probe(16, F, seed=1))
+    assert peak <= 45 * 2 ** 20
 
 
 # --- solver failures --------------------------------------------------------

@@ -215,6 +215,26 @@ def test_cli_malformed_dim_cap_env_is_exit_2():
     assert "QGLAB_DIM_CAP" in r.stderr and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("corep-suite", "--builtin", "c_z2", "--seed", "-1"),
+    ("corep-suite", "--builtin", "c_z2", "--trials", "0"),
+    ("noncb", "--copies", "0"),
+])
+def test_cli_out_of_range_count_is_exit_2(args):
+    r = _cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert args[-2].lstrip("-") in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("kw", [{"seed": -1}, {"trials": 0}, {"trials": -3},
+                                {"copies": 0}])
+def test_suite_config_rejects_out_of_range_counts(kw):
+    with pytest.raises(StructuralError, match=next(iter(kw))):
+        SuiteConfig(**kw)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "1e-3"])
 def test_tolerance_values_must_be_finite_and_positive(value):
     with pytest.raises(StructuralError, match="finite and > 0"):
