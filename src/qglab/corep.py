@@ -163,10 +163,6 @@ def corep_product(X: Corepresentation, Y: Corepresentation) -> Corepresentation:
     return Corepresentation(G, t)
 
 
-def corep_one(G: FiniteQuantumGroup, d: int) -> Corepresentation:
-    return trivial_corep(G, d)
-
-
 def corep_distance(X: Corepresentation, Y: Corepresentation) -> float:
     return float(np.max(np.abs(X.tensor - Y.tensor)))
 
@@ -184,7 +180,7 @@ def inverse_corep(V: Corepresentation, tol: float = 1e-8) -> Corepresentation:
         raise NotInvertibleError(
             "corepresentation is singular (smallest singular value %.3e)" % smin)
     W = _antipode_slice(V)
-    one = corep_one(V.owner, V.d)
+    one = trivial_corep(V.owner, V.d)
     left = corep_distance(corep_product(W, V), one)
     right = corep_distance(corep_product(V, W), one)
     if max(left, right) > tol * max(1.0, float(np.max(np.abs(V.tensor)))):

@@ -182,10 +182,6 @@ def _build_w(G):
     return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid)
 
 
-def lambda_rep(Wd: MultiplicativeUnitary, w: Functional) -> np.ndarray:
-    return Wd.lambda_of(w)
-
-
 class DualQuantumGroup:
     """The dual instance plus its concrete identification inside B(H_h)."""
 

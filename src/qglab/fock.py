@@ -18,14 +18,15 @@ length <= max_len - 1 every single action is exact, so norms of compressions
 to that zone are certified lower bounds for the true norms; no upper bounds
 are ever claimed from truncated data.
 
-Zone first: words are stored layer by layer, so the K_D words of length
-<= D are the first K_D indices, and the compression of sum_i op_i (x) a_i
-to them is sum_i op_i[:K_D, :K_D] (x) a_i.  The Khintchine probe, the
-non-cb generator and its creation column slice each single action to the
-zone before amplifying it, and never form the amplified operator on the
-top layer, which they do not read (at N=16, L=4 that layer holds 54,000 of
-the 57,857 words).  The slices are the same CSR matrices as the compressions
-of the full operators, so every norm is unchanged bit for bit.
+Zone first: words are stored layer by layer, so the K words of length
+<= max_len - 1 are the first K indices, and the compression of
+sum_i op_i (x) a_i to them is sum_i op_i[:K, :K] (x) a_i.  ``amplified_sum``
+is the one amplification path: it slices each single action to the exact
+zone before amplifying it, so the Khintchine probe, the non-cb generator and
+its creation column never form an amplified operator on the top layer,
+which they do not read (at N=16, L=4 that layer holds 54,000 of the 57,857
+words).  The slices are the same CSR matrices as the compressions of the
+full operators, so every norm is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -209,9 +210,6 @@ class FockSpace:
         v[0] = 1.0
         return v
 
-    def length_mask(self, max_word_len) -> np.ndarray:
-        return self.lengths <= max_word_len
-
     def zone_size(self, domain_len=None) -> int:
         """K_D, the number of words of length <= domain_len (default: the
         exact action zone max_len - 1); they are the first K_D indices."""
@@ -225,18 +223,10 @@ class FockSpace:
 
 @dataclass
 class FreeOperator:
-    """P pi_i(a) P on a FockSpace, with the data needed for norm bookkeeping."""
+    """P pi_i(a) P on a FockSpace."""
 
-    space: FockSpace
-    factor_index: int
-    coeffs: np.ndarray
+    # one field, but kept as a wrapper: callers (perfbench too) read .matrix
     matrix: sp.csr_matrix
-    phi: complex
-    cstar_norm: float
-
-    def adjoint(self):
-        f = self.space.factors[self.factor_index]
-        return free_action(self.space, self.factor_index, f.star_coeffs(self.coeffs))
 
 
 def free_action(F: FockSpace, i: int, coeffs) -> FreeOperator:
@@ -277,7 +267,7 @@ def free_action(F: FockSpace, i: int, coeffs) -> FreeOperator:
         rows = cols = np.zeros(0, dtype=int)
         vals = np.zeros(0, dtype=complex)
     m = sp.coo_matrix((vals, (rows, cols)), shape=(F.dim, F.dim)).tocsr()
-    return FreeOperator(F, i, coeffs, m, phi, f.cstar_norm(coeffs))
+    return FreeOperator(m)
 
 
 def build_fock(factors, max_len, dim_cap=DEFAULT_DIM_CAP) -> FockSpace:
@@ -302,27 +292,17 @@ def vacuum_state(F: FockSpace, operators):
 # Certified norms of compressions
 
 
-def _as_matrix(x):
-    return x.matrix if isinstance(x, FreeOperator) else x
-
-
-def compression_norm(x, F: FockSpace = None, domain_len=None, amp_dim=None,
-                     tol=1e-8, max_iter=2000, seed=0) -> float:
-    """Norm of the compression of x to words of length <= domain_len, by power
-    iteration on x*x; every reported value is a certified lower bound on the
-    true operator norm because the compressed action zone is exact."""
-    m = _as_matrix(x)
-    if F is None and isinstance(x, FreeOperator):
-        F = x.space
-    if F is None:
-        raise StructuralError("compression_norm needs the Fock space")
+def compression_norm(m, F: FockSpace, domain_len=None, tol=1e-8,
+                     seed=0) -> float:
+    """Norm of the compression of the operator m on F to words of length
+    <= domain_len (default: the exact zone), by power iteration on m*m;
+    every reported value is a certified lower bound on the true operator
+    norm because the compressed action zone is exact."""
+    if m.shape != (F.dim, F.dim):
+        raise StructuralError("operator shape %s is not (%d, %d)"
+                              % (m.shape, F.dim, F.dim))
     K = F.zone_size(domain_len)
-    if amp_dim is None:
-        amp_dim = m.shape[0] // F.dim
-    if m.shape[0] != F.dim * amp_dim:
-        raise StructuralError("operator size %d is not dim*amp" % m.shape[0])
-    sub = m.tocsr()[:K * amp_dim, :K * amp_dim]
-    return _largest_singular_value(sub, tol=tol, max_iter=max_iter, seed=seed)
+    return _largest_singular_value(m.tocsr()[:K, :K], tol=tol, seed=seed)
 
 
 def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0) -> float:
@@ -372,7 +352,10 @@ def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0) -> float:
 
 
 def amplified_sum(pairs, F: FockSpace):
-    """sum_i kron(op_i, a_i) for matrix coefficients a_i (scalars allowed)."""
+    """The compression of sum_i op_i (x) a_i to the exact zone, amplified
+    from the single actions sliced to it, with the amplification dimension;
+    the a_i are matrix coefficients (scalars allowed)."""
+    K = F.zone_size()
     total = None
     amp = None
     for op, a in pairs:
@@ -381,24 +364,17 @@ def amplified_sum(pairs, F: FockSpace):
             amp = a.shape[0]
         elif a.shape[0] != amp:
             raise StructuralError("inconsistent amplification dimensions")
-        term = sp.kron(_as_matrix(op), sp.csr_matrix(a), format="csr")
+        term = sp.kron(op.matrix[:K, :K], sp.csr_matrix(a), format="csr")
         total = term if total is None else total + term
     return total, amp
-
-
-def zone_sum(pairs, F: FockSpace, domain_len=None):
-    """The compression of sum_i op_i (x) a_i to words of length <= domain_len
-    (default: the exact zone), amplified from the sliced single actions."""
-    K = F.zone_size(domain_len)
-    return amplified_sum([(_as_matrix(op)[:K, :K], a) for op, a in pairs], F)
 
 
 # ---------------------------------------------------------------------------
 # Khintchine inequality checks
 
 
-def khintchine_check(a_family, x_family, F: FockSpace, domain_len=None,
-                     seed=0, tol=1e-8) -> dict:
+def khintchine_check(a_family, x_family, F: FockSpace, seed=0,
+                     tol=1e-8) -> dict:
     """Certified two-sided probe of the free Khintchine inequality.
 
     LHS_cert = compressed norm of sum_i a_i (x) x_i (a lower bound on the
@@ -413,7 +389,7 @@ def khintchine_check(a_family, x_family, F: FockSpace, domain_len=None,
             raise StructuralError("element of factor %d is not centred" % i)
     # one full free action at a time: each is sliced, then dropped
     ops = (free_action(F, i, coeffs) for i, coeffs in x_family)
-    amp, k = zone_sum(zip(ops, a_family), F, domain_len)
+    amp, k = amplified_sum(zip(ops, a_family), F)
     lhs = _largest_singular_value(amp, seed=seed, tol=tol)
     term1 = 0.0
     s_col = np.zeros((k, k), dtype=complex)
@@ -525,44 +501,40 @@ class NonCbRep:
     operator because N is finite; its norm grows like sqrt(N) while the
     representation norm stays below the constant 6 = ||theta|| * 3 coming
     from the Khintchine bound with both coefficient constants equal to one.
-    ``generator()`` is V compressed to the exact zone, which the norms read;
-    ``V_tensor`` is V on the whole truncated space, built on first read.
+    ``generator()`` is V compressed to the exact zone, which the norms read.
     """
 
-    def __init__(self, F: FockSpace, u_coeffs=None):
+    def __init__(self, F: FockSpace):
         self.space = F
         self.N = len(F.factors)
-        u = z2_symmetry() if u_coeffs is None else np.asarray(u_coeffs, complex)
+        u = z2_symmetry()
         for f in F.factors:
             if f.dim != u.shape[0]:
                 raise StructuralError("symmetry coefficients do not fit the factor")
             if abs(f.phi(u)) > 1e-12:
                 raise StructuralError("symmetry must be centred")
-        self.u_coeffs = u
         self.u_ops = [free_action(F, i, u) for i in range(self.N)]
         # the family stacked without its empty rows: row k of `stack` is row
         # word[k] of u_{owner[k]}, so one matvec gives every u_i xi and one
         # adjoint matvec sums the u_i* eta_i; by_owner and by_word sum the
         # live rows per operator and per word
-        stack = sp.vstack([op.matrix for op in self.u_ops], format="csr")
-        live = np.flatnonzero(np.diff(stack.indptr))
-        self.owner, self.word = np.divmod(live, F.dim)
-        self.stack = stack[live]
+        rows = [np.flatnonzero(np.diff(op.matrix.indptr)) for op in self.u_ops]
+        self.stack = sp.vstack([op.matrix[r] for op, r in zip(self.u_ops, rows)],
+                               format="csr")
+        self.owner = np.repeat(np.arange(self.N), [len(r) for r in rows])
+        self.word = np.concatenate(rows)
         self.stack_h = self.stack.conj().T.tocsr()
-        ones = np.ones(len(live), dtype=complex)
-        cols = np.arange(len(live))
+        live = len(self.word)
+        ones = np.ones(live, dtype=complex)
+        cols = np.arange(live)
         self.by_owner = sp.csr_matrix((ones, (self.owner, cols)),
-                                      shape=(self.N, len(live)))
+                                      shape=(self.N, live))
         self.by_word = sp.csr_matrix((ones, (self.word, cols)),
-                                     shape=(F.dim, len(live)))
+                                     shape=(F.dim, live))
         self.theta_units = [self._theta_unit(i) for i in range(1, self.N + 1)]
 
     def generator(self) -> sp.csr_matrix:
         """V compressed to the exact zone, on C^K (x) C^(N+1)."""
-        return zone_sum(zip(self.u_ops, self.theta_units), self.space)[0]
-
-    @cached_property
-    def V_tensor(self) -> sp.csr_matrix:
         return amplified_sum(zip(self.u_ops, self.theta_units), self.space)[0]
 
     def _theta_unit(self, i):
@@ -591,15 +563,9 @@ class NonCbRep:
         return a[1:] * (np.conj(b[1:]) + np.conj(b[0]))
 
 
-def build_non_cb_rep(N, F: FockSpace) -> NonCbRep:
-    if len(F.factors) != N:
-        raise StructuralError("Fock space has %d factors, expected %d"
-                              % (len(F.factors), N))
-    return NonCbRep(F)
-
-
-def pi_norm_search(rep: NonCbRep, restarts=6, inner=25, seed=0, tol=1e-8) -> float:
-    """Certified lower bound on ||pi|| by ascent over vector functionals.
+def pi_norm_search(rep: NonCbRep, seed=0, tol=1e-8) -> float:
+    """Certified lower bound on ||pi|| by ascent over vector functionals:
+    6 random starts of at most 25 steps each.
 
     Vector functionals at unit vectors of the truncated space have dual norm
     at most one and their values on the symmetries are exact, so every
@@ -609,7 +575,7 @@ def pi_norm_search(rep: NonCbRep, restarts=6, inner=25, seed=0, tol=1e-8) -> flo
     rng = np.random.default_rng(seed)
     best = 0.0
     K = F.zone_size()
-    for _ in range(restarts):
+    for _ in range(6):
         xi = np.zeros(F.dim, dtype=complex)
         eta = np.zeros(F.dim, dtype=complex)
         xi[:K] = rng.standard_normal(K) + 1j * rng.standard_normal(K)
@@ -617,7 +583,7 @@ def pi_norm_search(rep: NonCbRep, restarts=6, inner=25, seed=0, tol=1e-8) -> flo
         xi /= np.linalg.norm(xi)
         eta /= np.linalg.norm(eta)
         prev = 0.0
-        for _ in range(inner):
+        for _ in range(25):
             images = rep.stack @ xi           # every u_i xi on its live rows
             piw = rep.theta0(rep.by_owner @ (images * np.conj(eta)[rep.word]))
             val = float(np.linalg.norm(piw, 2))
@@ -650,13 +616,14 @@ def column_norm(rep: NonCbRep, seed=0, tol=1e-10) -> float:
         m = np.zeros((rep.N + 1, rep.N + 1), dtype=complex)
         m[i, 0] = 1.0
         mats.append(m)
-    col, _ = zone_sum(zip(rep.u_ops, mats), rep.space)
+    col, _ = amplified_sum(zip(rep.u_ops, mats), rep.space)
     return _largest_singular_value(col, seed=seed, tol=tol)
 
 
-def cb_vs_bounded_probe(N, F: FockSpace, seed=0, tol=1e-8) -> dict:
+def cb_vs_bounded_probe(F: FockSpace, seed=0, tol=1e-8) -> dict:
     """Quantify the gap: cb norm grows like sqrt(N), plain norm stays <= 6."""
-    rep = build_non_cb_rep(N, F)
+    rep = NonCbRep(F)
+    N = rep.N
     cb_lower = _largest_singular_value(rep.generator(), seed=seed, tol=tol)
     col = column_norm(rep, seed=seed)
     floor = float(np.sqrt(N)) - 1.0

@@ -113,10 +113,6 @@ class StarAlgebra:
     def star_coeffs(self, a):
         return np.einsum("i,ij->j", np.conj(a), self.star)
 
-    def right_mult_matrix(self, a):
-        """Matrix of y -> y a on coefficient vectors."""
-        return np.einsum("i,jik->kj", a, self.mult)
-
     def is_commutative(self, tol=STRUCT_TOL):
         return np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= tol
 
@@ -382,10 +378,6 @@ class GnsData:
     def left_action(self, a: AlgebraElement) -> np.ndarray:
         """lambda_h(a) acting on H_h: Lambda(y) -> Lambda(a y)."""
         return np.tensordot(a.coeffs, self.images, 1)
-
-    def right_action(self, a: AlgebraElement) -> np.ndarray:
-        """Lambda(y) -> Lambda(y a)."""
-        return self.lambda_map @ self.owner.right_mult_matrix(a.coeffs) @ self.lambda_inv
 
     @cached_property
     def span(self) -> SpanningFamily:

@@ -27,7 +27,6 @@ from .corep import (
     conjugate_corep,
     corep_direct_sum,
     corep_distance,
-    corep_one,
     corep_product,
     essential_data,
     generator_of,
@@ -36,6 +35,7 @@ from .corep import (
     pi_check,
     pi_of,
     random_invertible_corep,
+    trivial_corep,
     unitarize,
     zero_corep,
 )
@@ -49,8 +49,8 @@ from .duality import (
 from .errors import StructuralError
 from .fock import (
     DEFAULT_DIM_CAP,
+    NonCbRep,
     build_fock,
-    build_non_cb_rep,
     cb_vs_bounded_probe,
     column_norm,
     compression_norm,
@@ -325,7 +325,7 @@ def run_corep(cfg, report):
             alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
             note("antipode_coeff", antipode_coeff_check(V, alpha, beta))
             Vi = inverse_corep(V)
-            one = corep_one(G, d)
+            one = trivial_corep(G, d)
             note("inverse", corep_distance(corep_product(Vi, V), one),
                  corep_distance(corep_product(V, Vi), one))
             w1, w2 = _random_functional(G, rng), _random_functional(G, rng)
@@ -466,7 +466,7 @@ def run_khintchine(cfg, report):
     worst_col = 0.0
     for N in (4, 9, 16):
         F = build_fock([z2_factor() for _ in range(N)], 2, dim_cap=cfg.dim_cap)
-        col = column_norm(build_non_cb_rep(N, F), seed=cfg.seed)
+        col = column_norm(NonCbRep(F), seed=cfg.seed)
         worst_col = max(worst_col, abs(col - np.sqrt(N)))
     rec.check("column-norm", "|| sum_i u_i (x) e_i0 || = sqrt(N)",
               worst_col, cfg.tolerance("column"))
@@ -525,7 +525,7 @@ def run_noncb(cfg, report):
     for N in sorted({4, cfg.copies}):
         F = build_fock([z2_factor() for _ in range(N)],
                        min(cfg.length, 4), dim_cap=cfg.dim_cap)
-        probe = cb_vs_bounded_probe(N, F, seed=cfg.seed)
+        probe = cb_vs_bounded_probe(F, seed=cfg.seed)
         results[N] = probe
         rec.lower("cb-lower-%d" % N, "certified ||V|| >= sqrt(N) - 1",
                   probe["cb_lower"], probe["cb_floor"], 1e-6,

@@ -22,7 +22,6 @@ from qglab.corep import (
     conjugate_corep,
     corep_direct_sum,
     corep_distance,
-    corep_one,
     corep_product,
     essential_data,
     generator_of,
@@ -348,5 +347,5 @@ def test_trivial_corep():
     G = builtin_instance("kac_paljutkin")
     V = trivial_corep(G, 2)
     assert is_corep(V).is_corep
-    one = corep_one(G, 2)
-    assert corep_distance(corep_product(V, one), V) < 1e-14
+    # the trivial corep is the unit of A (x) M_d
+    assert corep_distance(corep_product(V, V), V) < 1e-14

@@ -30,7 +30,6 @@ from qglab.duality import (
     biduality,
     build_dual,
     build_w,
-    lambda_rep,
     multiplier_from_coefficient,
     pairing_identity_check,
 )
@@ -86,9 +85,9 @@ def test_w_implements_coproduct_group_algebra_z2():
 def test_lambda_rep_examples():
     G = builtin_instance("c_z2")
     Wd = build_w(G)
-    assert np.allclose(lambda_rep(Wd, counit_functional(G)), np.eye(2))
+    assert np.allclose(Wd.lambda_of(counit_functional(G)), np.eye(2))
     wg = basis_functional(G, 1)
-    lam_g = lambda_rep(Wd, wg)
+    lam_g = Wd.lambda_of(wg)
     # oracle: the translation unitary permutes the GNS basis of delta functions
     gd = G.gns()
     for x in range(2):

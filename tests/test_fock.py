@@ -22,9 +22,9 @@ from qglab.errors import (
 )
 from qglab.fock import (
     FockSpace,
+    NonCbRep,
     amplified_sum,
     build_fock,
-    build_non_cb_rep,
     cb_vs_bounded_probe,
     compression_norm,
     factor_from_quantum_group,
@@ -204,14 +204,14 @@ def test_fock_space_matches_tuple_reference(kinds, max_len):
                 assert _same_array(getattr(got, attr), getattr(want, attr))
 
 
-def reference_pi_norm_search(rep, restarts=6, inner=25, seed=0, tol=1e-8):
-    """The ascent of pi_norm_search with one matvec per operator and the
-    operator sum M formed as a sparse matrix."""
+def reference_pi_norm_search(rep, seed=0, tol=1e-8):
+    """The ascent of pi_norm_search (6 starts of at most 25 steps) with one
+    matvec per operator and the operator sum M formed as a sparse matrix."""
     F = rep.space
     rng = np.random.default_rng(seed)
     best = 0.0
-    keep = np.nonzero(F.length_mask(F.max_len - 1))[0]
-    for _ in range(restarts):
+    keep = np.nonzero(F.lengths <= F.max_len - 1)[0]
+    for _ in range(6):
         xi = np.zeros(F.dim, dtype=complex)
         eta = np.zeros(F.dim, dtype=complex)
         xi[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
@@ -219,7 +219,7 @@ def reference_pi_norm_search(rep, restarts=6, inner=25, seed=0, tol=1e-8):
         xi /= np.linalg.norm(xi)
         eta /= np.linalg.norm(eta)
         prev = 0.0
-        for _ in range(inner):
+        for _ in range(25):
             vals = np.array([np.vdot(eta, op.matrix @ xi) for op in rep.u_ops])
             piw = rep.theta0(vals)
             val = float(np.linalg.norm(piw, 2))
@@ -244,7 +244,7 @@ def reference_pi_norm_search(rep, restarts=6, inner=25, seed=0, tol=1e-8):
 
 def test_pi_norm_search_matches_per_operator_loop():
     F = build_fock([z2_factor()] * 4, 4)
-    rep = build_non_cb_rep(4, F)
+    rep = NonCbRep(F)
     for seed in (0, 1, 2):
         assert abs(pi_norm_search(rep, seed=seed)
                    - reference_pi_norm_search(rep, seed=seed)) < 1e-12
@@ -328,7 +328,7 @@ def test_star_homomorphism_on_exact_zone():
     rng = np.random.default_rng(1)
     F = build_fock([matrix_factor(2)] * 2, 3)
     f = F.factors[0]
-    mask = F.length_mask(F.max_len - 1)
+    mask = F.lengths <= F.max_len - 1
     for _ in range(3):
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -338,7 +338,8 @@ def test_star_homomorphism_on_exact_zone():
         prod = (opa.matrix @ opb.matrix)[:, mask]
         assert abs(prod - opab.matrix[:, mask]).max() < 1e-10
         # adjoints agree exactly for compressions
-        assert abs(opa.adjoint().matrix - opa.matrix.conj().T).max() < 1e-12
+        opa_star = free_action(F, 0, f.star_coeffs(a))
+        assert abs(opa_star.matrix - opa.matrix.conj().T).max() < 1e-12
 
 
 def test_vacuum_state_freeness():
@@ -403,9 +404,9 @@ def test_compression_norm_symmetry():
     F = build_fock([z2_factor()] * 2, 4)
     op = free_action(F, 0, z2_symmetry())
     for L in (1, 2, 3):
-        assert abs(compression_norm(op, domain_len=L) - 1.0) < 1e-10
+        assert abs(compression_norm(op.matrix, F, domain_len=L) - 1.0) < 1e-10
     # compressing a centred element to the vacuum alone gives its mean
-    assert compression_norm(op, domain_len=0) == 0.0
+    assert compression_norm(op.matrix, F, domain_len=0) == 0.0
 
 
 def test_column_of_free_symmetries():
@@ -418,15 +419,16 @@ def test_column_of_free_symmetries():
             m = np.zeros((N + 1, N + 1))
             m[i, 0] = 1
             mats.append(m)
-        col, k = amplified_sum(list(zip(ops, mats)), F)
+        col = full_amplified_sum(zip(ops, mats))
         # sparse-algebra identity on the exact zone: x*x = N e00
-        mask = np.repeat(F.length_mask(F.max_len - 1), k)
-        keep = np.nonzero(mask)[0]
+        keep = np.nonzero(np.repeat(F.lengths <= F.max_len - 1, N + 1))[0]
         xx = (col.conj().T @ col).tocsr()[keep][:, keep]
         tgt = sp.kron(sp.eye(F.dim), sp.csr_matrix(np.diag([N] + [0] * N)))
         tgt = tgt.tocsr()[keep][:, keep]
         assert abs(xx - tgt).max() < 1e-12
-        assert abs(compression_norm(col, F, amp_dim=k) - np.sqrt(N)) < 1e-10
+        zone, k = amplified_sum(zip(ops, mats), F)
+        assert k == N + 1
+        assert abs(fock_module._largest_singular_value(zone) - np.sqrt(N)) < 1e-10
 
 
 def test_sum_of_symmetries_envelope_and_growth():
@@ -441,7 +443,7 @@ def test_sum_of_symmetries_envelope_and_growth():
         assert b >= a - 1e-8
     # frozen from the dense-SVD oracle on the domain-5 compression; the
     # iterative value certifies from below
-    keep = np.nonzero(F.length_mask(5))[0]
+    keep = np.nonzero(F.lengths <= 5)[0]
     dense = np.linalg.norm(total.tocsr()[keep][:, keep].toarray(), 2)
     assert abs(dense - 3.183341422) < 1e-8
     assert dense - 1e-6 <= vals[5] <= dense + 1e-10
@@ -503,7 +505,8 @@ def test_norm_equivalence_z2():
     # single symmetry: ratio one
     total = free_action(F, 0, z2_symmetry())
     xomega = total.matrix @ F.vacuum()
-    assert abs(compression_norm(total) / np.linalg.norm(xomega) - 1.0) < 1e-9
+    assert abs(compression_norm(total.matrix, F) / np.linalg.norm(xomega)
+               - 1.0) < 1e-9
 
 
 def test_norm_equivalence_quantum_group_factor():
@@ -540,9 +543,9 @@ def test_norm_equivalence_certifies_c1(name):
 
 def test_non_cb_rep_small():
     F = build_fock([z2_factor()], 3)
-    rep = build_non_cb_rep(1, F)
+    rep = NonCbRep(F)
     # pi(omega) = omega(u) (e11 + e10); generator norm below 2
-    assert compression_norm(rep.V_tensor, F, amp_dim=2, seed=1) <= 2.0 + 1e-9
+    assert fock_module._largest_singular_value(rep.generator(), seed=1) <= 2.0 + 1e-9
     xi = F.vacuum()
     eta = rep.u_ops[0].matrix @ xi
     piw = rep.pi_rep(xi, eta)
@@ -553,7 +556,7 @@ def test_non_cb_rep_small():
 
 def test_theta0_is_a_homomorphism():
     F = build_fock([z2_factor()] * 3, 2)
-    rep = build_non_cb_rep(3, F)
+    rep = NonCbRep(F)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -564,9 +567,9 @@ def test_pi_rep_multiplicative_under_convolution():
     # omega1 omega2 evaluated on group-likes is the pointwise product of the
     # evaluations, so pi factors through theta0
     F = build_fock([z2_factor()] * 3, 4)
-    rep = build_non_cb_rep(3, F)
+    rep = NonCbRep(F)
     rng = np.random.default_rng(6)
-    keep = np.nonzero(F.length_mask(F.max_len - 1))[0]
+    keep = np.nonzero(F.lengths <= F.max_len - 1)[0]
     for _ in range(5):
         xi = np.zeros(F.dim, dtype=complex)
         eta = np.zeros(F.dim, dtype=complex)
@@ -584,7 +587,7 @@ def test_pi_rep_multiplicative_under_convolution():
 
 def test_cb_vs_bounded_probe_n4():
     F = build_fock([z2_factor()] * 4, 4)
-    probe = cb_vs_bounded_probe(4, F, seed=2)
+    probe = cb_vs_bounded_probe(F, seed=2)
     assert probe["cb_lower"] >= 1.0 - 1e-6           # sqrt(4) - 1
     assert abs(probe["cb_lower"] - np.sqrt(5)) < 1e-6
     assert abs(probe["column_norm"] - 2.0) < 1e-9
@@ -596,7 +599,7 @@ def test_cb_vs_bounded_probe_n4():
 def test_pi_search_exceeds_trivial_bound():
     # the searched lower bound should at least see a single symmetry
     F = build_fock([z2_factor()] * 4, 3)
-    rep = build_non_cb_rep(4, F)
+    rep = NonCbRep(F)
     assert pi_norm_search(rep, seed=3) >= 1.0 - 1e-6
 
 
@@ -604,7 +607,7 @@ def test_empirical_phi_star_lower_bound():
     # measured lower bound of ||phi*(rho)|| / ||rho|| at d = 1 (reported
     # quantity; no reference value)
     F = build_fock([z2_factor()] * 4, 4)
-    rep = build_non_cb_rep(4, F)
+    rep = NonCbRep(F)
     rng = np.random.default_rng(7)
     lows = []
     for _ in range(10):
@@ -619,9 +622,20 @@ def test_empirical_phi_star_lower_bound():
 # and then extracts the exact zone with a length mask.
 
 
+def full_amplified_sum(pairs):
+    """sum_i kron(op_i, a_i) over the whole truncated space, top layer
+    included, summed in order."""
+    total = None
+    for op, a in pairs:
+        a = np.atleast_2d(np.asarray(a, dtype=complex))
+        term = sp.kron(op.matrix, sp.csr_matrix(a), format="csr")
+        total = term if total is None else total + term
+    return total
+
+
 def masked_compression(m, F, amp_dim, domain_len=None):
     L = F.max_len - 1 if domain_len is None else domain_len
-    keep = np.nonzero(np.repeat(F.length_mask(L), amp_dim))[0]
+    keep = np.nonzero(np.repeat(F.lengths <= L, amp_dim))[0]
     return m.tocsr()[keep][:, keep]
 
 
@@ -643,37 +657,36 @@ def norm_operands(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("domain_len", [None, 1])
 @pytest.mark.parametrize("family", ["z2", "m2"])
-def test_khintchine_zone_operator_is_the_compression(monkeypatch, family,
-                                                     domain_len):
+def test_khintchine_zone_operator_is_the_compression(monkeypatch, family):
     if family == "z2":
         F = build_fock([z2_factor()] * 4, 4)
         a_fam, x_fam = [1.0] * 4, [(i, z2_symmetry()) for i in range(4)]
     else:
         F, a_fam, x_fam = m2_family(4, 3, seed=4)
     seen = norm_operands(monkeypatch)
-    khintchine_check(a_fam, x_fam, F, domain_len=domain_len, seed=1)
+    khintchine_check(a_fam, x_fam, F, seed=1)
     ops = [free_action(F, i, x) for i, x in x_fam]
-    full, k = amplified_sum(list(zip(ops, a_fam)), F)
+    full = full_amplified_sum(zip(ops, a_fam))
     assert len(seen) == 1
-    assert_same_csr(seen[0], masked_compression(full, F, k, domain_len))
+    assert_same_csr(seen[0], masked_compression(full, F, full.shape[0] // F.dim))
 
 
 def test_noncb_zone_operators_are_the_compressions(monkeypatch):
     N = 4
     F = build_fock([z2_factor()] * N, 4)
     seen = norm_operands(monkeypatch)
-    rep = cb_vs_bounded_probe(N, F, seed=2)["rep"]
+    rep = cb_vs_bounded_probe(F, seed=2)["rep"]
     generator, column = seen
-    assert_same_csr(generator, masked_compression(rep.V_tensor, F, N + 1))
+    full = full_amplified_sum(zip(rep.u_ops, rep.theta_units))
+    assert_same_csr(generator, masked_compression(full, F, N + 1))
     mats = []
     for i in range(1, N + 1):
         m = np.zeros((N + 1, N + 1), dtype=complex)
         m[i, 0] = 1.0
         mats.append(m)
-    full, k = amplified_sum(list(zip(rep.u_ops, mats)), F)
-    assert_same_csr(column, masked_compression(full, F, k))
+    full = full_amplified_sum(zip(rep.u_ops, mats))
+    assert_same_csr(column, masked_compression(full, F, N + 1))
 
 
 def test_compression_norm_slices_the_zone(monkeypatch):
@@ -709,8 +722,59 @@ def test_khintchine_memory_stays_in_the_zone():
 def test_noncb_probe_memory_stays_in_the_zone():
     # N=16, depth 4: the full generator has 983,569 rows, the zone 65,569
     F = build_fock([z2_factor()] * 16, 4)
-    peak = traced_peak(lambda: cb_vs_bounded_probe(16, F, seed=1))
+    peak = traced_peak(lambda: cb_vs_bounded_probe(F, seed=1))
     assert peak <= 45 * 2 ** 20
+
+
+def test_noncb_rep_construction_peak():
+    # the stack is built from each action's live rows, never from the vstack
+    # of the 16 full actions (925,712 rows, of which 810,000 are empty)
+    F = build_fock([z2_factor()] * 16, 4)
+    peak = traced_peak(lambda: NonCbRep(F))
+    assert peak <= 28 * 2 ** 20
+
+
+def test_noncb_stack_is_the_live_rows_of_the_full_vstack():
+    F = build_fock([z2_factor()] * 5, 4)
+    rep = NonCbRep(F)
+    full = sp.vstack([op.matrix for op in rep.u_ops], format="csr")
+    live = np.flatnonzero(np.diff(full.indptr))
+    owner, word = np.divmod(live, F.dim)
+    assert_same_csr(rep.stack, full[live])
+    assert_same_csr(rep.stack_h, full[live].conj().T.tocsr())
+    assert _same_array(rep.owner, owner)
+    assert _same_array(rep.word, word)
+
+
+# --- input checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_free_action_rejects_a_factor_index_out_of_range(i):
+    F = build_fock([z2_factor()] * 2, 3)
+    with pytest.raises(StructuralError, match="out of range"):
+        free_action(F, i, z2_symmetry())
+
+
+def test_amplified_sum_rejects_coefficients_of_different_sizes():
+    F = build_fock([z2_factor()] * 2, 3)
+    ops = [free_action(F, i, z2_symmetry()) for i in range(2)]
+    with pytest.raises(StructuralError, match="inconsistent"):
+        amplified_sum(zip(ops, [np.eye(2), np.eye(3)]), F)
+
+
+def test_compression_norm_rejects_an_operator_off_the_space():
+    F = build_fock([z2_factor()] * 2, 3)
+    op = free_action(F, 0, z2_symmetry())
+    for m in (sp.eye(F.dim + 1, format="csr"), sp.kron(op.matrix, sp.eye(2))):
+        with pytest.raises(StructuralError, match="shape"):
+            compression_norm(m, F)
+
+
+def test_non_cb_rep_rejects_factors_that_do_not_carry_the_symmetry():
+    F = build_fock([matrix_factor(2)] * 2, 2)
+    with pytest.raises(StructuralError, match="do not fit"):
+        NonCbRep(F)
 
 
 # --- solver failures --------------------------------------------------------

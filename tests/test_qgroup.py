@@ -125,7 +125,9 @@ def test_gns_modular_conjugation():
         rng = np.random.default_rng(3)
         x = G.element(rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
         lhs = J @ np.conj(gd.left_action(x)) @ np.conj(J)
-        rhs = gd.right_action(adjoint(x))
+        # rho(a): Lambda(y) -> Lambda(y a), from the structure tensor
+        right_mult = np.einsum("i,jik->kj", adjoint(x).coeffs, G.mult)
+        rhs = gd.lambda_map @ right_mult @ gd.lambda_inv
         assert np.linalg.norm(lhs - rhs) < 1e-10
         # faithfulness: left action of a nonzero element is nonzero
         assert np.linalg.norm(gd.left_action(x)) > 1e-8
