@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .convolution import Functional, basis_functional, convolve, module_action
+from .convolution import Functional, convolve, module_action
 from .corep import Corepresentation, cb_norm, coefficient, generator_of, is_corep
 from .errors import (BudgetError, InvalidInstanceError, NotInvertibleError,
                      OwnerMismatchError)
@@ -210,11 +210,15 @@ class DualQuantumGroup:
         return np.einsum("m,mij->ij", what.coeffs, self.What_slices)
 
     def expand_in_dual(self, m: np.ndarray, rtol=1e-7):
-        """Coefficients of m in the basis lambda(omega_mu) of the dual algebra."""
+        """Coefficients of m, one matrix or a stack of them, in the basis
+        lambda(omega_mu) of the dual algebra.  Each matrix's residual must
+        stay below rtol * max(1, ||m||)."""
         c, resid = self.span.expand(m)
-        if resid > rtol * max(1.0, np.linalg.norm(m)):
+        bad = resid > rtol * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+        if np.any(bad):
             raise InvalidInstanceError(
-                "matrix is not in the dual algebra (residual %.3e)" % resid)
+                "matrix is not in the dual algebra (residual %.3e)"
+                % float(np.max(resid[bad])))
         return c
 
     def Lambda_hat_of_functional(self, w: Functional) -> np.ndarray:
@@ -229,8 +233,8 @@ class DualQuantumGroup:
 
     def vector_functional(self, xi, eta) -> Functional:
         """omega-hat_{xi,eta}: y-hat -> (y-hat xi | eta) as a dual functional."""
-        vals = np.array([np.vdot(eta, z @ xi) for z in self.Z])
-        return Functional(self.group, vals)
+        return Functional(self.group,
+                          np.einsum("a,mab,b->m", np.conj(eta), self.Z, xi))
 
 
 def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
@@ -392,33 +396,28 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     Vt = generator_of("tilde", V)
     Vs = generator_of("star", V)
     x = coefficient(Vt, alpha, beta)
-    a_els = [coefficient(Vt, alpha, basis[:, i]) for i in range(d)]
-    c_els = [coefficient(Vs, basis[:, i], beta) for i in range(d)]
-    a_mats = [gd.left_action(a) for a in a_els]
-    c_mats = [gd.left_action(c) for c in c_els]
+    # a_i = T~[alpha, f_i] and c_i = T*[f_i, beta], stacked over i
+    a_els = np.einsum("pjm,j,pi->im", Vt.tensor, alpha, np.conj(basis))
+    c_els = np.einsum("pjm,ji,p->im", Vs.tensor, basis, np.conj(beta))
+    a_mats = np.tensordot(a_els, gd.images, 1)
+    c_mats = np.tensordot(c_els, gd.images, 1)
     lx = gd.left_action(x)
     n = G.dim
-
-    def Lstar(m):
-        return sum(c_mats[i] @ m @ a_mats[i] for i in range(d))
-
-    LZ = [Lstar(z) for z in dual.Z]
-    Lmat = np.array([dual.expand_in_dual(m) for m in LZ])
-    residual_action = 0.0
-    for nu in range(n):
-        what = basis_functional(dual.group, nu)
-        lhs = dual.lambda_hat(apply_multiplier(Lmat, what))
-        rhs = lx @ dual.lambda_hat(what)
-        residual_action = max(residual_action,
-                              float(np.linalg.norm(lhs - rhs, 2)))
-    lhs_w = sum(np.kron(m, y) for m, y in zip(LZ, dual.What_slices))
-    rhs_w = np.kron(np.eye(n), lx) @ dual.What
+    LZ = sum(c_mats[i] @ dual.Z @ a_mats[i] for i in range(d))   # L*(Z_mu)
+    Lmat = dual.expand_in_dual(LZ)
+    # lambda-hat(L e_nu) - x lambda-hat(e_nu) for every dual basis element e_nu
+    action = np.tensordot(Lmat.T, dual.What_slices, 1) - lx @ dual.What_slices
+    residual_action = float(np.max(np.linalg.svd(action, compute_uv=False)[:, 0]))
+    lhs_w = np.einsum("mac,mbd->abcd", LZ, dual.What_slices).reshape(n * n, n * n)
+    rhs_w = (lx @ dual.What.reshape(n, n, n * n)).reshape(n * n, n * n)
     residual_w = float(np.linalg.norm(lhs_w - rhs_w, 2))
-    sum_cc = sum((multiply(adjoint(c), c) for c in c_els), start=G.zero())
-    sum_aa = sum((multiply(adjoint(a), a) for a in a_els), start=G.zero())
-    norm_bound = np.sqrt(operator_norm(sum_cc)) * np.sqrt(operator_norm(sum_aa))
-    fact = float(np.linalg.norm(
-        sum(np.kron(c_mats[i], a_mats[i].T) for i in range(d)), 2))
+    # sum_i c_i* c_i and sum_i a_i* a_i through the structure tensors
+    sum_cc = np.einsum("ijk,di,dj->k", G.mult, np.conj(c_els) @ G.star, c_els)
+    sum_aa = np.einsum("ijk,di,dj->k", G.mult, np.conj(a_els) @ G.star, a_els)
+    norm_bound = (np.sqrt(operator_norm(G.element(sum_cc)))
+                  * np.sqrt(operator_norm(G.element(sum_aa))))
+    fact = float(np.linalg.norm(np.einsum("iac,idb->abcd", c_mats, a_mats)
+                                .reshape(n * n, n * n), 2))
     cb_bound = (cb_norm(V) * cb_norm(Vs)
                 * float(np.linalg.norm(alpha)) * float(np.linalg.norm(beta)))
     return MultiplierData(Lmat, x, residual_action, residual_w, norm_bound,

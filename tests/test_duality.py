@@ -383,6 +383,13 @@ def test_expand_in_dual_recovers_members_and_refuses_the_rest(name):
     assert np.max(np.abs(dual.expand_in_dual(member) - c)) < 1e-12
     with pytest.raises(InvalidInstanceError, match="not in the dual algebra"):
         dual.expand_in_dual(rng.standard_normal((n, n)))
+    # a stack is checked matrix by matrix: one stray matrix refuses it
+    cs = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    members = np.einsum("km,mij->kij", cs, dual.Z)
+    assert np.max(np.abs(dual.expand_in_dual(members) - cs)) < 1e-12
+    members[3] = rng.standard_normal((n, n))
+    with pytest.raises(InvalidInstanceError, match="not in the dual algebra"):
+        dual.expand_in_dual(members)
 
 
 def test_dual_extraction_residual_is_bounded(monkeypatch):
