@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ascent import OperatorStack, rank_one_ascent
 from .convolution import Functional, counit_functional, sharp, star_l1
 from .errors import NotInvertibleError, OwnerMismatchError, StructuralError
 from .qgroup import AlgebraElement, FiniteQuantumGroup
@@ -307,54 +308,18 @@ def cb_norm(V: Corepresentation) -> float:
     return float(np.linalg.norm(V.gns_matrix(), 2))
 
 
-def bounded_norm_lower(V: Corepresentation, restarts: int = 8, seed: int = 0,
-                       iters: int = 60) -> float:
+def bounded_norm_lower(V: Corepresentation, seed: int = 0) -> float:
     """Certified lower bound for ||pi|| = sup { ||pi(omega)|| : ||omega||_1 <= 1 }.
 
-    Ascends over the rank-one trace-norm extreme points of the dual unit
-    ball, block by block: omega(x) = (x_k u | v) with unit vectors u, v in
-    block k has exact dual norm one, so every evaluated candidate certifies.
+    ``rank_one_ascent`` once per Wedderburn block k, with A_(ij) the block
+    image of v_ij and theta_(ij) = e_ij: omega(x) = (x_k u | v) with unit
+    vectors u, v in block k has dual norm one, so every evaluated candidate
+    certifies.
     """
-    G = V.owner
-    bd = G.block_decomposition()
+    bd = V.owner.block_decomposition()
     d = V.d
-    # per block: E[k][i,j] = the block image of v_ij
-    entry_blocks = []
-    for k, nk in enumerate(bd.sizes):
-        E = np.zeros((d, d, nk, nk), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                E[i, j] = bd.forward(V.entry(i, j))[k]
-        entry_blocks.append(E)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for k, nk in enumerate(bd.sizes):
-        E = entry_blocks[k]
-        for _ in range(restarts):
-            u = rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
-            v = rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            for _ in range(iters):
-                piw = np.einsum("ijpq,q,p->ij", E, u, np.conj(v))
-                U2, _, V2h = np.linalg.svd(piw)
-                ell, r = U2[:, 0], V2h[0].conj()
-                Mx = np.einsum("i,j,ijpq->pq", np.conj(ell), r, E)
-                Mu = Mx @ u
-                nv = np.linalg.norm(Mu)
-                if nv < 1e-14:
-                    break
-                v_new = Mu / nv
-                Mv = Mx.conj().T @ v_new
-                nu = np.linalg.norm(Mv)
-                if nu < 1e-14:
-                    break
-                u_new = Mv / nu
-                if (np.linalg.norm(u_new - u) < 1e-12
-                        and np.linalg.norm(v_new - v) < 1e-12):
-                    u, v = u_new, v_new
-                    break
-                u, v = u_new, v_new
-            piw = np.einsum("ijpq,q,p->ij", E, u, np.conj(v))
-            best = max(best, float(np.linalg.norm(piw, 2)))
-    return best
+    images = [bd.forward(V.entry(i, j)) for i in range(d) for j in range(d)]
+    theta = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return max(rank_one_ascent(OperatorStack([b[k] for b in images], nk),
+                               theta, nk, seed=seed)
+               for k, nk in enumerate(bd.sizes))

@@ -357,11 +357,6 @@ def _biduality(G):
 # Coefficient-induced multipliers
 
 
-def apply_multiplier(Lmat: np.ndarray, what: Functional) -> Functional:
-    """(L omega)(y) = omega(L*(y)) on dual functional coefficients."""
-    return Functional(what.owner, Lmat @ what.coeffs)
-
-
 class MultiplierData:
     def __init__(self, Lmat, x, residual_action, residual_w, norm_bound,
                  factorization_norm, cb_bound):

@@ -8,9 +8,10 @@ of its first letter and the index of the word without that letter, laid out
 layer by layer so that the words starting with one factor are contiguous.
 The per-factor index maps that assemble each free action are slices and
 reshapes of these arrays.  The free symmetries of the non-cb representation
-are kept as one sparse matrix, vstack(u_1, ..., u_N) less its empty rows,
-so one matvec gives every u_i xi and one adjoint matvec gives
-sum_i u_i* eta_i.
+are held once, in an ``ascent.OperatorStack`` built one free action at a
+time: its zone rows give the generator and the creation column, and
+``ascent.rank_one_ascent`` searches it for ||pi|| (and a coefficient span
+for the lower end of the C1 bracket).
 
 Truncation semantics: operators are stored as P pi(a) P for the orthogonal
 projection P onto words of length <= max_len.  On the subspace of words of
@@ -38,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .ascent import OperatorStack, rank_one_ascent
 from .errors import BudgetError, ConvergenceError, StructuralError
 from .qgroup import StarAlgebra
 
@@ -352,19 +354,19 @@ def _largest_singular_value(sub, tol=1e-8, max_iter=2000, seed=0) -> float:
 
 
 def amplified_sum(pairs, F: FockSpace):
-    """The compression of sum_i op_i (x) a_i to the exact zone, amplified
-    from the single actions sliced to it, with the amplification dimension;
-    the a_i are matrix coefficients (scalars allowed)."""
+    """The compression of sum_i m_i (x) a_i to the exact zone, amplified from
+    the CSR operators m_i on F (or on its zone) sliced to it, with the
+    amplification dimension; the a_i are matrix coefficients (or scalars)."""
     K = F.zone_size()
     total = None
     amp = None
-    for op, a in pairs:
+    for m, a in pairs:
         a = np.atleast_2d(np.asarray(a, dtype=complex))
         if amp is None:
             amp = a.shape[0]
         elif a.shape[0] != amp:
             raise StructuralError("inconsistent amplification dimensions")
-        term = sp.kron(op.matrix[:K, :K], sp.csr_matrix(a), format="csr")
+        term = sp.kron(m[:K, :K], sp.csr_matrix(a), format="csr")
         total = term if total is None else total + term
     return total, amp
 
@@ -388,7 +390,7 @@ def khintchine_check(a_family, x_family, F: FockSpace, seed=0,
         if abs(F.factors[i].phi(coeffs)) > 1e-10:
             raise StructuralError("element of factor %d is not centred" % i)
     # one full free action at a time: each is sliced, then dropped
-    ops = (free_action(F, i, coeffs) for i, coeffs in x_family)
+    ops = (free_action(F, i, coeffs).matrix for i, coeffs in x_family)
     amp, k = amplified_sum(zip(ops, a_family), F)
     lhs = _largest_singular_value(amp, seed=seed, tol=tol)
     term1 = 0.0
@@ -426,12 +428,12 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
     coeff_basis: list of coefficient vectors (in the common factor's basis)
     spanning the coefficient space; every factor must carry the same algebra.
     C2 is exact (a ratio of two quadratic forms); C1 is the maximal ratio of
-    the C*-norm to the vacuum norm over the space.  C1 is exact when the
-    space is one-dimensional.  Otherwise ``C1_bracket`` = (lower, upper):
-    the lower end is the best of 64 seeded samples, the upper end the
-    certified row/column bound min(||sum_t l(b_t)* l(b_t)||, ||sum_t l(b_t)
-    l(b_t)*||)^(1/2) over a basis b_t whose vacuum vectors are orthonormal,
-    and ``C1`` and ``bound`` use the upper end.
+    the C*-norm to the vacuum norm over the space.  Over a basis b_t whose
+    vacuum vectors are orthonormal, ``C1_bracket`` = (lower, upper): the
+    ``rank_one_ascent`` with A_t = l(b_t) and theta_t = e_0t (its value at
+    omega is the l2 norm of the omega(l(b_t))), and the certified row/column
+    bound min(||sum_t l(b_t)* l(b_t)||, ||sum_t l(b_t) l(b_t)*||)^(1/2),
+    exact on a one-dimensional space.  ``C1`` and ``bound`` use the upper end.
     """
     f0 = F.factors[0]
     B = np.stack([np.asarray(b, dtype=complex) for b in coeff_basis], axis=1)
@@ -449,22 +451,15 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
     C2 = float(np.sqrt(max(sla.eigh(G2, G1, eigvals_only=True))))
     dim_space = B.shape[1]
     rng = np.random.default_rng(seed)
-    if dim_space == 1:
-        C1 = f0.cstar_norm(B[:, 0]) / float(np.linalg.norm(V1[:, 0]))
-        C1_lower = C1
-    else:
-        C1_lower = 0.0
-        G1_isqrt = sla.fractional_matrix_power(G1, -0.5)
-        for _ in range(64):
-            y = rng.standard_normal(dim_space) + 1j * rng.standard_normal(dim_space)
-            y /= np.linalg.norm(y)
-            c = G1_isqrt @ y
-            C1_lower = max(C1_lower, f0.cstar_norm(B @ c))
-        # ||sum_t c_t l(b_t)|| <= ||c|| ||column||, and likewise for the row
-        lams = [f0.gns().left_action(f0.element(b)) for b in (B @ G1_isqrt).T]
-        col = sum(m.conj().T @ m for m in lams)
-        row = sum(m @ m.conj().T for m in lams)
-        C1 = float(np.sqrt(min(np.linalg.norm(col, 2), np.linalg.norm(row, 2))))
+    G1_isqrt = sla.fractional_matrix_power(G1, -0.5)
+    lams = [f0.gns().left_action(f0.element(b)) for b in (B @ G1_isqrt).T]
+    theta = np.eye(dim_space, dtype=complex)[:, None, :]   # rows e_0t
+    C1_lower = rank_one_ascent(OperatorStack(lams, f0.dim), theta, f0.dim,
+                               seed=seed, tol=tol)
+    # ||sum_t c_t l(b_t)|| <= ||c|| ||column||, and likewise for the row
+    col = sum(m.conj().T @ m for m in lams)
+    row = sum(m @ m.conj().T for m in lams)
+    C1 = float(np.sqrt(min(np.linalg.norm(col, 2), np.linalg.norm(row, 2))))
     bound = 3.0 * max(C1, C2)
     N = len(F.factors)
     ratios = []
@@ -501,7 +496,10 @@ class NonCbRep:
     operator because N is finite; its norm grows like sqrt(N) while the
     representation norm stays below the constant 6 = ||theta|| * 3 coming
     from the Khintchine bound with both coefficient constants equal to one.
-    ``generator()`` is V compressed to the exact zone, which the norms read.
+    The symmetries are held once, in the ``OperatorStack`` ``family`` built
+    one free action at a time; ``theta`` stacks the e_ii + e_i0.
+    ``generator()`` is V compressed to the exact zone, amplified from the
+    stack's zone rows; the norms read it.
     """
 
     def __init__(self, F: FockSpace):
@@ -513,46 +511,22 @@ class NonCbRep:
                 raise StructuralError("symmetry coefficients do not fit the factor")
             if abs(f.phi(u)) > 1e-12:
                 raise StructuralError("symmetry must be centred")
-        self.u_ops = [free_action(F, i, u) for i in range(self.N)]
-        # the family stacked without its empty rows: row k of `stack` is row
-        # word[k] of u_{owner[k]}, so one matvec gives every u_i xi and one
-        # adjoint matvec sums the u_i* eta_i; by_owner and by_word sum the
-        # live rows per operator and per word
-        rows = [np.flatnonzero(np.diff(op.matrix.indptr)) for op in self.u_ops]
-        self.stack = sp.vstack([op.matrix[r] for op, r in zip(self.u_ops, rows)],
-                               format="csr")
-        self.owner = np.repeat(np.arange(self.N), [len(r) for r in rows])
-        self.word = np.concatenate(rows)
-        self.stack_h = self.stack.conj().T.tocsr()
-        live = len(self.word)
-        ones = np.ones(live, dtype=complex)
-        cols = np.arange(live)
-        self.by_owner = sp.csr_matrix((ones, (self.owner, cols)),
-                                      shape=(self.N, live))
-        self.by_word = sp.csr_matrix((ones, (self.word, cols)),
-                                     shape=(F.dim, live))
-        self.theta_units = [self._theta_unit(i) for i in range(1, self.N + 1)]
+        self.family = OperatorStack(
+            (free_action(F, i, u).matrix for i in range(self.N)), F.dim)
+        i = np.arange(self.N)
+        self.theta = np.zeros((self.N, self.N + 1, self.N + 1), dtype=complex)
+        self.theta[i, i + 1, i + 1] = self.theta[i, i + 1, 0] = 1.0
 
     def generator(self) -> sp.csr_matrix:
         """V compressed to the exact zone, on C^K (x) C^(N+1)."""
-        return amplified_sum(zip(self.u_ops, self.theta_units), self.space)[0]
-
-    def _theta_unit(self, i):
-        m = np.zeros((self.N + 1, self.N + 1), dtype=complex)
-        m[i, i] = 1.0
-        m[i, 0] = 1.0
-        return m
-
-    def phi_map(self, xi, eta) -> np.ndarray:
-        """(omega(u_i))_i for the vector functional omega = omega_{xi,eta}."""
-        return self.by_owner @ ((self.stack @ xi) * np.conj(eta)[self.word])
+        zone = self.family.corners(self.space.zone_size())
+        return amplified_sum(zip(zone, self.theta), self.space)[0]
 
     def theta0(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        return sum(a[i] * self.theta_units[i] for i in range(self.N))
+        return np.tensordot(np.asarray(a, dtype=complex), self.theta, 1)
 
     def pi_rep(self, xi, eta) -> np.ndarray:
-        return self.theta0(self.phi_map(xi, eta))
+        return self.theta0(self.family.values(xi, eta))
 
     def coefficient_expansion(self, alpha, beta) -> np.ndarray:
         """The free-symmetry coefficients c_i of T^{pi~}_{alpha,beta}:
@@ -564,59 +538,19 @@ class NonCbRep:
 
 
 def pi_norm_search(rep: NonCbRep, seed=0, tol=1e-8) -> float:
-    """Certified lower bound on ||pi|| by ascent over vector functionals:
-    6 random starts of at most 25 steps each.
-
-    Vector functionals at unit vectors of the truncated space have dual norm
-    at most one and their values on the symmetries are exact, so every
-    evaluated candidate is a true lower bound.
-    """
-    F = rep.space
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    K = F.zone_size()
-    for _ in range(6):
-        xi = np.zeros(F.dim, dtype=complex)
-        eta = np.zeros(F.dim, dtype=complex)
-        xi[:K] = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        eta[:K] = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-        xi /= np.linalg.norm(xi)
-        eta /= np.linalg.norm(eta)
-        prev = 0.0
-        for _ in range(25):
-            images = rep.stack @ xi           # every u_i xi on its live rows
-            piw = rep.theta0(rep.by_owner @ (images * np.conj(eta)[rep.word]))
-            val = float(np.linalg.norm(piw, 2))
-            best = max(best, val)
-            U, _, Vh = np.linalg.svd(piw)
-            ell, r = U[:, 0], Vh[0].conj()
-            weights = np.array([np.vdot(ell, m @ r) for m in rep.theta_units])
-            # M = sum_i conj(w_i) u_i: M xi from the images, M* eta from
-            # one adjoint matvec
-            w = rep.by_word @ (np.conj(weights)[rep.owner] * images)
-            nw = np.linalg.norm(w)
-            if nw < 1e-14:
-                break
-            eta = w / nw
-            w2 = rep.stack_h @ (weights[rep.owner] * eta[rep.word])
-            nw2 = np.linalg.norm(w2)
-            if nw2 < 1e-14:
-                break
-            xi = w2 / nw2
-            if abs(val - prev) < tol:
-                break
-            prev = val
-    return best
+    """Certified lower bound on ||pi||: ``rank_one_ascent`` with A_i = u_i
+    and theta_i = e_ii + e_i0, from starts on the exact zone.  The values of
+    vector functionals of the truncated space on the symmetries are exact."""
+    return rank_one_ascent(rep.family, rep.theta, rep.space.zone_size(),
+                           seed=seed, tol=tol)
 
 
 def column_norm(rep: NonCbRep, seed=0, tol=1e-10) -> float:
     """Certified norm of the creation column sum_i u_i (x) e_{i0}; exactly sqrt(N)."""
-    mats = []
-    for i in range(1, rep.N + 1):
-        m = np.zeros((rep.N + 1, rep.N + 1), dtype=complex)
-        m[i, 0] = 1.0
-        mats.append(m)
-    col, _ = amplified_sum(zip(rep.u_ops, mats), rep.space)
+    units = rep.theta.copy()
+    units[:, 1:, 1:] = 0.0              # e_ii + e_i0 -> e_i0
+    zone = rep.family.corners(rep.space.zone_size())
+    col, _ = amplified_sum(zip(zone, units), rep.space)
     return _largest_singular_value(col, seed=seed, tol=tol)
 
 
@@ -641,5 +575,4 @@ def cb_vs_bounded_probe(F: FockSpace, seed=0, tol=1e-8) -> dict:
         "bounded_upper": 6.0,
         "pi_lower_search": pi_lower,
         "multiplier_l1_lower": fourier_l1,
-        "rep": rep,
     }

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import builders
 from .catalog import available_dimensions
-from .convolution import Functional, basis_functional, convolve, sharp, star_l1
+from .convolution import Functional, convolve, sharp, star_l1
 from .corep import (
     Corepresentation,
     antipode_coeff_check,
@@ -359,9 +359,10 @@ def run_corep(cfg, report):
                 ed = essential_data(Vtw)
                 note("degenerate", ed.idempotent_violation, ed.commute_violation,
                      abs(ed.dimension - d))
-                for i in range(G.dim):
-                    piw = pi_of(Vtw, basis_functional(G, i))
-                    note("degenerate", float(np.linalg.norm(piw @ ed.Q - piw)))
+                # pi(e_i) is the slice Vtw.tensor[:, :, i]
+                piw = np.moveaxis(Vtw.tensor, 2, 0)
+                note("degenerate", float(np.max(np.linalg.norm(
+                    piw @ ed.Q - piw, axis=(1, 2)))))
             # dichotomy: corrupted tensors must break multiplicativity
             if trial % 7 == 0:
                 bad = Corepresentation(

@@ -8,7 +8,7 @@ import pytest
 
 from qglab import suite
 from qglab.builders import BUILTIN_NAMES, builtin_instance
-from qglab.convolution import basis_functional, convolve
+from qglab.convolution import Functional, basis_functional, convolve
 from qglab.corep import (
     CorepCheck,
     Corepresentation,
@@ -20,7 +20,6 @@ from qglab.corep import (
 )
 from qglab.duality import (
     MultiplierData,
-    apply_multiplier,
     build_dual,
     multiplier_from_coefficient,
 )
@@ -67,7 +66,7 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     residual_action = 0.0
     for nu in range(n):
         what = basis_functional(dual.group, nu)
-        lhs = dual.lambda_hat(apply_multiplier(Lmat, what))
+        lhs = dual.lambda_hat(Functional(what.owner, Lmat @ what.coeffs))
         rhs = lx @ dual.lambda_hat(what)
         residual_action = max(residual_action,
                               float(np.linalg.norm(lhs - rhs, 2)))

@@ -304,6 +304,15 @@ def test_norms():
     assert abs(bounded_norm_lower(Vu, seed=11) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["kac_paljutkin", "c_s3"])
+def test_bounded_norm_lower_is_one_on_unitary_catalog_coreps(name):
+    # ||pi|| <= ||pi||_cb = ||V|| = 1 for unitary V, and pi(counit) = 1
+    cat = corep_catalog(builtin_instance(name))
+    assert sorted({V.d for V in cat}) == [1, 2]
+    for V in cat:
+        assert abs(bounded_norm_lower(V, seed=3) - 1.0) < 1e-9
+
+
 def test_isometry_implies_unitary():
     for name in ("c_s3", "kac_paljutkin"):
         G = builtin_instance(name)

@@ -204,10 +204,30 @@ def test_fock_space_matches_tuple_reference(kinds, max_len):
                 assert _same_array(getattr(got, attr), getattr(want, attr))
 
 
+def free_symmetries(F):
+    return [free_action(F, i, z2_symmetry()).matrix for i in range(len(F.factors))]
+
+
+def theta_units(N):
+    """e_ii + e_i0 for i = 1..N, one matrix each."""
+    units = []
+    for i in range(1, N + 1):
+        m = np.zeros((N + 1, N + 1), dtype=complex)
+        m[i, i] = m[i, 0] = 1.0
+        units.append(m)
+    return units
+
+
 def reference_pi_norm_search(rep, seed=0, tol=1e-8):
     """The ascent of pi_norm_search (6 starts of at most 25 steps) with one
-    matvec per operator and the operator sum M formed as a sparse matrix."""
+    matvec per operator and the operator sum M formed as a sparse matrix.
+
+    (l | pi(omega) r) = eta* (sum_i w_i u_i) xi with w_i = (l | theta_i r),
+    so each step takes eta along M xi and xi along M* eta for
+    M = sum_i w_i u_i."""
     F = rep.space
+    u_ops = free_symmetries(F)
+    thetas = theta_units(rep.N)
     rng = np.random.default_rng(seed)
     best = 0.0
     keep = np.nonzero(F.lengths <= F.max_len - 1)[0]
@@ -220,14 +240,14 @@ def reference_pi_norm_search(rep, seed=0, tol=1e-8):
         eta /= np.linalg.norm(eta)
         prev = 0.0
         for _ in range(25):
-            vals = np.array([np.vdot(eta, op.matrix @ xi) for op in rep.u_ops])
-            piw = rep.theta0(vals)
+            vals = np.array([np.vdot(eta, u @ xi) for u in u_ops])
+            piw = sum(v * m for v, m in zip(vals, thetas))
             val = float(np.linalg.norm(piw, 2))
             best = max(best, val)
             U, _, Vh = np.linalg.svd(piw)
             ell, r = U[:, 0], Vh[0].conj()
-            weights = np.array([np.vdot(ell, m @ r) for m in rep.theta_units])
-            M = sum(np.conj(weights[i]) * rep.u_ops[i].matrix for i in range(rep.N))
+            weights = np.array([np.vdot(ell, m @ r) for m in thetas])
+            M = sum(weights[i] * u_ops[i] for i in range(rep.N))
             w = M @ xi
             if np.linalg.norm(w) < 1e-14:
                 break
@@ -413,7 +433,7 @@ def test_column_of_free_symmetries():
     u = z2_symmetry()
     for N in (4, 9):
         F = build_fock([z2_factor()] * N, 3)
-        ops = [free_action(F, i, u) for i in range(N)]
+        ops = [free_action(F, i, u).matrix for i in range(N)]
         mats = []
         for i in range(1, N + 1):
             m = np.zeros((N + 1, N + 1))
@@ -524,8 +544,8 @@ def test_norm_equivalence_quantum_group_factor():
 
 @pytest.mark.parametrize("name", ["kac_paljutkin", "c_s3"])
 def test_norm_equivalence_certifies_c1(name):
-    # on the coefficient span of the two-dimensional irreducible the sampled
-    # C1 falls short of the true 2; the row/column bound reaches it
+    # on the coefficient span of the two-dimensional irreducible the ascent
+    # and the row/column bound close the bracket at the true C1 = 2
     import qglab
     from qglab.catalog import corep_catalog
     G = qglab.builtin_instance(name)
@@ -535,7 +555,8 @@ def test_norm_equivalence_certifies_c1(name):
     rep = norm_equivalence(F, basis, sample_count=4, seed=0)
     lower, upper = rep["C1_bracket"]
     assert abs(upper - 2.0) < 1e-9
-    assert lower <= upper
+    assert abs(lower - 2.0) < 1e-9
+    assert lower <= upper + 1e-12
     assert rep["C1"] == upper
     assert rep["bound"] == pytest.approx(6.0, abs=1e-9)
     assert rep["ratios_ok"]
@@ -547,7 +568,7 @@ def test_non_cb_rep_small():
     # pi(omega) = omega(u) (e11 + e10); generator norm below 2
     assert fock_module._largest_singular_value(rep.generator(), seed=1) <= 2.0 + 1e-9
     xi = F.vacuum()
-    eta = rep.u_ops[0].matrix @ xi
+    eta = free_action(F, 0, z2_symmetry()).matrix @ xi
     piw = rep.pi_rep(xi, eta)
     want = np.zeros((2, 2), dtype=complex)
     want[1, 1] = want[1, 0] = 1.0
@@ -579,7 +600,7 @@ def test_pi_rep_multiplicative_under_convolution():
         eta2 = np.zeros(F.dim, dtype=complex)
         xi2[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
         eta2[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
-        conv_values = rep.phi_map(xi, eta) * rep.phi_map(xi2, eta2)
+        conv_values = rep.family.values(xi, eta) * rep.family.values(xi2, eta2)
         lhs = rep.theta0(conv_values)
         rhs = rep.pi_rep(xi, eta) @ rep.pi_rep(xi2, eta2)
         assert np.linalg.norm(lhs - rhs) < 1e-9
@@ -607,12 +628,12 @@ def test_empirical_phi_star_lower_bound():
     # measured lower bound of ||phi*(rho)|| / ||rho|| at d = 1 (reported
     # quantity; no reference value)
     F = build_fock([z2_factor()] * 4, 4)
-    rep = NonCbRep(F)
+    u_ops = free_symmetries(F)
     rng = np.random.default_rng(7)
     lows = []
     for _ in range(10):
         rho = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = sum(rho[i] * rep.u_ops[i].matrix for i in range(4))
+        x = sum(rho[i] * u_ops[i] for i in range(4))
         lows.append(compression_norm(x, F, seed=1) / np.linalg.norm(rho))
     assert min(lows) > 0.5
 
@@ -623,12 +644,12 @@ def test_empirical_phi_star_lower_bound():
 
 
 def full_amplified_sum(pairs):
-    """sum_i kron(op_i, a_i) over the whole truncated space, top layer
+    """sum_i kron(m_i, a_i) over the whole truncated space, top layer
     included, summed in order."""
     total = None
-    for op, a in pairs:
+    for m, a in pairs:
         a = np.atleast_2d(np.asarray(a, dtype=complex))
-        term = sp.kron(op.matrix, sp.csr_matrix(a), format="csr")
+        term = sp.kron(m, sp.csr_matrix(a), format="csr")
         total = term if total is None else total + term
     return total
 
@@ -666,7 +687,7 @@ def test_khintchine_zone_operator_is_the_compression(monkeypatch, family):
         F, a_fam, x_fam = m2_family(4, 3, seed=4)
     seen = norm_operands(monkeypatch)
     khintchine_check(a_fam, x_fam, F, seed=1)
-    ops = [free_action(F, i, x) for i, x in x_fam]
+    ops = [free_action(F, i, x).matrix for i, x in x_fam]
     full = full_amplified_sum(zip(ops, a_fam))
     assert len(seen) == 1
     assert_same_csr(seen[0], masked_compression(full, F, full.shape[0] // F.dim))
@@ -676,16 +697,17 @@ def test_noncb_zone_operators_are_the_compressions(monkeypatch):
     N = 4
     F = build_fock([z2_factor()] * N, 4)
     seen = norm_operands(monkeypatch)
-    rep = cb_vs_bounded_probe(F, seed=2)["rep"]
+    cb_vs_bounded_probe(F, seed=2)
     generator, column = seen
-    full = full_amplified_sum(zip(rep.u_ops, rep.theta_units))
+    u_ops = free_symmetries(F)
+    full = full_amplified_sum(zip(u_ops, theta_units(N)))
     assert_same_csr(generator, masked_compression(full, F, N + 1))
     mats = []
     for i in range(1, N + 1):
         m = np.zeros((N + 1, N + 1), dtype=complex)
         m[i, 0] = 1.0
         mats.append(m)
-    full = full_amplified_sum(zip(rep.u_ops, mats))
+    full = full_amplified_sum(zip(u_ops, mats))
     assert_same_csr(column, masked_compression(full, F, N + 1))
 
 
@@ -736,14 +758,14 @@ def test_noncb_rep_construction_peak():
 
 def test_noncb_stack_is_the_live_rows_of_the_full_vstack():
     F = build_fock([z2_factor()] * 5, 4)
-    rep = NonCbRep(F)
-    full = sp.vstack([op.matrix for op in rep.u_ops], format="csr")
+    fam = NonCbRep(F).family
+    full = sp.vstack(free_symmetries(F), format="csr")
     live = np.flatnonzero(np.diff(full.indptr))
     owner, word = np.divmod(live, F.dim)
-    assert_same_csr(rep.stack, full[live])
-    assert_same_csr(rep.stack_h, full[live].conj().T.tocsr())
-    assert _same_array(rep.owner, owner)
-    assert _same_array(rep.word, word)
+    assert_same_csr(fam.stack, full[live])
+    assert_same_csr(fam.stack_h, full[live].conj().T.tocsr())
+    assert _same_array(fam.owner, owner)
+    assert _same_array(fam.word, word)
 
 
 # --- input checks -----------------------------------------------------------
@@ -758,7 +780,7 @@ def test_free_action_rejects_a_factor_index_out_of_range(i):
 
 def test_amplified_sum_rejects_coefficients_of_different_sizes():
     F = build_fock([z2_factor()] * 2, 3)
-    ops = [free_action(F, i, z2_symmetry()) for i in range(2)]
+    ops = free_symmetries(F)
     with pytest.raises(StructuralError, match="inconsistent"):
         amplified_sum(zip(ops, [np.eye(2), np.eye(3)]), F)
 

@@ -1,5 +1,6 @@
-"""Every import in the package is used: a stdlib ``ast`` scan standing in for
-pyflakes' unused-import check."""
+"""Every import in the package is used, and every module-level private
+function or class is read somewhere in the package: stdlib ``ast`` scans
+standing in for pyflakes' unused-import check and a dead-code check."""
 
 import ast
 import os
@@ -41,3 +42,51 @@ def test_the_scan_sees_an_unused_import():
 def test_no_unused_import(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unread_private_defs(sources):
+    """(module, line, name) of every module-level private function or class
+    that no other top-level statement of any module reads, by name, by
+    attribute or through an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def reads(node):
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out.update(alias.name for alias in n.names)
+        return out
+
+    tops = [(node, reads(node)) for tree in trees.values() for node in tree.body]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and not any(node.name in names
+                                for other, names in tops if other is not node)):
+                unread.append((module, node.lineno, node.name))
+    return unread
+
+
+def test_the_scan_sees_an_unread_private_def():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _self_only():\n    _self_only()\n",
+        "b.py": "from .a import _used\nclass _Dead:\n    pass\n"
+                "def public():\n    pass\n",
+    }
+    assert unread_private_defs(sources) == [("a.py", 4, "_self_only"),
+                                            ("b.py", 2, "_Dead")]
+
+
+def test_no_unread_private_def():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert unread_private_defs(sources) == []
