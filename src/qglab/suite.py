@@ -534,6 +534,15 @@ def run_khintchine(cfg, report):
     }
 
 
+def _cb_bracket(N, cb_lower):
+    """[lo, hi] around ||V||: V*V = 1 (x) [[N, 1^T], [1, I_N]] for unitary
+    symmetries, whose top eigenvalue is N + 1, so ||V|| = sqrt(N + 1) on the
+    untruncated space.  A dense solve of a small zone can land an ulp above
+    it, so lo is the smaller of the two certified bounds."""
+    hi = float(np.sqrt(N + 1))
+    return [min(float(cb_lower), hi), hi]
+
+
 def run_noncb(cfg, report):
     rec = _Recorder(report, "noncb", "")     # each record gives its digest
     results = {}
@@ -566,6 +575,8 @@ def run_noncb(cfg, report):
     measured = ("cb_lower", "column_norm", "pi_lower_search", "multiplier_l1_lower")
     report.extra["noncb"] = {
         "certified_lower": per_n("cb_lower"),
+        "cb_bracket": {str(N): _cb_bracket(N, p["cb_lower"])
+                       for N, p in results.items()},
         "analytic_bounds": {"bounded_upper": 6.0, "cb_floor": per_n("cb_floor")},
         "ratios": {str(N): float(p["cb_lower"] / p["bounded_upper"])
                    for N, p in results.items()},

@@ -556,7 +556,7 @@ def test_norm_equivalence_certifies_c1(name):
     lower, upper = rep["C1_bracket"]
     assert abs(upper - 2.0) < 1e-9
     assert abs(lower - 2.0) < 1e-9
-    assert lower <= upper + 1e-12
+    assert lower <= upper
     assert rep["C1"] == upper
     assert rep["bound"] == pytest.approx(6.0, abs=1e-9)
     assert rep["ratios_ok"]
@@ -797,6 +797,66 @@ def test_non_cb_rep_rejects_factors_that_do_not_carry_the_symmetry():
     F = build_fock([matrix_factor(2)] * 2, 2)
     with pytest.raises(StructuralError, match="do not fit"):
         NonCbRep(F)
+
+
+# --- the norm solver --------------------------------------------------------
+
+
+def slow_gap_operator(n=300, gap=1e-4):
+    """A dense n x n operator with sigma_1 = 1 and sigma_2 = 1 - gap, the
+    rest spread below 0.99: power iteration on m*m crawls toward sigma_1."""
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.99, 0.0, n - 2)])
+    return (U * s) @ V.T
+
+
+def spy_eigsh(monkeypatch, reply=None):
+    """Record every eigsh call; answer it with reply(*args, **kw) if given."""
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kw):
+        calls.append(kw)
+        return (reply or eigsh)(*args, **kw)
+    monkeypatch.setattr(fock_module.spla, "eigsh", spy)
+    return calls
+
+
+def test_slow_gap_is_solved_by_the_lanczos_stage(monkeypatch):
+    dense = slow_gap_operator()
+    calls = spy_eigsh(monkeypatch)
+    got = fock_module._largest_singular_value(sp.csr_matrix(dense))
+    exact = np.linalg.norm(dense, 2)
+    assert len(calls) == 1 and calls[0]["ncv"] == 6
+    assert abs(got - exact) < 1e-9
+    assert got <= exact * (1 + 1e-12)
+
+
+def test_lanczos_stage_reports_its_ritz_vector_not_its_ritz_value(monkeypatch):
+    # an eigsh that claims a Ritz value of 1e6 at the first basis vector: the
+    # solver must report the norm evaluated there, never the claimed value
+    sub = sp.csr_matrix(slow_gap_operator())
+    x = np.zeros((sub.shape[0], 1), dtype=complex)
+    x[0] = 2.0
+    spy_eigsh(monkeypatch, reply=lambda *a, **kw: (np.array([1e6]), x))
+    got = fock_module._largest_singular_value(sub)
+    assert got < 1.0 + 1e-12
+    assert got >= np.linalg.norm(sub[:, [0]].toarray())
+
+
+def test_fast_operator_never_reaches_lanczos(monkeypatch):
+    calls = spy_eigsh(monkeypatch)
+    rep = NonCbRep(build_fock([z2_factor()] * 16, 2))
+    assert abs(fock_module.column_norm(rep) - 4.0) < 1e-10
+    assert calls == []
+
+
+def test_solver_is_deterministic_for_a_seed():
+    sub = sp.csr_matrix(slow_gap_operator())
+    solve = fock_module._largest_singular_value
+    assert solve(sub, seed=3) == solve(sub.copy(), seed=3)
 
 
 # --- solver failures --------------------------------------------------------

@@ -3,6 +3,7 @@ formats, and the exit-code contract."""
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,8 +172,18 @@ def test_khintchine_and_noncb_keep_their_own_extra():
     assert d["khintchine"]["analytic_bounds"] == {"khintchine_constant": 3.0}
     assert len(d["khintchine"]["ratios"]) == 5      # N = 2, 4 and 2, 4, 6
     assert set(d["noncb"]) == {"ratios", "analytic_bounds", "certified_lower",
-                               "measured"}
+                               "cb_bracket", "measured"}
     assert d["noncb"]["analytic_bounds"]["bounded_upper"] == 6.0
+
+
+def test_noncb_cb_bracket_holds_for_every_n():
+    d = json.loads(emit_report(run_suite(small_cfg(("noncb",), copies=6)),
+                               "json"))["noncb"]
+    assert set(d["cb_bracket"]) == {"4", "6"}
+    for N, (lo, hi) in d["cb_bracket"].items():
+        assert hi == math.sqrt(int(N) + 1)
+        assert lo == min(d["certified_lower"][N], hi)
+        assert hi >= lo
 
 
 def test_every_record_times_its_own_work(monkeypatch):
