@@ -59,15 +59,14 @@ class OperatorStack:
         return out
 
 
-def rank_one_ascent(family: OperatorStack, theta, support, seed=0,
-                    tol=1e-8) -> float:
+def rank_one_ascent(family: OperatorStack, theta, support, seed=0) -> float:
     """Certified lower bound on sup ||pi(omega)|| over the vector functionals
     omega at unit vectors, where pi(omega) = sum_k omega(A_k) theta_k for the
     (K, p, q) stack theta.  Such an omega has dual norm at most one, so the
     value at every evaluated pair is a lower bound on the norm of pi.
 
     6 seeded starts, supported on the first ``support`` coordinates, of at
-    most 25 steps each; a start stops when its value moves by less than tol.
+    most 25 steps each; a start stops when its value moves by less than 1e-8.
     At the top singular pair (l, r) of pi(omega), (l | pi(omega) r) =
     (M xi | eta) for M = sum_k w_k A_k with w_k = (l | theta_k r), so a step
     sets eta to M xi and then xi to M* eta, normalized: the value never falls.
@@ -98,7 +97,7 @@ def rank_one_ascent(family: OperatorStack, theta, support, seed=0,
             if nrm < 1e-14:
                 break
             xi = mh_eta / nrm
-            if abs(val - prev) < tol:
+            if abs(val - prev) < 1e-8:
                 break
             prev = val
     return best

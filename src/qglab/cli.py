@@ -9,9 +9,11 @@ dimension budget.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
+from .duality import build_dual
 from .errors import BudgetError, QglabError, StructuralError
 from .fock import DEFAULT_DIM_CAP
 from .serialize import instance_to_dict
@@ -88,11 +90,9 @@ def main(argv=None) -> int:
                               "QGLAB_DIM_CAP")
         instances = load_config_instances(args.builtin, args.instance)
         if args.command == "dual":
-            from .duality import build_dual
             text = ""
             for label, G in instances:
                 dual = build_dual(G)
-                import json
                 text += json.dumps(instance_to_dict(dual.group), indent=1,
                                    sort_keys=True) + "\n"
             _write(text, args.out)

@@ -22,7 +22,7 @@ import numpy as np
 from .ascent import OperatorStack, rank_one_ascent
 from .convolution import Functional, counit_functional, sharp, star_l1
 from .errors import NotInvertibleError, OwnerMismatchError, StructuralError
-from .qgroup import AlgebraElement, FiniteQuantumGroup
+from .qgroup import AlgebraElement, FiniteQuantumGroup, adjoint, apply_antipode
 
 INVERTIBILITY_RTOL = 1e-8
 
@@ -144,8 +144,6 @@ def coefficient(V: Corepresentation, alpha, beta) -> AlgebraElement:
 
 def antipode_coeff_check(V: Corepresentation, alpha, beta) -> float:
     """Max violation of S(T^{pi*}_{a,b})* = T^{pi}_{b,a}."""
-    from .qgroup import adjoint, apply_antipode
-
     Vstar = generator_of("star", V)
     lhs = adjoint(apply_antipode(coefficient(Vstar, alpha, beta)))
     rhs = coefficient(V, beta, alpha)

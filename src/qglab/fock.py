@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -294,29 +295,26 @@ def vacuum_state(F: FockSpace, operators):
 # Certified norms of compressions
 
 
-def compression_norm(m, F: FockSpace, domain_len=None, tol=1e-8,
-                     seed=0) -> float:
+def compression_norm(m, F: FockSpace, domain_len=None, seed=0) -> float:
     """Norm of the compression of the operator m on F to words of length
-    <= domain_len (default: the exact zone): power iteration on m*m for a
-    bounded number of steps, then, if it has not converged, a warm-started
-    Lanczos solve whose Ritz vector is evaluated.  Every reported value is
-    ||m v|| at a unit vector v of the zone, a certified lower bound on the
-    true operator norm because the compressed action zone is exact."""
+    <= domain_len (default: the exact zone), by ``_largest_singular_value``:
+    one seeded Lanczos solve on m*m evaluated at its Ritz vector.  Every
+    reported value is ||m v|| at a unit vector v of the zone, a certified
+    lower bound on the true operator norm because the compressed action zone
+    is exact."""
     if m.shape != (F.dim, F.dim):
         raise StructuralError("operator shape %s is not (%d, %d)"
                               % (m.shape, F.dim, F.dim))
     K = F.zone_size(domain_len)
-    return _largest_singular_value(m.tocsr()[:K, :K], tol=tol, seed=seed)
+    return _largest_singular_value(m.tocsr()[:K, :K], seed=seed)
 
 
-def _largest_singular_value(sub, tol=1e-8, max_iter=100, seed=0) -> float:
+def _largest_singular_value(sub, seed=0) -> float:
     """Largest singular value of sub: a dense SVD up to 200 rows; beyond,
-    the largest ||sub v|| over the unit vectors v evaluated by two stages.
-    First at most max_iter power steps on sub* sub from a seeded random
-    start; if they have not converged, a Lanczos solve (``eigsh`` with 6
-    basis vectors) on sub* sub, warm-started from the power vector and
-    evaluated at its Ritz vector.  The Ritz value itself is never reported,
-    so every value is a norm attained at a concrete vector."""
+    ||sub x|| / ||x|| at the Ritz vector x of one Lanczos solve (``eigsh``
+    with 6 basis vectors) on sub* sub, started from a seeded random unit
+    vector.  The Ritz value itself is never reported, so every value is a
+    norm attained at a concrete vector."""
     n = sub.shape[0]
     if n == 0:
         return 0.0
@@ -326,34 +324,16 @@ def _largest_singular_value(sub, tol=1e-8, max_iter=100, seed=0) -> float:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     subH = sub.conj().T.tocsr()
-    best = 0.0
-    prev = 0.0
-    for it in range(max_iter):
-        w = sub @ v
-        sigma = float(np.linalg.norm(w))
-        best = max(best, sigma)
-        v = subH @ w
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return best
-        v /= nv
-        if it > 4 and abs(sigma - prev) <= tol * max(1.0, sigma):
-            return best
-        prev = sigma
-    # a nearly flat top of the spectrum: power iteration crawls there, while
-    # a small Lanczos basis converges in a few restarts from the same vector
     gram = spla.LinearOperator(
         (n, n), matvec=lambda y: subH @ (sub @ y), dtype=complex)
     try:
-        _, ritz = spla.eigsh(gram, k=1, which="LA", v0=np.ascontiguousarray(v),
-                             ncv=6, maxiter=300, tol=1e-10)
+        _, ritz = spla.eigsh(gram, k=1, which="LA", v0=v, ncv=6, maxiter=300,
+                             tol=1e-10)
     except spla.ArpackError as exc:    # ArpackNoConvergence included
-        raise ConvergenceError(
-            "power iteration and the Lanczos fallback did not converge",
-            diagnostics={"iterations": max_iter, "last": prev, "best": best,
-                         "tol": tol, "lanczos_error": str(exc)}) from exc
+        raise ConvergenceError("the Lanczos solve did not converge",
+                               diagnostics={"lanczos_error": str(exc)}) from exc
     x = ritz[:, 0]
-    return max(best, float(np.linalg.norm(sub @ x) / np.linalg.norm(x)))
+    return float(np.linalg.norm(sub @ x) / np.linalg.norm(x))
 
 
 def amplified_sum(pairs, F: FockSpace):
@@ -378,8 +358,7 @@ def amplified_sum(pairs, F: FockSpace):
 # Khintchine inequality checks
 
 
-def khintchine_check(a_family, x_family, F: FockSpace, seed=0,
-                     tol=1e-8) -> dict:
+def khintchine_check(a_family, x_family, F: FockSpace, seed=0) -> dict:
     """Certified two-sided probe of the free Khintchine inequality.
 
     LHS_cert = compressed norm of sum_i a_i (x) x_i (a lower bound on the
@@ -395,7 +374,7 @@ def khintchine_check(a_family, x_family, F: FockSpace, seed=0,
     # one full free action at a time: each is sliced, then dropped
     ops = (free_action(F, i, coeffs).matrix for i, coeffs in x_family)
     amp, k = amplified_sum(zip(ops, a_family), F)
-    lhs = _largest_singular_value(amp, seed=seed, tol=tol)
+    lhs = _largest_singular_value(amp, seed=seed)
     term1 = 0.0
     s_col = np.zeros((k, k), dtype=complex)
     s_row = np.zeros((k, k), dtype=complex)
@@ -423,8 +402,7 @@ def khintchine_check(a_family, x_family, F: FockSpace, seed=0,
 # Norm equivalence on single-irrep coefficient spans
 
 
-def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
-                     tol=1e-8) -> dict:
+def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dict:
     """Compare the ambient norm with the vacuum-vector norm on the span of
     one irreducible coefficient space copied across the factors.
 
@@ -451,7 +429,6 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
     Bs = np.stack([f0.star_coeffs(B[:, t]) for t in range(B.shape[1])], axis=1)
     V2 = lam @ Bs
     G2 = V2.conj().T @ V2
-    import scipy.linalg as sla
     C2 = float(np.sqrt(max(sla.eigh(G2, G1, eigvals_only=True))))
     dim_space = B.shape[1]
     rng = np.random.default_rng(seed)
@@ -459,7 +436,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
     lams = [f0.gns().left_action(f0.element(b)) for b in (B @ G1_isqrt).T]
     theta = np.eye(dim_space, dtype=complex)[:, None, :]   # rows e_0t
     C1_lower = rank_one_ascent(OperatorStack(lams, f0.dim), theta, f0.dim,
-                               seed=seed, tol=tol)
+                               seed=seed)
     # ||sum_t c_t l(b_t)|| <= ||c|| ||column||, and likewise for the row
     col = sum(m.conj().T @ m for m in lams)
     row = sum(m @ m.conj().T for m in lams)
@@ -476,7 +453,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0,
         nv = float(np.linalg.norm(xomega))
         if nv < 1e-12:
             continue
-        cert = compression_norm(total, F, seed=seed, tol=tol)
+        cert = compression_norm(total, F, seed=seed)
         ratios.append(cert / nv)
     return {
         "C1": C1,
@@ -543,31 +520,31 @@ class NonCbRep:
         return a[1:] * (np.conj(b[1:]) + np.conj(b[0]))
 
 
-def pi_norm_search(rep: NonCbRep, seed=0, tol=1e-8) -> float:
+def pi_norm_search(rep: NonCbRep, seed=0) -> float:
     """Certified lower bound on ||pi||: ``rank_one_ascent`` with A_i = u_i
     and theta_i = e_ii + e_i0, from starts on the exact zone.  The values of
     vector functionals of the truncated space on the symmetries are exact."""
     return rank_one_ascent(rep.family, rep.theta, rep.space.zone_size(),
-                           seed=seed, tol=tol)
+                           seed=seed)
 
 
-def column_norm(rep: NonCbRep, seed=0, tol=1e-10) -> float:
+def column_norm(rep: NonCbRep, seed=0) -> float:
     """Certified norm of the creation column sum_i u_i (x) e_{i0}; exactly sqrt(N)."""
     units = rep.theta.copy()
     units[:, 1:, 1:] = 0.0              # e_ii + e_i0 -> e_i0
     zone = rep.family.corners(rep.space.zone_size())
     col, _ = amplified_sum(zip(zone, units), rep.space)
-    return _largest_singular_value(col, seed=seed, tol=tol)
+    return _largest_singular_value(col, seed=seed)
 
 
-def cb_vs_bounded_probe(F: FockSpace, seed=0, tol=1e-8) -> dict:
+def cb_vs_bounded_probe(F: FockSpace, seed=0) -> dict:
     """Quantify the gap: cb norm grows like sqrt(N), plain norm stays <= 6."""
     rep = NonCbRep(F)
     N = rep.N
-    cb_lower = _largest_singular_value(rep.generator(), seed=seed, tol=tol)
+    cb_lower = _largest_singular_value(rep.generator(), seed=seed)
     col = column_norm(rep, seed=seed)
     floor = float(np.sqrt(N)) - 1.0
-    pi_lower = pi_norm_search(rep, seed=seed, tol=tol)
+    pi_lower = pi_norm_search(rep, seed=seed)
     alpha = np.zeros(N + 1)
     alpha[1:] = 1.0 / np.sqrt(N)
     beta = np.zeros(N + 1)

@@ -99,10 +99,17 @@ class SuiteConfig:
     tol: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("trials", 1), ("copies", 1)):
+        # at length 1 the exact zone holds only the vacuum
+        for name, least in (("seed", 0), ("trials", 1), ("copies", 1),
+                            ("length", 2)):
             if getattr(self, name) < least:
                 raise StructuralError("%s must be >= %d, got %r"
                                       % (name, least, getattr(self, name)))
+        labels = [label for label, _ in self.instances]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise StructuralError("instance label(s) %s given more than once"
+                                  % ", ".join(repeated))
         unknown = sorted(set(self.tol) - set(TOLERANCES))
         if unknown:
             raise StructuralError("unknown tolerance name(s) %s; known: %s"

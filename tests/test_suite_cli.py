@@ -230,6 +230,7 @@ def test_cli_malformed_dim_cap_env_is_exit_2():
     ("corep-suite", "--builtin", "c_z2", "--seed", "-1"),
     ("corep-suite", "--builtin", "c_z2", "--trials", "0"),
     ("noncb", "--copies", "0"),
+    ("noncb", "--length", "1"),
 ])
 def test_cli_out_of_range_count_is_exit_2(args):
     r = _cli(*args)
@@ -240,10 +241,18 @@ def test_cli_out_of_range_count_is_exit_2(args):
 
 
 @pytest.mark.parametrize("kw", [{"seed": -1}, {"trials": 0}, {"trials": -3},
-                                {"copies": 0}])
+                                {"copies": 0}, {"length": 1}])
 def test_suite_config_rejects_out_of_range_counts(kw):
     with pytest.raises(StructuralError, match=next(iter(kw))):
         SuiteConfig(**kw)
+
+
+def test_cli_repeated_instance_label_is_exit_2():
+    path = os.path.join(CORPUS_DIR, "c_z2.json")
+    r = _cli("validate", "--builtin", "c_z2", "--instance", path)
+    assert r.returncode == 2
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert "c_z2" in r.stderr and r.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "1e-3"])
