@@ -172,7 +172,7 @@ def _solve_haar(mult, unit, cop):
     return h
 
 
-def _solve_antipode(mult, unit, cop, counit, rtol=1e-10):
+def _solve_antipode(mult, unit, cop, counit):
     """The unique convolution inverse of the identity, from both antipode laws."""
     n = unit.shape[0]
     rows, rhs = [], []
@@ -185,7 +185,7 @@ def _solve_antipode(mult, unit, cop, counit, rtol=1e-10):
     A = np.array(rows)
     b = np.array(rhs, dtype=complex)
     s, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.linalg.norm(A @ s - b) > rtol:
+    if np.linalg.norm(A @ s - b) > 1e-10:
         raise StructuralError("antipode system has no exact solution")
     return s.reshape(n, n)
 

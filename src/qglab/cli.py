@@ -81,8 +81,8 @@ def _tol_overrides(pairs):
     return out
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def main() -> int:
+    args = _parser().parse_args()
     try:
         dim_cap = args.dim_cap
         if dim_cap is None:

@@ -166,13 +166,13 @@ def corep_distance(X: Corepresentation, Y: Corepresentation) -> float:
     return float(np.max(np.abs(X.tensor - Y.tensor)))
 
 
-def _ratio_test(g, rtol=INVERTIBILITY_RTOL):
-    """(sigma_min >= rtol * sigma_max, sigma_min) for the matrix g."""
+def _ratio_test(g):
+    """(sigma_min >= INVERTIBILITY_RTOL * sigma_max, sigma_min) for the matrix g."""
     s = np.linalg.svd(g, compute_uv=False)
-    return bool(s[-1] >= rtol * s[0]), s[-1]
+    return bool(s[-1] >= INVERTIBILITY_RTOL * s[0]), s[-1]
 
 
-def inverse_corep(V: Corepresentation, tol: float = 1e-8) -> Corepresentation:
+def inverse_corep(V: Corepresentation) -> Corepresentation:
     """(S (x) id)V, certified as a two-sided inverse of V in A (x) M_d."""
     ok, smin = _ratio_test(V.gns_matrix())
     if not ok:
@@ -182,7 +182,7 @@ def inverse_corep(V: Corepresentation, tol: float = 1e-8) -> Corepresentation:
     one = trivial_corep(V.owner, V.d)
     left = corep_distance(corep_product(W, V), one)
     right = corep_distance(corep_product(V, W), one)
-    if max(left, right) > tol * max(1.0, float(np.max(np.abs(V.tensor)))):
+    if max(left, right) > 1e-8 * max(1.0, float(np.max(np.abs(V.tensor)))):
         raise NotInvertibleError(
             "antipode slice is not a two-sided inverse (residuals %.3e / %.3e); "
             "input is not a corepresentation" % (left, right))
@@ -193,17 +193,17 @@ def inverse_corep(V: Corepresentation, tol: float = 1e-8) -> Corepresentation:
 # Test-instance generator
 
 
-def random_invertible_corep(G: FiniteQuantumGroup, d: int, seed: int,
-                            max_cond: float = 10.0) -> Corepresentation:
-    """(1 (x) T) V0 (1 (x) T^-1) for a seeded T with condition <= max_cond and
-    a unitary corepresentation V0 of dimension d from the instance catalog."""
+def random_invertible_corep(G: FiniteQuantumGroup, d: int,
+                            seed: int) -> Corepresentation:
+    """(1 (x) T) V0 (1 (x) T^-1) for a seeded T with condition <= 10 and a
+    unitary corepresentation V0 of dimension d from the instance catalog."""
     from .catalog import unitary_corepresentation
 
     V0 = unitary_corepresentation(G, d, seed=seed)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     U, _, Vh = np.linalg.svd(A)
-    smin = 1.0 / max_cond
+    smin = 0.1
     svals = smin + (1.0 - smin) * rng.random(d)
     svals[0] = 1.0
     if d > 1:
@@ -236,7 +236,7 @@ def zero_corep(G: FiniteQuantumGroup, d: int) -> Corepresentation:
 # Unitarization by Haar averaging
 
 
-def unitarize(V: Corepresentation, tol: float = 1e-8):
+def unitarize(V: Corepresentation):
     """Average V*V by the Haar state and conjugate by the positive square root.
 
     Returns (T, V') with T = (h (x) id)(V*V) positive definite and
@@ -253,7 +253,7 @@ def unitarize(V: Corepresentation, tol: float = 1e-8):
     T = (T + T.conj().T) / 2
     w, U = np.linalg.eigh(T)
     floor = float(smin) ** 2        # 1 / ||V^-1||^2
-    if np.min(w) < floor - max(tol, 1e-8):
+    if np.min(w) < floor - 1e-8:
         raise NotInvertibleError(
             "averaged operator is not positive definite above the invertibility "
             "floor (min eig %.3e < %.3e); input is not a corepresentation"

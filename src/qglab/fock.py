@@ -85,11 +85,8 @@ class FreeFactor(StarAlgebra):
         return self.phi(coeffs), create, annihilate, replace
 
 
-def matrix_factor(m, density=None, name=None) -> FreeFactor:
-    """M_m with state tr(rho .); default rho = I/m (the normalized trace)."""
-    if density is None:
-        density = np.eye(m) / m
-    rho = np.asarray(density, dtype=complex)
+def matrix_factor(m) -> FreeFactor:
+    """M_m with the normalized trace as its state."""
     n = m * m
     mult = np.zeros((n, n, n), dtype=complex)
     star = np.zeros((n, n), dtype=complex)
@@ -98,11 +95,8 @@ def matrix_factor(m, density=None, name=None) -> FreeFactor:
             star[a * m + b, b * m + a] = 1.0
             for c in range(m):
                 mult[a * m + b, b * m + c, a * m + c] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    for a in range(m):
-        unit[a * m + a] = 1.0
-    state = np.array([rho[b, a] for a in range(m) for b in range(m)])
-    return FreeFactor(mult, unit, star, state, name=name or "M%d" % m)
+    unit = np.eye(m, dtype=complex).reshape(-1)
+    return FreeFactor(mult, unit, star, unit / m, name="M%d" % m)
 
 
 def z2_factor() -> FreeFactor:

@@ -35,6 +35,7 @@ from .errors import (
 
 STRUCT_TOL = 1e-10
 NORM_RTOL = 1e-8
+BLOCK_ATTEMPTS = 25     # random commutant draws before block separation gives up
 
 
 def _c(x):
@@ -113,8 +114,8 @@ class StarAlgebra:
     def star_coeffs(self, a):
         return np.einsum("i,ij->j", np.conj(a), self.star)
 
-    def is_commutative(self, tol=STRUCT_TOL):
-        return np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= tol
+    def is_commutative(self):
+        return np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= STRUCT_TOL
 
     def gns(self):
         return self.cached("gns", _build_gns)
@@ -148,8 +149,9 @@ class FiniteQuantumGroup(StarAlgebra):
         """Delta(a) as an (n, n) coefficient array over e_j (x) e_k."""
         return np.einsum("i,ijk->jk", a, self.coproduct)
 
-    def is_cocommutative(self, tol=STRUCT_TOL):
-        return np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1))) <= tol
+    def is_cocommutative(self):
+        return (np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1)))
+                <= STRUCT_TOL)
 
     # -- cached constructions ----------------------------------------------
 
@@ -350,6 +352,17 @@ class SpanningFamily:
         resid = np.linalg.norm(C @ self.matrix.T - B, axis=1)
         return C.reshape(batch + (-1,)), resid.reshape(batch)
 
+    def expand_within(self, X, rtol, refusal):
+        """expand(X) and the largest residual relative to max(1, ||X||_F)
+        over the matrices; InvalidInstanceError("<refusal> (residual r)")
+        when it exceeds rtol."""
+        C, resid = self.expand(X)
+        rel = float(np.max(resid / np.maximum(
+            1.0, np.linalg.norm(X, axis=(-2, -1)))))
+        if rel > rtol:
+            raise InvalidInstanceError("%s (residual %.3e)" % (refusal, rel))
+        return C, rel
+
 
 class GnsData:
     """GNS space of the state: Lambda, the modular conjugation, and the left
@@ -387,11 +400,8 @@ class GnsData:
     def left_action_inv(self, m: np.ndarray, rtol=1e-9):
         """Solve lambda_h(a) = m for a by least squares; the residual must
         stay below rtol * max(1, ||m||)."""
-        coeffs, resid = self.span.expand(m)
-        if resid > rtol * max(1.0, np.linalg.norm(m)):
-            raise InvalidInstanceError(
-                "matrix is not in the image of the left regular representation "
-                "(residual %.3e)" % resid)
+        coeffs, _ = self.span.expand_within(
+            m, rtol, "matrix is not in the image of the left regular representation")
         return AlgebraElement(self.owner, coeffs)
 
 
@@ -467,13 +477,13 @@ def _commutant_basis(mats):
     return [v.reshape(n, n) for v in null]
 
 
-def _block_decompose(G, tol=NORM_RTOL, seed=7, max_attempts=25):
+def _block_decompose(G, tol, seed):
     n = G.dim
     mats = G.gns().images
     comm = _commutant_basis(mats)
     rng = np.random.default_rng(seed)
     last_gap = None
-    for _ in range(max_attempts):
+    for _ in range(BLOCK_ATTEMPTS):
         Y = sum(rng.standard_normal() * B + 1j * rng.standard_normal() * B
                 for B in comm)
         Y = Y + Y.conj().T
@@ -525,7 +535,7 @@ def _block_decompose(G, tol=NORM_RTOL, seed=7, max_attempts=25):
         last_gap = resid
     raise DegeneracyError(
         "failed to separate blocks after %d attempts (offending gap %s)"
-        % (max_attempts, last_gap), gap=last_gap)
+        % (BLOCK_ATTEMPTS, last_gap), gap=last_gap)
 
 
 def _homomorphism_residual(bd):
@@ -544,5 +554,5 @@ def _homomorphism_residual(bd):
     return worst
 
 
-def block_decompose(G: FiniteQuantumGroup, tol=NORM_RTOL, seed=7) -> BlockDecomposition:
-    return G.block_decomposition(tol=tol, seed=seed)
+def block_decompose(G: FiniteQuantumGroup) -> BlockDecomposition:
+    return G.block_decomposition()

@@ -14,9 +14,10 @@ import math
 import numpy as np
 
 from .errors import StructuralError
-from .qgroup import FiniteQuantumGroup
+from .qgroup import _RANKS, FiniteQuantumGroup
 
-_FIELDS = ("mult", "coproduct", "unit", "counit", "antipode", "star", "haar")
+# tensor field -> rank, from the instance schema; the state is stored as "haar"
+_FIELDS = {("haar" if key == "state" else key): rank for key, rank in _RANKS.items()}
 
 
 def _encode(arr):
@@ -43,42 +44,24 @@ def _decode(node, shape, path):
 
 
 def instance_to_dict(G: FiniteQuantumGroup) -> dict:
-    return {
-        "name": G.name,
-        "dim": G.dim,
-        "basis_labels": list(G.basis_labels),
-        "mult": _encode(G.mult),
-        "coproduct": _encode(G.coproduct),
-        "unit": _encode(G.unit),
-        "counit": _encode(G.counit),
-        "antipode": _encode(G.antipode),
-        "star": _encode(G.star),
-        "haar": _encode(G.haar),
-    }
+    out = {"name": G.name, "dim": G.dim, "basis_labels": list(G.basis_labels)}
+    out.update((key, _encode(getattr(G, key))) for key in _FIELDS)
+    return out
 
 
 def instance_from_dict(data: dict) -> FiniteQuantumGroup:
     if not isinstance(data, dict):
         raise StructuralError("instance file must contain a JSON object")
-    for key in ("name", "dim") + _FIELDS:
+    for key in ("name", "dim", *_FIELDS):
         if key not in data:
             raise StructuralError("missing field %r" % key)
     n = data["dim"]
     if not isinstance(n, int) or n <= 0:
         raise StructuralError("field 'dim' must be a positive integer")
-    shapes = {
-        "mult": (n, n, n), "coproduct": (n, n, n),
-        "unit": (n,), "counit": (n,), "haar": (n,),
-        "antipode": (n, n), "star": (n, n),
-    }
-    tensors = {}
-    for key in _FIELDS:
-        tensors[key] = np.array(_decode(data[key], shapes[key], key), dtype=complex)
-    labels = data.get("basis_labels")
-    return FiniteQuantumGroup(data["name"], tensors["mult"], tensors["unit"],
-                              tensors["coproduct"], tensors["counit"],
-                              tensors["antipode"], tensors["star"],
-                              tensors["haar"], basis_labels=labels)
+    tensors = {key: np.array(_decode(data[key], (n,) * rank, key), dtype=complex)
+               for key, rank in _FIELDS.items()}
+    return FiniteQuantumGroup(data["name"], basis_labels=data.get("basis_labels"),
+                              **tensors)
 
 
 def save_instance(G: FiniteQuantumGroup, path) -> None:

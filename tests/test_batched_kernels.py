@@ -216,7 +216,10 @@ def test_dichotomy_that_sees_no_broken_tensor_fails(monkeypatch):
 def test_recorder_fails_a_check_no_trial_reached():
     report = suite.SuiteReport(_corep_cfg())
     rec = suite._Recorder(report, "p", "")
-    rec.check("seen", "", 0.0, 1.0, reached=1)
-    rec.check("unseen", "", 0.0, 1.0, reached=0)
-    rec.check("plain", "", 0.0, 1.0)
+    rec.note("seen", 0.25, 0.5)
+    rec.note("seen", 0.0)
+    rec.check("seen", "", 1.0)
+    rec.check("unseen", "", 1.0)
+    rec.check("plain", "", 1.0, 0.0)
     assert [r.passed for r in report.records] == [True, False, True]
+    assert [r.value for r in report.records] == [0.5, 0.0, 0.0]

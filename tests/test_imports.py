@@ -1,14 +1,15 @@
-"""Every import in the package is used, and every module-level private
-function or class is read somewhere in the package: stdlib ``ast`` scans
-standing in for pyflakes' unused-import check and a dead-code check."""
+"""Every import in the package is used, every module-level private function
+or class is read somewhere in the package, and every defaulted parameter is
+set by some call: stdlib ``ast`` scans standing in for pyflakes'
+unused-import check and a dead-code check."""
 
 import ast
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "qglab")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "qglab")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
@@ -90,6 +91,69 @@ def test_no_unread_private_def():
         with open(os.path.join(SRC, module)) as fh:
             sources[module] = fh.read()
     assert unread_private_defs(sources) == []
+
+
+def unset_defaults(sources, callers):
+    """(module, line, function, parameter) of every defaulted parameter of a
+    function or method in ``sources`` that no call in ``callers`` passes, by
+    keyword or by position.  Calls resolve by name alone, ``f(...)`` or
+    ``x.f(...)``; ``*args`` counts as passing every positional parameter and
+    ``**kwargs`` every parameter, and dunder methods are skipped."""
+    calls = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                splat = any(isinstance(a, ast.Starred) for a in node.args)
+                keys = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((
+                    float("inf") if splat else len(node.args), keys))
+    unset = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name.startswith("__")):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args
+            # a bound call's first positional argument fills the parameter after self
+            skip = len(params) - len(args.defaults) - (fn in methods)
+            defaulted = [(skip + k, p.arg) for k, p in
+                         enumerate(params[len(params) - len(args.defaults):])]
+            defaulted += [(float("inf"), p.arg) for p, d in
+                          zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for position, name in defaulted:
+                if not any(npos > position or name in keys or None in keys
+                           for npos, keys in calls.get(fn.name, ())):
+                    unset.append((module, fn.lineno, fn.name, name))
+    return unset
+
+
+def test_the_scan_sees_a_default_no_call_sets():
+    sources = {"a.py": "def f(x, y=1, z=2, *, w=3):\n    pass\n"
+                       "class K:\n    def m(self, p=0, q=1):\n        pass\n"
+                       "    def __init__(self, r=0):\n        pass\n"}
+    callers = {"b.py": "f(0, 5)\nK().m(q=2)\n",
+               "c.py": "def g(*a, **k):\n    f(*a)\n    K.m(**k)\n"}
+    assert unset_defaults(sources, {"b.py": callers["b.py"]}) == [
+        ("a.py", 1, "f", "z"), ("a.py", 1, "f", "w"), ("a.py", 4, "m", "p")]
+    assert unset_defaults(sources, callers) == [("a.py", 1, "f", "w")]
+
+
+def test_every_default_is_set_by_some_call():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    callers = dict(sources)
+    for name in sorted(os.listdir(TESTS)):
+        if name.endswith(".py"):
+            with open(os.path.join(TESTS, name)) as fh:
+                callers["tests/" + name] = fh.read()
+    assert unset_defaults(sources, callers) == []
 
 
 # Imports that break a cycle stay inside the function that needs them:

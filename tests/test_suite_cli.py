@@ -186,14 +186,53 @@ def test_noncb_cb_bracket_holds_for_every_n():
         assert hi >= lo
 
 
-def test_every_record_times_its_own_work(monkeypatch):
+def _ticking_clock(monkeypatch):
+    """Make suite's perf_counter return 0, 1, 2, ... seconds, one per call."""
     ticks = itertools.count()
     monkeypatch.setattr(suite, "time", types.SimpleNamespace(
         perf_counter=lambda: float(next(ticks))))
+
+
+def test_every_record_times_its_own_work(monkeypatch):
+    _ticking_clock(monkeypatch)
+    notes = {}
+    note = suite._Recorder.note
+
+    def counted(rec, name, *values):
+        key = "%s/%s" % (rec.prefix, name)
+        notes[key] = notes.get(key, 0) + 1
+        note(rec, name, *values)
+
+    monkeypatch.setattr(suite._Recorder, "note", counted)
     rep = run_suite(small_cfg(SUITE_NAMES, trials=2, copies=5))
     assert {r.name.split("/")[0] for r in rep.records} == set(SUITE_NAMES)
     assert all(r.runtime_ms > 0 for r in rep.records)
     assert sum(r.runtime_ms for r in rep.records) <= rep.runtime_ms
+    # every note takes one tick, and charges it to its own record
+    noted = [r for r in rep.records
+             if r.name.split("/")[0] in ("corep", "unitarize", "multiplier")
+             and r.name in notes]
+    assert {r.name.split("/")[0] for r in noted} == {"corep", "unitarize",
+                                                     "multiplier"}
+    assert len(noted) == 18         # 8 corep, 4 unitarize, 6 multiplier checks
+    for r in noted:
+        assert r.runtime_ms >= 1e3 * notes[r.name], r.name
+
+
+def test_interleaved_notes_are_charged_to_their_own_records(monkeypatch):
+    _ticking_clock(monkeypatch)
+    report = SuiteReport(small_cfg(("corep",)))
+    rec = suite._Recorder(report, "p", "")          # tick 0
+    rec.note("a", 1.0)                              # tick 1: a
+    rec.note("b", 2.0)                              # tick 2: b
+    rec.note("a", 3.0)                              # tick 3: a
+    rec.note("a", 0.5)                              # tick 4: a
+    rec.note("b", 4.0)                              # tick 5: b
+    rec.check("a", "", 10.0)                        # tick 6: a
+    rec.lower("b", "", 0.0, 1.0)                    # tick 7: b
+    rec.check("c", "", 1.0, 0.0)                    # tick 8: c
+    assert [(r.name, r.value, r.runtime_ms) for r in report.records] == [
+        ("p/a", 3.0, 4e3), ("p/b", 2.0, 3e3), ("p/c", 0.0, 1e3)]
 
 
 def test_every_tolerance_name_reaches_a_record():
