@@ -9,9 +9,11 @@ layer by layer so that the words starting with one factor are contiguous.
 The per-factor index maps that assemble each free action are slices and
 reshapes of these arrays.  The free symmetries of the non-cb representation
 are held once, in an ``ascent.OperatorStack`` built one free action at a
-time: its zone rows give the generator and the creation column, and
-``ascent.rank_one_ascent`` searches it for ||pi|| (and a coefficient span
-for the lower end of the C1 bracket).
+time: its zone rows give the generator and the creation column, and its row
+sums apply the Kesten sum sum_i u_i, whose top eigenvector gives the
+symmetric vector functional behind the certified lower bound on ||pi||.
+``ascent.rank_one_ascent`` searches a coefficient span for the lower end of
+the C1 bracket.
 
 Truncation semantics: operators are stored as P pi(a) P for the orthogonal
 projection P onto words of length <= max_len.  On the subspace of words of
@@ -271,18 +273,13 @@ def build_fock(factors, max_len, dim_cap=DEFAULT_DIM_CAP) -> FockSpace:
     return FockSpace(factors, max_len, dim_cap=dim_cap)
 
 
-def vacuum_state(F: FockSpace, operators):
-    """<Omega | (op_1 ... op_m) Omega>; exact when m <= max_len.
-
-    Returns (value, exact): products longer than the truncation depth are
-    flagged approximate rather than rejected.
-    """
-    operators = list(operators)
+def vacuum_state(F: FockSpace, operators) -> complex:
+    """<Omega | (op_1 ... op_m) Omega>, exact when m <= max_len; a longer
+    product is evaluated on the truncated space, not rejected."""
     v = F.vacuum()
-    for op in reversed(operators):
+    for op in reversed(list(operators)):
         v = op.matrix @ v
-    exact = len(operators) <= F.max_len
-    return complex(v[0]), exact
+    return complex(v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +302,35 @@ def compression_norm(m, F: FockSpace, domain_len=None, seed=0) -> float:
 
 def _largest_singular_value(sub, seed=0) -> float:
     """Largest singular value of sub: a dense SVD up to 200 rows; beyond,
-    ||sub x|| / ||x|| at the Ritz vector x of one Lanczos solve (``eigsh``
-    with 6 basis vectors) on sub* sub, started from a seeded random unit
-    vector.  The Ritz value itself is never reported, so every value is a
+    ||sub x|| / ||x|| at the Ritz vector x of ``_top_ritz_vector`` on
+    sub* sub.  The Ritz value itself is never reported, so every value is a
     norm attained at a concrete vector."""
     n = sub.shape[0]
     if n == 0:
         return 0.0
     if n <= 200:
         return float(np.linalg.norm(sub.toarray(), 2))
+    subH = sub.conj().T.tocsr()
+    x = _top_ritz_vector(lambda y: subH @ (sub @ y), n, seed, tol=1e-10)
+    return float(np.linalg.norm(sub @ x) / np.linalg.norm(x))
+
+
+def _top_ritz_vector(matvec, n, seed, tol) -> np.ndarray:
+    """The Ritz vector of the largest eigenvalue of the Hermitian operator
+    y -> matvec(y) on C^n, from one Lanczos solve (``eigsh`` with 6 basis
+    vectors, relative tolerance tol) started from a seeded random unit
+    vector; an ARPACK failure is raised as a ``ConvergenceError``."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    subH = sub.conj().T.tocsr()
-    gram = spla.LinearOperator(
-        (n, n), matvec=lambda y: subH @ (sub @ y), dtype=complex)
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
     try:
-        _, ritz = spla.eigsh(gram, k=1, which="LA", v0=v, ncv=6, maxiter=300,
-                             tol=1e-10)
+        _, ritz = spla.eigsh(op, k=1, which="LA", v0=v, ncv=6, maxiter=300,
+                             tol=tol)
     except spla.ArpackError as exc:    # ArpackNoConvergence included
         raise ConvergenceError("the Lanczos solve did not converge",
                                diagnostics={"lanczos_error": str(exc)}) from exc
-    x = ritz[:, 0]
-    return float(np.linalg.norm(sub @ x) / np.linalg.norm(x))
+    return ritz[:, 0]
 
 
 def amplified_sum(pairs, F: FockSpace):
@@ -476,7 +479,9 @@ class NonCbRep:
     The symmetries are held once, in the ``OperatorStack`` ``family`` built
     one free action at a time; ``theta`` stacks the e_ii + e_i0.
     ``generator()`` is V compressed to the exact zone, amplified from the
-    stack's zone rows; the norms read it.
+    stack's zone rows; the cb norms read it.  ``pi_norm_search`` bounds
+    ||pi|| from below at one symmetric functional: the vector state of the
+    top eigenvector of sum_i u_i, which takes the same value on every u_i.
     """
 
     def __init__(self, F: FockSpace):
@@ -515,11 +520,27 @@ class NonCbRep:
 
 
 def pi_norm_search(rep: NonCbRep, seed=0) -> float:
-    """Certified lower bound on ||pi||: ``rank_one_ascent`` with A_i = u_i
-    and theta_i = e_ii + e_i0, from starts on the exact zone.  The values of
-    vector functionals of the truncated space on the symmetries are exact."""
-    return rank_one_ascent(rep.family, rep.theta, rep.space.zone_size(),
-                           seed=seed)
+    """Certified lower bound on ||pi||: ||pi(omega)|| at the vector functional
+    omega = (. xi | xi), for xi the top eigenvector of the Kesten sum
+    S = sum_i u_i on the whole truncated space (a dense ``eigh`` up to 200
+    rows, beyond that ``_top_ritz_vector`` with S applied from the stacked
+    rows, never formed).
+
+    The value is certified whatever the solver's accuracy: xi lies in the
+    truncated space, so (P u_i P xi | xi) = (u_i xi | xi) and every omega(u_i)
+    is the exact value of a vector functional of norm at most one.  At the
+    top eigenvector omega(u_i) = kappa/N for every i, kappa the top
+    eigenvalue of S, so the value is (kappa/N) sqrt(N + 1).  The solve runs
+    to tol 1e-12, where the omega(u_i) agree to about 2e-13 (at 1e-10 they
+    spread by up to 1.3e-11)."""
+    fam, n = rep.family, rep.space.dim
+    if n <= 200:
+        xi = np.linalg.eigh((fam.by_word @ fam.stack).toarray())[1][:, -1]
+    else:
+        xi = _top_ritz_vector(lambda y: fam.by_word @ (fam.stack @ y), n,
+                              seed, tol=1e-12)
+    xi = xi / np.linalg.norm(xi)
+    return float(np.linalg.norm(rep.pi_rep(xi, xi), 2))
 
 
 def column_norm(rep: NonCbRep, seed=0) -> float:

@@ -469,9 +469,7 @@ def run_khintchine(cfg, report):
     for pattern in [(0, 1), (0, 1, 0), (1, 0, 2, 0), (0, 2, 1, 2)]:
         if len(pattern) > F0.max_len:
             continue
-        val, exact = vacuum_state(F0, [ops[i] for i in pattern])
-        if exact:
-            rec.note("freeness", abs(val))
+        rec.note("freeness", abs(vacuum_state(F0, [ops[i] for i in pattern])))
     rec.check("freeness", "alternating centred products have zero vacuum mean",
               cfg.tolerance("freeness"))
     # column norms over the exact zone
@@ -539,6 +537,19 @@ def _cb_bracket(N, cb_lower):
     return [min(float(cb_lower), hi), hi]
 
 
+def _pi_bracket(pi_lower):
+    """[lo, hi] around ||pi||: lo is the certified lower bound of
+    ``pi_norm_search``; hi = sqrt(10) holds at every N.  Write
+    a_i = omega(u_i), s = sum_i |a_i|^2 and m = max_i |a_i|^2.  pi(omega)
+    maps x = (x_0, y) to the vector with entries a_i (x_0 + y_i), so
+    ||pi(omega) x|| <= sqrt(s) |x_0| + sqrt(m) ||y|| and
+    ||pi(omega)|| <= sqrt(s + m).  m <= 1 because ||omega|| <= 1, and
+    sqrt(s) = sup over unit c of |omega(sum_i c_i u_i)|, at most
+    ||sum_i c_i u_i|| <= 3 max{max_i |c_i|, ||c||_2} = 3 by the free
+    Khintchine inequality with constant 3 (Ricard-Xu), so s <= 3^2."""
+    return [float(pi_lower), float(np.sqrt(3.0 ** 2 + 1.0))]
+
+
 def run_noncb(cfg, report):
     rec = _Recorder(report, "noncb", "")     # each record gives its digest
     results = {}
@@ -573,6 +584,8 @@ def run_noncb(cfg, report):
     report.extra["noncb"] = {
         "certified_lower": per_n("cb_lower"),
         "cb_bracket": {str(N): _cb_bracket(N, p["cb_lower"])
+                       for N, p in results.items()},
+        "pi_bracket": {str(N): _pi_bracket(p["pi_lower_search"])
                        for N, p in results.items()},
         "analytic_bounds": {"bounded_upper": 6.0, "cb_floor": per_n("cb_floor")},
         "ratios": {str(N): float(p["cb_lower"] / p["bounded_upper"])

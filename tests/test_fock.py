@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qglab import fock as fock_module
+from qglab.ascent import rank_one_ascent
 from qglab.builders import builtin_instance
 from qglab.errors import (
     BudgetError,
@@ -218,9 +220,10 @@ def theta_units(N):
     return units
 
 
-def reference_pi_norm_search(rep, seed=0, tol=1e-8):
-    """The ascent of pi_norm_search (6 starts of at most 25 steps) with one
-    matvec per operator and the operator sum M formed as a sparse matrix.
+def reference_rank_one_ascent(rep, seed=0, tol=1e-8):
+    """``rank_one_ascent`` on the free symmetries (6 starts of at most 25
+    steps) with one matvec per operator and the operator sum M formed as a
+    sparse matrix.
 
     (l | pi(omega) r) = eta* (sum_i w_i u_i) xi with w_i = (l | theta_i r),
     so each step takes eta along M xi and xi along M* eta for
@@ -262,12 +265,40 @@ def reference_pi_norm_search(rep, seed=0, tol=1e-8):
     return best
 
 
-def test_pi_norm_search_matches_per_operator_loop():
+def test_rank_one_ascent_matches_per_operator_loop():
     F = build_fock([z2_factor()] * 4, 4)
     rep = NonCbRep(F)
     for seed in (0, 1, 2):
-        assert abs(pi_norm_search(rep, seed=seed)
-                   - reference_pi_norm_search(rep, seed=seed)) < 1e-12
+        got = rank_one_ascent(rep.family, rep.theta, F.zone_size(), seed=seed)
+        assert abs(got - reference_rank_one_ascent(rep, seed=seed)) < 1e-12
+
+
+def kesten_jacobi_top(N, L):
+    """kappa: the top eigenvalue of the Kesten sum on radial vectors of the
+    depth-L space, a Jacobi matrix with off-diagonals sqrt(N), sqrt(N-1), ..."""
+    off = np.sqrt([N] + [N - 1] * (L - 1))
+    return sla.eigh_tridiagonal(np.zeros(L + 1), off, eigvals_only=True)[-1]
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("N", [4, 9, 16])
+def test_pi_norm_search_is_the_symmetric_kesten_functional(N, L):
+    rep = NonCbRep(build_fock([z2_factor()] * N, L))
+    seen = []
+
+    def pi_rep(xi, eta):
+        seen.append(rep.family.values(xi, eta))
+        return NonCbRep.pi_rep(rep, xi, eta)
+    rep.pi_rep = pi_rep
+    got = pi_norm_search(rep, seed=0)
+    kappa = kesten_jacobi_top(N, L)
+    assert abs(got - kappa / N * np.sqrt(N + 1)) < 1e-9
+    assert len(seen) == 1 and np.ptp(seen[0]) < 1e-12
+    assert abs(seen[0][0] - kappa / N) < 1e-9
+    if L == 4:
+        ascent = rank_one_ascent(rep.family, rep.theta, rep.space.zone_size(),
+                                 seed=0)
+        assert got >= ascent
 
 
 def test_hot_paths_never_touch_word_tuples(monkeypatch):
@@ -366,20 +397,16 @@ def test_vacuum_state_freeness():
     F = build_fock([z2_factor()] * 3, 4)
     u = z2_symmetry()
     ops = [free_action(F, i, u) for i in range(3)]
-    val, exact = vacuum_state(F, [ops[0], ops[1], ops[2]])
-    assert exact and abs(val) < 1e-14
-    val, exact = vacuum_state(F, [ops[0], ops[1], ops[0]])
-    assert exact and abs(val) < 1e-14
-    val, exact = vacuum_state(F, [ops[0], ops[0]])
-    assert exact and abs(val - 1.0) < 1e-14
+    assert abs(vacuum_state(F, [ops[0], ops[1], ops[2]])) < 1e-14
+    assert abs(vacuum_state(F, [ops[0], ops[1], ops[0]])) < 1e-14
+    assert abs(vacuum_state(F, [ops[0], ops[0]]) - 1.0) < 1e-14
     # the vacuum factorizes over distinct factors
     rng = np.random.default_rng(2)
     F2 = build_fock([matrix_factor(2)] * 2, 2)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     opa, opb = free_action(F2, 0, a), free_action(F2, 1, b)
-    val, exact = vacuum_state(F2, [opa, opb])
-    assert exact
+    val = vacuum_state(F2, [opa, opb])
     assert abs(val - F2.factors[0].phi(a) * F2.factors[1].phi(b)) < 1e-12
 
 
@@ -389,34 +416,34 @@ def test_length_four_moment_against_oracle():
     u = z2_symmetry()
     ops = [free_action(F, i, u) for i in range(2)]
     seq = [0, 1, 0, 1]
-    val, exact = vacuum_state(F, [ops[i] for i in seq])
+    val = vacuum_state(F, [ops[i] for i in seq])
     want = oracle_vacuum(F, [(i, u) for i in seq])
-    assert exact
     assert abs(val - want) < 1e-12
     # and for a shifted element with nonzero mean
     x = np.array([1.5, -0.5])
     opx = free_action(F, 0, x)
-    val2, _ = vacuum_state(F, [opx, ops[1], opx])
+    val2 = vacuum_state(F, [opx, ops[1], opx])
     want2 = oracle_vacuum(F, [(0, x), (1, u), (0, x)])
     assert abs(val2 - want2) < 1e-12
 
 
-def test_vacuum_exactness_flag():
+def test_vacuum_state_past_the_truncation_depth_returns_a_value():
+    # a product of three actions on a depth-2 space is evaluated, not
+    # rejected (u^3 = u has vacuum mean 0)
     F = build_fock([z2_factor()] * 2, 2)
-    u = z2_symmetry()
-    op = free_action(F, 0, u)
-    _, exact = vacuum_state(F, [op, op, op])
-    assert not exact
+    op = free_action(F, 0, z2_symmetry())
+    val = vacuum_state(F, [op, op, op])
+    assert isinstance(val, complex) and abs(val) < 1e-14
 
 
 def test_vacuum_state_takes_a_generator():
-    # five alternating symmetries exceed depth 2: not exact, from a list or
-    # from a generator alike
+    # five alternating symmetries exceed depth 2: the same value from a
+    # list or from a generator
     F = build_fock([z2_factor()] * 2, 2)
     ops = [free_action(F, i, z2_symmetry()) for i in range(2)]
     seq = [0, 1, 0, 1, 0]
     want = vacuum_state(F, [ops[i] for i in seq])
-    assert want[1] is False
+    assert isinstance(want, complex)
     assert vacuum_state(F, (ops[i] for i in seq)) == want
 
 

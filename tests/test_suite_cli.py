@@ -172,7 +172,7 @@ def test_khintchine_and_noncb_keep_their_own_extra():
     assert d["khintchine"]["analytic_bounds"] == {"khintchine_constant": 3.0}
     assert len(d["khintchine"]["ratios"]) == 5      # N = 2, 4 and 2, 4, 6
     assert set(d["noncb"]) == {"ratios", "analytic_bounds", "certified_lower",
-                               "cb_bracket", "measured"}
+                               "cb_bracket", "pi_bracket", "measured"}
     assert d["noncb"]["analytic_bounds"]["bounded_upper"] == 6.0
 
 
@@ -184,6 +184,32 @@ def test_noncb_cb_bracket_holds_for_every_n():
         assert hi == math.sqrt(int(N) + 1)
         assert lo == min(d["certified_lower"][N], hi)
         assert hi >= lo
+
+
+def test_noncb_pi_bracket_holds_for_every_n():
+    d = json.loads(emit_report(run_suite(small_cfg(("noncb",), copies=6)),
+                               "json"))["noncb"]
+    assert set(d["pi_bracket"]) == {"4", "6"}
+    for N, (lo, hi) in d["pi_bracket"].items():
+        assert lo == d["measured"][N]["pi_lower_search"]
+        assert hi == math.sqrt(10)
+        assert hi >= lo
+
+
+def test_noncb_records_agree_across_blas_thread_counts():
+    # reports are byte-stable at one BLAS thread; at two, long-vector norms
+    # may sum in another order, which moves values by a few ulps only
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        r = _cli("noncb", "--copies", "16", "--length", "4", env=env)
+        assert r.returncode == 0, r.stderr
+        runs.append(json.loads(r.stdout)["records"])
+    one, two = runs
+    assert [(r["name"], r["passed"]) for r in one] \
+        == [(r["name"], r["passed"]) for r in two]
+    for a, b in zip(one, two):
+        assert math.isclose(a["value"], b["value"], rel_tol=1e-12)
 
 
 def _ticking_clock(monkeypatch):
