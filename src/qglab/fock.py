@@ -25,11 +25,24 @@ Zone first: words are stored layer by layer, so the K words of length
 <= max_len - 1 are the first K indices, and the compression of
 sum_i op_i (x) a_i to them is sum_i op_i[:K, :K] (x) a_i.  ``amplified_sum``
 is the one amplification path: it slices each single action to the exact
-zone before amplifying it, so the Khintchine probe, the non-cb generator and
-its creation column never form an amplified operator on the top layer,
-which they do not read (at N=16, L=4 that layer holds 54,000 of the 57,857
-words).  The slices are the same CSR matrices as the compressions of the
-full operators, so every norm is unchanged bit for bit.
+zone and places every amplified term once into their union pattern, so the
+Khintchine probe, the non-cb generator and its creation column never form
+an amplified operator on the top layer, which they do not read (at N=16,
+L=4 that layer holds 54,000 of the 57,857 words).  The Khintchine probe and
+``norm_equivalence`` do not assemble that layer at all: they build their
+actions on the depth-(max_len - 1) space, whose words are the zone's.  The
+non-cb representation keeps its whole-space actions, because the Kesten sum
+behind the ||pi|| bound acts on the whole space.  All of these are the same
+CSR matrices as the compressions of the full operators, so every norm is
+unchanged bit for bit.
+
+Arithmetic: every operator is stored complex, but a Lanczos solve runs on
+the real matrix when every stored imaginary part is exactly 0, as for the
+free symmetries and their Kesten sum; the dense SVD of an operator of at
+most ``DENSE_ROWS`` rows runs as stored.  ``norm_equivalence`` builds the
+action of each basis element in each factor once and takes each sample as
+their linear combination, with the norms of all samples of a small zone
+from one batched SVD.
 """
 
 from __future__ import annotations
@@ -47,6 +60,8 @@ from .errors import BudgetError, ConvergenceError, StructuralError
 from .qgroup import StarAlgebra
 
 DEFAULT_DIM_CAP = 200_000
+# operators of up to this many rows are solved densely, larger ones by Lanczos
+DENSE_ROWS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +304,10 @@ def vacuum_state(F: FockSpace, operators) -> complex:
 def compression_norm(m, F: FockSpace, domain_len=None, seed=0) -> float:
     """Norm of the compression of the operator m on F to words of length
     <= domain_len (default: the exact zone), by ``_largest_singular_value``:
-    one seeded Lanczos solve on m*m evaluated at its Ritz vector.  Every
-    reported value is ||m v|| at a unit vector v of the zone, a certified
-    lower bound on the true operator norm because the compressed action zone
-    is exact."""
+    a dense SVD up to ``DENSE_ROWS`` rows, beyond that one seeded Lanczos
+    solve on m*m evaluated at its Ritz vector.  Every reported value is
+    ||m v|| at a unit vector v of the zone, a certified lower bound on the
+    true operator norm because the compressed action zone is exact."""
     if m.shape != (F.dim, F.dim):
         raise StructuralError("operator shape %s is not (%d, %d)"
                               % (m.shape, F.dim, F.dim))
@@ -301,29 +316,53 @@ def compression_norm(m, F: FockSpace, domain_len=None, seed=0) -> float:
 
 
 def _largest_singular_value(sub, seed=0) -> float:
-    """Largest singular value of sub: a dense SVD up to 200 rows; beyond,
-    ||sub x|| / ||x|| at the Ritz vector x of ``_top_ritz_vector`` on
-    sub* sub.  The Ritz value itself is never reported, so every value is a
-    norm attained at a concrete vector."""
-    n = sub.shape[0]
-    if n == 0:
+    """Largest singular value of the square operator sub, by
+    ``_largest_singular_values``."""
+    if sub.shape[0] == 0:
         return 0.0
-    if n <= 200:
-        return float(np.linalg.norm(sub.toarray(), 2))
-    subH = sub.conj().T.tocsr()
-    x = _top_ritz_vector(lambda y: subH @ (sub @ y), n, seed, tol=1e-10)
-    return float(np.linalg.norm(sub @ x) / np.linalg.norm(x))
+    return float(_largest_singular_values([sub], sub.shape[0], seed)[0])
 
 
-def _top_ritz_vector(matvec, n, seed, tol) -> np.ndarray:
-    """The Ritz vector of the largest eigenvalue of the Hermitian operator
-    y -> matvec(y) on C^n, from one Lanczos solve (``eigsh`` with 6 basis
-    vectors, relative tolerance tol) started from a seeded random unit
-    vector; an ARPACK failure is raised as a ``ConvergenceError``."""
+def _largest_singular_values(subs, n, seed) -> np.ndarray:
+    """Largest singular value of each n x n operator of the iterable subs
+    (n >= 1): up to ``DENSE_ROWS`` rows all of them from one batched dense
+    SVD; beyond, one operator at a time, ||sub x|| / ||x|| at the Ritz vector
+    x of ``_top_ritz_vector`` on sub* sub, in real arithmetic when every
+    stored entry of sub is real.  The Ritz value itself is never reported,
+    so every value is a norm attained at a concrete vector."""
+    if n <= DENSE_ROWS:
+        stack = np.array([sub.toarray() for sub in subs]).reshape(-1, n, n)
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    norms = []
+    for sub in subs:
+        sub = _real_if_exact(sub)
+        subH = sub.conj().T.tocsr()
+        x = _top_ritz_vector(lambda y: subH @ (sub @ y), n, seed, 1e-10,
+                             sub.dtype)
+        norms.append(np.linalg.norm(sub @ x) / np.linalg.norm(x))
+    return np.array(norms)
+
+
+def _real_if_exact(m):
+    """The sparse matrix m as a real one when every stored imaginary part is
+    exactly zero (the same entries, so the same operator); else m itself."""
+    if np.iscomplexobj(m.data) and not m.data.imag.any():
+        return m.real
+    return m
+
+
+def _top_ritz_vector(matvec, n, seed, tol, dtype) -> np.ndarray:
+    """The Ritz vector of the largest eigenvalue of the symmetric (dtype
+    real) or Hermitian (dtype complex) operator y -> matvec(y) on R^n or
+    C^n, from one Lanczos solve (``eigsh`` with 6 basis vectors, relative
+    tolerance tol) started from a seeded random unit vector whose real part
+    is drawn first; an ARPACK failure is raised as a ``ConvergenceError``."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    if np.issubdtype(dtype, np.complexfloating):
+        v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
     try:
         _, ritz = spla.eigsh(op, k=1, which="LA", v0=v, ncv=6, maxiter=300,
                              tol=tol)
@@ -333,22 +372,73 @@ def _top_ritz_vector(matvec, n, seed, tol) -> np.ndarray:
     return ritz[:, 0]
 
 
+def _zone_actions(F: FockSpace, elements):
+    """The actions of the elements (i, coeffs) on the depth-(L - 1) space
+    of F (depth 1 when L = 1), one at a time.  Its first K words are the
+    exact zone of F, in the same order, so the [:K, :K] corners are the
+    compressions of F's actions, the same CSR arrays bit for bit, and its
+    words of length <= 1 carry every vacuum image.  The top layer of F,
+    which no zone reads, is never assembled."""
+    Z = F if F.max_len == 1 else FockSpace(F.factors, F.max_len - 1,
+                                           dim_cap=F.dim)
+    return (free_action(Z, i, coeffs).matrix for i, coeffs in elements)
+
+
 def amplified_sum(pairs, F: FockSpace):
     """The compression of sum_i m_i (x) a_i to the exact zone, amplified from
     the CSR operators m_i on F (or on its zone) sliced to it, with the
-    amplification dimension; the a_i are matrix coefficients (or scalars)."""
+    amplification dimension; the a_i are matrix coefficients (or scalars).
+
+    The entries of every kron(m_i[:K, :K], a_i) are placed once into their
+    union pattern and added there in term order: the same CSR arrays, bit
+    for bit, as adding the CSR terms one after another, which keeps the
+    first term's explicit zeros when it is the only one, adds +0 where a
+    term has no entry, and drops each exact zero it makes."""
     K = F.zone_size()
-    total = None
-    amp = None
+    keys, vals, amp = [], [], None
     for m, a in pairs:
         a = np.atleast_2d(np.asarray(a, dtype=complex))
         if amp is None:
             amp = a.shape[0]
         elif a.shape[0] != amp:
             raise StructuralError("inconsistent amplification dimensions")
-        term = sp.kron(m[:K, :K], sp.csr_matrix(a), format="csr")
-        total = term if total is None else total + term
-    return total, amp
+        # the entries of m's zone corner in CSR order, each times those of a
+        end = m.indptr[K]
+        inside = m.indices[:end] < K
+        rows = np.repeat(np.arange(K), np.diff(m.indptr[:K + 1]))[inside]
+        cols = m.indices[:end][inside].astype(np.int64)
+        p, q = np.nonzero(a)
+        keys.append(((rows[:, None] * amp + p) * K * amp
+                     + cols[:, None] * amp + q).ravel())
+        vals.append((m.data[:end][inside][:, None] * a[p, q]).ravel())
+    if not keys:
+        return None, amp
+    n = K * amp
+    key = np.concatenate(keys)
+    if not len(key):            # as a kron without entries: a real zero
+        return sp.csr_matrix((n, n)), amp
+    # a stable sort gives runs of equal keys, each listing the entries at
+    # one position in term order
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], np.concatenate(vals)[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=len(key))
+    total = val[first]
+    live, r = np.flatnonzero(count > 1), 1
+    while len(live):
+        step = total[live] + val[first[live] + r]
+        step[step == 0] = 0         # dropped: the next term adds to +0
+        total[live] = step
+        r += 1
+        live = live[count[live] > r]
+    if len(keys) > 1:
+        # a term without an entry at a position adds +0 there, which turns
+        # a -0 part into +0
+        total[count < len(keys)] += 0
+        first, total = first[total != 0], total[total != 0]
+    rows, cols = np.divmod(key[first], n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_matrix((total, cols, indptr), shape=(n, n)), amp
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +458,7 @@ def khintchine_check(a_family, x_family, F: FockSpace, seed=0) -> dict:
     for i, coeffs in x_family:
         if abs(F.factors[i].phi(coeffs)) > 1e-10:
             raise StructuralError("element of factor %d is not centred" % i)
-    # one full free action at a time: each is sliced, then dropped
-    ops = (free_action(F, i, coeffs).matrix for i, coeffs in x_family)
+    ops = _zone_actions(F, x_family)
     amp, k = amplified_sum(zip(ops, a_family), F)
     lhs = _largest_singular_value(amp, seed=seed)
     term1 = 0.0
@@ -413,6 +502,14 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dic
     the certified row/column bound
     min(||sum_t l(b_t)* l(b_t)||, ||sum_t l(b_t) l(b_t)*||)^(1/2),
     exact on a one-dimensional space.  ``C1`` and ``bound`` use the upper end.
+
+    ``max_ratio`` is the largest ratio of the certified zone norm of a
+    random x = sum_i x_i, x_i in the span in factor i, to ||x Omega||.  The
+    action A_{i,t} of b_t in factor i is built once on the depth-(L - 1)
+    space, and each sample is the combination sum_{i,t} c_{i,t} A_{i,t} of
+    its coefficients, drawn sample by sample; ``_largest_singular_values``
+    takes the norms, all from one batched SVD when the zone has at most
+    ``DENSE_ROWS`` words.
     """
     f0 = F.factors[0]
     B = np.stack([np.asarray(b, dtype=complex) for b in coeff_basis], axis=1)
@@ -440,18 +537,34 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dic
     C1 = float(np.sqrt(min(np.linalg.norm(col, 2), np.linalg.norm(row, 2))))
     bound = 3.0 * max(C1, C2)
     N = len(F.factors)
-    ratios = []
-    for _ in range(sample_count):
-        coeffs = rng.standard_normal((N, dim_space)) \
-            + 1j * rng.standard_normal((N, dim_space))
-        ops = [free_action(F, i, B @ coeffs[i]) for i in range(N)]
-        total = sum(op.matrix for op in ops)
-        xomega = total @ F.vacuum()
-        nv = float(np.linalg.norm(xomega))
-        if nv < 1e-12:
-            continue
-        cert = compression_norm(total, F, seed=seed)
-        ratios.append(cert / nv)
+    K = F.zone_size()
+    draws = [rng.standard_normal((N, dim_space))
+             + 1j * rng.standard_normal((N, dim_space))
+             for _ in range(sample_count)]
+    C = np.reshape(draws, (sample_count, N * dim_space))
+    # a sample's operator is sum_{i,t} C[s, (i, t)] A_{i,t}, for A_{i,t} the
+    # action of b_t in factor i: one sparse matrix maps the coefficients to
+    # the entries of the union pattern of the A_{i,t}
+    actions = [m.tocoo() for m in
+               _zone_actions(F, [(i, b) for i in range(N) for b in B.T])]
+    D = actions[0].shape[0]
+    union, entry = np.unique(
+        np.concatenate([a.row.astype(np.int64) * D + a.col for a in actions]),
+        return_inverse=True)
+    owner = np.repeat(np.arange(len(actions)), [a.nnz for a in actions])
+    entries = sp.csr_matrix(
+        (np.concatenate([a.data for a in actions]), (entry, owner)),
+        shape=(len(union), len(actions)))
+    rows, cols = np.divmod(union, D)
+    # ||x Omega||: column 0, whose words have length <= 1
+    nv = np.linalg.norm(entries[cols == 0] @ C.T, axis=0)
+    kept = nv >= 1e-12
+    zone = (rows < K) & (cols < K)
+    zone_entries = entries[zone]
+    indptr = np.searchsorted(rows[zone], np.arange(K + 1))
+    subs = (sp.csr_matrix((zone_entries @ c, cols[zone], indptr), shape=(K, K))
+            for c in C[kept])
+    ratios = (_largest_singular_values(subs, K, seed) / nv[kept]).tolist()
     return {
         "C1": C1,
         # the min of a certified lower and upper bound is a lower bound, and
@@ -522,9 +635,10 @@ class NonCbRep:
 def pi_norm_search(rep: NonCbRep, seed=0) -> float:
     """Certified lower bound on ||pi||: ||pi(omega)|| at the vector functional
     omega = (. xi | xi), for xi the top eigenvector of the Kesten sum
-    S = sum_i u_i on the whole truncated space (a dense ``eigh`` up to 200
-    rows, beyond that ``_top_ritz_vector`` with S applied from the stacked
-    rows, never formed).
+    S = sum_i u_i on the whole truncated space (a dense ``eigh`` up to
+    ``DENSE_ROWS`` rows, beyond that ``_top_ritz_vector`` with S applied
+    from the stacked rows, never formed, in real arithmetic when the stack
+    is real, as it is for the free symmetries).
 
     The value is certified whatever the solver's accuracy: xi lies in the
     truncated space, so (P u_i P xi | xi) = (u_i xi | xi) and every omega(u_i)
@@ -534,11 +648,12 @@ def pi_norm_search(rep: NonCbRep, seed=0) -> float:
     to tol 1e-12, where the omega(u_i) agree to about 2e-13 (at 1e-10 they
     spread by up to 1.3e-11)."""
     fam, n = rep.family, rep.space.dim
-    if n <= 200:
+    if n <= DENSE_ROWS:
         xi = np.linalg.eigh((fam.by_word @ fam.stack).toarray())[1][:, -1]
     else:
-        xi = _top_ritz_vector(lambda y: fam.by_word @ (fam.stack @ y), n,
-                              seed, tol=1e-12)
+        rows, stack = _real_if_exact(fam.by_word), _real_if_exact(fam.stack)
+        xi = _top_ritz_vector(lambda y: rows @ (stack @ y), n, seed, 1e-12,
+                              np.result_type(rows.dtype, stack.dtype))
     xi = xi / np.linalg.norm(xi)
     return float(np.linalg.norm(rep.pi_rep(xi, xi), 2))
 

@@ -559,11 +559,7 @@ def test_norm_equivalence_z2():
 def test_norm_equivalence_quantum_group_factor():
     # the full Kac-Paljutkin algebra as a factor; coefficient space of its
     # two-dimensional irreducible corepresentation
-    import qglab
-    from qglab.catalog import corep_catalog
-    G = qglab.builtin_instance("kac_paljutkin")
-    V = [W for W in corep_catalog(G) if W.d == 2][0]
-    basis = [V.tensor[i, j] for i in range(2) for j in range(2)]
+    G, basis = kac_paljutkin_span()
     F = build_fock([factor_from_quantum_group(G)] * 3, 3)
     rep = norm_equivalence(F, basis, sample_count=20, seed=5)
     assert rep["ratios_ok"]
@@ -587,6 +583,55 @@ def test_norm_equivalence_certifies_c1(name):
     assert rep["C1"] == upper
     assert rep["bound"] == pytest.approx(6.0, abs=1e-9)
     assert rep["ratios_ok"]
+
+
+def reference_sample_ratios(F, coeff_basis, sample_count, seed):
+    """The per-sample loop of ``norm_equivalence``: each sample's free
+    actions assembled on the whole truncated space, summed, and its norm
+    taken by ``compression_norm``; the rng draws come first from a fresh
+    generator, as in the function."""
+    B = np.stack([np.asarray(b, dtype=complex) for b in coeff_basis], axis=1)
+    N = len(F.factors)
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(sample_count):
+        coeffs = rng.standard_normal((N, B.shape[1])) \
+            + 1j * rng.standard_normal((N, B.shape[1]))
+        total = sum(free_action(F, i, B @ coeffs[i]).matrix for i in range(N))
+        nv = float(np.linalg.norm(total @ F.vacuum()))
+        if nv < 1e-12:
+            continue
+        ratios.append(compression_norm(total, F, seed=seed) / nv)
+    return ratios
+
+
+def kac_paljutkin_span():
+    import qglab
+    from qglab.catalog import corep_catalog
+    G = qglab.builtin_instance("kac_paljutkin")
+    V = [W for W in corep_catalog(G) if W.d == 2][0]
+    return G, [V.tensor[i, j] for i in range(2) for j in range(2)]
+
+
+@pytest.mark.parametrize("case,zone", [("z2", 53), ("z2-depth-1", 1),
+                                       ("kac_paljutkin", 316)])
+def test_batched_norm_equivalence_matches_the_per_sample_loop(case, zone):
+    # both sides of the dense switch: K = 53 takes the batched SVD, K = 316
+    # one Lanczos solve per sample; at depth 1 the zone is the vacuum alone
+    if case == "kac_paljutkin":
+        G, basis = kac_paljutkin_span()
+        F = build_fock([factor_from_quantum_group(G)] * 3, 3)
+        count, seed = 20, 5
+    else:
+        F = build_fock([z2_factor()] * 4, 1 if case == "z2-depth-1" else 4)
+        basis, count, seed = [z2_symmetry()], 100, 4
+    assert F.zone_size() == zone
+    assert (zone <= fock_module.DENSE_ROWS) == (case != "kac_paljutkin")
+    ref = reference_sample_ratios(F, basis, count, seed)
+    got = norm_equivalence(F, basis, sample_count=count, seed=seed)
+    assert got["samples"] == len(ref) == count
+    assert abs(got["max_ratio"] - max(ref)) <= 1e-12 * max(ref)
+    assert got["ratios_ok"] == all(r <= got["bound"] + 1e-6 for r in ref)
 
 
 def test_non_cb_rep_small():
@@ -738,6 +783,71 @@ def test_noncb_zone_operators_are_the_compressions(monkeypatch):
     assert_same_csr(column, masked_compression(full, F, N + 1))
 
 
+@pytest.mark.parametrize("kinds,max_len", [
+    (("z2",) * 16, 4), (("m2",) * 6, 4), (("m2",) * 3, 3), (("z2",) * 3, 1),
+    (("m2", "z2", "z2"), 2),
+])
+def test_zone_actions_are_the_corners_of_the_full_actions(kinds, max_len):
+    make = {"z2": z2_factor, "m2": lambda: matrix_factor(2)}
+    F = build_fock([make[k]() for k in kinds], max_len)
+    K = F.zone_size()
+    rng = np.random.default_rng(max_len)
+    elements = []
+    for i, f in enumerate(F.factors):
+        x = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
+        elements += [(i, x - f.phi(x) * f.unit), (i, x)]
+    got = list(fock_module._zone_actions(F, elements))
+    for m, (i, x) in zip(got, elements):
+        full = free_action(F, i, x).matrix
+        assert m.shape[0] >= K
+        assert_same_csr(m[:K, :K], full[:K, :K])
+        # the vacuum column is whole: its words have length <= 1
+        vacuum_image = full @ F.vacuum()
+        assert not vacuum_image[m.shape[0]:].any()
+        assert np.array_equal(m[:, [0]].toarray()[:, 0],
+                              vacuum_image[:m.shape[0]])
+
+
+def assert_same_bytes(got, want):
+    assert_same_csr(got, want)
+    assert got.data.tobytes() == want.data.tobytes()     # signed zeros too
+
+
+def test_amplified_sum_is_the_chained_csr_sum_byte_for_byte():
+    # entries and coefficients from {+-0, +-1}: the chained sum keeps a lone
+    # term's explicit zeros, adds +0 where a term has no entry and drops each
+    # exact zero it makes, which later terms read as +0
+    F = build_fock([z2_factor()] * 3, 3)
+    K = F.zone_size()
+    parts = np.array([0.0, -0.0, 1.0, -1.0])
+
+    def entry(rng, size):
+        return rng.choice(parts, size) + 1j * rng.choice(parts, size)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        amp = int(rng.integers(1, 4))
+        pairs = []
+        for _ in range(int(rng.integers(1, 6))):
+            cells = np.unique(rng.integers(0, 36, rng.integers(0, 30)))
+            rows, cols = np.divmod(cells, 6)
+            m = sp.csr_matrix((entry(rng, len(cells)), (rows * 3, cols * 3)),
+                              shape=(F.dim, F.dim))
+            pairs.append((m, entry(rng, (amp, amp))))
+        want = full_amplified_sum((m[:K, :K], a) for m, a in pairs)
+        assert_same_bytes(amplified_sum(pairs, F)[0], want)
+    # two positions whose running sum is dropped as an exact zero in
+    # between, then revived with a -0 part
+    cases = [([0j, 0j, complex(1, -0.0)],
+              [complex(-0.0, -1), complex(-0.0, -1), complex(1, -0.0)]),
+             ([complex(-0.0, -0.0), complex(0, -0.0), 1j],
+              [1 + 1j, complex(1, -0.0), complex(-0.0, -1)])]
+    for values, coeffs in cases:
+        pairs = [(sp.csr_matrix(([v], ([0], [0])), shape=(F.dim, F.dim)), a)
+                 for v, a in zip(values, coeffs)]
+        want = full_amplified_sum((m[:K, :K], a) for m, a in pairs)
+        assert_same_bytes(amplified_sum(pairs, F)[0], want)
+
+
 def test_compression_norm_slices_the_zone(monkeypatch):
     F = build_fock([z2_factor()] * 4, 5)
     total = sum(free_action(F, i, z2_symmetry()).matrix for i in range(4))
@@ -847,7 +957,7 @@ def spy_eigsh(monkeypatch, reply=None):
     eigsh = spla.eigsh
 
     def spy(*args, **kw):
-        calls.append(kw)
+        calls.append(dict(kw, A=args[0]))
         return (reply or eigsh)(*args, **kw)
     monkeypatch.setattr(fock_module.spla, "eigsh", spy)
     return calls
@@ -875,6 +985,40 @@ def test_lanczos_stage_reports_its_ritz_vector_not_its_ritz_value(monkeypatch):
     got = fock_module._largest_singular_value(sub)
     assert got < 1.0 + 1e-12
     assert got >= np.linalg.norm(sub[:, [0]].toarray())
+
+
+def test_real_operators_take_the_real_lanczos_solve(monkeypatch):
+    # the Kesten sum of 4 free symmetries compressed to depth 5: 485 rows,
+    # stored complex with every imaginary part 0
+    F = build_fock([z2_factor()] * 4, 6)
+    K = F.zone_size()
+    sub = sum(free_symmetries(F)).tocsr()[:K, :K]
+    assert K > fock_module.DENSE_ROWS and sub.dtype == complex
+    assert not sub.data.imag.any()
+    calls = spy_eigsh(monkeypatch)
+    real = fock_module._largest_singular_value(sub, seed=3)
+    assert calls[-1]["A"].dtype == np.float64
+    start = np.random.default_rng(3).standard_normal(K)
+    assert np.array_equal(calls[-1]["v0"], start / np.linalg.norm(start))
+    # the complex solve of the same operator from the complex start
+    subH = sub.conj().T.tocsr()
+    x = fock_module._top_ritz_vector(lambda y: subH @ (sub @ y), K, 3, 1e-10,
+                                     complex)
+    assert calls[-1]["A"].dtype == complex
+    complex_value = np.linalg.norm(sub @ x) / np.linalg.norm(x)
+    assert abs(real - complex_value) <= 1e-12 * complex_value
+    assert max(real, complex_value) <= 2 * np.sqrt(3) + 1e-12
+    # the Kesten sum behind the ||pi|| bound takes the real solve too
+    pi_norm_search(NonCbRep(build_fock([z2_factor()] * 9, 3)), seed=0)
+    assert calls[-1]["A"].dtype == np.float64
+
+
+def test_complex_operators_keep_the_complex_solve(monkeypatch):
+    # M2 coefficients with nonzero imaginary parts, 242 amplified zone rows
+    F, a_fam, x_fam = m2_family(4, 3, seed=4)
+    calls = spy_eigsh(monkeypatch)
+    khintchine_check(a_fam, x_fam, F, seed=1)
+    assert [c["A"].dtype for c in calls] == [complex]
 
 
 def test_solver_is_deterministic_for_a_seed():
