@@ -15,7 +15,8 @@ class OperatorStack:
     entry are left out.  One matvec gives every A_k xi and one adjoint matvec
     sums the A_k* eta_k; ``by_owner`` and ``by_word`` sum the stacked rows per
     operator and per row.  The operators (dense or sparse) are read one at a
-    time, so a generator of large ones is never held whole.
+    time, so a generator of large ones is never held whole.  The stack only
+    applies the operators; it gives back no operator or corner of one.
     """
 
     def __init__(self, operators, dim):
@@ -42,21 +43,6 @@ class OperatorStack:
     def values(self, xi, eta) -> np.ndarray:
         """(A_k xi | eta) for every k."""
         return self.by_owner @ ((self.stack @ xi) * np.conj(eta)[self.word])
-
-    def corners(self, K) -> list:
-        """A_k[:K, :K] for every k, rebuilt from the stacked rows as the same
-        CSR arrays that slicing A_k gives."""
-        live = np.flatnonzero(self.word < K)
-        top, owner, word = self.stack[live][:, :K], self.owner[live], self.word[live]
-        out = []
-        for k in range(self.by_owner.shape[0]):
-            rows = np.flatnonzero(owner == k)
-            part = top[rows]
-            # row w of the corner starts after the stacked rows of words < w
-            indptr = part.indptr[np.searchsorted(word[rows], np.arange(K + 1))]
-            out.append(sp.csr_matrix((part.data, part.indices, indptr),
-                                     shape=(K, K)))
-        return out
 
 
 def rank_one_ascent(family: OperatorStack, theta, support, seed=0) -> float:

@@ -242,7 +242,7 @@ def kac_paljutkin() -> FiniteQuantumGroup:
     labels = ["d%d%d" % p for p in pairs] + ["u%d%d" % p for p in pairs]
     G = FiniteQuantumGroup("kac_paljutkin", mult, unit, cop, counit,
                            antipode, star, haar, basis_labels=labels)
-    rep = validate(G, tol=1e-10)
+    rep = validate(G)
     if not rep.passed:
         raise StructuralError("kac_paljutkin construction failed validation:\n%s" % rep)
     if G.is_commutative() or G.is_cocommutative():

@@ -2,11 +2,14 @@
 
 The regular corepresentation W lives in A (x) A-hat; pushing its dual leg
 through the Wedderburn decomposition of the dual algebra splits it into one
-unitary corepresentation per dual block.  Direct sums of these (the trivial
-block is always present) realize every requested dimension.
+unitary corepresentation per dual block.  The counit block of the dual gives
+the trivial corepresentation, which the catalog checks it holds, so direct
+sums of its entries realize every dimension.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -27,11 +30,8 @@ def _corep_catalog(G):
     n = G.dim
     blocks_of_basis = [bd.forward(dual.group.basis_element(mu)) for mu in range(n)]
     cat = []
-    for k, dk in enumerate(bd.sizes):
-        t = np.zeros((dk, dk, n), dtype=complex)
-        for mu in range(n):
-            t[:, :, mu] = blocks_of_basis[mu][k]
-        V = Corepresentation(G, t)
+    for k in range(len(bd.sizes)):
+        V = Corepresentation(G, np.stack([b[k] for b in blocks_of_basis], axis=2))
         chk = is_corep(V, tol=1e-8)
         if not chk:
             raise StructuralError(
@@ -43,6 +43,10 @@ def _corep_catalog(G):
             raise StructuralError(
                 "dual block %d is not unitary (residual %.3e)" % (k, ures))
         cat.append(V)
+    if not any(V.d == 1 for V in cat):
+        raise StructuralError(
+            "the corep catalog of %s holds no 1-dimensional entry, so sums of "
+            "its entries do not reach every dimension" % G.name)
     cat.sort(key=lambda V: (V.d, _sort_key(V)))
     return cat
 
@@ -52,39 +56,19 @@ def _sort_key(V):
         tuple(np.round(V.tensor.reshape(-1).imag, 9))
 
 
-def available_dimensions(G: FiniteQuantumGroup, dmax: int = 16):
-    dims = sorted({V.d for V in corep_catalog(G)})
-    reach = set(dims)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(reach):
-            for b in dims:
-                if a + b <= dmax and a + b not in reach:
-                    reach.add(a + b)
-                    changed = True
-    return sorted(reach)
-
-
 def unitary_corepresentation(G: FiniteQuantumGroup, d: int,
                              seed: int = 0) -> Corepresentation:
     """A unitary corepresentation of dimension d: a seeded direct sum of
-    catalog entries, preferring the largest nontrivial summands that fit."""
+    catalog entries, preferring the largest nontrivial summands that fit
+    (the trivial entry always fits)."""
     cat = corep_catalog(G)
     rng = np.random.default_rng(seed)
     parts = []
     remaining = d
     while remaining > 0:
         fitting = [V for V in cat if V.d <= remaining]
-        if not fitting:
-            raise StructuralError(
-                "no unitary corepresentation of dimension %d over %s"
-                % (d, G.name))
         weights = np.array([V.d for V in fitting], dtype=float)
         pick = fitting[rng.choice(len(fitting), p=weights / weights.sum())]
         parts.append(pick)
         remaining -= pick.d
-    out = parts[0]
-    for V in parts[1:]:
-        out = corep_direct_sum(out, V)
-    return out
+    return reduce(corep_direct_sum, parts)

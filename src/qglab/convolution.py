@@ -16,26 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OwnerMismatchError, StructuralError
-from .qgroup import AlgebraElement, FiniteQuantumGroup
+from .errors import OwnerMismatchError
+from .qgroup import AlgebraElement, CoefficientVector, FiniteQuantumGroup
 
 
-class Functional:
-    """Element of the convolution algebra, stored as values on the owner basis."""
+class Functional(CoefficientVector):
+    """Element of the convolution algebra, stored as values on the owner
+    basis; the product of two functionals is ``convolve``."""
 
-    __slots__ = ("owner", "coeffs")
-
-    def __init__(self, owner, coeffs):
-        self.owner = owner
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (owner.dim,):
-            raise StructuralError("functional vector has shape %s, expected (%d,)"
-                                  % (c.shape, owner.dim))
-        self.coeffs = c
-
-    def _check_owner(self, other):
-        if self.owner is not other.owner:
-            raise OwnerMismatchError("functionals belong to different instances")
+    __slots__ = ()
 
     def __call__(self, x) -> complex:
         if isinstance(x, AlgebraElement):
@@ -44,27 +33,10 @@ class Functional:
             return complex(np.dot(self.coeffs, x.coeffs))
         return complex(np.dot(self.coeffs, np.asarray(x, dtype=complex)))
 
-    def __add__(self, other):
-        self._check_owner(other)
-        return Functional(self.owner, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_owner(other)
-        return Functional(self.owner, self.coeffs - other.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, Functional):
             return convolve(self, other)
-        return Functional(self.owner, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar):
-        return Functional(self.owner, self.coeffs * complex(scalar))
-
-    def __neg__(self):
-        return Functional(self.owner, -self.coeffs)
-
-    def __repr__(self):
-        return "Functional(%r, %s)" % (self.owner.name, self.coeffs)
+        return super().__mul__(other)
 
 
 def basis_functional(G: FiniteQuantumGroup, i: int) -> Functional:

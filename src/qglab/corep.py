@@ -60,28 +60,38 @@ def trivial_corep(G: FiniteQuantumGroup, d: int = 1) -> Corepresentation:
 
 
 class CorepCheck:
-    def __init__(self, is_corep, violation, anti_violation):
+    """The residuals of the corepresentation identity, both read off one
+    difference Delta(v_ij) - sum_k v_ik (x) v_kj over the basis pairs (a, b)
+    of A (x) A: ``violation`` is its largest entry, ``pair_defect`` the
+    largest Frobenius norm over i, j of a pair's slice, which is
+    ||pi(e_a e_b) - pi(e_a) pi(e_b)||_F for the basis functionals e_a, e_b,
+    and ``anti_violation`` the largest entry of the anti variant."""
+
+    def __init__(self, is_corep, violation, anti_violation, pair_defect):
         self.is_corep = bool(is_corep)
         self.violation = float(violation)
         self.anti_violation = float(anti_violation)
+        self.pair_defect = float(pair_defect)
 
     def __bool__(self):
         return self.is_corep
 
     def __repr__(self):
-        return ("CorepCheck(is_corep=%s, violation=%.3e, anti=%.3e)"
-                % (self.is_corep, self.violation, self.anti_violation))
+        return ("CorepCheck(is_corep=%s, violation=%.3e, anti=%.3e, pair=%.3e)"
+                % (self.is_corep, self.violation, self.anti_violation,
+                   self.pair_defect))
 
 
 def is_corep(V: Corepresentation, tol: float = 1e-9) -> CorepCheck:
     """Delta(v_ij) = sum_k v_ik (x) v_kj, and the anti variant, entrywise."""
     G, t = V.owner, V.tensor
     lhs = np.einsum("ijm,mab->ijab", t, G.coproduct)
-    rhs = np.einsum("ika,kjb->ijab", t, t)
+    diff = lhs - np.einsum("ika,kjb->ijab", t, t)
     anti = np.einsum("kja,ikb->ijab", t, t)
-    v = float(np.max(np.abs(lhs - rhs)))
+    v = float(np.max(np.abs(diff)))
     av = float(np.max(np.abs(lhs - anti)))
-    return CorepCheck(v <= tol, v, av)
+    pair = float(np.max(np.linalg.norm(diff, axis=(0, 1))))
+    return CorepCheck(v <= tol, v, av, pair)
 
 
 def pi_of(V: Corepresentation, w: Functional) -> np.ndarray:

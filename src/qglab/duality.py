@@ -25,8 +25,6 @@ from .qgroup import (
     AlgebraElement,
     FiniteQuantumGroup,
     SpanningFamily,
-    adjoint,
-    multiply,
     operator_norm,
     validate,
 )
@@ -319,27 +317,17 @@ def _biduality(G):
         X, 1e-7, "double dual is not in the image of the left regular representation")
     viol = max(viol, resid)
     Gdd = d2.group
-
-    def push(coeffs):
-        return AlgebraElement(G, coeffs @ phi)
-
-    viol = max(viol, float(np.max(np.abs(push(Gdd.unit).coeffs - G.unit))))
-    for i in range(n):
-        xi = Gdd.basis_element(i)
-        viol = max(viol, float(np.max(np.abs(
-            push(Gdd.star_coeffs(xi.coeffs)).coeffs
-            - adjoint(push(xi.coeffs)).coeffs))))
-        viol = max(viol, abs(np.dot(phi[i], G.counit) - Gdd.counit[i]))
-        viol = max(viol, abs(np.dot(phi[i], G.haar) - Gdd.haar[i]))
-        for j in range(n):
-            xj = Gdd.basis_element(j)
-            lhs = push(Gdd.mult_coeffs(xi.coeffs, xj.coeffs)).coeffs
-            rhs = multiply(push(xi.coeffs), push(xj.coeffs)).coeffs
-            viol = max(viol, float(np.max(np.abs(lhs - rhs))))
-        dd = Gdd.coproduct_coeffs(xi.coeffs)
-        lhs2 = np.einsum("ab,ap,bq->pq", dd, phi, phi)
-        rhs2 = G.coproduct_coeffs(push(xi.coeffs).coeffs)
-        viol = max(viol, float(np.max(np.abs(lhs2 - rhs2))))
+    # row i of phi holds the G coefficients of the image of basis element i
+    # of the double dual; each structure map must commute with phi
+    for lhs, rhs in (
+            (Gdd.unit @ phi, G.unit),
+            (Gdd.star @ phi, np.conj(phi) @ G.star),
+            (phi @ G.counit, Gdd.counit),
+            (phi @ G.haar, Gdd.haar),
+            (Gdd.mult @ phi, np.einsum("abk,ia,jb->ijk", G.mult, phi, phi)),
+            (np.einsum("iab,ap,bq->ipq", Gdd.coproduct, phi, phi),
+             np.einsum("im,mpq->ipq", phi, G.coproduct))):
+        viol = max(viol, float(np.max(np.abs(lhs - rhs))))
     return {"isomorphism": phi, "max_violation": viol}
 
 

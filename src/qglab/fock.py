@@ -8,10 +8,11 @@ of its first letter and the index of the word without that letter, laid out
 layer by layer so that the words starting with one factor are contiguous.
 The per-factor index maps that assemble each free action are slices and
 reshapes of these arrays.  The free symmetries of the non-cb representation
-are held once, in an ``ascent.OperatorStack`` built one free action at a
-time: its zone rows give the generator and the creation column, and its row
-sums apply the Kesten sum sum_i u_i, whose top eigenvector gives the
-symmetric vector functional behind the certified lower bound on ||pi||.
+are held on the whole space, in an ``ascent.OperatorStack`` built one free
+action at a time, whose row sums apply the Kesten sum sum_i u_i: its top
+eigenvector gives the symmetric vector functional behind the certified lower
+bound on ||pi||.  Their exact-zone corners, from ``_zone_actions``, give the
+generator and the creation column.
 ``ascent.rank_one_ascent`` searches a coefficient span for the lower end of
 the C1 bracket.
 
@@ -28,13 +29,14 @@ is the one amplification path: it slices each single action to the exact
 zone and places every amplified term once into their union pattern, so the
 Khintchine probe, the non-cb generator and its creation column never form
 an amplified operator on the top layer, which they do not read (at N=16,
-L=4 that layer holds 54,000 of the 57,857 words).  The Khintchine probe and
-``norm_equivalence`` do not assemble that layer at all: they build their
-actions on the depth-(max_len - 1) space, whose words are the zone's.  The
-non-cb representation keeps its whole-space actions, because the Kesten sum
-behind the ||pi|| bound acts on the whole space.  All of these are the same
-CSR matrices as the compressions of the full operators, so every norm is
-unchanged bit for bit.
+L=4 that layer holds 54,000 of the 57,857 words).  ``_zone_actions`` is the
+one source of zone operators: it builds actions on the depth-(max_len - 1)
+space, whose words are the zone's, so the Khintchine probe,
+``norm_equivalence`` and the non-cb generator and column never assemble that
+layer.  The non-cb representation keeps whole-space actions as well, because
+the Kesten sum behind the ||pi|| bound acts on the whole space.  All of these
+are the same CSR matrices as the compressions of the full operators, so
+every norm is unchanged bit for bit.
 
 Arithmetic: every operator is stored complex, but a Lanczos solve runs on
 the real matrix when every stored imaginary part is exactly 0, as for the
@@ -589,10 +591,11 @@ class NonCbRep:
     operator because N is finite; its norm grows like sqrt(N) while the
     representation norm stays below the constant 6 = ||theta|| * 3 coming
     from the Khintchine bound with both coefficient constants equal to one.
-    The symmetries are held once, in the ``OperatorStack`` ``family`` built
-    one free action at a time; ``theta`` stacks the e_ii + e_i0.
-    ``generator()`` is V compressed to the exact zone, amplified from the
-    stack's zone rows; the cb norms read it.  ``pi_norm_search`` bounds
+    The symmetries on the whole space are held in the ``OperatorStack``
+    ``family``, built one free action at a time, and their exact-zone
+    corners in ``zone``, from ``_zone_actions``; ``theta`` stacks the
+    e_ii + e_i0.  ``generator()`` is V compressed to the exact zone,
+    amplified from ``zone``; the cb norms read it.  ``pi_norm_search`` bounds
     ||pi|| from below at one symmetric functional: the vector state of the
     top eigenvector of sum_i u_i, which takes the same value on every u_i.
     """
@@ -608,14 +611,14 @@ class NonCbRep:
                 raise StructuralError("symmetry must be centred")
         self.family = OperatorStack(
             (free_action(F, i, u).matrix for i in range(self.N)), F.dim)
+        self.zone = list(_zone_actions(F, [(i, u) for i in range(self.N)]))
         i = np.arange(self.N)
         self.theta = np.zeros((self.N, self.N + 1, self.N + 1), dtype=complex)
         self.theta[i, i + 1, i + 1] = self.theta[i, i + 1, 0] = 1.0
 
     def generator(self) -> sp.csr_matrix:
         """V compressed to the exact zone, on C^K (x) C^(N+1)."""
-        zone = self.family.corners(self.space.zone_size())
-        return amplified_sum(zip(zone, self.theta), self.space)[0]
+        return amplified_sum(zip(self.zone, self.theta), self.space)[0]
 
     def theta0(self, a) -> np.ndarray:
         return np.tensordot(np.asarray(a, dtype=complex), self.theta, 1)
@@ -662,8 +665,7 @@ def column_norm(rep: NonCbRep, seed=0) -> float:
     """Certified norm of the creation column sum_i u_i (x) e_{i0}; exactly sqrt(N)."""
     units = rep.theta.copy()
     units[:, 1:, 1:] = 0.0              # e_ii + e_i0 -> e_i0
-    zone = rep.family.corners(rep.space.zone_size())
-    col, _ = amplified_sum(zip(zone, units), rep.space)
+    col, _ = amplified_sum(zip(rep.zone, units), rep.space)
     return _largest_singular_value(col, seed=seed)
 
 

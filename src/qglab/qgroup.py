@@ -162,8 +162,10 @@ class FiniteQuantumGroup(StarAlgebra):
         return self.cached("block_decomposition", _block_decompose, tol, seed)
 
 
-class AlgebraElement:
-    """An element of the algebra, stored as a coefficient vector over the owner basis."""
+class CoefficientVector:
+    """A coefficient vector over the owner basis with its linear structure:
+    the base of algebra elements and of the functionals of ``convolution``.
+    Sums and differences need one owner; a subclass adds its own product."""
 
     __slots__ = ("owner", "coeffs")
 
@@ -177,29 +179,39 @@ class AlgebraElement:
 
     def _check_owner(self, other):
         if self.owner is not other.owner:
-            raise OwnerMismatchError("elements belong to different instances")
+            raise OwnerMismatchError("%s operands belong to different instances"
+                                     % type(self).__name__)
 
     def __add__(self, other):
         self._check_owner(other)
-        return AlgebraElement(self.owner, self.coeffs + other.coeffs)
+        return type(self)(self.owner, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check_owner(other)
-        return AlgebraElement(self.owner, self.coeffs - other.coeffs)
+        return type(self)(self.owner, self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar):
+        return type(self)(self.owner, self.coeffs * complex(scalar))
+
+    def __rmul__(self, scalar):
+        return type(self)(self.owner, self.coeffs * complex(scalar))
+
+    def __neg__(self):
+        return type(self)(self.owner, -self.coeffs)
+
+    def __repr__(self):
+        return "%s(%r, %s)" % (type(self).__name__, self.owner.name, self.coeffs)
+
+
+class AlgebraElement(CoefficientVector):
+    """An element of the algebra; the product of two elements is ``multiply``."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
-        return AlgebraElement(self.owner, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.owner, self.coeffs * complex(scalar))
-
-    def __neg__(self):
-        return AlgebraElement(self.owner, -self.coeffs)
-
-    def __repr__(self):
-        return "AlgebraElement(%r, %s)" % (self.owner.name, self.coeffs)
+        return super().__mul__(other)
 
     def norm(self):
         return operator_norm(self)

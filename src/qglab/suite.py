@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import builders
-from .catalog import available_dimensions
 from .convolution import Functional, convolve, sharp, star_l1
 from .corep import (
     Corepresentation,
@@ -40,6 +39,7 @@ from .corep import (
     zero_corep,
 )
 from .duality import (
+    DUAL_TOL,
     biduality,
     build_dual,
     build_w,
@@ -62,7 +62,7 @@ from .fock import (
     z2_factor,
     z2_symmetry,
 )
-from .qgroup import validate
+from .qgroup import STRUCT_TOL, validate
 from .serialize import load_instance
 
 SUITE_NAMES = ("validate", "duality", "corep", "multiplier", "unitarize",
@@ -70,10 +70,10 @@ SUITE_NAMES = ("validate", "duality", "corep", "multiplier", "unitarize",
 
 # The tolerances that ``--tol NAME=VALUE`` may override, with their defaults.
 TOLERANCES = {
-    "validate": 1e-10,
+    "validate": STRUCT_TOL,
     "pentagon": 1e-9,
     "lambda_sharp": 1e-10,
-    "dual": 1e-9,
+    "dual": DUAL_TOL,
     "biduality": 1e-8,
     "corep": 1e-8,
     "generators": 1e-10,
@@ -270,24 +270,13 @@ def _spectral_norms(*mats):
 
 def _random_coreps(cfg, G, rng, salt):
     """Yield (trial, d, V, T, V0) for cfg.trials random invertible coreps of G.
-    All dims (<= 4) are drawn from rng first; trial t has seed cfg.seed*salt+t."""
-    dims = available_dimensions(G, dmax=4)
-    picks = [int(dims[rng.integers(0, len(dims))]) for _ in range(cfg.trials)]
+    All dims, 1 to 4, are drawn from rng first (the corep catalog holds the
+    trivial corep, so sums of its entries reach every d); trial t has seed
+    cfg.seed*salt+t."""
+    picks = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
     for trial, d in enumerate(picks):
         V, T, V0 = random_invertible_corep(G, d, seed=cfg.seed * salt + trial)
         yield trial, d, V, T, V0
-
-
-def _basis_pair_defect(V):
-    """max over basis pairs (i, j) of ||pi(e_i e_j) - pi(e_i) pi(e_j)||_F.
-
-    e_i e_j has the coefficients coproduct[:, i, j], so both sides for all
-    pairs are one contraction each, as in ``is_corep``.
-    """
-    t = V.tensor
-    lhs = np.einsum("abm,mij->ijab", t, V.owner.coproduct)
-    rhs = np.einsum("aci,cbj->ijab", t, t)
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=(2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +330,8 @@ def run_corep(cfg, report):
                         _digest(label, cfg.seed, cfg.trials))
         rng = np.random.default_rng(cfg.seed)
         for trial, d, V, _, V0 in _random_coreps(cfg, G, rng, 1000):
-            rec.note("multiplicativity", is_corep(V).violation,
-                     _basis_pair_defect(V))
+            chk = is_corep(V)
+            rec.note("multiplicativity", chk.violation, chk.pair_defect)
             # generator identities: V_tilde = V*, V_star = V_check*
             Vt = generator_of("tilde", V)
             w = _random_functional(G, rng)
@@ -383,9 +372,9 @@ def run_corep(cfg, report):
             if trial % 7 == 0:
                 bad = Corepresentation(
                     G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
-                if not is_corep(bad).is_corep:
-                    rec.note("dichotomy",
-                             0.0 if _basis_pair_defect(bad) > 1e-6 else 1.0)
+                chk = is_corep(bad)
+                if not chk.is_corep:
+                    rec.note("dichotomy", 0.0 if chk.pair_defect > 1e-6 else 1.0)
         rec.check("multiplicativity", "pi(w1 w2) = pi(w1) pi(w2) iff corep identity",
                   1e-9)
         rec.check("dichotomy", "broken corep identity breaks multiplicativity",
@@ -463,8 +452,7 @@ def run_khintchine(cfg, report):
     rec = _Recorder(report, "khintchine", _digest(cfg.seed))
     rng = np.random.default_rng(cfg.seed + 3)
     u = z2_symmetry()
-    F0 = build_fock([z2_factor() for _ in range(3)], min(cfg.length, 4),
-                    dim_cap=cfg.dim_cap)
+    F0 = build_fock([z2_factor()] * 3, min(cfg.length, 4), dim_cap=cfg.dim_cap)
     ops = [free_action(F0, i, u) for i in range(3)]
     for pattern in [(0, 1), (0, 1, 0), (1, 0, 2, 0), (0, 2, 1, 2)]:
         if len(pattern) > F0.max_len:
@@ -474,7 +462,7 @@ def run_khintchine(cfg, report):
               cfg.tolerance("freeness"))
     # column norms over the exact zone
     for N in (4, 9, 16):
-        F = build_fock([z2_factor() for _ in range(N)], 2, dim_cap=cfg.dim_cap)
+        F = build_fock([z2_factor()] * N, 2, dim_cap=cfg.dim_cap)
         col = column_norm(NonCbRep(F), seed=cfg.seed)
         rec.note("column-norm", abs(col - np.sqrt(N)))
     rec.check("column-norm", "|| sum_i u_i (x) e_i0 || = sqrt(N)",
@@ -482,12 +470,11 @@ def run_khintchine(cfg, report):
     # certified Khintchine direction over the configured grid
     checks = []
     for N in sorted({2, 4, max(2, min(cfg.copies, 16))}):
-        F = build_fock([z2_factor() for _ in range(N)],
-                       min(cfg.length, 4), dim_cap=cfg.dim_cap)
+        F = build_fock([z2_factor()] * N, min(cfg.length, 4), dim_cap=cfg.dim_cap)
         checks.append(khintchine_check([1.0] * N, [(i, u) for i in range(N)], F,
                                        seed=cfg.seed))
     for N in (2, 4, 6):
-        F = build_fock([matrix_factor(2) for _ in range(N)],
+        F = build_fock([matrix_factor(2)] * N,
                        3 if N < 6 else min(cfg.length, 4), dim_cap=cfg.dim_cap)
         a_fam, x_fam = [], []
         for i in range(N):
@@ -503,8 +490,7 @@ def run_khintchine(cfg, report):
               digest=_digest(cfg.seed, cfg.copies, cfg.length))
     # monotonicity of the compressed norm in the domain length
     N = 4
-    F = build_fock([z2_factor() for _ in range(N)], min(cfg.length + 2, 6),
-                   dim_cap=cfg.dim_cap)
+    F = build_fock([z2_factor()] * N, min(cfg.length + 2, 6), dim_cap=cfg.dim_cap)
     total = sum(free_action(F, i, u).matrix for i in range(N))
     vals = [compression_norm(total, F, domain_len=L, seed=cfg.seed)
             for L in range(F.max_len)]
@@ -515,8 +501,7 @@ def run_khintchine(cfg, report):
     rec.check("envelope", "compressed norms stay under 2 sqrt(N-1)",
               1e-8, envelope)
     # norm equivalence on the one-dimensional coefficient span
-    F = build_fock([z2_factor() for _ in range(4)], min(cfg.length, 4),
-                   dim_cap=cfg.dim_cap)
+    F = build_fock([z2_factor()] * 4, min(cfg.length, 4), dim_cap=cfg.dim_cap)
     ne = norm_equivalence(F, [u], sample_count=min(100, 4 * cfg.trials),
                           seed=cfg.seed)
     rec.check("norm-equivalence", "||x|| <= 3 max{C1, C2} ||x Omega|| on the span",
@@ -554,8 +539,7 @@ def run_noncb(cfg, report):
     rec = _Recorder(report, "noncb", "")     # each record gives its digest
     results = {}
     for N in sorted({4, cfg.copies}):
-        F = build_fock([z2_factor() for _ in range(N)],
-                       min(cfg.length, 4), dim_cap=cfg.dim_cap)
+        F = build_fock([z2_factor()] * N, min(cfg.length, 4), dim_cap=cfg.dim_cap)
         probe = cb_vs_bounded_probe(F, seed=cfg.seed)
         results[N] = probe
         rec.lower("cb-lower-%d" % N, "certified ||V|| >= sqrt(N) - 1",

@@ -1,12 +1,12 @@
 """The batched corpus trial kernels against their per-basis-element loop forms:
-the pair defect of ``suite``, ``multiplier_from_coefficient`` and
+the pair defect of ``corep.is_corep``, ``multiplier_from_coefficient`` and
 ``vector_functional``; call-count guards that keep the kernels batched; and
 the gates of the corep suite that must not pass vacuously."""
 
 import numpy as np
 import pytest
 
-from qglab import suite
+from qglab import convolution, suite
 from qglab.builders import BUILTIN_NAMES, builtin_instance
 from qglab.convolution import Functional, basis_functional, convolve
 from qglab.corep import (
@@ -15,6 +15,7 @@ from qglab.corep import (
     cb_norm,
     coefficient,
     generator_of,
+    is_corep,
     pi_of,
     random_invertible_corep,
 )
@@ -123,8 +124,8 @@ def test_batched_pair_defect_matches_the_loop(name):
         bad = Corepresentation(
             G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
         for W in (V, bad):
-            assert close(suite._basis_pair_defect(W), loop_basis_pair_defect(W))
-        assert suite._basis_pair_defect(bad) > 1e-6
+            assert close(is_corep(W).pair_defect, loop_basis_pair_defect(W))
+        assert is_corep(bad).pair_defect > 1e-6
 
 
 def test_vector_functional_matches_the_loop():
@@ -182,8 +183,8 @@ def test_pair_defect_makes_no_convolutions(monkeypatch):
         calls.append(a)
         return convolve(*a)
 
-    monkeypatch.setattr(suite, "convolve", counting_convolve)
-    assert suite._basis_pair_defect(V) < 1e-9
+    monkeypatch.setattr(convolution, "convolve", counting_convolve)
+    assert is_corep(V).pair_defect < 1e-9
     assert calls == []
 
 
@@ -207,7 +208,7 @@ def test_isometry_gate_uses_the_configured_tolerance():
 
 
 def test_dichotomy_that_sees_no_broken_tensor_fails(monkeypatch):
-    monkeypatch.setattr(suite, "is_corep", lambda V: CorepCheck(True, 0.0, 0.0))
+    monkeypatch.setattr(suite, "is_corep", lambda V: CorepCheck(True, 0.0, 0.0, 0.0))
     recs = _corep_records(_corep_cfg())
     assert recs["corep/c_z2/multiplicativity"].passed
     assert not recs["corep/c_z2/dichotomy"].passed

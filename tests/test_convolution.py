@@ -174,3 +174,11 @@ def test_owner_mismatch():
     G1, G2 = builtin_instance("c_z2"), builtin_instance("c_z2")
     with pytest.raises(OwnerMismatchError):
         convolve(basis_functional(G1, 0), basis_functional(G2, 0))
+    # the shared coefficient arithmetic keeps both kinds apart
+    for a, b in ((basis_functional(G1, 0), basis_functional(G2, 0)),
+                 (G1.basis_element(0), G2.basis_element(0))):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(OwnerMismatchError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        basis_functional(G1, 0) * G1.basis_element(0)

@@ -1,11 +1,14 @@
 """Corepresentation calculus: the defining identity, variants, coefficients,
 inversion, unitarization, degenerate essentials, and norms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from qglab import catalog
 from qglab.builders import BUILTIN_NAMES, builtin_instance
-from qglab.catalog import available_dimensions, corep_catalog, unitary_corepresentation
+from qglab.catalog import corep_catalog, unitary_corepresentation
 from qglab.convolution import (
     Functional,
     basis_functional,
@@ -36,7 +39,7 @@ from qglab.corep import (
     unitarize,
     zero_corep,
 )
-from qglab.errors import NotInvertibleError
+from qglab.errors import NotInvertibleError, StructuralError
 from qglab.qgroup import adjoint
 
 
@@ -330,9 +333,7 @@ def test_gns_matrix_blocks_are_the_left_regular_images(name):
     # coefficient of e_k in a e_j, read off mult
     G = builtin_instance(name)
     gd = G.gns()
-    dims = [d for d in available_dimensions(G) if d <= 4]
-    assert dims
-    for d in dims:
+    for d in (1, 2, 3, 4):
         V, _, _ = random_invertible_corep(G, d, seed=40 + d)
         g = V.gns_matrix()
         n = G.dim
@@ -345,11 +346,26 @@ def test_gns_matrix_blocks_are_the_left_regular_images(name):
 
 
 def test_available_dimensions():
+    # the catalog holds the trivial corep, so every d is a sum of its entries
     G = builtin_instance("c_z2")
-    dims = available_dimensions(G, dmax=4)
-    assert dims == [1, 2, 3, 4]
-    V = unitary_corepresentation(G, 3, seed=12)
-    assert V.d == 3 and is_corep(V).is_corep
+    assert any(V.d == 1 for V in corep_catalog(G))
+    for d in (1, 2, 3, 4):
+        V = unitary_corepresentation(G, d, seed=12)
+        assert V.d == d and is_corep(V).is_corep
+
+
+def test_catalog_without_a_one_dimensional_entry_is_refused(monkeypatch):
+    real = catalog.block_decompose
+
+    def drop_1d_blocks(A):
+        bd = real(A)
+        keep = [k for k, s in enumerate(bd.sizes) if s > 1]
+        return SimpleNamespace(sizes=[bd.sizes[k] for k in keep],
+                               forward=lambda x: [bd.forward(x)[k] for k in keep])
+
+    monkeypatch.setattr(catalog, "block_decompose", drop_1d_blocks)
+    with pytest.raises(StructuralError, match="1-dimensional"):
+        corep_catalog(builtin_instance("kac_paljutkin"))
 
 
 def test_trivial_corep():
