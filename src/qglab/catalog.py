@@ -4,16 +4,15 @@ The regular corepresentation W lives in A (x) A-hat; pushing its dual leg
 through the Wedderburn decomposition of the dual algebra splits it into one
 unitary corepresentation per dual block.  The counit block of the dual gives
 the trivial corepresentation, which the catalog checks it holds, so direct
-sums of its entries realize every dimension.
+sums of its entries realize every dimension; ``unitary_corepresentation``
+draws such sums, one per seed, into one stacked block-diagonal tensor.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
-from .corep import Corepresentation, corep_direct_sum, is_corep
+from .corep import Corepresentation, is_corep
 from .duality import build_dual
 from .errors import StructuralError
 from .qgroup import FiniteQuantumGroup, block_decompose
@@ -57,18 +56,36 @@ def _sort_key(V):
 
 
 def unitary_corepresentation(G: FiniteQuantumGroup, d: int,
-                             seed: int = 0) -> Corepresentation:
+                             seed=0) -> Corepresentation:
     """A unitary corepresentation of dimension d: a seeded direct sum of
     catalog entries, preferring the largest nontrivial summands that fit
-    (the trivial entry always fits)."""
+    (the trivial entry always fits).
+
+    ``seed`` is one seed or an array of them; each seed picks its summands
+    with its own generator, and the sums are stacked along the seed axes,
+    tensor (..., d, d, n).
+    """
+    if d < 1:
+        raise StructuralError("a corepresentation has dimension >= 1, got %r" % d)
     cat = corep_catalog(G)
-    rng = np.random.default_rng(seed)
-    parts = []
-    remaining = d
-    while remaining > 0:
+    # The entries that fit in each remaining dimension, picked with
+    # probability proportional to their dimension: the first entry whose
+    # cumulative probability exceeds one uniform draw, which is the pick of
+    # rng.choice(len(fitting), p=probabilities) without its per-call checks.
+    fits = {}
+    for remaining in range(1, d + 1):
         fitting = [V for V in cat if V.d <= remaining]
         weights = np.array([V.d for V in fitting], dtype=float)
-        pick = fitting[rng.choice(len(fitting), p=weights / weights.sum())]
-        parts.append(pick)
-        remaining -= pick.d
-    return reduce(corep_direct_sum, parts)
+        cdf = (weights / weights.sum()).cumsum()
+        fits[remaining] = fitting, cdf / cdf[-1]
+    seeds = np.asarray(seed)
+    t = np.zeros(seeds.shape + (d, d, G.dim), dtype=complex)
+    for at, s in np.ndenumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        start = 0
+        while start < d:
+            fitting, cdf = fits[d - start]
+            pick = fitting[int(cdf.searchsorted(rng.random(), side="right"))]
+            t[at][start:start + pick.d, start:start + pick.d] = pick.tensor
+            start += pick.d
+    return Corepresentation(G, t)

@@ -7,6 +7,8 @@ to the coproduct, the unit is the counit, and two involutions matter:
     omega#      <x, omega#>  = conj <S(x)*, omega>     (the *-algebra involution)
 
 The antipode is everywhere defined here, so the sharp involution is total.
+Products, involutions and the module action take stacks of functionals,
+coefficients (..., n), slice by slice.
 The dual norm is computed exactly through the Wedderburn blocks: pushing
 omega to trace-pairing matrices W_k per block, the norm is the sum of the
 per-block trace norms.
@@ -57,19 +59,20 @@ def convolve(w1: Functional, w2: Functional) -> Functional:
     """(w1 w2)(x) = (w1 (x) w2)(Delta x)."""
     w1._check_owner(w2)
     G = w1.owner
-    return Functional(G, np.einsum("ijk,j,k->i", G.coproduct, w1.coeffs, w2.coeffs))
+    return Functional(G, np.einsum("ijk,...j,...k->...i", G.coproduct,
+                                   w1.coeffs, w2.coeffs))
 
 
 def star_l1(w: Functional) -> Functional:
     """omega* with <x, omega*> = conj <x*, omega>."""
     G = w.owner
-    return Functional(G, np.conj(G.star @ w.coeffs))
+    return Functional(G, np.conj(w.coeffs @ G.star.T))
 
 
 def sharp(w: Functional) -> Functional:
     """omega# with <x, omega#> = conj <S(x)*, omega>."""
     G = w.owner
-    return Functional(G, G.antipode @ np.conj(G.star @ w.coeffs))
+    return Functional(G, np.conj(w.coeffs @ G.star.T) @ G.antipode.T)
 
 
 def module_action(x: AlgebraElement, w: Functional) -> Functional:
@@ -78,7 +81,8 @@ def module_action(x: AlgebraElement, w: Functional) -> Functional:
         raise OwnerMismatchError("module action across instances")
     G = x.owner
     # (x w)_i = w(e_i x) = sum_{j,k} M[i,j,k] x_j w_k
-    return Functional(G, np.einsum("ijk,j,k->i", G.mult, x.coeffs, w.coeffs))
+    return Functional(G, np.einsum("ijk,...j,...k->...i", G.mult, x.coeffs,
+                                   w.coeffs))
 
 
 def l1_norm(w: Functional) -> float:

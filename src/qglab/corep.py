@@ -1,8 +1,12 @@
 """Corepresentations V in A (x) M_d and the attached representation calculus.
 
 V is stored as a (d, d, n) coefficient tensor: entry (i, j) is the algebra
-element v_ij.  The slices pi(omega)_ij = omega(v_ij) represent the
-convolution algebra; the calculus implemented here covers:
+element v_ij.  The tensor may carry leading axes, (..., d, d, n): a stack of
+corepresentations of one dimension, which every kernel below contracts with
+``...`` so that one corepresentation and a stack take the same code path
+(a check then holds, and a value is given, per stacked corepresentation).
+The slices pi(omega)_ij = omega(v_ij) represent the convolution algebra; the
+calculus implemented here covers:
 
   * the corepresentation identity Delta(v_ij) = sum_k v_ik (x) v_kj and its
     anti-representation mirror;
@@ -28,25 +32,27 @@ INVERTIBILITY_RTOL = 1e-8
 
 
 class Corepresentation:
-    """A d x d array of algebra elements; candidates may be held pre-check."""
+    """A d x d array of algebra elements, or a stack of them, tensor
+    (..., d, d, n); candidates may be held pre-check."""
 
     def __init__(self, owner, tensor):
         self.owner = owner
         t = np.asarray(tensor, dtype=complex)
-        if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[2] != owner.dim:
+        if t.ndim < 3 or t.shape[-3] != t.shape[-2] or t.shape[-1] != owner.dim:
             raise StructuralError("corepresentation tensor has shape %s" % (t.shape,))
         self.tensor = t
-        self.d = t.shape[0]
+        self.d = t.shape[-2]
 
     def entry(self, i, j) -> AlgebraElement:
-        return AlgebraElement(self.owner, self.tensor[i, j])
+        return AlgebraElement(self.owner, self.tensor[..., i, j, :])
 
     def gns_matrix(self) -> np.ndarray:
         """The image in B(C^d (x) H_h), blocks indexed by the matrix leg:
-        block (i, j) is lambda(v_ij)."""
+        block (i, j) is lambda(v_ij); shape (..., dn, dn)."""
         n = self.owner.dim
         blocks = np.tensordot(self.tensor, self.owner.gns().images, 1)
-        return blocks.transpose(0, 2, 1, 3).reshape(self.d * n, self.d * n)
+        return blocks.swapaxes(-3, -2).reshape(
+            self.tensor.shape[:-3] + (self.d * n, self.d * n))
 
     def __repr__(self):
         return "Corepresentation(%r, d=%d)" % (self.owner.name, self.d)
@@ -65,19 +71,21 @@ class CorepCheck:
     of A (x) A: ``violation`` is its largest entry, ``pair_defect`` the
     largest Frobenius norm over i, j of a pair's slice, which is
     ||pi(e_a e_b) - pi(e_a) pi(e_b)||_F for the basis functionals e_a, e_b,
-    and ``anti_violation`` the largest entry of the anti variant."""
+    and ``anti_violation`` the largest entry of the anti variant.  For a
+    stack each field holds one value per corepresentation, and the check is
+    true when every one of them passes."""
 
     def __init__(self, is_corep, violation, anti_violation, pair_defect):
-        self.is_corep = bool(is_corep)
-        self.violation = float(violation)
-        self.anti_violation = float(anti_violation)
-        self.pair_defect = float(pair_defect)
+        self.is_corep = is_corep
+        self.violation = violation
+        self.anti_violation = anti_violation
+        self.pair_defect = pair_defect
 
     def __bool__(self):
-        return self.is_corep
+        return bool(np.all(self.is_corep))
 
     def __repr__(self):
-        return ("CorepCheck(is_corep=%s, violation=%.3e, anti=%.3e, pair=%.3e)"
+        return ("CorepCheck(is_corep=%s, violation=%s, anti=%s, pair=%s)"
                 % (self.is_corep, self.violation, self.anti_violation,
                    self.pair_defect))
 
@@ -85,30 +93,36 @@ class CorepCheck:
 def is_corep(V: Corepresentation, tol: float = 1e-9) -> CorepCheck:
     """Delta(v_ij) = sum_k v_ik (x) v_kj, and the anti variant, entrywise."""
     G, t = V.owner, V.tensor
-    lhs = np.einsum("ijm,mab->ijab", t, G.coproduct)
-    diff = lhs - np.einsum("ika,kjb->ijab", t, t)
-    anti = np.einsum("kja,ikb->ijab", t, t)
-    v = float(np.max(np.abs(diff)))
-    av = float(np.max(np.abs(lhs - anti)))
-    pair = float(np.max(np.linalg.norm(diff, axis=(0, 1))))
+    lhs = np.einsum("...ijm,mab->...ijab", t, G.coproduct)
+    diff = lhs - np.einsum("...ika,...kjb->...ijab", t, t)
+    anti = np.einsum("...kja,...ikb->...ijab", t, t)
+    entries = (-4, -3, -2, -1)
+    v = np.max(np.abs(diff), axis=entries)
+    av = np.max(np.abs(lhs - anti), axis=entries)
+    pair = np.max(np.linalg.norm(diff, axis=(-4, -3)), axis=(-2, -1))
     return CorepCheck(v <= tol, v, av, pair)
 
 
 def pi_of(V: Corepresentation, w: Functional) -> np.ndarray:
-    """pi(omega) = (omega (x) id)V as a d x d matrix."""
+    """pi(omega) = (omega (x) id)V as a d x d matrix, (..., d, d)."""
     if V.owner is not w.owner:
         raise OwnerMismatchError("functional and corepresentation owners differ")
-    return np.einsum("ijm,m->ij", V.tensor, w.coeffs)
+    return np.einsum("...ijm,...m->...ij", V.tensor, w.coeffs)
+
+
+def adjoints(m):
+    """The adjoint of each matrix of a stack (..., p, q)."""
+    return m.conj().swapaxes(-2, -1)
 
 
 def pi_star(V: Corepresentation, w: Functional) -> np.ndarray:
     """pi*(omega) = pi(omega#)*."""
-    return pi_of(V, sharp(w)).conj().T
+    return adjoints(pi_of(V, sharp(w)))
 
 
 def pi_tilde(V: Corepresentation, w: Functional) -> np.ndarray:
     """pi~(omega) = pi(omega*)*."""
-    return pi_of(V, star_l1(w)).conj().T
+    return adjoints(pi_of(V, star_l1(w)))
 
 
 def pi_check(V: Corepresentation, w: Functional) -> np.ndarray:
@@ -118,13 +132,13 @@ def pi_check(V: Corepresentation, w: Functional) -> np.ndarray:
 
 def _entrywise_adjoint_transpose(V):
     G, t = V.owner, V.tensor
-    adj = np.einsum("jim,mp->ijp", np.conj(t), G.star)
+    adj = np.einsum("...jim,mp->...ijp", np.conj(t), G.star)
     return Corepresentation(G, adj)
 
 
 def _antipode_slice(V):
     G, t = V.owner, V.tensor
-    return Corepresentation(G, np.einsum("ijm,mp->ijp", t, G.antipode))
+    return Corepresentation(G, np.einsum("...ijm,mp->...ijp", t, G.antipode))
 
 
 def generator_of(variant: str, V: Corepresentation) -> Corepresentation:
@@ -144,20 +158,22 @@ def generator_of(variant: str, V: Corepresentation) -> Corepresentation:
 
 
 def coefficient(V: Corepresentation, alpha, beta) -> AlgebraElement:
-    """T_{alpha,beta} = sum_ij v_ij alpha_j conj(beta_i), pairing as (pi(w)a|b)."""
+    """T_{alpha,beta} = sum_ij v_ij alpha_j conj(beta_i), pairing as (pi(w)a|b);
+    alpha and beta have shape (..., d)."""
     a = np.asarray(alpha, dtype=complex)
     b = np.asarray(beta, dtype=complex)
-    if a.shape != (V.d,) or b.shape != (V.d,):
+    if a.shape[-1:] != (V.d,) or b.shape[-1:] != (V.d,):
         raise StructuralError("coefficient vectors must have length %d" % V.d)
-    return AlgebraElement(V.owner, np.einsum("ijm,j,i->m", V.tensor, a, np.conj(b)))
+    return AlgebraElement(V.owner, np.einsum("...ijm,...j,...i->...m",
+                                             V.tensor, a, np.conj(b)))
 
 
-def antipode_coeff_check(V: Corepresentation, alpha, beta) -> float:
+def antipode_coeff_check(V: Corepresentation, alpha, beta):
     """Max violation of S(T^{pi*}_{a,b})* = T^{pi}_{b,a}."""
     Vstar = generator_of("star", V)
     lhs = adjoint(apply_antipode(coefficient(Vstar, alpha, beta)))
     rhs = coefficient(V, beta, alpha)
-    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
+    return np.max(np.abs(lhs.coeffs - rhs.coeffs), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +184,20 @@ def corep_product(X: Corepresentation, Y: Corepresentation) -> Corepresentation:
     if X.owner is not Y.owner or X.d != Y.d:
         raise OwnerMismatchError("mismatched tensors in A (x) M_d product")
     G = X.owner
-    t = np.einsum("ikp,kjq,pqm->ijm", X.tensor, Y.tensor, G.mult)
+    t = np.einsum("...ikp,...kjq,pqm->...ijm", X.tensor, Y.tensor, G.mult)
     return Corepresentation(G, t)
 
 
-def corep_distance(X: Corepresentation, Y: Corepresentation) -> float:
-    return float(np.max(np.abs(X.tensor - Y.tensor)))
+def corep_distance(X: Corepresentation, Y: Corepresentation):
+    """The largest entry of X - Y, per stacked corepresentation."""
+    return np.max(np.abs(X.tensor - Y.tensor), axis=(-3, -2, -1))
 
 
 def _ratio_test(g):
-    """(sigma_min >= INVERTIBILITY_RTOL * sigma_max, sigma_min) for the matrix g."""
+    """(sigma_min >= INVERTIBILITY_RTOL * sigma_max for every matrix of g,
+    sigma_min per matrix)."""
     s = np.linalg.svd(g, compute_uv=False)
-    return bool(s[-1] >= INVERTIBILITY_RTOL * s[0]), s[-1]
+    return bool(np.all(s[..., -1] >= INVERTIBILITY_RTOL * s[..., 0])), s[..., -1]
 
 
 def inverse_corep(V: Corepresentation) -> Corepresentation:
@@ -187,15 +205,17 @@ def inverse_corep(V: Corepresentation) -> Corepresentation:
     ok, smin = _ratio_test(V.gns_matrix())
     if not ok:
         raise NotInvertibleError(
-            "corepresentation is singular (smallest singular value %.3e)" % smin)
+            "corepresentation is singular (smallest singular value %.3e)"
+            % np.min(smin))
     W = _antipode_slice(V)
     one = trivial_corep(V.owner, V.d)
     left = corep_distance(corep_product(W, V), one)
     right = corep_distance(corep_product(V, W), one)
-    if max(left, right) > 1e-8 * max(1.0, float(np.max(np.abs(V.tensor)))):
+    scale = np.maximum(1.0, np.max(np.abs(V.tensor), axis=(-3, -2, -1)))
+    if np.any(np.maximum(left, right) > 1e-8 * scale):
         raise NotInvertibleError(
             "antipode slice is not a two-sided inverse (residuals %.3e / %.3e); "
-            "input is not a corepresentation" % (left, right))
+            "input is not a corepresentation" % (np.max(left), np.max(right)))
     return W
 
 
@@ -203,28 +223,45 @@ def inverse_corep(V: Corepresentation) -> Corepresentation:
 # Test-instance generator
 
 
-def random_invertible_corep(G: FiniteQuantumGroup, d: int,
-                            seed: int) -> Corepresentation:
-    """(1 (x) T) V0 (1 (x) T^-1) for a seeded T with condition <= 10 and a
-    unitary corepresentation V0 of dimension d from the instance catalog."""
+def diagonal_matrices(s):
+    """The diagonal matrix of each vector of a stack (..., d), equal to
+    np.diag of the vector."""
+    return s[..., None] * np.eye(s.shape[-1])
+
+
+def random_invertible_corep(G: FiniteQuantumGroup, d: int, seed):
+    """(V, T, V0) with V = (1 (x) T) V0 (1 (x) T^-1) for a seeded T with
+    condition <= 10 and a unitary corepresentation V0 of dimension d from
+    the instance catalog.
+
+    ``seed`` is one seed or an array of them: each seed draws V0 and T from
+    its own generators, exactly as a call with that seed alone would, and
+    the results are stacked along the seed axes; one batched SVD, inverse
+    and contraction then serve the whole stack.
+    """
     from .catalog import unitary_corepresentation
 
-    V0 = unitary_corepresentation(G, d, seed=seed)
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    U, _, Vh = np.linalg.svd(A)
+    V0 = unitary_corepresentation(G, d, seed)
+    seeds = np.asarray(seed)
+    A = np.empty(seeds.shape + (d, d), dtype=complex)
+    svals = np.empty(seeds.shape + (d,))
     smin = 0.1
-    svals = smin + (1.0 - smin) * rng.random(d)
-    svals[0] = 1.0
+    for at, s in np.ndenumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        A[at] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        svals[at] = smin + (1.0 - smin) * rng.random(d)
+    svals[..., 0] = 1.0
     if d > 1:
-        svals[-1] = smin
-    T = U @ np.diag(svals) @ Vh
+        svals[..., -1] = smin
+    U, _, Vh = np.linalg.svd(A)
+    T = U @ diagonal_matrices(svals) @ Vh
     return conjugate_corep(V0, T), T, V0
 
 
 def conjugate_corep(V: Corepresentation, T: np.ndarray) -> Corepresentation:
+    """(1 (x) T) V (1 (x) T^-1), T one matrix or one per stacked corep."""
     Tinv = np.linalg.inv(T)
-    t = np.einsum("ip,pqm,qj->ijm", T, V.tensor, Tinv)
+    t = np.einsum("...ip,...pqm,...qj->...ijm", T, V.tensor, Tinv)
     return Corepresentation(V.owner, t)
 
 
@@ -232,9 +269,10 @@ def corep_direct_sum(V: Corepresentation, W: Corepresentation) -> Corepresentati
     if V.owner is not W.owner:
         raise OwnerMismatchError("direct sum across instances")
     d = V.d + W.d
-    t = np.zeros((d, d, V.owner.dim), dtype=complex)
-    t[:V.d, :V.d] = V.tensor
-    t[V.d:, V.d:] = W.tensor
+    batch = np.broadcast_shapes(V.tensor.shape[:-3], W.tensor.shape[:-3])
+    t = np.zeros(batch + (d, d, V.owner.dim), dtype=complex)
+    t[..., :V.d, :V.d, :] = V.tensor
+    t[..., V.d:, V.d:, :] = W.tensor
     return Corepresentation(V.owner, t)
 
 
@@ -257,22 +295,25 @@ def unitarize(V: Corepresentation):
     ok, smin = _ratio_test(g)
     if not ok:
         raise NotInvertibleError(
-            "cannot unitarize a singular corepresentation (sigma_min %.3e)" % smin)
+            "cannot unitarize a singular corepresentation (sigma_min %.3e)"
+            % np.min(smin))
     VstarV = corep_product(_entrywise_adjoint_transpose(V), V)
-    T = np.einsum("ijm,m->ij", VstarV.tensor, G.haar)
-    T = (T + T.conj().T) / 2
+    T = np.einsum("...ijm,m->...ij", VstarV.tensor, G.haar)
+    T = (T + adjoints(T)) / 2
     w, U = np.linalg.eigh(T)
-    floor = float(smin) ** 2        # 1 / ||V^-1||^2
-    if np.min(w) < floor - 1e-8:
+    wmin = np.min(w, axis=-1)
+    floor = smin ** 2               # 1 / ||V^-1||^2
+    low = wmin < floor - 1e-8
+    if np.any(low):
         raise NotInvertibleError(
             "averaged operator is not positive definite above the invertibility "
             "floor (min eig %.3e < %.3e); input is not a corepresentation"
-            % (float(np.min(w)), floor))
-    if np.min(w) <= 0:
+            % (np.min(wmin[low]), np.min(floor[low])))
+    if np.any(wmin <= 0):
         raise NotInvertibleError("averaged operator not positive definite")
-    Thalf = U @ np.diag(np.sqrt(w)) @ U.conj().T
-    Tihalf = U @ np.diag(1.0 / np.sqrt(w)) @ U.conj().T
-    t = np.einsum("ip,pqm,qj->ijm", Thalf, V.tensor, Tihalf)
+    Thalf = U @ diagonal_matrices(np.sqrt(w)) @ adjoints(U)
+    Tihalf = U @ diagonal_matrices(1.0 / np.sqrt(w)) @ adjoints(U)
+    t = np.einsum("...ip,...pqm,...qj->...ijm", Thalf, V.tensor, Tihalf)
     return T, Corepresentation(G, t)
 
 
@@ -281,12 +322,14 @@ def unitarize(V: Corepresentation):
 
 
 class EssentialData:
+    """Per stacked corepresentation when V is a stack."""
+
     def __init__(self, P, Q, dimension, idempotent_violation, commute_violation):
         self.P = P                        # idempotent in A (x) M_d
         self.Q = Q                        # induced idempotent on C^d
-        self.dimension = int(dimension)
-        self.idempotent_violation = float(idempotent_violation)
-        self.commute_violation = float(commute_violation)
+        self.dimension = dimension
+        self.idempotent_violation = idempotent_violation
+        self.commute_violation = commute_violation
 
 
 def essential_data(V: Corepresentation) -> EssentialData:
@@ -303,7 +346,7 @@ def essential_data(V: Corepresentation) -> EssentialData:
     idem = corep_distance(P2, P)
     comm = corep_distance(P, other)
     Q = pi_of(V, counit_functional(V.owner))
-    dim = int(round(float(np.real(np.trace(Q)))))
+    dim = np.rint(np.real(np.trace(Q, axis1=-2, axis2=-1))).astype(int)
     return EssentialData(P, Q, dim, idem, comm)
 
 
@@ -311,9 +354,9 @@ def essential_data(V: Corepresentation) -> EssentialData:
 # Norms
 
 
-def cb_norm(V: Corepresentation) -> float:
+def cb_norm(V: Corepresentation):
     """||pi||_cb = ||V|| = the operator norm of the image in B(H_h (x) C^d)."""
-    return float(np.linalg.norm(V.gns_matrix(), 2))
+    return np.linalg.norm(V.gns_matrix(), 2, axis=(-2, -1))
 
 
 def bounded_norm_lower(V: Corepresentation, seed: int = 0) -> float:

@@ -27,6 +27,7 @@ from .qgroup import (
     SpanningFamily,
     operator_norm,
     validate,
+    vector_norms,
 )
 
 
@@ -205,7 +206,7 @@ class DualQuantumGroup:
         """lambda-hat(omega-hat) = (omega-hat (x) id)W-hat, an element of M."""
         if what.owner is not self.group:
             raise OwnerMismatchError("functional does not live on the dual")
-        return np.einsum("m,mij->ij", what.coeffs, self.What_slices)
+        return np.einsum("...m,mij->...ij", what.coeffs, self.What_slices)
 
     def expand_in_dual(self, m: np.ndarray):
         """Coefficients of m, one matrix or a stack of them, in the basis
@@ -218,15 +219,15 @@ class DualQuantumGroup:
         if w.owner is not self.owner:
             raise OwnerMismatchError("functional belongs to a different instance")
         gd = self.owner.gns()
-        return gd.lambda_inv @ (self.owner.star @ w.coeffs)
+        return (w.coeffs @ self.owner.star.T) @ gd.lambda_inv.T
 
     def apply_Jhat(self, v: np.ndarray) -> np.ndarray:
-        return self.Jhat_mat @ np.conj(v)
+        return np.conj(v) @ self.Jhat_mat.T
 
     def vector_functional(self, xi, eta) -> Functional:
         """omega-hat_{xi,eta}: y-hat -> (y-hat xi | eta) as a dual functional."""
         return Functional(self.group,
-                          np.einsum("a,mab,b->m", np.conj(eta), self.Z, xi))
+                          np.einsum("...a,mab,...b->...m", np.conj(eta), self.Z, xi))
 
 
 def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
@@ -336,15 +337,17 @@ def _biduality(G):
 
 
 class MultiplierData:
+    """Per stacked corepresentation when the multiplier came from a stack."""
+
     def __init__(self, Lmat, x, residual_action, residual_w, norm_bound,
                  factorization_norm, cb_bound):
         self.Lmat = Lmat                    # action on dual functional coefficients
         self.x = x                          # the implementing algebra element
-        self.residual_action = float(residual_action)
-        self.residual_w = float(residual_w)
-        self.norm_bound = float(norm_bound)
-        self.factorization_norm = float(factorization_norm)
-        self.cb_bound = float(cb_bound)
+        self.residual_action = residual_action
+        self.residual_w = residual_w
+        self.norm_bound = norm_bound
+        self.factorization_norm = factorization_norm
+        self.cb_bound = cb_bound
 
 
 def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
@@ -355,12 +358,16 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     With sigma Delta(x) = sum_i b_i (x) a_i read off the coefficient
     expansion over an orthonormal basis (f_i), the adjoint acts as
     L*(y) = sum_i S(b_i*)* y a_i, and lambda-hat(L omega) = x lambda-hat(omega).
+
+    V may be a stack (..., d, d, n) with alpha, beta (..., d) and basis
+    (..., d, d): every field of the result then holds one value per stacked
+    corepresentation, each equal to that corepresentation's own.
     """
     G = V.owner
     chk = is_corep(V)
     if not chk:
         raise NotInvertibleError("input fails the corepresentation identity "
-                                 "(violation %.3e)" % chk.violation)
+                                 "(violation %.3e)" % np.max(chk.violation))
     dual = build_dual(G)
     gd = G.gns()
     d = V.d
@@ -370,29 +377,37 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     Vs = generator_of("star", V)
     x = coefficient(Vt, alpha, beta)
     # a_i = T~[alpha, f_i] and c_i = T*[f_i, beta], stacked over i
-    a_els = np.einsum("pjm,j,pi->im", Vt.tensor, alpha, np.conj(basis))
-    c_els = np.einsum("pjm,ji,p->im", Vs.tensor, basis, np.conj(beta))
+    a_els = np.einsum("...pjm,...j,...pi->...im", Vt.tensor, alpha, np.conj(basis))
+    c_els = np.einsum("...pjm,...ji,...p->...im", Vs.tensor, basis, np.conj(beta))
     a_mats = np.tensordot(a_els, gd.images, 1)
     c_mats = np.tensordot(c_els, gd.images, 1)
-    lx = gd.left_action(x)
+    lx = gd.left_action(x)[..., None, :, :]
     n = G.dim
-    LZ = sum(c_mats[i] @ dual.Z @ a_mats[i] for i in range(d))   # L*(Z_mu)
+    batch = V.tensor.shape[:-3]
+    LZ = sum(c_mats[..., i, None, :, :] @ dual.Z @ a_mats[..., i, None, :, :]
+             for i in range(d))                                     # L*(Z_mu)
     Lmat = dual.expand_in_dual(LZ)
     # lambda-hat(L e_nu) - x lambda-hat(e_nu) for every dual basis element e_nu
-    action = np.tensordot(Lmat.T, dual.What_slices, 1) - lx @ dual.What_slices
-    residual_action = float(np.max(np.linalg.svd(action, compute_uv=False)[:, 0]))
-    lhs_w = np.einsum("mac,mbd->abcd", LZ, dual.What_slices).reshape(n * n, n * n)
-    rhs_w = (lx @ dual.What.reshape(n, n, n * n)).reshape(n * n, n * n)
-    residual_w = float(np.linalg.norm(lhs_w - rhs_w, 2))
+    action = (np.tensordot(Lmat.swapaxes(-2, -1), dual.What_slices, 1)
+              - lx @ dual.What_slices)
+    residual_action = np.max(np.linalg.svd(action, compute_uv=False)[..., 0],
+                             axis=-1)
+    lhs_w = np.einsum("...mac,mbd->...abcd", LZ,
+                      dual.What_slices).reshape(batch + (n * n, n * n))
+    rhs_w = (lx @ dual.What.reshape(n, n, n * n)).reshape(batch + (n * n, n * n))
+    residual_w = np.linalg.norm(lhs_w - rhs_w, 2, axis=(-2, -1))
     # sum_i c_i* c_i and sum_i a_i* a_i through the structure tensors
-    sum_cc = np.einsum("ijk,di,dj->k", G.mult, np.conj(c_els) @ G.star, c_els)
-    sum_aa = np.einsum("ijk,di,dj->k", G.mult, np.conj(a_els) @ G.star, a_els)
+    sum_cc = np.einsum("ijk,...di,...dj->...k", G.mult, np.conj(c_els) @ G.star,
+                       c_els)
+    sum_aa = np.einsum("ijk,...di,...dj->...k", G.mult, np.conj(a_els) @ G.star,
+                       a_els)
     norm_bound = (np.sqrt(operator_norm(G.element(sum_cc)))
                   * np.sqrt(operator_norm(G.element(sum_aa))))
-    fact = float(np.linalg.norm(np.einsum("iac,idb->abcd", c_mats, a_mats)
-                                .reshape(n * n, n * n), 2))
+    fact = np.linalg.norm(np.einsum("...iac,...idb->...abcd", c_mats, a_mats)
+                          .reshape(batch + (n * n, n * n)), 2, axis=(-2, -1))
     cb_bound = (cb_norm(V) * cb_norm(Vs)
-                * float(np.linalg.norm(alpha)) * float(np.linalg.norm(beta)))
+                * vector_norms(np.asarray(alpha, dtype=complex))
+                * vector_norms(np.asarray(beta, dtype=complex)))
     return MultiplierData(Lmat, x, residual_action, residual_w, norm_bound,
                           fact, cb_bound)
 
@@ -402,16 +417,18 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
 
 
 def pairing_identity_check(G: FiniteQuantumGroup, x: AlgebraElement,
-                           w1: Functional, w2: Functional) -> float:
+                           w1: Functional, w2: Functional):
     """Residual of Lambda(lambda-hat(omega-hat)) = Lambda^(lambda((x w1) w2))
     with omega-hat the vector functional at (lambda(x) xi, J-hat eta),
-    xi = Lambda^(lambda(w1)), eta = J-hat Lambda^(lambda(w2))."""
+    xi = Lambda^(lambda(w1)), eta = J-hat Lambda^(lambda(w2)).  For stacks
+    of x, w1 and w2, (..., n), one residual per stacked triple."""
     dual = build_dual(G)
     gd = G.gns()
     xi = dual.Lambda_hat_of_functional(w1)
     eta = dual.apply_Jhat(dual.Lambda_hat_of_functional(w2))
-    what = dual.vector_functional(gd.left_action(x) @ xi, eta)
-    lam_hat = dual.lambda_hat(what)
-    lhs = gd.lambda_map @ gd.left_action_inv(lam_hat, rtol=1e-6).coeffs
+    what = dual.vector_functional((gd.left_action(x) @ xi[..., None])[..., 0], eta)
+    # one expansion product per triple, (..., 1, n, n), as for a lone one
+    lam_hat = dual.lambda_hat(what)[..., None, :, :]
+    lhs = gd.left_action_inv(lam_hat, rtol=1e-6).coeffs[..., 0, :] @ gd.lambda_map.T
     rhs = dual.Lambda_hat_of_functional(convolve(module_action(x, w1), w2))
-    return float(np.linalg.norm(lhs - rhs))
+    return vector_norms(lhs - rhs)

@@ -112,7 +112,7 @@ class StarAlgebra:
         return np.einsum("ijk,i,j->k", self.mult, a, b)
 
     def star_coeffs(self, a):
-        return np.einsum("i,ij->j", np.conj(a), self.star)
+        return np.einsum("...i,ij->...j", np.conj(a), self.star)
 
     def is_commutative(self):
         return np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= STRUCT_TOL
@@ -120,10 +120,11 @@ class StarAlgebra:
     def gns(self):
         return self.cached("gns", _build_gns)
 
-    def cstar_norm(self, coeffs) -> float:
-        """C*-norm of the element with these coefficients: the largest
-        singular value of its left regular image."""
-        return float(np.linalg.norm(self.gns().left_action(self.element(coeffs)), 2))
+    def cstar_norm(self, coeffs):
+        """C*-norm of the element with these coefficients, (..., n): the
+        largest singular value of its left regular image."""
+        return np.linalg.norm(self.gns().left_action(self.element(coeffs)), 2,
+                              axis=(-2, -1))
 
 
 class FiniteQuantumGroup(StarAlgebra):
@@ -143,7 +144,7 @@ class FiniteQuantumGroup(StarAlgebra):
         return "FiniteQuantumGroup(%r, dim=%d)" % (self.name, self.dim)
 
     def antipode_coeffs(self, a):
-        return np.einsum("i,ij->j", a, self.antipode)
+        return np.einsum("...i,ij->...j", a, self.antipode)
 
     def coproduct_coeffs(self, a):
         """Delta(a) as an (n, n) coefficient array over e_j (x) e_k."""
@@ -165,15 +166,18 @@ class FiniteQuantumGroup(StarAlgebra):
 class CoefficientVector:
     """A coefficient vector over the owner basis with its linear structure:
     the base of algebra elements and of the functionals of ``convolution``.
-    Sums and differences need one owner; a subclass adds its own product."""
+    Sums and differences need one owner; a subclass adds its own product.
+    The coefficients may carry leading axes, shape (..., n): a stack of
+    vectors, on which the involutions, the convolution product, the module
+    action and the C*-norm act slice by slice."""
 
     __slots__ = ("owner", "coeffs")
 
     def __init__(self, owner, coeffs):
         self.owner = owner
         c = _c(coeffs)
-        if c.shape != (owner.dim,):
-            raise StructuralError("coefficient vector has shape %s, expected (%d,)"
+        if c.shape[-1:] != (owner.dim,):
+            raise StructuralError("coefficient vector has shape %s, expected (..., %d)"
                                   % (c.shape, owner.dim))
         self.coeffs = c
 
@@ -349,6 +353,9 @@ class SpanningFamily:
     ``expand(X)`` takes one p x q matrix or any stack of them and returns the
     coefficients c, shape (..., k), with X ~ sum_m c[..., m] b_m, and the
     residual ||sum_m c_m b_m - X|| (Frobenius) of each matrix, shape (...).
+    The matrices along the last stack axis share one matrix product and any
+    axes before it loop, so each matrix of a stack (..., 1, p, q) is
+    expanded by the very product that expands it alone.
     """
 
     def __init__(self, family):
@@ -359,9 +366,9 @@ class SpanningFamily:
     def expand(self, X):
         X = np.asarray(X)
         batch = X.shape[:-2]
-        B = X.reshape(-1, self.matrix.shape[0])             # rows vec(X)
+        B = X.reshape(batch[:-1] + (-1, self.matrix.shape[0]))   # rows vec(X)
         C = B @ self.pinv.T
-        resid = np.linalg.norm(C @ self.matrix.T - B, axis=1)
+        resid = np.linalg.norm(C @ self.matrix.T - B, axis=-1)
         return C.reshape(batch + (-1,)), resid.reshape(batch)
 
     def expand_within(self, X, rtol, refusal):
@@ -434,8 +441,19 @@ def gns(G: FiniteQuantumGroup) -> GnsData:
     return G.gns()
 
 
-def operator_norm(a: AlgebraElement) -> float:
-    """C*-norm of a: largest singular value of its left regular image."""
+def vector_norms(x):
+    """The Euclidean norm of each vector of a complex stack (..., k), formed
+    as ``np.linalg.norm`` forms one vector's: a BLAS dot of the real parts
+    plus one of the imaginary parts, so a stack gives each vector's own
+    bits."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-2, -1))[..., 0, 0]
+                   + (im @ im.swapaxes(-2, -1))[..., 0, 0])
+
+
+def operator_norm(a: AlgebraElement):
+    """C*-norm of a (of each element of a stack): largest singular value of
+    its left regular image."""
     return a.owner.cstar_norm(a.coeffs)
 
 

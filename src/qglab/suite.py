@@ -19,20 +19,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import builders
-from .convolution import Functional, convolve, sharp, star_l1
+from .convolution import Functional, convolve, sharp
 from .corep import (
     Corepresentation,
+    adjoints,
     antipode_coeff_check,
     conjugate_corep,
     corep_direct_sum,
     corep_distance,
     corep_product,
+    diagonal_matrices,
     essential_data,
     generator_of,
     inverse_corep,
     is_corep,
     pi_check,
     pi_of,
+    pi_tilde,
     random_invertible_corep,
     trivial_corep,
     unitarize,
@@ -201,9 +204,11 @@ class _Recorder:
 
     A check is passed its value, or takes the extreme of the values that
     ``note`` kept for it over the trials, and then fails when none was
-    noted.  A note charges its check the time since the recorder's previous
-    note or record (or its creation); a record's runtime is the time charged
-    to its notes plus the time since the previous note or record.
+    noted.  A noted value is a number or an array of them, one per trial of
+    a stack; a NaN anywhere makes the extreme NaN, which fails.  A note
+    charges its check the time since the recorder's previous note or record
+    (or its creation); a record's runtime is the time charged to its notes
+    plus the time since the previous note or record.
     """
 
     def __init__(self, report, prefix, digest):
@@ -219,8 +224,8 @@ class _Recorder:
         return spent
 
     def note(self, name, *values):
-        """Keep values for check ``name``, charging it the time since the
-        previous note or record."""
+        """Keep values (numbers or arrays) for check ``name``, charging it
+        the time since the previous note or record."""
         self.notes.setdefault(name, []).append((self._lap(), values))
 
     def _add(self, name, anchor, value, pick, tol, passes, bound, digest):
@@ -228,8 +233,10 @@ class _Recorder:
         values); with neither it fails."""
         notes = self.notes.pop(name, ())
         ms = (sum(spent for spent, _ in notes) + self._lap()) * 1e3
-        if value is None and notes:
-            value = pick([v for _, values in notes for v in values])
+        noted = [np.ravel(v) for _, values in notes for v in values]
+        if value is None and noted:
+            noted = np.concatenate(noted)
+            value = pick(noted) if noted.size else None
         passed = value is not None and passes(float(value))
         self.report.add(Record("%s/%s" % (self.prefix, name), anchor,
                                self.digest if digest is None else digest,
@@ -258,25 +265,32 @@ def _random_functional(G, rng):
     return Functional(G, _complex_normal(rng, G.dim))
 
 
-def _random_element(G, rng):
-    return G.element(_complex_normal(rng, G.dim))
-
-
 def _spectral_norms(*mats):
-    """The largest singular value of each of the same-shape matrices, from
-    one batched SVD."""
-    return np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0]
+    """The largest singular value of each of the same-shape matrices (or
+    stacks of them), from one batched SVD."""
+    return np.linalg.svd(np.stack(mats), compute_uv=False)[..., 0]
 
 
-def _random_coreps(cfg, G, rng, salt):
-    """Yield (trial, d, V, T, V0) for cfg.trials random invertible coreps of G.
-    All dims, 1 to 4, are drawn from rng first (the corep catalog holds the
-    trivial corep, so sums of its entries reach every d); trial t has seed
-    cfg.seed*salt+t."""
-    picks = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
-    for trial, d in enumerate(picks):
-        V, T, V0 = random_invertible_corep(G, d, seed=cfg.seed * salt + trial)
-        yield trial, d, V, T, V0
+def _corep_dims(cfg, rng):
+    """The dimension, 1 to 4, of each of cfg.trials random coreps, all drawn
+    from rng before any other draw (the corep catalog holds the trivial
+    corep, so sums of its entries reach every d)."""
+    return [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
+
+
+def _dimension_groups(cfg, dims, salt):
+    """(d, trials, seeds) for each dimension d drawn: the trials of that
+    dimension as an index array, and their corep seeds cfg.seed*salt+trial.
+    A suite runs each check once per group, on the stack of its trials."""
+    dims = np.array(dims)
+    for d in np.unique(dims):
+        trials = np.flatnonzero(dims == d)
+        yield int(d), trials, [cfg.seed * salt + int(t) for t in trials]
+
+
+def _stacked(draws, trials, key):
+    """The draws named ``key`` of the given trials, as one array."""
+    return np.stack([draws[t][key] for t in trials])
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +343,35 @@ def run_corep(cfg, report):
         rec = _Recorder(report, "corep/%s" % label,
                         _digest(label, cfg.seed, cfg.trials))
         rng = np.random.default_rng(cfg.seed)
-        for trial, d, V, _, V0 in _random_coreps(cfg, G, rng, 1000):
+        dims = _corep_dims(cfg, rng)
+        draws = []
+        for trial, d in enumerate(dims):
+            draw = {"w": _complex_normal(rng, G.dim),
+                    "alpha": _complex_normal(rng, d),
+                    "beta": _complex_normal(rng, d),
+                    "w1": _complex_normal(rng, G.dim),
+                    "w2": _complex_normal(rng, G.dim)}
+            if trial % 5 == 0:
+                draw["frame"] = _complex_normal(rng, (d + 1, d + 1))
+                draw["spread"] = rng.random(d + 1)
+            if trial % 7 == 0:
+                draw["noise"] = _complex_normal(rng, (d, d, G.dim))
+            draws.append(draw)
+        for d, trials, seeds in _dimension_groups(cfg, dims, 1000):
+            V, _, V0 = random_invertible_corep(G, d, seeds)
             chk = is_corep(V)
             rec.note("multiplicativity", chk.violation, chk.pair_defect)
             # generator identities: V_tilde = V*, V_star = V_check*
-            Vt = generator_of("tilde", V)
-            w = _random_functional(G, rng)
-            gen_diff = pi_of(Vt, w) - pi_of(V, star_l1(w)).conj().T
-            alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
-            rec.note("antipode-coefficient", antipode_coeff_check(V, alpha, beta))
+            w = Functional(G, _stacked(draws, trials, "w"))
+            gen_diff = pi_of(generator_of("tilde", V), w) - pi_tilde(V, w)
+            rec.note("antipode-coefficient", antipode_coeff_check(
+                V, _stacked(draws, trials, "alpha"), _stacked(draws, trials, "beta")))
             Vi = inverse_corep(V)
             one = trivial_corep(G, d)
             rec.note("inverse", corep_distance(corep_product(Vi, V), one),
                      corep_distance(corep_product(V, Vi), one))
-            w1, w2 = _random_functional(G, rng), _random_functional(G, rng)
+            w1 = Functional(G, _stacked(draws, trials, "w1"))
+            w2 = Functional(G, _stacked(draws, trials, "w2"))
             anti_diff = (pi_check(V, convolve(w1, w2))
                          - pi_check(V, w2) @ pi_check(V, w1))
             gen_norm, anti_norm = _spectral_norms(gen_diff, anti_diff)
@@ -352,29 +381,34 @@ def run_corep(cfg, report):
             rec.note("anti-homomorphism", anti_norm)
             # isometry => unitary regression on the unitarized form
             g = V0.gns_matrix()
-            eye = np.eye(g.shape[0])
-            iso, unit = _spectral_norms(g.conj().T @ g - eye, g @ g.conj().T - eye)
-            if iso <= iso_tol:
-                rec.note("isometry-unitary", unit)
+            eye = np.eye(g.shape[-1])
+            iso, unit = _spectral_norms(adjoints(g) @ g - eye,
+                                        g @ adjoints(g) - eye)
+            rec.note("isometry-unitary", unit[iso <= iso_tol])
             # degenerate block sum, twisted
-            if trial % 5 == 0:
-                Vdeg = corep_direct_sum(V0, zero_corep(G, 1))
-                Uq, _, Vq = np.linalg.svd(_complex_normal(rng, (d + 1, d + 1)))
-                Tw = Uq @ np.diag(0.2 + 0.8 * rng.random(d + 1)) @ Vq
+            deg = trials % 5 == 0
+            if deg.any():
+                Vdeg = corep_direct_sum(Corepresentation(G, V0.tensor[deg]),
+                                        zero_corep(G, 1))
+                Uq, _, Vq = np.linalg.svd(_stacked(draws, trials[deg], "frame"))
+                spread = 0.2 + 0.8 * _stacked(draws, trials[deg], "spread")
+                Tw = Uq @ diagonal_matrices(spread) @ Vq
                 Vtw = conjugate_corep(Vdeg, Tw)
                 ed = essential_data(Vtw)
-                # pi(e_i) is the slice Vtw.tensor[:, :, i]
-                piw = np.moveaxis(Vtw.tensor, 2, 0)
+                # pi(e_i) is the slice Vtw.tensor[..., i]
+                piw = np.moveaxis(Vtw.tensor, -1, -3)
+                carried = piw @ ed.Q[..., None, :, :] - piw
                 rec.note("degenerate", ed.idempotent_violation,
                          ed.commute_violation, abs(ed.dimension - d),
-                         np.max(np.linalg.norm(piw @ ed.Q - piw, axis=(1, 2))))
+                         np.max(np.linalg.norm(carried, axis=(-2, -1)), axis=-1))
             # dichotomy: corrupted tensors must break multiplicativity
-            if trial % 7 == 0:
-                bad = Corepresentation(
-                    G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
+            broken = trials % 7 == 0
+            if broken.any():
+                bad = Corepresentation(G, V.tensor[broken] + 0.3 * _stacked(
+                    draws, trials[broken], "noise"))
                 chk = is_corep(bad)
-                if not chk.is_corep:
-                    rec.note("dichotomy", 0.0 if chk.pair_defect > 1e-6 else 1.0)
+                seen = np.where(chk.pair_defect > 1e-6, 0.0, 1.0)
+                rec.note("dichotomy", seen[~chk.is_corep])
         rec.check("multiplicativity", "pi(w1 w2) = pi(w1) pi(w2) iff corep identity",
                   1e-9)
         rec.check("dichotomy", "broken corep identity breaks multiplicativity",
@@ -395,19 +429,24 @@ def run_unitarize(cfg, report):
         rec = _Recorder(report, "unitarize/%s" % label,
                         _digest(label, cfg.seed, cfg.trials))
         rng = np.random.default_rng(cfg.seed + 1)
-        for _, _, V, _, _ in _random_coreps(cfg, G, rng, 2000):
+        dims = _corep_dims(cfg, rng)
+        draws = [{"w": _complex_normal(rng, G.dim)} for _ in dims]
+        for d, trials, seeds in _dimension_groups(cfg, dims, 2000):
+            V, _, _ = random_invertible_corep(G, d, seeds)
             T, Vp = unitarize(V)
             g = Vp.gns_matrix()
-            eye = np.eye(g.shape[0])
-            rec.note("unitary", *_spectral_norms(g.conj().T @ g - eye,
-                                                 g @ g.conj().T - eye))
+            eye = np.eye(g.shape[-1])
+            rec.note("unitary", *_spectral_norms(adjoints(g) @ g - eye,
+                                                 g @ adjoints(g) - eye))
             rec.note("corep", is_corep(Vp).violation)
-            w = _random_functional(G, rng)
+            w = Functional(G, _stacked(draws, trials, "w"))
             rec.note("star-property", np.linalg.norm(
-                pi_of(Vp, sharp(w)) - pi_of(Vp, w).conj().T, 2))
-            # 1 / ||V^-1||^2 is the squared smallest singular value of V
-            rec.note("positivity-floor", float(np.min(np.linalg.eigvalsh(T)))
-                     - float(np.linalg.norm(V.gns_matrix(), -2)) ** 2)
+                pi_of(Vp, sharp(w)) - adjoints(pi_of(Vp, w)), 2, axis=(-2, -1)))
+            # 1 / ||V^-1||^2 is the squared smallest singular value of V,
+            # squared by Python's float power as a single trial squares it
+            smin = np.linalg.norm(V.gns_matrix(), -2, axis=(-2, -1))
+            rec.note("positivity-floor", np.min(np.linalg.eigvalsh(T), axis=-1)
+                     - np.array([s ** 2 for s in smin.tolist()]))
         rec.check("unitary", "V' = (1 (x) T^1/2) V (1 (x) T^-1/2) is unitary",
                   tol8)
         rec.check("corep", "V' satisfies the corepresentation identity", tol8)
@@ -422,17 +461,33 @@ def run_multiplier(cfg, report):
         rec = _Recorder(report, "multiplier/%s" % label,
                         _digest(label, cfg.seed, cfg.trials))
         rng = np.random.default_rng(cfg.seed + 2)
-        for trial, d, V, _, _ in _random_coreps(cfg, G, rng, 3000):
-            alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
-            md = multiplier_from_coefficient(V, alpha, beta)
-            rec.note("action", md.residual_action)
-            rec.note("w-identity", md.residual_w)
-            rec.note("norm-bound", md.norm_bound - md.cb_bound)
-            rec.note("factorization", md.factorization_norm - md.cb_bound)
+        dims = _corep_dims(cfg, rng)
+        draws = []
+        for trial, d in enumerate(dims):
+            draw = {"alpha": _complex_normal(rng, d),
+                    "beta": _complex_normal(rng, d)}
             if trial % 10 == 0:
-                Q, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
-                md2 = multiplier_from_coefficient(V, alpha, beta, basis=Q)
-                rec.note("basis-independence", np.max(np.abs(md.Lmat - md2.Lmat)))
+                draw["frame"], _ = np.linalg.qr(_complex_normal(rng, (d, d)))
+            draws.append(draw)
+        for d, trials, seeds in _dimension_groups(cfg, dims, 3000):
+            V, _, _ = random_invertible_corep(G, d, seeds)
+            # one stack: every trial in the standard frame, then the framed
+            # trials again in their random frame
+            framed = np.flatnonzero(trials % 10 == 0)
+            rows = np.concatenate([np.arange(len(trials)), framed])
+            frames = np.stack([np.eye(d, dtype=complex)] * len(trials)
+                              + [draws[t]["frame"] for t in trials[framed]])
+            md = multiplier_from_coefficient(
+                Corepresentation(G, V.tensor[rows]),
+                _stacked(draws, trials, "alpha")[rows],
+                _stacked(draws, trials, "beta")[rows], basis=frames)
+            z = len(trials)
+            rec.note("action", md.residual_action[:z])
+            rec.note("w-identity", md.residual_w[:z])
+            rec.note("norm-bound", md.norm_bound[:z] - md.cb_bound[:z])
+            rec.note("factorization", md.factorization_norm[:z] - md.cb_bound[:z])
+            rec.note("basis-independence", np.max(
+                np.abs(md.Lmat[rows[z:]] - md.Lmat[z:]), axis=(-2, -1)))
         rec.check("action", "lambda-hat(L omega) = x lambda-hat(omega)", tol8)
         rec.check("w-identity", "(L* (x) id)(W-hat) = (1 (x) x) W-hat", tol8)
         rec.check("norm-bound", "row-column bound <= cb bound product", bound_tol)
@@ -440,11 +495,11 @@ def run_multiplier(cfg, report):
                   bound_tol)
         rec.check("basis-independence", "L does not depend on the chosen frame",
                   tol8)
-        for _ in range(max(1, 2 * cfg.trials)):
-            x = _random_element(G, rng)
-            w1 = _random_functional(G, rng)
-            w2 = _random_functional(G, rng)
-            rec.note("pairing", pairing_identity_check(G, x, w1, w2))
+        samples = [[_complex_normal(rng, G.dim) for _ in range(3)]
+                   for _ in range(max(1, 2 * cfg.trials))]
+        x, w1, w2 = (np.stack(column) for column in zip(*samples))
+        rec.note("pairing", pairing_identity_check(
+            G, G.element(x), Functional(G, w1), Functional(G, w2)))
         rec.check("pairing", "GNS pairing of the two transforms matches", tol8)
 
 

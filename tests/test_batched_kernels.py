@@ -1,28 +1,48 @@
 """The batched corpus trial kernels against their per-basis-element loop forms:
 the pair defect of ``corep.is_corep``, ``multiplier_from_coefficient`` and
-``vector_functional``; call-count guards that keep the kernels batched; and
-the gates of the corep suite that must not pass vacuously."""
+``vector_functional``; stacks of corepresentations against each of their
+corepresentations alone, and the stacked suites against a per-trial loop;
+call-count guards that keep the kernels batched; and the gates of the corep
+suite that must not pass vacuously."""
 
 import numpy as np
 import pytest
 
 from qglab import convolution, suite
 from qglab.builders import BUILTIN_NAMES, builtin_instance
-from qglab.convolution import Functional, basis_functional, convolve
+from qglab.convolution import (
+    Functional,
+    basis_functional,
+    convolve,
+    sharp,
+    star_l1,
+)
 from qglab.corep import (
     CorepCheck,
     Corepresentation,
+    antipode_coeff_check,
     cb_norm,
     coefficient,
+    conjugate_corep,
+    corep_direct_sum,
+    corep_distance,
+    corep_product,
+    essential_data,
     generator_of,
+    inverse_corep,
     is_corep,
+    pi_check,
     pi_of,
     random_invertible_corep,
+    trivial_corep,
+    unitarize,
+    zero_corep,
 )
 from qglab.duality import (
     MultiplierData,
     build_dual,
     multiplier_from_coefficient,
+    pairing_identity_check,
 )
 from qglab.qgroup import adjoint, multiply, operator_norm
 
@@ -207,8 +227,14 @@ def test_isometry_gate_uses_the_configured_tolerance():
     assert rec.value == 0.0 and not rec.passed
 
 
+def _passing_check(V):
+    """A CorepCheck that passes every corepresentation of the stack V."""
+    zeros = np.zeros(V.tensor.shape[:-3])
+    return CorepCheck(zeros == 0.0, zeros, zeros, zeros)
+
+
 def test_dichotomy_that_sees_no_broken_tensor_fails(monkeypatch):
-    monkeypatch.setattr(suite, "is_corep", lambda V: CorepCheck(True, 0.0, 0.0, 0.0))
+    monkeypatch.setattr(suite, "is_corep", _passing_check)
     recs = _corep_records(_corep_cfg())
     assert recs["corep/c_z2/multiplicativity"].passed
     assert not recs["corep/c_z2/dichotomy"].passed
@@ -224,3 +250,222 @@ def test_recorder_fails_a_check_no_trial_reached():
     rec.check("plain", "", 1.0, 0.0)
     assert [r.passed for r in report.records] == [True, False, True]
     assert [r.value for r in report.records] == [0.5, 0.0, 0.0]
+
+
+def test_a_nan_anywhere_in_a_noted_stack_fails_its_check():
+    report = suite.SuiteReport(_corep_cfg())
+    rec = suite._Recorder(report, "p", "")
+    rec.note("upper", np.array([0.0, np.nan, 0.5]), 0.25)
+    rec.note("lower", np.array([1.0, 2.0]))
+    rec.note("lower", np.array([[3.0], [np.nan]]))
+    rec.note("clean", np.array([0.25, 0.5]), np.array([[0.125]]))
+    rec.note("empty", np.array([]))
+    rec.check("upper", "", 1.0)
+    rec.lower("lower", "", 0.0, 1.0)
+    rec.check("clean", "", 1.0)
+    rec.check("empty", "", 1.0)
+    assert [r.passed for r in report.records] == [False, False, True, False]
+    assert np.isnan(report.records[0].value) and np.isnan(report.records[1].value)
+    assert [r.value for r in report.records[2:]] == [0.5, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Stacks against each of their corepresentations alone, bit for bit
+
+
+def _alone(V, k):
+    return Corepresentation(V.owner, V.tensor[k])
+
+
+def _assert_each(stacked, alone):
+    """stacked[k] equals alone(k), bit for bit, for every k of the stack."""
+    for k in range(len(stacked)):
+        assert np.array_equal(stacked[k], alone(k), equal_nan=True), k
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stacked_draws_are_the_single_draws(name):
+    G = builtin_instance(name)
+    for d in (1, 2, 3, 4):
+        seeds = np.arange(4).reshape(2, 2) + 300 + 10 * d
+        V, T, V0 = random_invertible_corep(G, d, seeds)
+        assert V.tensor.shape == (2, 2, d, d, G.dim) and T.shape == (2, 2, d, d)
+        for at, seed in np.ndenumerate(seeds):
+            V1, T1, V01 = random_invertible_corep(G, d, int(seed))
+            assert np.array_equal(V.tensor[at], V1.tensor)
+            assert np.array_equal(T[at], T1)
+            assert np.array_equal(V0.tensor[at], V01.tensor)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stacked_corep_kernels_match_each_corep_alone(name):
+    G = builtin_instance(name)
+    rng = np.random.default_rng(15)
+    for d in (1, 2, 3, 4):
+        V, _, V0 = random_invertible_corep(G, d, [400 + 10 * d + k for k in range(3)])
+        bad = Corepresentation(G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
+        for W in (V, bad):
+            got = is_corep(W)
+            for key in ("is_corep", "violation", "anti_violation", "pair_defect"):
+                _assert_each(getattr(got, key),
+                             lambda k: getattr(is_corep(_alone(W, k)), key))
+        _assert_each(V.gns_matrix(), lambda k: _alone(V, k).gns_matrix())
+        Vs = generator_of("star", V)
+        _assert_each(corep_product(V, Vs).tensor,
+                     lambda k: corep_product(_alone(V, k), _alone(Vs, k)).tensor)
+        _assert_each(inverse_corep(V).tensor,
+                     lambda k: inverse_corep(_alone(V, k)).tensor)
+        T, Vp = unitarize(V)
+        _assert_each(T, lambda k: unitarize(_alone(V, k))[0])
+        _assert_each(Vp.tensor, lambda k: unitarize(_alone(V, k))[1].tensor)
+        _assert_each(cb_norm(V), lambda k: cb_norm(_alone(V, k)))
+        # a degenerate stack: the essential part has dimension d of d + 1
+        U, _, Vh = np.linalg.svd(_complex_normal(rng, (3, d + 1, d + 1)))
+        Tw = U @ (np.linspace(0.3, 1.0, d + 1) * Vh)
+        Vdeg = conjugate_corep(corep_direct_sum(V0, zero_corep(G, 1)), Tw)
+        ed = essential_data(Vdeg)
+        assert np.array_equal(ed.dimension, [d] * 3)
+        for key in ("dimension", "idempotent_violation", "commute_violation", "Q"):
+            _assert_each(getattr(ed, key),
+                         lambda k: getattr(essential_data(_alone(Vdeg, k)), key))
+        _assert_each(ed.P.tensor, lambda k: essential_data(_alone(Vdeg, k)).P.tensor)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stacked_multiplier_matches_each_corep_alone(name):
+    G = builtin_instance(name)
+    rng = np.random.default_rng(16)
+    fields = ("Lmat", "residual_action", "residual_w", "norm_bound",
+              "factorization_norm", "cb_bound")
+    for d in (1, 2, 3, 4):
+        V, _, _ = random_invertible_corep(G, d, [500 + 10 * d + k for k in range(3)])
+        alpha, beta = _complex_normal(rng, (3, d)), _complex_normal(rng, (3, d))
+        frames, _ = np.linalg.qr(_complex_normal(rng, (3, d, d)))
+        for basis in (None, frames):
+            got = multiplier_from_coefficient(V, alpha, beta, basis=basis)
+
+            def alone(k):
+                return multiplier_from_coefficient(
+                    _alone(V, k), alpha[k], beta[k],
+                    basis=None if basis is None else basis[k])
+
+            for key in fields:
+                _assert_each(getattr(got, key), lambda k: getattr(alone(k), key))
+            _assert_each(got.x.coeffs, lambda k: alone(k).x.coeffs)
+    x, w1, w2 = _complex_normal(rng, (3, 4, G.dim))
+    got = pairing_identity_check(G, G.element(x), Functional(G, w1), Functional(G, w2))
+    _assert_each(got, lambda k: pairing_identity_check(
+        G, G.element(x[k]), Functional(G, w1[k]), Functional(G, w2[k])))
+
+
+# ---------------------------------------------------------------------------
+# The stacked suites against a per-trial loop
+
+
+def _per_trial_values(cfg):
+    """The values of the corep, unitarize and multiplier records from one
+    random corep, one call of each kernel and one draw at a time, in the
+    order of the trials: the loop that the suites stack."""
+    noted, lowest = {}, {"positivity-floor"}
+
+    def note(prefix, name, *values):
+        noted.setdefault("%s/%s" % (prefix, name), []).extend(values)
+
+    def spectral(*mats):
+        return np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0]
+
+    def functional(G, rng):
+        return Functional(G, _complex_normal(rng, G.dim))
+
+    for label, G in cfg.instances:
+        prefix = "corep/" + label
+        rng = np.random.default_rng(cfg.seed)
+        dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
+        for trial, d in enumerate(dims):
+            V, _, V0 = random_invertible_corep(G, d, cfg.seed * 1000 + trial)
+            chk = is_corep(V)
+            note(prefix, "multiplicativity", chk.violation, chk.pair_defect)
+            w = functional(G, rng)
+            gen_diff = (pi_of(generator_of("tilde", V), w)
+                        - pi_of(V, star_l1(w)).conj().T)
+            alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
+            note(prefix, "antipode-coefficient", antipode_coeff_check(V, alpha, beta))
+            Vi, one = inverse_corep(V), trivial_corep(G, d)
+            note(prefix, "inverse", corep_distance(corep_product(Vi, V), one),
+                 corep_distance(corep_product(V, Vi), one))
+            w1, w2 = functional(G, rng), functional(G, rng)
+            anti_diff = (pi_check(V, convolve(w1, w2))
+                         - pi_check(V, w2) @ pi_check(V, w1))
+            gen_norm, anti_norm = spectral(gen_diff, anti_diff)
+            note(prefix, "generators", gen_norm, corep_distance(
+                generator_of("star", V), generator_of("tilde", generator_of("check", V))))
+            note(prefix, "anti-homomorphism", anti_norm)
+            g = V0.gns_matrix()
+            eye = np.eye(g.shape[0])
+            iso, unit = spectral(g.conj().T @ g - eye, g @ g.conj().T - eye)
+            if iso <= cfg.tolerance("isometry"):
+                note(prefix, "isometry-unitary", unit)
+            if trial % 5 == 0:
+                Uq, _, Vq = np.linalg.svd(_complex_normal(rng, (d + 1, d + 1)))
+                Tw = Uq @ np.diag(0.2 + 0.8 * rng.random(d + 1)) @ Vq
+                Vtw = conjugate_corep(corep_direct_sum(V0, zero_corep(G, 1)), Tw)
+                ed = essential_data(Vtw)
+                piw = np.moveaxis(Vtw.tensor, 2, 0)
+                note(prefix, "degenerate", ed.idempotent_violation,
+                     ed.commute_violation, abs(ed.dimension - d),
+                     np.max(np.linalg.norm(piw @ ed.Q - piw, axis=(1, 2))))
+            if trial % 7 == 0:
+                bad = Corepresentation(
+                    G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
+                chk = is_corep(bad)
+                if not chk.is_corep:
+                    note(prefix, "dichotomy", 0.0 if chk.pair_defect > 1e-6 else 1.0)
+        prefix = "unitarize/" + label
+        rng = np.random.default_rng(cfg.seed + 1)
+        dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
+        for trial, d in enumerate(dims):
+            V, _, _ = random_invertible_corep(G, d, cfg.seed * 2000 + trial)
+            T, Vp = unitarize(V)
+            g = Vp.gns_matrix()
+            eye = np.eye(g.shape[0])
+            note(prefix, "unitary", *spectral(g.conj().T @ g - eye, g @ g.conj().T - eye))
+            note(prefix, "corep", is_corep(Vp).violation)
+            w = functional(G, rng)
+            note(prefix, "star-property", np.linalg.norm(
+                pi_of(Vp, sharp(w)) - pi_of(Vp, w).conj().T, 2))
+            note(prefix, "positivity-floor", float(np.min(np.linalg.eigvalsh(T)))
+                 - float(np.linalg.norm(V.gns_matrix(), -2)) ** 2)
+        prefix = "multiplier/" + label
+        rng = np.random.default_rng(cfg.seed + 2)
+        dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
+        for trial, d in enumerate(dims):
+            V, _, _ = random_invertible_corep(G, d, cfg.seed * 3000 + trial)
+            alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
+            md = multiplier_from_coefficient(V, alpha, beta)
+            note(prefix, "action", md.residual_action)
+            note(prefix, "w-identity", md.residual_w)
+            note(prefix, "norm-bound", md.norm_bound - md.cb_bound)
+            note(prefix, "factorization", md.factorization_norm - md.cb_bound)
+            if trial % 10 == 0:
+                Q, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
+                md2 = multiplier_from_coefficient(V, alpha, beta, basis=Q)
+                note(prefix, "basis-independence", np.max(np.abs(md.Lmat - md2.Lmat)))
+        for _ in range(2 * cfg.trials):
+            x = G.element(_complex_normal(rng, G.dim))
+            w1, w2 = functional(G, rng), functional(G, rng)
+            note(prefix, "pairing", pairing_identity_check(G, x, w1, w2))
+    return {name: float((min if name.split("/")[-1] in lowest else max)(values))
+            for name, values in noted.items()}
+
+
+def test_stacked_suites_equal_the_per_trial_loop():
+    # trials=11 reaches the trial % 5, % 7 and % 10 draws twice each
+    cfg = suite.SuiteConfig(
+        instances=[(n, builtin_instance(n)) for n in ("c_s3", "kac_paljutkin")],
+        suites=("corep", "unitarize", "multiplier"), seed=2, trials=11)
+    report = suite.run_suite(cfg)
+    want = _per_trial_values(cfg)
+    got = {r.name: r.value for r in report.records}
+    assert len(got) == 2 * 18 == len(want)
+    assert got == want
+    assert report.passed

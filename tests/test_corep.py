@@ -374,3 +374,52 @@ def test_trivial_corep():
     assert is_corep(V).is_corep
     # the trivial corep is the unit of A (x) M_d
     assert corep_distance(corep_product(V, V), V) < 1e-14
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_dimension_below_one_is_refused_before_any_draw(monkeypatch, d):
+    G = builtin_instance("c_z2")
+    corep_catalog(G)            # its block decomposition draws too
+    draws = []
+
+    def counting_rng(*a):
+        draws.append(a)
+        return np.random.Generator(np.random.PCG64(*a))
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    with pytest.raises(StructuralError, match="dimension"):
+        unitary_corepresentation(G, d, seed=1)
+    with pytest.raises(StructuralError, match="dimension"):
+        random_invertible_corep(G, d, [1, 2])
+    assert draws == []
+    # the counting generator draws as numpy's own does
+    assert np.array_equal(random_invertible_corep(G, 1, 3)[0].tensor,
+                          random_invertible_corep(G, 1, [3])[0].tensor[0])
+    assert len(draws) == 4
+
+
+def choice_corepresentation(G, d, seed):
+    """A seeded sum of catalog entries picked by rng.choice with weights
+    V.d, summed by corep_direct_sum: the draw unitary_corepresentation
+    makes."""
+    rng = np.random.default_rng(seed)
+    V, remaining = None, d
+    while remaining > 0:
+        fitting = [U for U in corep_catalog(G) if U.d <= remaining]
+        weights = np.array([U.d for U in fitting], dtype=float)
+        pick = fitting[rng.choice(len(fitting), p=weights / weights.sum())]
+        V = pick if V is None else corep_direct_sum(V, pick)
+        remaining -= pick.d
+    return V
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_unitary_corepresentation_is_the_weighted_choice_of_summands(name):
+    G = builtin_instance(name)
+    for d in (1, 2, 3, 4):
+        seeds = list(range(20))
+        stacked = unitary_corepresentation(G, d, seed=seeds)
+        for k, seed in enumerate(seeds):
+            want = choice_corepresentation(G, d, seed).tensor
+            assert np.array_equal(stacked.tensor[k], want)
+            assert np.array_equal(unitary_corepresentation(G, d, seed=seed).tensor, want)

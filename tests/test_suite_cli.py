@@ -212,6 +212,31 @@ def test_noncb_records_agree_across_blas_thread_counts():
         assert math.isclose(a["value"], b["value"], rel_tol=1e-12)
 
 
+def _without_runtimes(records):
+    return json.dumps([{k: v for k, v in r.items() if k != "runtime_ms"}
+                       for r in records], sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["corep-suite", "multiplier-suite"])
+def test_stacked_suite_records_agree_across_runs_and_blas_thread_counts(command):
+    # the stacked trials run their gemms on whole stacks, where a thread
+    # count could change a summation order: byte-stable at one BLAS thread,
+    # within a few ulps at two
+    runs = []
+    for threads in ("1", "1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        r = _cli(command, "--builtin", "c_s3", "--builtin", "kac_paljutkin",
+                 env=env)
+        assert r.returncode == 0, r.stderr
+        runs.append(json.loads(r.stdout)["records"])
+    one, again, two = runs
+    assert _without_runtimes(one) == _without_runtimes(again)
+    assert [(r["name"], r["passed"]) for r in one] \
+        == [(r["name"], r["passed"]) for r in two]
+    for a, b in zip(one, two):
+        assert math.isclose(a["value"], b["value"], rel_tol=1e-12)
+
+
 def _ticking_clock(monkeypatch):
     """Make suite's perf_counter return 0, 1, 2, ... seconds, one per call."""
     ticks = itertools.count()
