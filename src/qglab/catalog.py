@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corep import Corepresentation, is_corep
+from .corep import Corepresentation, check_dimension, is_corep
 from .duality import build_dual
 from .errors import StructuralError
 from .qgroup import FiniteQuantumGroup, block_decompose
@@ -63,10 +63,10 @@ def unitary_corepresentation(G: FiniteQuantumGroup, d: int,
 
     ``seed`` is one seed or an array of them; each seed picks its summands
     with its own generator, and the sums are stacked along the seed axes,
-    tensor (..., d, d, n).
+    tensor (..., d, d, n).  A seed may also be a generator, which then
+    draws from where its stream stands.
     """
-    if d < 1:
-        raise StructuralError("a corepresentation has dimension >= 1, got %r" % d)
+    check_dimension(d)
     cat = corep_catalog(G)
     # The entries that fit in each remaining dimension, picked with
     # probability proportional to their dimension: the first entry whose
@@ -81,7 +81,8 @@ def unitary_corepresentation(G: FiniteQuantumGroup, d: int,
     seeds = np.asarray(seed)
     t = np.zeros(seeds.shape + (d, d, G.dim), dtype=complex)
     for at, s in np.ndenumerate(seeds):
-        rng = np.random.default_rng(int(s))
+        rng = (s if isinstance(s, np.random.Generator)
+               else np.random.default_rng(int(s)))
         start = 0
         while start < d:
             fitting, cdf = fits[d - start]

@@ -58,6 +58,12 @@ class Corepresentation:
         return "Corepresentation(%r, d=%d)" % (self.owner.name, self.d)
 
 
+def check_dimension(d):
+    """Refuse a corepresentation dimension below 1."""
+    if d < 1:
+        raise StructuralError("a corepresentation has dimension >= 1, got %r" % d)
+
+
 def trivial_corep(G: FiniteQuantumGroup, d: int = 1) -> Corepresentation:
     t = np.zeros((d, d, G.dim), dtype=complex)
     for i in range(d):
@@ -234,22 +240,27 @@ def random_invertible_corep(G: FiniteQuantumGroup, d: int, seed):
     condition <= 10 and a unitary corepresentation V0 of dimension d from
     the instance catalog.
 
-    ``seed`` is one seed or an array of them: each seed draws V0 and T from
-    its own generators, exactly as a call with that seed alone would, and
-    the results are stacked along the seed axes; one batched SVD, inverse
-    and contraction then serve the whole stack.
+    ``seed`` is one seed or an array of them: each seed seeds one generator,
+    which draws T and is then rewound to draw V0, so both read its stream
+    from the start, exactly as a call with that seed alone would; the
+    results are stacked along the seed axes, and one batched SVD, inverse
+    and contraction serve the whole stack.
     """
     from .catalog import unitary_corepresentation
 
-    V0 = unitary_corepresentation(G, d, seed)
+    check_dimension(d)
     seeds = np.asarray(seed)
+    rngs = np.empty(seeds.shape, dtype=object)
     A = np.empty(seeds.shape + (d, d), dtype=complex)
     svals = np.empty(seeds.shape + (d,))
     smin = 0.1
     for at, s in np.ndenumerate(seeds):
-        rng = np.random.default_rng(int(s))
+        rng = rngs[at] = np.random.default_rng(int(s))
+        start = rng.bit_generator.state
         A[at] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         svals[at] = smin + (1.0 - smin) * rng.random(d)
+        rng.bit_generator.state = start
+    V0 = unitary_corepresentation(G, d, rngs)
     svals[..., 0] = 1.0
     if d > 1:
         svals[..., -1] = smin

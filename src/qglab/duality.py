@@ -31,8 +31,8 @@ from .qgroup import (
 )
 
 
-# Bytes the pentagon and coproduct checks of W may hold at once (see
-# _check_bytes): 16 (4 n^5 + 2 n^4) + 2^20 <= 2^29 allows n <= 24.
+# Bytes the duality layer may hold at once (see _check_bytes):
+# 16 * 10 n^4 + 2^20 <= 2^29 allows n <= 42.
 PENTAGON_BUDGET_BYTES = 2 ** 29
 
 # Bound on the extracted dual's validation violations and extraction residual.
@@ -40,41 +40,54 @@ DUAL_TOL = 1e-9
 
 
 def _check_bytes(n):
-    """Peak bytes of the pentagon and coproduct checks of W at dim H = n.
+    """Peak bytes of the duality layer at dim H = n: build_w, the coproduct
+    and pentagon checks of W, and build_dual.
 
-    The coproduct residual holds four complex n^5 stacks at once (its first
-    term, and the conjugation's einsum temporaries and result) and n^4
-    temporaries; the pentagon bound holds only complex n^4 arrays, six at
-    most.  2^20 bytes cover numpy's iteration buffers.
+    Each works on complex n^4 arrays, ten at most at once (traced at
+    n = 12 and 24: build_w 7.1, the coproduct residual 6.0, the pentagon
+    bound 3.0 and build_dual 9.2-9.5 arrays): the coproduct residual and
+    the dual's coproduct are formed one basis element at a time.  2^20
+    bytes cover numpy's iteration buffers.
     """
-    return 16 * (4 * n ** 5 + 2 * n ** 4) + 2 ** 20
+    return 16 * 10 * n ** 4 + 2 ** 20
 
 
 class MultiplicativeUnitary:
-    """W on H_h (x) H_h with its leg-one expansion over the algebra basis.
+    """W on H_h (x) H_h with its leg-one expansion over the algebra basis
+    and its unitarity residual.
 
-    The pentagon and coproduct residuals are computed when first read, so a
-    W built only to extract a dual never pays for them.
+    The coproduct and pentagon residuals are computed when first read, so a
+    W built only to extract a dual never pays for them; the pentagon bound
+    reads the per-element coproduct residuals, which are computed once.
     """
 
-    def __init__(self, owner, W, leg1_slices, expansion_residual,
-                 unitarity_residual):
+    def __init__(self, owner, W):
         self.owner = owner
         self.W = W
-        self.leg1_slices = leg1_slices      # W = sum_i lambda(e_i) (x) Z_i
-        self.expansion_residual = float(expansion_residual)
-        self.unitarity_residual = float(unitarity_residual)
+        Z, self.expansion_residual = _leg1_expand(owner.gns().span, W)
+        self.leg1_slices = Z                # W = sum_i lambda(e_i) (x) Z_i + R
+        Wstar = W.conj().T
+        eye = np.eye(len(W))
+        self.unitarity_residual = float(max(np.linalg.norm(W @ Wstar - eye, 2),
+                                            np.linalg.norm(Wstar @ W - eye, 2)))
+
+    @cached_property
+    def coproduct_residuals(self) -> np.ndarray:
+        """r_i = ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||,
+        one per basis element e_i."""
+        return _coproduct_residuals(self.W, self.owner.coproduct,
+                                    self.owner.gns().images)
+
+    @property
+    def coproduct_residual(self) -> float:
+        """max_i r_i."""
+        return float(np.max(self.coproduct_residuals))
 
     @cached_property
     def pentagon_residual(self) -> float:
-        """Certified upper bound on ||W12 W13 W23 - W23 W12||."""
-        return _pentagon_residual(self.W)
-
-    @cached_property
-    def coproduct_residual(self) -> float:
-        """max_i ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||."""
-        return _coproduct_residual(self.W, self.owner.coproduct,
-                                   self.owner.gns().images)
+        """Certified upper bound on ||W12 W13 W23 - W23 W12|| (see
+        _pentagon_bound)."""
+        return _pentagon_bound(self, self.coproduct_residuals)
 
     def lambda_of(self, w: Functional) -> np.ndarray:
         """lambda(omega) = (omega (x) id)W on H_h."""
@@ -98,54 +111,73 @@ def _legs(U):
     return U.reshape(n, n, n, n)
 
 
-def _pentagon_residual(W):
-    """sqrt(||D||_1 ||D||_inf), a certified upper bound on the spectral norm
-    of D = W12 W13 W23 - W23 W12 on H (x) H (x) H (Hoelder).
-
-    D is formed one slice D[a, b] at a time, output legs 1 and 2 fixed: the
-    slice gives the absolute row sums of the rows (a, b, c) and adds its part
-    to the column sums over (x, y, z), then is dropped.  The n^6 array D is
-    never formed; three n^4 copies of W and a slice's n^4 temporaries are all
-    that is live.  W12 W13 contracts leg 1 (p), W23 then legs 2 and 3 (q, s);
-    W23 W12 contracts leg 2 (q).  When every row and column of D holds at
-    most one nonzero entry, all of one modulus, the bound equals ||D||.
-    """
-    W4 = _legs(W)
-    n = W4.shape[0]
-    m = n * n
-    w13 = W4.transpose(1, 2, 3, 0).reshape(m * n, n)        # [(c, x, s), p]
-    w23 = W4.transpose(2, 3, 0, 1).reshape(m, m)            # [(y, z), (q, s)]
-    w23_first = W4.transpose(0, 1, 3, 2).reshape(m * n, n)  # [(b, c, z), q]
-    row_max = 0.0
-    col_sums = np.zeros((n, n, n))                           # [y, z, x]
-    for a in range(n):
-        w12 = W4[a].reshape(n, m)                            # [q, (x, y)]
-        for b in range(n):
-            t = (w13 @ W4[a, b]).reshape(n, n, n, n)         # [c, x, s, q]
-            d = (w23 @ t.transpose(3, 2, 0, 1).reshape(m, m)).reshape(
-                n, n, n, n)                                  # [y, z, c, x]
-            d -= (w23_first[b * m:(b + 1) * m] @ w12).reshape(
-                n, n, n, n).transpose(3, 1, 0, 2)            # [c, z, x, y] as d
-            d = np.abs(d)
-            row_max = max(row_max, float(d.sum(axis=(0, 1, 3)).max()))
-            col_sums += d.sum(axis=2)
-    return float(np.sqrt(row_max * col_sums.max()))
-
-
-def _conjugate_leg2(U, X):
-    """U* (1 (x) X_i) U as [i, a, b, c, d] for each X_i in the stack X: X_i acts
-    on leg 2 only, so the legs (x, y) of U* meet (x, z) of U and X_i joins y, z."""
+def _conjugations_leg2(U, X):
+    """U* (1 (x) X_i) U as [a, b, c, d] for each X_i of the stack X, one at
+    a time (a generator), so only n^4 arrays are live: X_i acts on leg 2
+    only, so the legs (x, y) of U* meet (x, z) of U and X_i joins y, z.
+    The contraction path is formed once."""
     U4 = _legs(U)
-    return np.einsum("xyab,iyz,xzcd->iabcd", U4.conj(), X, U4, optimize=True)
+    U4c = U4.conj()
+    spec = "xyab,yz,xzcd->abcd"
+    path = np.einsum_path(spec, U4c, X[0], U4, optimize=True)[0]
+    for Xi in X:
+        yield np.einsum(spec, U4c, Xi, U4, optimize=path)
 
 
-def _coproduct_residual(W, coproduct, images):
-    """max_i || (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W ||, the
-    first term with lambda(e_j) on leg 1 and lambda(e_k) on leg 2."""
+def _coproduct_residuals(W, coproduct, images):
+    """r_i = || (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W || for
+    each i, the first term with lambda(e_j) on leg 1 and lambda(e_k) on leg 2.
+    One i at a time, in n^4 memory; each contraction path is formed once."""
     n = len(images)
-    diff = (np.einsum("ijk,jac,kbd->iabcd", coproduct, images, images, optimize=True)
-            - _conjugate_leg2(W, images)).reshape(n, n * n, n * n)
-    return float(np.max(np.linalg.norm(diff, 2, axis=(1, 2))))
+    first = "jk,jac,kbd->abcd"
+    path = np.einsum_path(first, coproduct[0], images, images, optimize=True)[0]
+    r = np.empty(n)
+    for i, conj in enumerate(_conjugations_leg2(W, images)):
+        diff = np.einsum(first, coproduct[i], images, images, optimize=path) - conj
+        r[i] = np.linalg.norm(diff.reshape(n * n, n * n), 2)
+    return r
+
+
+def _pentagon_bound(Wd, r):
+    """Certified upper bound on ||D||, D = W12 W13 W23 - W23 W12 on
+    H (x) H (x) H, from the coproduct identity.
+
+    Notation: W is the multiplicative unitary; lambda_i = lambda(e_i) are
+    the left regular images; the leg-one slices Z_i satisfy
+    W = sum_i lambda_i (x) Z_i + R; rho = expansion_residual * max(1, ||W||_F)
+    >= ||R||; u is the unitarity residual and w = sqrt(1 + u) >= ||W||;
+    r_i = ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W|| is the
+    coproduct residual at i; E_jk = sum_i Delta_i^{jk} Z_i - Z_j Z_k.
+
+    With D' = W12* W23 W12 - W13 W23, D = -W12 D' + (W12 W12* - 1) W23 W12.
+    Expanding W23 and W13 in the slices, W12* (1 (x) lambda_i (x) Z_i) W12 =
+    W*(1 (x) lambda_i)W (x) Z_i, whose first factor is within r_i of
+    (lambda (x) lambda)Delta(e_i), and W13 W23 leaves
+    sum_jk lambda_j (x) lambda_k (x) Z_j Z_k; the terms in R are bounded by
+    rho with ||sum_i lambda_i (x) Z_i|| <= w + rho.  So
+
+        ||D|| <= w (||sum_jk lambda_j (x) lambda_k (x) E_jk||_F
+                    + sum_i r_i ||Z_i|| + rho (w^2 + 2 w + rho)) + u w^2.
+
+    The Frobenius norm squared is sum GL[j,j'] GL[k,k'] GE[(j,k),(j',k')]
+    over Gram matrices, GL[j,j'] = tr(lambda_j* lambda_j') and GE that of
+    the vec(E_jk): n^6 time and n^4 memory.
+    """
+    G = Wd.owner
+    Z = Wd.leg1_slices
+    n = len(Z)
+    u = Wd.unitarity_residual
+    w = np.sqrt(1.0 + u)
+    rho = Wd.expansion_residual * max(1.0, float(np.linalg.norm(Wd.W)))
+    E = (np.einsum("ijk,iab->jkab", G.coproduct, Z)
+         - Z[:, None] @ Z[None]).reshape(n * n, n * n)
+    GE = (E.conj() @ E.T).reshape(n, n, n, n)
+    L = G.gns().images.reshape(n, n * n)
+    GL = L.conj() @ L.T
+    frob2 = float(np.einsum("jJ,kK,jkJK->", GL, GL, GE).real)
+    slices = float(r @ np.linalg.norm(Z, 2, axis=(1, 2)))
+    return float(w * (np.sqrt(max(frob2, 0.0)) + slices
+                      + rho * (w * w + 2 * w + rho)) + u * w * w)
 
 
 def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
@@ -153,32 +185,27 @@ def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
 
 
 def _build_w(G):
-    """W with its unitarity and leg-one residuals.  The pentagon and
-    coproduct residuals are computed when first read, but the bytes they
-    need are checked against the budget here, before anything is allocated.
-    Both contract W leg by leg (see their helpers): the pentagon residual is
-    a certified upper bound on the spectral norm of the pentagon difference,
-    the coproduct residual a spectral norm."""
+    """W with its unitarity and leg-one residuals.  The coproduct and
+    pentagon residuals are computed when first read, and the dual is built
+    from W, but the bytes all of them need are checked against the budget
+    here, before anything is allocated: the coproduct residual is a spectral
+    norm per basis element, the pentagon residual a certified upper bound
+    built from those norms."""
     n = G.dim
     need = _check_bytes(n)
     if need > PENTAGON_BUDGET_BYTES:
-        raise BudgetError("pentagon and coproduct checks of W need %d bytes "
-                          "at n = %d (budget %d)" % (need, n, PENTAGON_BUDGET_BYTES))
+        raise BudgetError("duality at n = %d needs %d bytes (budget %d)"
+                          % (n, need, PENTAGON_BUDGET_BYTES))
     gd = G.gns()
     # W* on coefficients: (a (x) b) -> Delta(b)(a (x) 1)
     wstar_c = np.einsum("mjq,jip->pqim", G.coproduct, G.mult).reshape(n * n, n * n)
     lam2 = np.kron(gd.lambda_map, gd.lambda_map)
     lam2_inv = np.kron(gd.lambda_inv, gd.lambda_inv)
-    Wstar = lam2 @ wstar_c @ lam2_inv
-    W = Wstar.conj().T
-    eye2 = np.eye(n * n)
-    unit_resid = max(np.linalg.norm(W @ Wstar - eye2, 2),
-                     np.linalg.norm(Wstar @ W - eye2, 2))
-    if unit_resid > 1e-8:
-        raise InvalidInstanceError(
-            "fundamental operator is not unitary (residual %.3e)" % unit_resid)
-    Z, exp_resid = _leg1_expand(gd.span, W)
-    return MultiplicativeUnitary(G, W, Z, exp_resid, unit_resid)
+    Wd = MultiplicativeUnitary(G, (lam2 @ wstar_c @ lam2_inv).conj().T)
+    if Wd.unitarity_residual > 1e-8:
+        raise InvalidInstanceError("fundamental operator is not unitary "
+                                   "(residual %.3e)" % Wd.unitarity_residual)
+    return Wd
 
 
 class DualQuantumGroup:
@@ -243,6 +270,7 @@ def _build_dual(G):
     (zmat has columns vec(Z_a)).  zmat has full column rank, so
     pinv(zmat (x) zmat) = zpinv (x) zpinv and c = zpinv T_mu zpinv^T is the
     least-squares solution of the n^4 x n^2 system in vec(Z_a (x) Z_b).
+    The T_mu are formed one mu at a time, so only n^4 arrays are live.
     """
     Wd = build_w(G)
     gd = G.gns()
@@ -255,9 +283,12 @@ def _build_dual(G):
     mult_hat, r_mult = span.expand(Z[:, None] @ Z[None])     # [a, b] = Z_a Z_b
     Wstar = Wd.W.conj().T
     What = _legs(Wstar).transpose(1, 0, 3, 2).reshape(n * n, n * n)  # Sigma W* Sigma
-    T = _conjugate_leg2(What, Z).transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
-    cop_hat = zpinv @ T @ zpinv.T
-    r_cop = np.linalg.norm(zmat @ cop_hat @ zmat.T - T, axis=(1, 2))
+    cop_hat = np.empty((n, n, n), dtype=complex)
+    r_cop = np.empty(n)
+    for mu, T in enumerate(_conjugations_leg2(What, Z)):
+        T = T.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        cop_hat[mu] = zpinv @ T @ zpinv.T
+        r_cop[mu] = np.linalg.norm(zmat @ cop_hat[mu] @ zmat.T - T, axis=(0, 1))
     unit_hat = G.counit.copy()
     counit_hat = G.unit.copy()
     # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*)

@@ -10,6 +10,7 @@ import pytest
 
 from qglab import convolution, suite
 from qglab.builders import BUILTIN_NAMES, builtin_instance
+from qglab.catalog import unitary_corepresentation
 from qglab.convolution import (
     Functional,
     basis_functional,
@@ -27,6 +28,7 @@ from qglab.corep import (
     corep_direct_sum,
     corep_distance,
     corep_product,
+    diagonal_matrices,
     essential_data,
     generator_of,
     inverse_corep,
@@ -295,6 +297,28 @@ def test_stacked_draws_are_the_single_draws(name):
             assert np.array_equal(V.tensor[at], V1.tensor)
             assert np.array_equal(T[at], T1)
             assert np.array_equal(V0.tensor[at], V01.tensor)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_one_generator_per_trial_draws_what_two_did(name):
+    # T drawn from a fresh generator of the trial's seed and V0 from another
+    # one: the draws of the time when each trial seeded two generators
+    G = builtin_instance(name)
+    smin = 0.1
+    for d in (1, 2, 3, 4):
+        seeds = np.arange(20) + 700 + 20 * d
+        V, T, V0 = random_invertible_corep(G, d, seeds)
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(int(seed))
+            A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            svals = smin + (1.0 - smin) * rng.random(d)
+            svals[0] = 1.0
+            if d > 1:
+                svals[-1] = smin
+            U, _, Vh = np.linalg.svd(A)
+            assert np.array_equal(T[k], U @ diagonal_matrices(svals) @ Vh)
+            assert np.array_equal(V0.tensor[k],
+                                  unitary_corepresentation(G, d, int(seed)).tensor)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -1,6 +1,7 @@
 """Multiplicative unitary, dual instance extraction, biduality, multipliers,
 and the concrete pairing identity."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -24,8 +25,8 @@ from qglab.convolution import (
 )
 from qglab.corep import random_invertible_corep
 from qglab.duality import (
-    _coproduct_residual,
-    _pentagon_residual,
+    MultiplicativeUnitary,
+    _coproduct_residuals,
     biduality,
     build_dual,
     build_w,
@@ -303,36 +304,56 @@ def _kron_pentagon_difference(W, n):
     return W12 @ W13 @ W23 - W23 @ W12
 
 
-def _holder(D):
-    return np.sqrt(np.linalg.norm(D, 1) * np.linalg.norm(D, np.inf))
+def _pentagon_norm(W, n):
+    return np.linalg.norm(_kron_pentagon_difference(W, n), 2)
 
 
-def test_pentagon_residual_matches_kron_formula():
-    rng = np.random.default_rng(5)
-    n = 3
-    W = _random_unitary(n * n, rng)
-    D = _kron_pentagon_difference(W, n)
-    assert np.linalg.norm(D, 2) > 0.5     # W is no multiplicative unitary
-    res = _pentagon_residual(W)
-    assert abs(res - _holder(D)) <= 1e-12 * _holder(D)
-    assert res >= np.linalg.norm(D, 2)
+def dihedral_table(m):
+    """The dihedral group of order 2m: rotation k and reflection e at k + m e."""
+    t = np.zeros((2 * m, 2 * m), dtype=int)
+    for k1, e1, k2, e2 in itertools.product(range(m), (0, 1), range(m), (0, 1)):
+        t[k1 + m * e1, k2 + m * e2] = (k1 + (-1) ** e1 * k2) % m + m * (e1 ^ e2)
+    return t
 
 
-@pytest.mark.parametrize("n, seed", [(3, 0), (4, 0)])
-def test_pentagon_residual_sums_columns_over_slices(n, seed):
-    # rows (a, b, c) of D lie in slice a, but every column sum runs over all
-    # slices: pick W whose widest row and widest column part sit in two
-    # different slices, so a bound that kept per-slice maxima would differ
+@pytest.fixture(scope="module", params=CORPUS + ("c_d5", "cg_d5"))
+def instance(request):
+    name = request.param
+    if name.endswith("_d5"):
+        build = from_function_algebra if name == "c_d5" else from_group_algebra
+        return build(dihedral_table(5))
+    return builtin_instance(name)
+
+
+def test_pentagon_residual_bounds_the_pentagon_difference(instance):
+    Wd = build_w(instance)
+    assert _pentagon_norm(Wd.W, instance.dim) <= Wd.pentagon_residual <= 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(3, 5), (3, 0), (4, 0)])
+def test_pentagon_residual_bounds_random_unitaries(n, seed):
+    # a random unitary is no multiplicative unitary: every term of the bound
+    # is large, and the bound must still lie above the true norm
     W = _random_unitary(n * n, np.random.default_rng(seed))
-    A = np.abs(_kron_pentagon_difference(W, n)).reshape(n, n * n, n ** 3)
-    row_slice = np.argmax(A.sum(axis=2).max(axis=1))
-    col = np.argmax(A.sum(axis=(0, 1)))
-    assert row_slice != np.argmax(A[:, :, col].sum(axis=1))
-    per_slice = max(np.sqrt(A[a].sum(axis=1).max() * A[a].sum(axis=0).max())
-                    for a in range(n))
-    holder = np.sqrt(A.sum(axis=2).max() * A.sum(axis=(0, 1)).max())
-    assert per_slice < holder * (1 - 1e-6)
-    assert abs(_pentagon_residual(W) - holder) <= 1e-12 * holder
+    norm = _pentagon_norm(W, n)
+    assert norm > 0.5
+    for name in CORPUS:
+        G = builtin_instance(name)
+        if G.dim == n:
+            assert MultiplicativeUnitary(G, W).pentagon_residual >= norm, name
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1.0])
+def test_pentagon_residual_bounds_perturbed_w(eps):
+    G = builtin_instance("kac_paljutkin")
+    n = G.dim
+    rng = np.random.default_rng(9)
+    noise = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    W = build_w(G).W + eps * noise / np.linalg.norm(noise, 2)
+    bound = MultiplicativeUnitary(G, W).pentagon_residual
+    norm = _pentagon_norm(W, n)
+    assert norm > eps / 100
+    assert bound >= norm
 
 
 def test_coproduct_residual_matches_kron_formula():
@@ -341,13 +362,14 @@ def test_coproduct_residual_matches_kron_formula():
     W = _random_unitary(n * n, rng)
     D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     L = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    dense = max(
+    dense = np.array([
         np.linalg.norm(
             sum(D[i, j, k] * np.kron(L[j], L[k]) for j in range(n) for k in range(n))
             - W.conj().T @ np.kron(np.eye(n), L[i]) @ W, 2)
-        for i in range(n))
-    assert dense > 0.5
-    assert abs(_coproduct_residual(W, D, L) - dense) <= 1e-12 * dense
+        for i in range(n)])
+    assert dense.min() > 0.5
+    r = _coproduct_residuals(W, D, L)
+    assert np.all(np.abs(r - dense) <= 1e-12 * dense)
 
 
 def test_factored_coproduct_solve_matches_pinv_of_kron_system():
@@ -407,14 +429,24 @@ def test_dual_extraction_residual_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
-def test_build_w_refuses_n32_before_allocating(build):
-    # the pentagon and coproduct checks would hold 2.2 GB at n = 32
-    assert duality._check_bytes(24) <= duality.PENTAGON_BUDGET_BYTES
-    G = build(cyclic_table(32))
+def test_build_w_refuses_n32_before_allocating(build, monkeypatch):
+    # the duality layer holds n^4 arrays only, so n = 32 now fits the
+    # budget; a budget one byte short of its need at a cheap n is refused
+    # at once, before even one n^4 array is formed
+    assert duality._check_bytes(32) <= duality.PENTAGON_BUDGET_BYTES
+    G = build(cyclic_table(12))
+    n = G.dim
+    monkeypatch.setattr(duality, "PENTAGON_BUDGET_BYTES", duality._check_bytes(n) - 1)
     t0 = time.perf_counter()
-    with pytest.raises(BudgetError):
-        build_w(G)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            build_w(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - t0 < 1.0
+    assert peak < 16 * n ** 4
     with pytest.raises(BudgetError):
         build_dual(G)
 
@@ -431,25 +463,29 @@ def _traced_peak(f, *args):
 def test_residual_checks_stay_in_their_budget():
     G = from_function_algebra(cyclic_table(12))
     n = G.dim
-    W = build_w(G).W
-    pentagon = _traced_peak(_pentagon_residual, W)
+    Wd = build_w(G)
+    coproduct = _traced_peak(_coproduct_residuals, Wd.W, G.coproduct, G.gns().images)
+    assert coproduct <= duality._check_bytes(n)
+    assert coproduct < 16 * n ** 5      # slice-wise: no n^5 array is formed
+    pentagon = _traced_peak(duality._pentagon_bound, Wd, np.zeros(n))
     assert pentagon <= duality._check_bytes(n)
-    assert pentagon < 16 * n ** 5       # slice-wise: no n^5 array is formed
-    images = G.gns().images
-    assert (_traced_peak(_coproduct_residual, W, G.coproduct, images)
-            <= duality._check_bytes(n))
+    assert pentagon < 16 * n ** 5
+    # the dual's coproduct is formed one basis element at a time too
+    assert _traced_peak(build_dual, G) <= duality._check_bytes(n)
 
 
 def test_residuals_are_computed_when_first_read(monkeypatch):
     calls = []
-    monkeypatch.setattr(duality, "_pentagon_residual",
-                        lambda W: calls.append("pentagon") or 0.0)
-    monkeypatch.setattr(duality, "_coproduct_residual",
-                        lambda *args: calls.append("coproduct") or 0.0)
+    monkeypatch.setattr(duality, "_coproduct_residuals",
+                        lambda *args: calls.append("coproduct") or np.zeros(1))
+    monkeypatch.setattr(duality, "_pentagon_bound",
+                        lambda Wd, r: calls.append("pentagon") or 0.0)
     G = builtin_instance("kac_paljutkin")
     biduality(G)
     assert calls == []
     Wd = build_w(G)
-    for _ in range(2):                  # computed on the first read only
+    # the pentagon bound reads the coproduct residuals: each is computed on
+    # the first read only
+    for _ in range(2):
         assert Wd.pentagon_residual == 0.0 and Wd.coproduct_residual == 0.0
-    assert calls == ["pentagon", "coproduct"]
+    assert calls == ["coproduct", "pentagon"]

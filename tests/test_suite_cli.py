@@ -217,24 +217,42 @@ def _without_runtimes(records):
                        for r in records], sort_keys=True)
 
 
-@pytest.mark.parametrize("command", ["corep-suite", "multiplier-suite"])
-def test_stacked_suite_records_agree_across_runs_and_blas_thread_counts(command):
-    # the stacked trials run their gemms on whole stacks, where a thread
-    # count could change a summation order: byte-stable at one BLAS thread,
-    # within a few ulps at two
+def _records_at_blas_threads(*args):
+    """The records of one CLI run at one OpenBLAS thread and of one at two,
+    after checking that a second run at one thread is byte-identical and
+    that the run at two has the same names and outcomes."""
     runs = []
     for threads in ("1", "1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        r = _cli(command, "--builtin", "c_s3", "--builtin", "kac_paljutkin",
-                 env=env)
+        r = _cli(*args, env=env)
         assert r.returncode == 0, r.stderr
         runs.append(json.loads(r.stdout)["records"])
     one, again, two = runs
     assert _without_runtimes(one) == _without_runtimes(again)
     assert [(r["name"], r["passed"]) for r in one] \
         == [(r["name"], r["passed"]) for r in two]
+    return one, two
+
+
+@pytest.mark.parametrize("command", ["corep-suite", "multiplier-suite"])
+def test_stacked_suite_records_agree_across_runs_and_blas_thread_counts(command):
+    # the stacked trials run their gemms on whole stacks, where a thread
+    # count could change a summation order: byte-stable at one BLAS thread,
+    # within a few ulps at two
+    one, two = _records_at_blas_threads(command, "--builtin", "c_s3",
+                                        "--builtin", "kac_paljutkin")
     for a, b in zip(one, two):
         assert math.isclose(a["value"], b["value"], rel_tol=1e-12)
+
+
+def test_duality_records_agree_across_runs_and_blas_thread_counts():
+    # the pentagon bound sums Gram matrices formed by gemm, whose summation
+    # order may follow the thread count: byte-stable at one BLAS thread; at
+    # two, within a few ulps, or 1e-15 for values that are roundoff alone
+    one, two = _records_at_blas_threads("duality", "--builtin", "c_s3",
+                                        "--builtin", "kac_paljutkin")
+    for a, b in zip(one, two):
+        assert math.isclose(a["value"], b["value"], rel_tol=1e-12, abs_tol=1e-15)
 
 
 def _ticking_clock(monkeypatch):
