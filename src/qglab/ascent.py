@@ -16,7 +16,8 @@ class OperatorStack:
     sums the A_k* eta_k; ``by_owner`` and ``by_word`` sum the stacked rows per
     operator and per row.  The operators (dense or sparse) are read one at a
     time, so a generator of large ones is never held whole.  The stack only
-    applies the operators; it gives back no operator or corner of one.
+    applies the operators; it gives back no operator or corner of one, and
+    it holds no adjoint: ``rank_one_ascent`` forms the one it applies.
     """
 
     def __init__(self, operators, dim):
@@ -29,7 +30,6 @@ class OperatorStack:
             word.append(rows)
         self.dim = dim
         self.stack = sp.vstack(blocks, format="csr")
-        self.stack_h = self.stack.conj().T.tocsr()
         self.owner = np.concatenate(owner)
         self.word = np.concatenate(word)
         # complex, not real: a real row sum made each step about 3x slower
@@ -57,6 +57,7 @@ def rank_one_ascent(family: OperatorStack, theta, support, seed=0) -> float:
     (M xi | eta) for M = sum_k w_k A_k with w_k = (l | theta_k r), so a step
     sets eta to M xi and then xi to M* eta, normalized: the value never falls.
     """
+    stack_h = family.stack.conj().T.tocsr()
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(6):
@@ -78,7 +79,7 @@ def rank_one_ascent(family: OperatorStack, theta, support, seed=0) -> float:
             if nrm < 1e-14:
                 break
             eta = m_xi / nrm
-            mh_eta = family.stack_h @ (np.conj(w)[family.owner] * eta[family.word])
+            mh_eta = stack_h @ (np.conj(w)[family.owner] * eta[family.word])
             nrm = np.linalg.norm(mh_eta)
             if nrm < 1e-14:
                 break

@@ -8,22 +8,22 @@ corepresentations of one dimension, which every kernel below contracts with
 The slices pi(omega)_ij = omega(v_ij) represent the convolution algebra; the
 calculus implemented here covers:
 
-  * the corepresentation identity Delta(v_ij) = sum_k v_ik (x) v_kj and its
-    anti-representation mirror;
+  * the corepresentation identity Delta(v_ij) = sum_k v_ik (x) v_kj (its
+    anti-representation mirror is the identity of the transposed entry grid,
+    ``V.tensor.swapaxes(-3, -2)``);
   * the variants pi*, pi-check, pi-tilde and their generators V* and
     (S (x) id)V;
   * coefficient elements T_{ab} = sum_ij v_ij a_j conj(b_i) pairing as
     (pi(omega) a | b);
   * inversion by the antipode, unitarization by Haar averaging, essential
     idempotents of degenerate corepresentations, and the completely bounded
-    norm ||V|| against certified lower bounds for the plain norm ||pi||.
+    norm ||pi||_cb = ||V||.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ascent import OperatorStack, rank_one_ascent
 from .convolution import Functional, counit_functional, sharp, star_l1
 from .errors import NotInvertibleError, OwnerMismatchError, StructuralError
 from .qgroup import AlgebraElement, FiniteQuantumGroup, adjoint, apply_antipode
@@ -74,39 +74,35 @@ def trivial_corep(G: FiniteQuantumGroup, d: int = 1) -> Corepresentation:
 class CorepCheck:
     """The residuals of the corepresentation identity, both read off one
     difference Delta(v_ij) - sum_k v_ik (x) v_kj over the basis pairs (a, b)
-    of A (x) A: ``violation`` is its largest entry, ``pair_defect`` the
+    of A (x) A: ``violation`` is its largest entry and ``pair_defect`` the
     largest Frobenius norm over i, j of a pair's slice, which is
-    ||pi(e_a e_b) - pi(e_a) pi(e_b)||_F for the basis functionals e_a, e_b,
-    and ``anti_violation`` the largest entry of the anti variant.  For a
-    stack each field holds one value per corepresentation, and the check is
-    true when every one of them passes."""
+    ||pi(e_a e_b) - pi(e_a) pi(e_b)||_F for the basis functionals e_a, e_b.
+    For a stack each field holds one value per corepresentation, and the
+    check is true when every one of them passes."""
 
-    def __init__(self, is_corep, violation, anti_violation, pair_defect):
+    def __init__(self, is_corep, violation, pair_defect):
         self.is_corep = is_corep
         self.violation = violation
-        self.anti_violation = anti_violation
         self.pair_defect = pair_defect
 
     def __bool__(self):
         return bool(np.all(self.is_corep))
 
     def __repr__(self):
-        return ("CorepCheck(is_corep=%s, violation=%s, anti=%s, pair=%s)"
-                % (self.is_corep, self.violation, self.anti_violation,
-                   self.pair_defect))
+        return ("CorepCheck(is_corep=%s, violation=%s, pair=%s)"
+                % (self.is_corep, self.violation, self.pair_defect))
 
 
 def is_corep(V: Corepresentation, tol: float = 1e-9) -> CorepCheck:
-    """Delta(v_ij) = sum_k v_ik (x) v_kj, and the anti variant, entrywise."""
+    """Delta(v_ij) = sum_k v_ik (x) v_kj, entrywise.  The anti variant
+    Delta(v_ij) = sum_k v_kj (x) v_ik is this identity for the transposed
+    grid: ``is_corep(Corepresentation(G, V.tensor.swapaxes(-3, -2)))``."""
     G, t = V.owner, V.tensor
-    lhs = np.einsum("...ijm,mab->...ijab", t, G.coproduct)
-    diff = lhs - np.einsum("...ika,...kjb->...ijab", t, t)
-    anti = np.einsum("...kja,...ikb->...ijab", t, t)
-    entries = (-4, -3, -2, -1)
-    v = np.max(np.abs(diff), axis=entries)
-    av = np.max(np.abs(lhs - anti), axis=entries)
+    diff = (np.einsum("...ijm,mab->...ijab", t, G.coproduct)
+            - np.einsum("...ika,...kjb->...ijab", t, t))
+    v = np.max(np.abs(diff), axis=(-4, -3, -2, -1))
     pair = np.max(np.linalg.norm(diff, axis=(-4, -3)), axis=(-2, -1))
-    return CorepCheck(v <= tol, v, av, pair)
+    return CorepCheck(v <= tol, v, pair)
 
 
 def pi_of(V: Corepresentation, w: Functional) -> np.ndarray:
@@ -369,19 +365,3 @@ def cb_norm(V: Corepresentation):
     """||pi||_cb = ||V|| = the operator norm of the image in B(H_h (x) C^d)."""
     return np.linalg.norm(V.gns_matrix(), 2, axis=(-2, -1))
 
-
-def bounded_norm_lower(V: Corepresentation, seed: int = 0) -> float:
-    """Certified lower bound for ||pi|| = sup { ||pi(omega)|| : ||omega||_1 <= 1 }.
-
-    ``rank_one_ascent`` once per Wedderburn block k, with A_(ij) the block
-    image of v_ij and theta_(ij) = e_ij: omega(x) = (x_k u | v) with unit
-    vectors u, v in block k has dual norm one, so every evaluated candidate
-    certifies.
-    """
-    bd = V.owner.block_decomposition()
-    d = V.d
-    images = [bd.forward(V.entry(i, j)) for i in range(d) for j in range(d)]
-    theta = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return max(rank_one_ascent(OperatorStack([b[k] for b in images], nk),
-                               theta, nk, seed=seed)
-               for k, nk in enumerate(bd.sizes))

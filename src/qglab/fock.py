@@ -50,7 +50,6 @@ from one batched SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -161,8 +160,6 @@ class FockSpace:
     Layer L + 1 lists, for each factor i in turn, the layer-L words that do
     not start with i, each followed by every slot, so the words that start
     with i are contiguous within a layer, one row of slots per rest.
-    ``words`` and ``index`` give the same basis as tuples; they are built on
-    first use, and nothing in qglab reads them.
     """
 
     def __init__(self, factors, max_len, dim_cap=DEFAULT_DIM_CAP):
@@ -206,20 +203,6 @@ class FockSpace:
             fslot = self.slot[kids]
             frepl = (kids - fslot)[:, None] + np.arange(d)
             self._first.append((kids, fslot, self.rest[kids], frepl))
-
-    @cached_property
-    def words(self):
-        """The basis as tuples ((factor, slot), ...), the vacuum being ()."""
-        words = [()]
-        for f, s, r in zip(self.first[1:].tolist(), self.slot[1:].tolist(),
-                           self.rest[1:].tolist()):
-            words.append(((f, s),) + words[r])
-        return words
-
-    @cached_property
-    def index(self):
-        """word tuple -> basis index."""
-        return {w: k for k, w in enumerate(self.words)}
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)

@@ -404,9 +404,6 @@ class GnsData:
         self.images = lam @ owner.mult.transpose(0, 2, 1) @ lam_inv
         self.images.setflags(write=False)
 
-    def Lambda(self, a: AlgebraElement) -> np.ndarray:
-        return self.lambda_map @ a.coeffs
-
     def left_action(self, a: AlgebraElement) -> np.ndarray:
         """lambda_h(a) acting on H_h: Lambda(y) -> Lambda(a y)."""
         return np.tensordot(a.coeffs, self.images, 1)

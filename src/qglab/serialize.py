@@ -2,8 +2,9 @@
 
 Top-level object: name, dim, basis_labels, mult, coproduct, unit, counit,
 antipode, star, haar.  Complex numbers are always two-element [re, im]
-arrays; nested arrays follow the tensor index order.  Non-finite numbers
-are rejected on load.
+arrays; nested arrays follow the tensor index order.  On load, dim must be
+a positive int (not a bool), name a string, and basis_labels, when given, a
+list of dim strings; non-finite numbers are rejected.
 """
 
 from __future__ import annotations
@@ -56,12 +57,18 @@ def instance_from_dict(data: dict) -> FiniteQuantumGroup:
         if key not in data:
             raise StructuralError("missing field %r" % key)
     n = data["dim"]
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise StructuralError("field 'dim' must be a positive integer")
+    if not isinstance(data["name"], str):
+        raise StructuralError("field 'name' must be a string")
+    labels = data.get("basis_labels")
+    if "basis_labels" in data and not (
+            isinstance(labels, list) and len(labels) == n
+            and all(isinstance(b, str) for b in labels)):
+        raise StructuralError("field 'basis_labels' must be a list of %d strings" % n)
     tensors = {key: np.array(_decode(data[key], (n,) * rank, key), dtype=complex)
                for key, rank in _FIELDS.items()}
-    return FiniteQuantumGroup(data["name"], basis_labels=data.get("basis_labels"),
-                              **tensors)
+    return FiniteQuantumGroup(data["name"], basis_labels=labels, **tensors)
 
 
 def save_instance(G: FiniteQuantumGroup, path) -> None:

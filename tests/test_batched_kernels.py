@@ -232,7 +232,7 @@ def test_isometry_gate_uses_the_configured_tolerance():
 def _passing_check(V):
     """A CorepCheck that passes every corepresentation of the stack V."""
     zeros = np.zeros(V.tensor.shape[:-3])
-    return CorepCheck(zeros == 0.0, zeros, zeros, zeros)
+    return CorepCheck(zeros == 0.0, zeros, zeros)
 
 
 def test_dichotomy_that_sees_no_broken_tensor_fails(monkeypatch):
@@ -330,7 +330,7 @@ def test_stacked_corep_kernels_match_each_corep_alone(name):
         bad = Corepresentation(G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
         for W in (V, bad):
             got = is_corep(W)
-            for key in ("is_corep", "violation", "anti_violation", "pair_defect"):
+            for key in ("is_corep", "violation", "pair_defect"):
                 _assert_each(getattr(got, key),
                              lambda k: getattr(is_corep(_alone(W, k)), key))
         _assert_each(V.gns_matrix(), lambda k: _alone(V, k).gns_matrix())

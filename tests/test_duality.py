@@ -91,8 +91,9 @@ def test_lambda_rep_examples():
     # oracle: the translation unitary permutes the GNS basis of delta functions
     gd = G.gns()
     for x in range(2):
-        v = gd.Lambda(G.basis_element(x))
-        assert np.linalg.norm(lam_g @ v - gd.Lambda(G.basis_element(1 - x))) < 1e-12
+        v = gd.lambda_map @ G.basis_element(x).coeffs
+        swapped = gd.lambda_map @ G.basis_element(1 - x).coeffs
+        assert np.linalg.norm(lam_g @ v - swapped) < 1e-12
     rng = np.random.default_rng(0)
     for name in ("cg_s3", "kac_paljutkin"):
         H = builtin_instance(name)
@@ -163,7 +164,7 @@ def test_lambda_hat_gns_pairing():
             xi = dual.Lambda_hat_of_functional(w)
             for i in range(G.dim):
                 x = G.basis_element(i)
-                assert abs(w(adjoint(x)) - np.vdot(gd.Lambda(x), xi)) < 1e-10
+                assert abs(w(adjoint(x)) - np.vdot(gd.lambda_map @ x.coeffs, xi)) < 1e-10
             w1 = rand_functional(G, rng)
             lhs = dual.Lambda_hat_of_functional(convolve(w, w1))
             rhs = dual.Wd.lambda_of(w) @ dual.Lambda_hat_of_functional(w1)

@@ -140,7 +140,7 @@ def test_gns_pairing_matches_haar():
     for _ in range(10):
         x = G.element(rng.standard_normal(8) + 1j * rng.standard_normal(8))
         y = G.element(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        ip = np.vdot(gd.Lambda(y), gd.Lambda(x))
+        ip = np.vdot(gd.lambda_map @ y.coeffs, gd.lambda_map @ x.coeffs)
         assert abs(ip - apply_haar(multiply(adjoint(y), x))) < 1e-10
 
 

@@ -78,3 +78,27 @@ def test_invalid_json(tmp_path):
     p.write_text('{"name": "x", "dim": 2')
     with pytest.raises(StructuralError):
         load_instance(p)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("basis_labels", 5, "basis_labels"),
+    ("basis_labels", "ab", "basis_labels"),
+    ("basis_labels", None, "basis_labels"),
+    ("basis_labels", ["a"], "basis_labels"),
+    ("basis_labels", ["a", 1], "basis_labels"),
+    ("dim", True, "dim"),
+    ("dim", 2.0, "dim"),
+    ("name", ["x"], "name"),
+    ("name", 7, "name"),
+])
+def test_malformed_metadata_rejected(key, value, match):
+    d = instance_to_dict(builtin_instance("c_z2"))
+    d[key] = value
+    with pytest.raises(StructuralError, match=match):
+        instance_from_dict(d)
+
+
+def test_basis_labels_may_be_absent():
+    d = instance_to_dict(builtin_instance("c_z2"))
+    del d["basis_labels"]
+    assert instance_from_dict(d).basis_labels == ["e0", "e1"]

@@ -126,6 +126,16 @@ def test_cli_structural_error_is_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_malformed_basis_labels_is_exit_2(tmp_path):
+    data = instance_to_dict(builtin_instance("c_z2"))
+    data["basis_labels"] = 5
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps(data))
+    r = _cli("validate", "--instance", str(p))
+    assert r.returncode == 2
+    assert "basis_labels" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_budget_error_is_exit_2():
     r = _cli("khintchine", "--copies", "16", "--length", "4",
              "--dim-cap", "100")
