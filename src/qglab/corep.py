@@ -183,11 +183,17 @@ def antipode_coeff_check(V: Corepresentation, alpha, beta):
 
 
 def corep_product(X: Corepresentation, Y: Corepresentation) -> Corepresentation:
+    """(XY)_ij = sum_k x_ik y_kj, in two BLAS steps: Z[(k,p),(j,m)] =
+    sum_q y_kj[q] M[p,q,m], then X as (..., d, dn) times Z.  The stack axes
+    of X and Y broadcast."""
     if X.owner is not Y.owner or X.d != Y.d:
         raise OwnerMismatchError("mismatched tensors in A (x) M_d product")
     G = X.owner
-    t = np.einsum("...ikp,...kjq,pqm->...ijm", X.tensor, Y.tensor, G.mult)
-    return Corepresentation(G, t)
+    d, n = X.d, G.dim
+    Z = np.tensordot(Y.tensor, G.mult, ([-1], [1])).swapaxes(-3, -2)
+    Z = Z.reshape(Z.shape[:-4] + (d * n, d * n))
+    t = X.tensor.reshape(X.tensor.shape[:-2] + (d * n,)) @ Z
+    return Corepresentation(G, t.reshape(t.shape[:-1] + (d, n)))
 
 
 def corep_distance(X: Corepresentation, Y: Corepresentation):

@@ -54,7 +54,8 @@ def _check_bytes(n):
 
 class MultiplicativeUnitary:
     """W on H_h (x) H_h with its leg-one expansion over the algebra basis
-    and its unitarity residual.
+    and its unitarity residual, max(||WW* - 1||_F, ||W*W - 1||_F), an upper
+    bound on the spectral one.
 
     The coproduct and pentagon residuals are computed when first read, so a
     W built only to extract a dual never pays for them; the pentagon bound
@@ -68,13 +69,14 @@ class MultiplicativeUnitary:
         self.leg1_slices = Z                # W = sum_i lambda(e_i) (x) Z_i + R
         Wstar = W.conj().T
         eye = np.eye(len(W))
-        self.unitarity_residual = float(max(np.linalg.norm(W @ Wstar - eye, 2),
-                                            np.linalg.norm(Wstar @ W - eye, 2)))
+        self.unitarity_residual = float(max(np.linalg.norm(W @ Wstar - eye),
+                                            np.linalg.norm(Wstar @ W - eye)))
 
     @cached_property
     def coproduct_residuals(self) -> np.ndarray:
-        """r_i = ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||,
-        one per basis element e_i."""
+        """r_i = ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||_F,
+        one per basis element e_i: each a certified upper bound on the
+        spectral norm of that difference."""
         return _coproduct_residuals(self.W, self.owner.coproduct,
                                     self.owner.gns().images)
 
@@ -90,10 +92,11 @@ class MultiplicativeUnitary:
         return _pentagon_bound(self, self.coproduct_residuals)
 
     def lambda_of(self, w: Functional) -> np.ndarray:
-        """lambda(omega) = (omega (x) id)W on H_h."""
+        """lambda(omega) = (omega (x) id)W on H_h; one matrix per stacked
+        functional."""
         if w.owner is not self.owner:
             raise OwnerMismatchError("functional belongs to a different instance")
-        return np.einsum("m,mij->ij", w.coeffs, self.leg1_slices)
+        return np.einsum("...m,mij->...ij", w.coeffs, self.leg1_slices)
 
 
 def _leg1_expand(span, X):
@@ -125,8 +128,10 @@ def _conjugations_leg2(U, X):
 
 
 def _coproduct_residuals(W, coproduct, images):
-    """r_i = || (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W || for
+    """r_i = || (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W ||_F for
     each i, the first term with lambda(e_j) on leg 1 and lambda(e_k) on leg 2.
+    The Frobenius norm bounds the spectral norm from above, so each r_i is a
+    certified upper bound, read in n^4 time where a spectral norm takes n^6.
     One i at a time, in n^4 memory; each contraction path is formed once."""
     n = len(images)
     first = "jk,jac,kbd->abcd"
@@ -134,7 +139,7 @@ def _coproduct_residuals(W, coproduct, images):
     r = np.empty(n)
     for i, conj in enumerate(_conjugations_leg2(W, images)):
         diff = np.einsum(first, coproduct[i], images, images, optimize=path) - conj
-        r[i] = np.linalg.norm(diff.reshape(n * n, n * n), 2)
+        r[i] = np.linalg.norm(diff.ravel())
     return r
 
 
@@ -145,9 +150,13 @@ def _pentagon_bound(Wd, r):
     Notation: W is the multiplicative unitary; lambda_i = lambda(e_i) are
     the left regular images; the leg-one slices Z_i satisfy
     W = sum_i lambda_i (x) Z_i + R; rho = expansion_residual * max(1, ||W||_F)
-    >= ||R||; u is the unitarity residual and w = sqrt(1 + u) >= ||W||;
-    r_i = ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W|| is the
-    coproduct residual at i; E_jk = sum_i Delta_i^{jk} Z_i - Z_j Z_k.
+    >= ||R||; u is the unitarity residual, a Frobenius norm and so an upper
+    bound on ||WW* - 1|| and ||W*W - 1||, and w = sqrt(1 + u) >= ||W||;
+    r_i, the coproduct residual at i, is the Frobenius norm of
+    (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W, an upper bound on
+    its spectral norm; E_jk = sum_i Delta_i^{jk} Z_i - Z_j Z_k.  The bound
+    below rises with u, w and every r_i, so upper bounds in their place
+    keep it certified.
 
     With D' = W12* W23 W12 - W13 W23, D = -W12 D' + (W12 W12* - 1) W23 W12.
     Expanding W23 and W13 in the slices, W12* (1 (x) lambda_i (x) Z_i) W12 =
@@ -188,9 +197,11 @@ def _build_w(G):
     """W with its unitarity and leg-one residuals.  The coproduct and
     pentagon residuals are computed when first read, and the dual is built
     from W, but the bytes all of them need are checked against the budget
-    here, before anything is allocated: the coproduct residual is a spectral
-    norm per basis element, the pentagon residual a certified upper bound
-    built from those norms."""
+    here, before anything is allocated: the coproduct residual is a
+    Frobenius norm per basis element, an upper bound on its spectral norm,
+    and the pentagon residual a certified upper bound built from those
+    norms.  The unitarity residual refused above 1e-8 is a Frobenius norm
+    too, so the refusal is at least as strict as a spectral one."""
     n = G.dim
     need = _check_bytes(n)
     if need > PENTAGON_BUDGET_BYTES:

@@ -292,8 +292,11 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
     def mx(x):
         return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
+    # two-operand contractions run in BLAS (tensordot), transposed to the
+    # index order of the other side
     rep.record("mult associative",
-               mx(np.einsum("ijm,mkl->ijkl", M, M) - np.einsum("jkm,iml->ijkl", M, M)))
+               mx(np.tensordot(M, M, 1)
+                  - np.tensordot(M, M, ([2], [1])).transpose(2, 0, 1, 3)))
     rep.record("unit is two-sided identity",
                max(mx(np.einsum("i,ijk->jk", u, M) - eye),
                    mx(np.einsum("j,ijk->ik", u, M) - eye)))
@@ -301,12 +304,13 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
                max(mx(np.einsum("ijk,k->ij", M, eps) - np.outer(eps, eps)),
                    abs(np.dot(u, eps) - 1.0)))
     rep.record("coproduct coassociative",
-               mx(np.einsum("ijc,jab->iabc", D, D) - np.einsum("iak,kbc->iabc", D, D)))
+               mx(np.tensordot(D, D, ([1], [0])).transpose(0, 2, 3, 1)
+                  - np.tensordot(D, D, 1)))
     rep.record("counit law (eps x id)Delta = id = (id x eps)Delta",
                max(mx(np.einsum("ijk,j->ik", D, eps) - eye),
                    mx(np.einsum("ijk,k->ij", D, eps) - eye)))
     rep.record("coproduct is an algebra homomorphism",
-               mx(np.einsum("ijk,kab->ijab", M, D)
+               mx(np.tensordot(M, D, 1)
                   - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M, optimize=True)))
     rep.record("coproduct unital",
                mx(np.einsum("i,iab->ab", u, D) - np.outer(u, u)))

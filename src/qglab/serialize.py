@@ -78,9 +78,14 @@ def save_instance(G: FiniteQuantumGroup, path) -> None:
 
 
 def load_instance(path) -> FiniteQuantumGroup:
+    """The instance in the JSON file at ``path``; a file that cannot be
+    opened, decoded or parsed raises StructuralError naming the path."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise StructuralError("invalid JSON in %s: %s" % (path, exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructuralError("cannot read instance file %s: %s"
+                              % (path, exc)) from None
     return instance_from_dict(data)

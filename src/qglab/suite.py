@@ -261,10 +261,6 @@ def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _random_functional(G, rng):
-    return Functional(G, _complex_normal(rng, G.dim))
-
-
 def _spectral_norms(*mats):
     """The largest singular value of each of the same-shape matrices (or
     stacks of them), from one batched SVD."""
@@ -317,10 +313,11 @@ def run_duality(cfg, report):
                   cfg.tolerance("pentagon"), Wd.coproduct_residual)
         rec.check("pentagon", "W12 W13 W23 = W23 W12",
                   cfg.tolerance("pentagon"), Wd.pentagon_residual)
-        for _ in range(8):
-            w = _random_functional(G, rng)
-            rec.note("lambda-sharp", np.linalg.norm(
-                Wd.lambda_of(sharp(w)) - Wd.lambda_of(w).conj().T, 2))
+        # drawn one at a time: one (8, n) draw would take the real and
+        # imaginary parts in another order and move the record
+        w = Functional(G, np.stack([_complex_normal(rng, G.dim) for _ in range(8)]))
+        rec.note("lambda-sharp", np.linalg.norm(
+            Wd.lambda_of(sharp(w)) - adjoints(Wd.lambda_of(w)), 2, axis=(-2, -1)))
         rec.check("lambda-sharp", "lambda(omega#) = lambda(omega)*",
                   cfg.tolerance("lambda_sharp"))
         dual = build_dual(G)

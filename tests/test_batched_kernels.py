@@ -150,6 +150,23 @@ def test_batched_pair_defect_matches_the_loop(name):
         assert is_corep(bad).pair_defect > 1e-6
 
 
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])
+def test_corep_product_matches_the_three_operand_einsum(name):
+    # stacks of equal shape, a lone corep against a stack (both ways round),
+    # and stack axes that broadcast against each other
+    G = builtin_instance(name)
+    rng = np.random.default_rng(15)
+    shapes = [((), ()), ((5,), (5,)), ((), (4,)), ((4,), ()), ((3, 1), (1, 2))]
+    for d in (1, 2, 3, 4):
+        for sx, sy in shapes:
+            X = _complex_normal(rng, sx + (d, d, G.dim))
+            Y = _complex_normal(rng, sy + (d, d, G.dim))
+            want = np.einsum("...ikp,...kjq,pqm->...ijm", X, Y, G.mult)
+            got = corep_product(Corepresentation(G, X), Corepresentation(G, Y)).tensor
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
 def test_vector_functional_matches_the_loop():
     dual = build_dual(builtin_instance("kac_paljutkin"))
     rng = np.random.default_rng(14)

@@ -35,7 +35,7 @@ from qglab.duality import (
 )
 from qglab import duality
 from qglab.errors import BudgetError, InvalidInstanceError
-from qglab.qgroup import SpanningFamily, block_decompose, validate
+from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, block_decompose, validate
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
           "cg_z2", "cg_z3", "cg_z4", "cg_z2xz2", "cg_s3", "kac_paljutkin")
@@ -326,6 +326,45 @@ def instance(request):
     return builtin_instance(name)
 
 
+def _einsum_checks(G):
+    # validate's tensordot checks, by the plain einsum formulas
+    M, D = G.mult, G.coproduct
+
+    def mx(x):
+        return float(np.max(np.abs(x)))
+    return {
+        "mult associative":
+            mx(np.einsum("ijm,mkl->ijkl", M, M) - np.einsum("jkm,iml->ijkl", M, M)),
+        "coproduct coassociative":
+            mx(np.einsum("ijc,jab->iabc", D, D) - np.einsum("iak,kbc->iabc", D, D)),
+        "coproduct is an algebra homomorphism":
+            mx(np.einsum("ijk,kab->ijab", M, D)
+               - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M, optimize=True)),
+    }
+
+
+def _assert_validate_matches_einsum(G):
+    checks = dict(validate(G).checks)
+    for axiom, value in _einsum_checks(G).items():
+        assert abs(checks[axiom] - value) <= 1e-15, (G.name, axiom)
+
+
+def test_validate_tensordot_forms_match_einsum(instance):
+    _assert_validate_matches_einsum(instance)
+
+
+def test_validate_tensordot_forms_see_a_perturbed_mult():
+    G = builtin_instance("kac_paljutkin")
+    rng = np.random.default_rng(4)
+    mult = G.mult + 1e-6 * rng.standard_normal(G.mult.shape)
+    bad = FiniteQuantumGroup("kp_bad_mult", mult, G.unit, G.coproduct, G.counit,
+                             G.antipode, G.star, G.haar)
+    _assert_validate_matches_einsum(bad)
+    rep = validate(bad)
+    assert not rep.passed
+    assert dict(rep.checks)["mult associative"] > 1e-7
+
+
 def test_pentagon_residual_bounds_the_pentagon_difference(instance):
     Wd = build_w(instance)
     assert _pentagon_norm(Wd.W, instance.dim) <= Wd.pentagon_residual <= 1e-12
@@ -358,19 +397,35 @@ def test_pentagon_residual_bounds_perturbed_w(eps):
 
 
 def test_coproduct_residual_matches_kron_formula():
+    # r_i is the Frobenius norm of the dense Kronecker difference, so it
+    # bounds the difference's spectral norm from above
     rng = np.random.default_rng(6)
     n = 3
     W = _random_unitary(n * n, rng)
     D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     L = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    dense = np.array([
-        np.linalg.norm(
-            sum(D[i, j, k] * np.kron(L[j], L[k]) for j in range(n) for k in range(n))
-            - W.conj().T @ np.kron(np.eye(n), L[i]) @ W, 2)
-        for i in range(n)])
-    assert dense.min() > 0.5
+    diffs = [sum(D[i, j, k] * np.kron(L[j], L[k]) for j in range(n) for k in range(n))
+             - W.conj().T @ np.kron(np.eye(n), L[i]) @ W for i in range(n)]
+    frob = np.array([np.linalg.norm(X, "fro") for X in diffs])
+    spectral = np.array([np.linalg.norm(X, 2) for X in diffs])
+    assert spectral.min() > 0.5
     r = _coproduct_residuals(W, D, L)
-    assert np.all(np.abs(r - dense) <= 1e-12 * dense)
+    assert np.all(np.abs(r - frob) <= 1e-12 * frob)
+    assert np.all(r >= spectral)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+def test_unitarity_residual_bounds_the_spectral_residuals(eps):
+    G = builtin_instance("kac_paljutkin")
+    n = G.dim
+    rng = np.random.default_rng(11)
+    E = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    W = build_w(G).W @ (np.eye(n * n) + eps * E / np.linalg.norm(E, 2))
+    Wstar = W.conj().T
+    eye = np.eye(n * n)
+    spectral = (np.linalg.norm(W @ Wstar - eye, 2), np.linalg.norm(Wstar @ W - eye, 2))
+    assert min(spectral) > eps / 100
+    assert MultiplicativeUnitary(G, W).unitarity_residual >= max(spectral)
 
 
 def test_factored_coproduct_solve_matches_pinv_of_kron_system():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -102,3 +103,12 @@ def test_basis_labels_may_be_absent():
     d = instance_to_dict(builtin_instance("c_z2"))
     del d["basis_labels"]
     assert instance_from_dict(d).basis_labels == ["e0", "e1"]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+def test_unreadable_file_is_structural_and_named(tmp_path, case):
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+    p = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+         "undecodable": tmp_path / "bytes.json"}[case]
+    with pytest.raises(StructuralError, match=re.escape(str(p))):
+        load_instance(p)

@@ -136,6 +136,12 @@ def test_cli_malformed_basis_labels_is_exit_2(tmp_path):
     assert "basis_labels" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_cli_unreadable_instance_is_exit_2(tmp_path):
+    r = _cli("validate", "--instance", str(tmp_path / "missing.json"))
+    assert r.returncode == 2
+    assert "missing.json" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_budget_error_is_exit_2():
     r = _cli("khintchine", "--copies", "16", "--length", "4",
              "--dim-cap", "100")
