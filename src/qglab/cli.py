@@ -51,7 +51,9 @@ def _parser():
                         metavar="NAME=VALUE", help="tolerance override")
     common.add_argument("--trials", type=int, default=SuiteConfig.trials)
     common.add_argument("--copies", type=int, default=SuiteConfig.copies)
-    common.add_argument("--length", type=int, default=SuiteConfig.length)
+    common.add_argument("--length", type=int, default=SuiteConfig.length,
+                        help="Fock word length, at least 2; the khintchine and "
+                             "noncb suites compute at depth min(length, 4)")
     common.add_argument("--dim-cap", type=int, default=None)
     common.add_argument("--format", choices=("json", "md"), default="json")
     common.add_argument("--out", default=None)

@@ -431,12 +431,11 @@ def amplified_sum(pairs, F: FockSpace):
 
 
 def khintchine_check(a_family, x_family, F: FockSpace, seed=0) -> dict:
-    """Certified two-sided probe of the free Khintchine inequality.
+    """The two sides of the free Khintchine inequality, measured.
 
-    LHS_cert = compressed norm of sum_i a_i (x) x_i (a lower bound on the
-    true norm); RHS_max = the unconditional maximum of the three terms.  The
-    inequality LHS_cert <= 3 RHS_max is fully certified; the reverse
-    direction RHS_max <= LHS_cert + slack is reported, not asserted.
+    ``lhs_cert`` = compressed norm of sum_i a_i (x) x_i (a lower bound on
+    the true norm), ``rhs_max`` = the largest of the three terms (row,
+    column and max_i ||a_i|| ||x_i||), and ``ratio`` = lhs_cert / rhs_max.
     """
     if len(a_family) != len(x_family):
         raise StructuralError("family lengths differ")
@@ -456,15 +455,10 @@ def khintchine_check(a_family, x_family, F: FockSpace, seed=0) -> dict:
         xs = f.star_coeffs(coeffs)
         s_col += a.conj().T @ a * f.phi(f.mult_coeffs(xs, coeffs))
         s_row += a @ a.conj().T * f.phi(f.mult_coeffs(coeffs, xs))
-    term2 = float(np.sqrt(np.linalg.norm(s_col, 2)))
-    term3 = float(np.sqrt(np.linalg.norm(s_row, 2)))
-    rhs = max(term1, term2, term3)
+    rhs = max(term1, *(float(np.sqrt(np.linalg.norm(s, 2))) for s in (s_col, s_row)))
     return {
         "lhs_cert": lhs,
         "rhs_max": rhs,
-        "terms": [term1, term2, term3],
-        "upper_certified": lhs <= 3.0 * rhs + 1e-8,
-        "lower_slack": max(0.0, rhs - lhs),
         "ratio": lhs / rhs if rhs > 0 else float("nan"),
     }
 
@@ -486,7 +480,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dic
     omega is the l2 norm of the omega(l(b_t))), capped at the upper end, and
     the certified row/column bound
     min(||sum_t l(b_t)* l(b_t)||, ||sum_t l(b_t) l(b_t)*||)^(1/2),
-    exact on a one-dimensional space.  ``C1`` and ``bound`` use the upper end.
+    exact on a one-dimensional space.  ``C1`` is the upper end.
 
     ``max_ratio`` is the largest ratio of the certified zone norm of a
     random x = sum_i x_i, x_i in the span in factor i, to ||x Omega||.  The
@@ -520,7 +514,6 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dic
     col = sum(m.conj().T @ m for m in lams)
     row = sum(m @ m.conj().T for m in lams)
     C1 = float(np.sqrt(min(np.linalg.norm(col, 2), np.linalg.norm(row, 2))))
-    bound = 3.0 * max(C1, C2)
     N = len(F.factors)
     K = F.zone_size()
     draws = [rng.standard_normal((N, dim_space))
@@ -556,9 +549,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dic
         # it keeps rounding from leaving the lower end above the upper one
         "C1_bracket": (min(C1_lower, C1), C1),
         "C2": C2,
-        "bound": bound,
         "max_ratio": max(ratios) if ratios else 0.0,
-        "ratios_ok": all(r <= bound + 1e-6 for r in ratios),
         "samples": len(ratios),
     }
 
@@ -572,8 +563,8 @@ class NonCbRep:
 
     The generator V = sum_i u_i (x) (e_ii + e_i0) exists as a concrete
     operator because N is finite; its norm grows like sqrt(N) while the
-    representation norm stays below the constant 6 = ||theta|| * 3 coming
-    from the Khintchine bound with both coefficient constants equal to one.
+    representation norm stays bounded in N, by the free Khintchine
+    inequality (``qglab.suite`` states the bound and checks it).
     The symmetries on the whole space are held in the ``OperatorStack``
     ``family``, built one free action at a time, and their exact-zone
     corners in ``zone``, from ``_zone_actions``; ``theta`` stacks the
@@ -653,24 +644,19 @@ def column_norm(rep: NonCbRep, seed=0) -> float:
 
 
 def cb_vs_bounded_probe(F: FockSpace, seed=0) -> dict:
-    """Quantify the gap: cb norm grows like sqrt(N), plain norm stays <= 6."""
+    """Measure the gap: certified lower bounds on ||V||, which grows like
+    sqrt(N), and on ||pi||, the column norm and a coefficient's l1 norm."""
     rep = NonCbRep(F)
     N = rep.N
     cb_lower = _largest_singular_value(rep.generator(), seed=seed)
     col = column_norm(rep, seed=seed)
-    floor = float(np.sqrt(N)) - 1.0
     pi_lower = pi_norm_search(rep, seed=seed)
-    alpha = np.zeros(N + 1)
-    alpha[1:] = 1.0 / np.sqrt(N)
-    beta = np.zeros(N + 1)
-    beta[0] = 1.0
+    alpha = np.r_[0.0, np.full(N, 1.0 / np.sqrt(N))]
+    beta = np.eye(N + 1)[0]
     fourier_l1 = float(np.sum(np.abs(rep.coefficient_expansion(alpha, beta))))
     return {
-        "copies": N,
         "cb_lower": cb_lower,
-        "cb_floor": floor,
         "column_norm": col,
-        "bounded_upper": 6.0,
         "pi_lower_search": pi_lower,
         "multiplier_l1_lower": fourier_l1,
     }

@@ -36,6 +36,15 @@ from .errors import (
 STRUCT_TOL = 1e-10
 NORM_RTOL = 1e-8
 BLOCK_ATTEMPTS = 25     # random commutant draws before block separation gives up
+# validate's Haar-invariance axioms, whose labels the duality suite reads
+HAAR_INVARIANCE = ("haar left invariant (h x id)Delta = h(.)1",
+                   "haar right invariant (id x h)Delta = h(.)1")
+# validate's einsum paths, the ones numpy's greedy search picks at every n
+# from 2 to 42, fixed so that no call searches; _PATH_ij contracts i, j first
+_PATH_01 = ["einsum_path", (0, 1), (0, 1)]
+_PATH_02 = ["einsum_path", (0, 2), (0, 1)]
+_PATH_12 = ["einsum_path", (1, 2), (0, 1)]
+_PATH_HOMOMORPHISM = ["einsum_path", (0, 2), (0, 1), (0, 1)]
 
 
 def _c(x):
@@ -311,20 +320,21 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
                    mx(np.einsum("ijk,k->ij", D, eps) - eye)))
     rep.record("coproduct is an algebra homomorphism",
                mx(np.tensordot(M, D, 1)
-                  - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M, optimize=True)))
+                  - np.einsum("ipq,jrs,pra,qsb->ijab", D, D, M, M,
+                              optimize=_PATH_HOMOMORPHISM)))
     rep.record("coproduct unital",
                mx(np.einsum("i,iab->ab", u, D) - np.outer(u, u)))
     rep.record("coproduct is a *-map",
                mx(np.einsum("ij,jab->iab", C, D)
-                  - np.einsum("ijk,ja,kb->iab", np.conj(D), C, C, optimize=True)))
+                  - np.einsum("ijk,ja,kb->iab", np.conj(D), C, C, optimize=_PATH_01)))
     rep.record("antipode law m(S x id)Delta = unit.eps",
-               mx(np.einsum("ijk,jp,pkl->il", D, S, M, optimize=True) - np.outer(eps, u)))
+               mx(np.einsum("ijk,jp,pkl->il", D, S, M, optimize=_PATH_01) - np.outer(eps, u)))
     rep.record("antipode law m(id x S)Delta = unit.eps",
-               mx(np.einsum("ijk,kq,jql->il", D, S, M, optimize=True) - np.outer(eps, u)))
+               mx(np.einsum("ijk,kq,jql->il", D, S, M, optimize=_PATH_01) - np.outer(eps, u)))
     rep.record("star involutive", mx(np.conj(C) @ C - eye))
     rep.record("star anti-multiplicative",
                mx(np.einsum("ijk,kl->ijl", np.conj(M), C)
-                  - np.einsum("jp,iq,pql->ijl", C, C, M, optimize=True)))
+                  - np.einsum("jp,iq,pql->ijl", C, C, M, optimize=_PATH_02)))
     rep.record("S.*.S.* = id", mx(np.conj(C @ S) @ (C @ S) - eye))
     # Kac conditions: required, not optional.
     rep.record("antipode involutive (Kac)", mx(S @ S - eye))
@@ -333,16 +343,15 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
     rep.record("haar tracial",
                mx(np.einsum("ijk,k->ij", M, h) - np.einsum("jik,k->ij", M, h)))
     rep.record("haar hermitian h(x*) = conj h(x)", mx(C @ h - np.conj(h)))
-    gram = np.einsum("ip,pjq,q->ij", C, M, h, optimize=True)  # h(e_i* e_j)
+    gram = np.einsum("ip,pjq,q->ij", C, M, h, optimize=_PATH_12)  # h(e_i* e_j)
     rep.record("haar positive (Gram hermitian PSD)",
                max(mx(gram - gram.conj().T),
                    max(0.0, -float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2))))))
     rep.record("haar faithful (Gram nonsingular)",
                0.0 if np.linalg.matrix_rank(gram, tol=tol) == n else 1.0)
-    rep.record("haar left invariant (h x id)Delta = h(.)1",
-               mx(np.einsum("ijk,j->ik", D, h) - np.outer(h, u)))
-    rep.record("haar right invariant (id x h)Delta = h(.)1",
-               mx(np.einsum("ijk,k->ij", D, h) - np.outer(h, u)))
+    left, right = HAAR_INVARIANCE
+    rep.record(left, mx(np.einsum("ijk,j->ik", D, h) - np.outer(h, u)))
+    rep.record(right, mx(np.einsum("ijk,k->ij", D, h) - np.outer(h, u)))
     return rep
 
 
@@ -396,11 +405,10 @@ class GnsData:
     Tomita conjugation exactly.
     """
 
-    def __init__(self, owner, lam, lam_inv, gram):
+    def __init__(self, owner, lam, lam_inv):
         self.owner = owner
         self.lambda_map = lam          # coefficients -> H_h  (Lambda)
         self.lambda_inv = lam_inv
-        self.gram = gram               # gram[i,j] = h(e_i* e_j)
         # conjugate-linear J: v -> Jmat conj(v)
         self.modular_conj = lam @ owner.star.T @ np.conj(lam_inv)
         # images[m] = lambda(e_m) = Lambda L_m Lambda^-1 with L_m the matrix
@@ -435,7 +443,7 @@ def _build_gns(A: StarAlgebra) -> GnsData:
             "eigenvalue %.3e" % float(np.min(w)))
     lam = V @ np.diag(np.sqrt(w)) @ V.conj().T
     lam_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.conj().T
-    return GnsData(A, lam, lam_inv, gram)
+    return GnsData(A, lam, lam_inv)
 
 
 def gns(G: FiniteQuantumGroup) -> GnsData:
@@ -467,7 +475,6 @@ class BlockDecomposition:
 
     def __init__(self, owner, isometries):
         self.owner = owner
-        self.isometries = isometries              # one n x n_k frame per block
         self.sizes = [P.shape[1] for P in isometries]
         images = owner.gns().images
         self.forward_matrix = np.concatenate(          # coeffs -> stacked blocks

@@ -65,7 +65,7 @@ from .fock import (
     z2_factor,
     z2_symmetry,
 )
-from .qgroup import STRUCT_TOL, validate
+from .qgroup import HAAR_INVARIANCE, STRUCT_TOL, validate
 from .serialize import load_instance
 
 SUITE_NAMES = ("validate", "duality", "corep", "multiplier", "unitarize",
@@ -88,6 +88,11 @@ TOLERANCES = {
     "column": 1e-10,
     "khintchine": 1e-8,
 }
+
+# The Fock gates' constants: every Fock record, anchor and report value reads them.
+KHINTCHINE_CONSTANT = 3.0   # the free Khintchine constant (Ricard-Xu)
+PI_BOUND = 6.0              # the bound on ||pi|| that pi-bounded-* checks
+CB_FLOOR_SHIFT = 1.0        # cb-lower-* checks ||V|| >= sqrt(N) - this
 
 
 @dataclass
@@ -323,8 +328,8 @@ def run_duality(cfg, report):
         dual = build_dual(G)
         rec.check("dual-axioms", "extracted dual instance satisfies all axioms",
                   cfg.tolerance("dual"), dual.validation.max_violation)
-        haar_inv = max(v for axiom, v in dual.validation.checks if axiom.startswith(
-            ("haar left invariant", "haar right invariant")))
+        haar_inv = max(v for axiom, v in dual.validation.checks
+                       if axiom in HAAR_INVARIANCE)
         rec.check("dual-haar", "dual Haar state is bi-invariant",
                   cfg.tolerance("dual"), haar_inv)
         bid = biduality(G)
@@ -538,8 +543,9 @@ def run_khintchine(cfg, report):
             x = x - f.phi(x) * f.unit
             x_fam.append((i, x))
         checks.append(khintchine_check(a_fam, x_fam, F, seed=cfg.seed))
-    margin = max(r["lhs_cert"] - 3.0 * r["rhs_max"] for r in checks)
-    rec.check("certified-upper", "LHS_cert <= 3 max{||a (x) x||, row, column}",
+    margin = max(r["lhs_cert"] - KHINTCHINE_CONSTANT * r["rhs_max"] for r in checks)
+    rec.check("certified-upper", "LHS_cert <= %g max{||a (x) x||, row, column}"
+              % KHINTCHINE_CONSTANT,
               cfg.tolerance("khintchine"), margin,
               digest=_digest(cfg.seed, cfg.copies, cfg.length))
     # monotonicity of the compressed norm in the domain length
@@ -558,11 +564,12 @@ def run_khintchine(cfg, report):
     F = build_fock([z2_factor()] * 4, min(cfg.length, 4), dim_cap=cfg.dim_cap)
     ne = norm_equivalence(F, [u], sample_count=min(100, 4 * cfg.trials),
                           seed=cfg.seed)
-    rec.check("norm-equivalence", "||x|| <= 3 max{C1, C2} ||x Omega|| on the span",
-              1e-6, ne["max_ratio"] - ne["bound"])
+    rec.check("norm-equivalence",
+              "||x|| <= %g max{C1, C2} ||x Omega|| on the span" % KHINTCHINE_CONSTANT,
+              1e-6, ne["max_ratio"] - KHINTCHINE_CONSTANT * max(ne["C1"], ne["C2"]))
     report.extra["khintchine"] = {
         "ratios": [float(r["ratio"]) for r in checks],
-        "analytic_bounds": {"khintchine_constant": 3.0},
+        "analytic_bounds": {"khintchine_constant": KHINTCHINE_CONSTANT},
         "certified_lower": float(vals[-1]),
     }
 
@@ -585,26 +592,26 @@ def _pi_bracket(pi_lower):
     ||pi(omega)|| <= sqrt(s + m).  m <= 1 because ||omega|| <= 1, and
     sqrt(s) = sup over unit c of |omega(sum_i c_i u_i)|, at most
     ||sum_i c_i u_i|| <= 3 max{max_i |c_i|, ||c||_2} = 3 by the free
-    Khintchine inequality with constant 3 (Ricard-Xu), so s <= 3^2."""
-    return [float(pi_lower), float(np.sqrt(3.0 ** 2 + 1.0))]
+    Khintchine inequality, constant ``KHINTCHINE_CONSTANT`` = 3, so s <= 3^2."""
+    return [float(pi_lower), float(np.sqrt(KHINTCHINE_CONSTANT ** 2 + 1.0))]
 
 
 def run_noncb(cfg, report):
     rec = _Recorder(report, "noncb", "")     # each record gives its digest
-    results = {}
+    results, floors = {}, {}
     for N in sorted({4, cfg.copies}):
         F = build_fock([z2_factor()] * N, min(cfg.length, 4), dim_cap=cfg.dim_cap)
         probe = cb_vs_bounded_probe(F, seed=cfg.seed)
         results[N] = probe
-        rec.lower("cb-lower-%d" % N, "certified ||V|| >= sqrt(N) - 1",
-                  probe["cb_floor"], 1e-6, probe["cb_lower"],
+        floors[str(N)] = float(np.sqrt(N)) - CB_FLOOR_SHIFT
+        rec.lower("cb-lower-%d" % N, "certified ||V|| >= sqrt(N) - %g" % CB_FLOOR_SHIFT,
+                  floors[str(N)], 1e-6, probe["cb_lower"],
                   digest=_digest(cfg.seed, N))
-        rec.check("pi-bounded-%d" % N, "searched ||pi|| stays under 6",
-                  1e-6, probe["pi_lower_search"], bound=6.0,
+        rec.check("pi-bounded-%d" % N, "searched ||pi|| stays under %g" % PI_BOUND,
+                  1e-6, probe["pi_lower_search"], bound=PI_BOUND,
                   digest=_digest(cfg.seed, N))
-    Ns = sorted(results)
-    if len(Ns) >= 2:
-        a, b = Ns[0], Ns[-1]
+    if len(results) > 1:
+        a, b = sorted(results)
         rec.lower("column-growth", "column norms grow by sqrt(N2) - sqrt(N1)",
                   np.sqrt(b) - np.sqrt(a), 1e-6,
                   results[b]["column_norm"] - results[a]["column_norm"],
@@ -615,20 +622,17 @@ def run_noncb(cfg, report):
                   - results[a]["multiplier_l1_lower"],
                   digest=_digest(cfg.seed, a, b))
 
-    def per_n(key):
-        return {str(N): float(p[key]) for N, p in results.items()}
-
-    measured = ("cb_lower", "column_norm", "pi_lower_search", "multiplier_l1_lower")
     report.extra["noncb"] = {
-        "certified_lower": per_n("cb_lower"),
+        "certified_lower": {str(N): float(p["cb_lower"])
+                            for N, p in results.items()},
         "cb_bracket": {str(N): _cb_bracket(N, p["cb_lower"])
                        for N, p in results.items()},
         "pi_bracket": {str(N): _pi_bracket(p["pi_lower_search"])
                        for N, p in results.items()},
-        "analytic_bounds": {"bounded_upper": 6.0, "cb_floor": per_n("cb_floor")},
-        "ratios": {str(N): float(p["cb_lower"] / p["bounded_upper"])
+        "analytic_bounds": {"bounded_upper": PI_BOUND, "cb_floor": floors},
+        "ratios": {str(N): float(p["cb_lower"] / PI_BOUND)
                    for N, p in results.items()},
-        "measured": {str(N): {k: float(p[k]) for k in measured}
+        "measured": {str(N): {k: float(v) for k, v in p.items()}
                      for N, p in results.items()},
     }
 

@@ -365,6 +365,40 @@ def test_validate_tensordot_forms_see_a_perturbed_mult():
     assert dict(rep.checks)["mult associative"] > 1e-7
 
 
+def test_validate_searches_no_contraction_path(monkeypatch, instance):
+    try:
+        from numpy._core import einsumfunc
+    except ImportError:                 # numpy < 2
+        from numpy.core import einsumfunc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an einsum contraction path was searched")
+    for name in ("_greedy_path", "_optimal_path"):
+        monkeypatch.setattr(einsumfunc, name, refuse)
+    D, C = instance.coproduct, instance.star
+    with pytest.raises(AssertionError):         # the guard sees a search
+        np.einsum("ijk,ja,kb->iab", D, C, C, optimize=True)
+    validate(instance)
+
+
+def test_validate_fixed_paths_are_the_searched_ones(monkeypatch, instance):
+    # each path validate passes is the one numpy's greedy search picks for
+    # its operands, so its sums are those of a searched call, bit for bit
+    einsum, fixed = np.einsum, []
+
+    def spy(spec, *operands, **kwargs):
+        if kwargs.get("optimize", False) is not False:
+            fixed.append((spec, operands, kwargs["optimize"]))
+        return einsum(spec, *operands, **kwargs)
+    monkeypatch.setattr(np, "einsum", spy)
+    validate(instance)
+    assert len(fixed) == 6
+    for spec, operands, path in fixed:
+        assert np.einsum_path(spec, *operands, optimize=True)[0] == path
+        assert np.array_equal(einsum(spec, *operands, optimize=path),
+                              einsum(spec, *operands, optimize=True))
+
+
 def test_pentagon_residual_bounds_the_pentagon_difference(instance):
     Wd = build_w(instance)
     assert _pentagon_norm(Wd.W, instance.dim) <= Wd.pentagon_residual <= 1e-12

@@ -415,3 +415,51 @@ def test_cli_defaults_come_from_suite_config():
     cfg = SuiteConfig()
     assert (args.seed, args.trials, args.copies, args.length) == \
         (cfg.seed, cfg.trials, cfg.copies, cfg.length)
+
+
+def test_the_fock_constants_have_one_home(monkeypatch):
+    # every Fock gate, anchor and report value reads the suite's constants
+    monkeypatch.setattr(suite, "KHINTCHINE_CONSTANT", 0.5)
+    monkeypatch.setattr(suite, "PI_BOUND", 0.25)
+    monkeypatch.setattr(suite, "CB_FLOOR_SHIFT", 0.75)
+    rep = run_suite(small_cfg(("khintchine", "noncb")))
+    recs = {r.name: r for r in rep.records}
+    upper = recs["khintchine/certified-upper"]
+    assert "LHS_cert <= 0.5 max" in upper.anchor and not upper.passed
+    assert "<= 0.5 max{C1, C2}" in recs["khintchine/norm-equivalence"].anchor
+    pi = recs["noncb/pi-bounded-4"]
+    assert pi.anchor.endswith("under 0.25") and pi.bound == 0.25
+    assert not pi.passed
+    cb = recs["noncb/cb-lower-4"]
+    assert cb.anchor.endswith("sqrt(N) - 0.75") and cb.bound == 1.25
+    noncb = rep.extra["noncb"]
+    assert rep.extra["khintchine"]["analytic_bounds"] == {
+        "khintchine_constant": suite.KHINTCHINE_CONSTANT}
+    assert noncb["analytic_bounds"] == {
+        "bounded_upper": suite.PI_BOUND,
+        "cb_floor": {"4": 2.0 - suite.CB_FLOOR_SHIFT}}
+    assert noncb["ratios"]["4"] == noncb["measured"]["4"]["cb_lower"] / 0.25
+    assert noncb["pi_bracket"]["4"][1] == math.sqrt(0.5 ** 2 + 1.0)
+
+
+def test_fock_suites_compute_at_depth_at_most_4():
+    # khintchine and noncb cap the depth at 4 (the monotone probe at 6), so
+    # length 6 gives the records of length 4; the config echoes what was asked
+    def run(length):
+        rep = run_suite(small_cfg(("khintchine", "noncb"), length=length))
+        values = [(r.name, r.anchor, r.value, r.bound, r.passed)
+                  for r in rep.sorted_records()]
+        return rep.config.config_dict()["length"], values, rep.extra
+    four, six = run(4), run(6)
+    assert (four[0], six[0]) == (4, 6)
+    assert four[1:] == six[1:]
+
+
+def test_dual_haar_reads_the_haar_invariance_axioms():
+    from qglab.duality import build_dual
+    from qglab.qgroup import HAAR_INVARIANCE
+    G = builtin_instance("kac_paljutkin")
+    checks = dict(build_dual(G).validation.checks)
+    rep = run_suite(small_cfg(("duality",), instances=("kac_paljutkin",)))
+    haar = [r for r in rep.records if r.name.endswith("/dual-haar")]
+    assert [r.value for r in haar] == [max(checks[a] for a in HAAR_INVARIANCE)]
