@@ -14,11 +14,6 @@ from .qgroup import (
     ValidationReport,
     adjoint,
     apply_antipode,
-    apply_coproduct,
-    apply_counit,
-    apply_haar,
-    block_decompose,
-    gns,
     multiply,
     operator_norm,
     validate,
@@ -39,11 +34,6 @@ __all__ = [
     "ValidationReport",
     "adjoint",
     "apply_antipode",
-    "apply_coproduct",
-    "apply_counit",
-    "apply_haar",
-    "block_decompose",
-    "gns",
     "multiply",
     "operator_norm",
     "validate",

@@ -15,7 +15,7 @@ import numpy as np
 from .corep import Corepresentation, check_dimension, is_corep
 from .duality import build_dual
 from .errors import StructuralError
-from .qgroup import FiniteQuantumGroup, block_decompose
+from .qgroup import FiniteQuantumGroup
 
 
 def corep_catalog(G: FiniteQuantumGroup):
@@ -25,7 +25,7 @@ def corep_catalog(G: FiniteQuantumGroup):
 
 def _corep_catalog(G):
     dual = build_dual(G)
-    bd = block_decompose(dual.group)
+    bd = dual.group.block_decomposition()
     n = G.dim
     blocks_of_basis = [bd.forward(dual.group.basis_element(mu)) for mu in range(n)]
     cat = []

@@ -2,8 +2,8 @@
 
 Subcommands: validate, dual, corep-suite, multiplier-suite, unitarize,
 khintchine, noncb, all.  Exit codes: 0 all checks pass, 1 at least one check
-failed, 2 structural or budget error.  QGLAB_DIM_CAP overrides the Fock
-dimension budget.
+failed, 2 structural or budget error, or an --out path that cannot be
+written.  QGLAB_DIM_CAP overrides the Fock dimension budget.
 """
 
 from __future__ import annotations
@@ -122,8 +122,11 @@ def main() -> int:
 
 def _write(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StructuralError("cannot write %s: %s" % (out, exc)) from None
     else:
         sys.stdout.write(text)
 

@@ -11,8 +11,9 @@ calculus implemented here covers:
   * the corepresentation identity Delta(v_ij) = sum_k v_ik (x) v_kj (its
     anti-representation mirror is the identity of the transposed entry grid,
     ``V.tensor.swapaxes(-3, -2)``);
-  * the variants pi*, pi-check, pi-tilde and their generators V* and
-    (S (x) id)V;
+  * the variants pi*, pi-check, pi-tilde and their generators V*
+    (``corep_adjoint``), (S (x) id)V (``antipode_slice``) and the adjoint of
+    the latter;
   * coefficient elements T_{ab} = sum_ij v_ij a_j conj(b_i) pairing as
     (pi(omega) a | b);
   * inversion by the antipode, unitarization by Haar averaging, essential
@@ -42,9 +43,6 @@ class Corepresentation:
             raise StructuralError("corepresentation tensor has shape %s" % (t.shape,))
         self.tensor = t
         self.d = t.shape[-2]
-
-    def entry(self, i, j) -> AlgebraElement:
-        return AlgebraElement(self.owner, self.tensor[..., i, j, :])
 
     def gns_matrix(self) -> np.ndarray:
         """The image in B(C^d (x) H_h), blocks indexed by the matrix leg:
@@ -132,31 +130,18 @@ def pi_check(V: Corepresentation, w: Functional) -> np.ndarray:
     return pi_of(V, sharp(star_l1(w)))
 
 
-def _entrywise_adjoint_transpose(V):
+def corep_adjoint(V: Corepresentation) -> Corepresentation:
+    """V*, the generator of pi~: the entrywise adjoint of the transposed
+    entry grid, (V*)_ij = v_ji*."""
     G, t = V.owner, V.tensor
-    adj = np.einsum("...jim,mp->...ijp", np.conj(t), G.star)
-    return Corepresentation(G, adj)
+    return Corepresentation(G, np.einsum("...jim,mp->...ijp", np.conj(t), G.star))
 
 
-def _antipode_slice(V):
+def antipode_slice(V: Corepresentation) -> Corepresentation:
+    """(S (x) id)V, the generator of pi-check; V_star, the generator of pi*,
+    is its adjoint ``corep_adjoint(antipode_slice(V))``."""
     G, t = V.owner, V.tensor
     return Corepresentation(G, np.einsum("...ijm,mp->...ijp", t, G.antipode))
-
-
-def generator_of(variant: str, V: Corepresentation) -> Corepresentation:
-    """The corepresentation-shaped tensor generating a variant of pi.
-
-    'tilde': V* (entrywise adjoint of the transposed entry grid);
-    'check': (S (x) id)V;
-    'star':  ((S (x) id)V)* -- the adjoint of the check generator.
-    """
-    if variant == "tilde":
-        return _entrywise_adjoint_transpose(V)
-    if variant == "check":
-        return _antipode_slice(V)
-    if variant == "star":
-        return _entrywise_adjoint_transpose(_antipode_slice(V))
-    raise ValueError("unknown variant %r (use 'tilde', 'check' or 'star')" % variant)
 
 
 def coefficient(V: Corepresentation, alpha, beta) -> AlgebraElement:
@@ -172,7 +157,7 @@ def coefficient(V: Corepresentation, alpha, beta) -> AlgebraElement:
 
 def antipode_coeff_check(V: Corepresentation, alpha, beta):
     """Max violation of S(T^{pi*}_{a,b})* = T^{pi}_{b,a}."""
-    Vstar = generator_of("star", V)
+    Vstar = corep_adjoint(antipode_slice(V))
     lhs = adjoint(apply_antipode(coefficient(Vstar, alpha, beta)))
     rhs = coefficient(V, beta, alpha)
     return np.max(np.abs(lhs.coeffs - rhs.coeffs), axis=-1)
@@ -215,7 +200,7 @@ def inverse_corep(V: Corepresentation) -> Corepresentation:
         raise NotInvertibleError(
             "corepresentation is singular (smallest singular value %.3e)"
             % np.min(smin))
-    W = _antipode_slice(V)
+    W = antipode_slice(V)
     one = trivial_corep(V.owner, V.d)
     left = corep_distance(corep_product(W, V), one)
     right = corep_distance(corep_product(V, W), one)
@@ -310,7 +295,7 @@ def unitarize(V: Corepresentation):
         raise NotInvertibleError(
             "cannot unitarize a singular corepresentation (sigma_min %.3e)"
             % np.min(smin))
-    VstarV = corep_product(_entrywise_adjoint_transpose(V), V)
+    VstarV = corep_product(corep_adjoint(V), V)
     T = np.einsum("...ijm,m->...ij", VstarV.tensor, G.haar)
     T = (T + adjoints(T)) / 2
     w, U = np.linalg.eigh(T)
@@ -352,7 +337,7 @@ def essential_data(V: Corepresentation) -> EssentialData:
     idempotent whose range is the joint column space of all pi(omega);
     pi(omega) Q = pi(omega) for every omega.
     """
-    W = _antipode_slice(V)
+    W = antipode_slice(V)
     P = corep_product(V, W)
     P2 = corep_product(P, P)
     other = corep_product(W, V)

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .convolution import Functional, convolve, module_action
-from .corep import Corepresentation, cb_norm, coefficient, generator_of, is_corep
+from .corep import (Corepresentation, antipode_slice, cb_norm, coefficient,
+                    corep_adjoint, is_corep)
 from .errors import (BudgetError, InvalidInstanceError, NotInvertibleError,
                      OwnerMismatchError)
 from .qgroup import (
@@ -415,8 +416,8 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     d = V.d
     if basis is None:
         basis = np.eye(d, dtype=complex)
-    Vt = generator_of("tilde", V)
-    Vs = generator_of("star", V)
+    Vt = corep_adjoint(V)
+    Vs = corep_adjoint(antipode_slice(V))
     x = coefficient(Vt, alpha, beta)
     # a_i = T~[alpha, f_i] and c_i = T*[f_i, beta], stacked over i
     a_els = np.einsum("...pjm,...j,...pi->...im", Vt.tensor, alpha, np.conj(basis))

@@ -226,9 +226,6 @@ class AlgebraElement(CoefficientVector):
             return multiply(self, other)
         return super().__mul__(other)
 
-    def norm(self):
-        return operator_norm(self)
-
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_owner(b)
@@ -241,19 +238,6 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
 
 def apply_antipode(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.owner, a.owner.antipode_coeffs(a.coeffs))
-
-
-def apply_coproduct(a: AlgebraElement) -> np.ndarray:
-    """Delta(a) as an n^2 coefficient vector (row-major over e_j (x) e_k)."""
-    return a.owner.coproduct_coeffs(a.coeffs).reshape(-1)
-
-
-def apply_counit(a: AlgebraElement) -> complex:
-    return complex(np.dot(a.coeffs, a.owner.counit))
-
-
-def apply_haar(a: AlgebraElement) -> complex:
-    return complex(np.dot(a.coeffs, a.owner.haar))
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +430,6 @@ def _build_gns(A: StarAlgebra) -> GnsData:
     return GnsData(A, lam, lam_inv)
 
 
-def gns(G: FiniteQuantumGroup) -> GnsData:
-    return G.gns()
-
-
 def vector_norms(x):
     """The Euclidean norm of each vector of a complex stack (..., k), formed
     as ``np.linalg.norm`` forms one vector's: a BLAS dot of the real parts
@@ -590,7 +570,3 @@ def _homomorphism_residual(bd):
         worst = max(worst, max(
             np.linalg.norm(x.conj().T - y) for x, y in zip(fa, fs)))
     return worst
-
-
-def block_decompose(G: FiniteQuantumGroup) -> BlockDecomposition:
-    return G.block_decomposition()

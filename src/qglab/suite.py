@@ -25,12 +25,12 @@ from .corep import (
     adjoints,
     antipode_coeff_check,
     conjugate_corep,
+    corep_adjoint,
     corep_direct_sum,
     corep_distance,
     corep_product,
     diagonal_matrices,
     essential_data,
-    generator_of,
     inverse_corep,
     is_corep,
     pi_check,
@@ -365,9 +365,9 @@ def run_corep(cfg, report):
             V, _, V0 = random_invertible_corep(G, d, seeds)
             chk = is_corep(V)
             rec.note("multiplicativity", chk.violation, chk.pair_defect)
-            # generator identities: V_tilde = V*, V_star = V_check*
+            # generator identity: pi~ is generated by V*
             w = Functional(G, _stacked(draws, trials, "w"))
-            gen_diff = pi_of(generator_of("tilde", V), w) - pi_tilde(V, w)
+            gen_diff = pi_of(corep_adjoint(V), w) - pi_tilde(V, w)
             rec.note("antipode-coefficient", antipode_coeff_check(
                 V, _stacked(draws, trials, "alpha"), _stacked(draws, trials, "beta")))
             Vi = inverse_corep(V)
@@ -379,9 +379,7 @@ def run_corep(cfg, report):
             anti_diff = (pi_check(V, convolve(w1, w2))
                          - pi_check(V, w2) @ pi_check(V, w1))
             gen_norm, anti_norm = _spectral_norms(gen_diff, anti_diff)
-            rec.note("generators", gen_norm,
-                     corep_distance(generator_of("star", V),
-                                    generator_of("tilde", generator_of("check", V))))
+            rec.note("generators", gen_norm)
             rec.note("anti-homomorphism", anti_norm)
             # isometry => unitary regression on the unitarized form
             g = V0.gns_matrix()
@@ -511,7 +509,9 @@ def run_khintchine(cfg, report):
     rec = _Recorder(report, "khintchine", _digest(cfg.seed))
     rng = np.random.default_rng(cfg.seed + 3)
     u = z2_symmetry()
-    F0 = build_fock([z2_factor()] * 3, min(cfg.length, 4), dim_cap=cfg.dim_cap)
+    # the Fock depth and the Khintchine grid's copies the suite computes at
+    depth, copies = min(cfg.length, 4), max(2, min(cfg.copies, 16))
+    F0 = build_fock([z2_factor()] * 3, depth, dim_cap=cfg.dim_cap)
     ops = [free_action(F0, i, u) for i in range(3)]
     for pattern in [(0, 1), (0, 1, 0), (1, 0, 2, 0), (0, 2, 1, 2)]:
         if len(pattern) > F0.max_len:
@@ -528,13 +528,13 @@ def run_khintchine(cfg, report):
               cfg.tolerance("column"))
     # certified Khintchine direction over the configured grid
     checks = []
-    for N in sorted({2, 4, max(2, min(cfg.copies, 16))}):
-        F = build_fock([z2_factor()] * N, min(cfg.length, 4), dim_cap=cfg.dim_cap)
+    for N in sorted({2, 4, copies}):
+        F = build_fock([z2_factor()] * N, depth, dim_cap=cfg.dim_cap)
         checks.append(khintchine_check([1.0] * N, [(i, u) for i in range(N)], F,
                                        seed=cfg.seed))
     for N in (2, 4, 6):
         F = build_fock([matrix_factor(2)] * N,
-                       3 if N < 6 else min(cfg.length, 4), dim_cap=cfg.dim_cap)
+                       3 if N < 6 else depth, dim_cap=cfg.dim_cap)
         a_fam, x_fam = [], []
         for i in range(N):
             a_fam.append(_complex_normal(rng, (2, 2)))
@@ -547,7 +547,7 @@ def run_khintchine(cfg, report):
     rec.check("certified-upper", "LHS_cert <= %g max{||a (x) x||, row, column}"
               % KHINTCHINE_CONSTANT,
               cfg.tolerance("khintchine"), margin,
-              digest=_digest(cfg.seed, cfg.copies, cfg.length))
+              digest=_digest(cfg.seed, copies, depth))
     # monotonicity of the compressed norm in the domain length
     N = 4
     F = build_fock([z2_factor()] * N, min(cfg.length + 2, 6), dim_cap=cfg.dim_cap)
@@ -561,7 +561,7 @@ def run_khintchine(cfg, report):
     rec.check("envelope", "compressed norms stay under 2 sqrt(N-1)",
               1e-8, envelope)
     # norm equivalence on the one-dimensional coefficient span
-    F = build_fock([z2_factor()] * 4, min(cfg.length, 4), dim_cap=cfg.dim_cap)
+    F = build_fock([z2_factor()] * 4, depth, dim_cap=cfg.dim_cap)
     ne = norm_equivalence(F, [u], sample_count=min(100, 4 * cfg.trials),
                           seed=cfg.seed)
     rec.check("norm-equivalence",

@@ -9,7 +9,7 @@ from qglab.builders import builtin_instance
 from qglab.convolution import Functional, l1_norm
 from qglab.corep import cb_norm, is_corep, random_invertible_corep, unitarize
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
-from qglab.qgroup import FiniteQuantumGroup, block_decompose, operator_norm, validate
+from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
 
 
 def change_basis(G, B):
@@ -76,7 +76,7 @@ def test_scrambled_norms_agree(scrambled):
 
 def test_scrambled_blocks_match(scrambled):
     G, H = scrambled
-    assert sorted(block_decompose(H).sizes) == sorted(block_decompose(G).sizes)
+    assert sorted(H.block_decomposition().sizes) == sorted(G.block_decomposition().sizes)
 
 
 def test_scrambled_duality_pipeline(scrambled):

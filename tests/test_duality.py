@@ -35,7 +35,7 @@ from qglab.duality import (
 )
 from qglab import duality
 from qglab.errors import BudgetError, InvalidInstanceError
-from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, block_decompose, validate
+from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, validate
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
           "cg_z2", "cg_z3", "cg_z4", "cg_z2xz2", "cg_s3", "kac_paljutkin")
@@ -147,7 +147,7 @@ def test_dual_mult_is_transpose_of_coproduct():
 def test_dual_kac_paljutkin_block_pattern():
     G = builtin_instance("kac_paljutkin")
     dual = build_dual(G).group
-    assert sorted(block_decompose(dual).sizes) == [1, 1, 1, 1, 2]
+    assert sorted(dual.block_decomposition().sizes) == [1, 1, 1, 1, 2]
     assert not dual.is_commutative() and not dual.is_cocommutative()
 
 

@@ -50,21 +50,23 @@ def test_no_unused_import(module):
 def unread_defs(sources):
     """(module, line, name) of every module-level function or class, dunders
     aside, that no other top-level statement of any module reads, by name,
-    by attribute or through an import."""
+    by attribute or through an import; a re-export in ``__init__.py`` reads
+    nothing."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
 
-    def reads(node):
+    def reads(node, module):
         out = set()
         for n in ast.walk(node):
             if isinstance(n, ast.Name):
                 out.add(n.id)
             elif isinstance(n, ast.Attribute):
                 out.add(n.attr)
-            elif isinstance(n, ast.ImportFrom):
+            elif isinstance(n, ast.ImportFrom) and module != "__init__.py":
                 out.update(alias.name for alias in n.names)
         return out
 
-    tops = [(node, reads(node)) for tree in trees.values() for node in tree.body]
+    tops = [(node, reads(node, module)) for module, tree in trees.items()
+            for node in tree.body]
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -133,6 +135,13 @@ def test_the_scan_sees_an_unread_public_def():
     }
     assert unread_defs(sources) == [("a.py", 4, "Dead"),
                                     ("a.py", 6, "self_only")]
+    # a def that only the package's __init__ re-exports is unread
+    sources["a.py"] += "def exported():\n    pass\n"
+    sources["__init__.py"] = ("from .a import exported, used\n"
+                              "__all__ = ['exported']\n")
+    assert unread_defs(sources) == [("a.py", 4, "Dead"),
+                                    ("a.py", 6, "self_only"),
+                                    ("a.py", 8, "exported")]
 
 
 def test_no_unread_public_def():

@@ -142,6 +142,15 @@ def test_cli_unreadable_instance_is_exit_2(tmp_path):
     assert "missing.json" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_cli_unwritable_out_is_exit_2(tmp_path):
+    out = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    for command in ("validate", "dual"):
+        r = _cli(command, "--builtin", "c_z2", "--out", out)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and out in r.stderr
+        assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
+
+
 def test_cli_budget_error_is_exit_2():
     r = _cli("khintchine", "--copies", "16", "--length", "4",
              "--dim-cap", "100")
@@ -443,16 +452,22 @@ def test_the_fock_constants_have_one_home(monkeypatch):
 
 
 def test_fock_suites_compute_at_depth_at_most_4():
-    # khintchine and noncb cap the depth at 4 (the monotone probe at 6), so
-    # length 6 gives the records of length 4; the config echoes what was asked
-    def run(length):
-        rep = run_suite(small_cfg(("khintchine", "noncb"), length=length))
-        values = [(r.name, r.anchor, r.value, r.bound, r.passed)
+    # khintchine and noncb cap the depth at 4 (the monotone probe at 6), and
+    # the Khintchine grid at 16 copies, so length 6 gives the records of
+    # length 4 and 20 copies those of 16, digests included; the config
+    # echoes what was asked
+    def run(suites, **kw):
+        rep = run_suite(small_cfg(suites, **kw))
+        values = [(r.name, r.anchor, r.digest, r.value, r.bound, r.passed)
                   for r in rep.sorted_records()]
-        return rep.config.config_dict()["length"], values, rep.extra
-    four, six = run(4), run(6)
-    assert (four[0], six[0]) == (4, 6)
+        return rep.config.config_dict(), values, rep.extra
+    four, six = (run(("khintchine", "noncb"), length=n) for n in (4, 6))
+    assert (four[0]["length"], six[0]["length"]) == (4, 6)
     assert four[1:] == six[1:]
+    sixteen, twenty = (run(("khintchine",), copies=n, length=4)
+                       for n in (16, 20))
+    assert (sixteen[0]["copies"], twenty[0]["copies"]) == (16, 20)
+    assert sixteen[1:] == twenty[1:]
 
 
 def test_dual_haar_reads_the_haar_invariance_axioms():
