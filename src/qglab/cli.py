@@ -14,8 +14,7 @@ import os
 import sys
 
 from .duality import build_dual
-from .errors import BudgetError, QglabError, StructuralError
-from .fock import DEFAULT_DIM_CAP
+from .errors import DEFAULT_DIM_CAP, BudgetError, QglabError, StructuralError
 from .serialize import instance_to_dict
 from .suite import (
     SUITE_NAMES,

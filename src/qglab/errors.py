@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the Fock dimension budget
+that ``BudgetError`` enforces."""
+
+# defined here so that the suite's config and the command line read it
+# without loading the Fock layer
+DEFAULT_DIM_CAP = 200_000
 
 
 class QglabError(Exception):

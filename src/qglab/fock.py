@@ -57,10 +57,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ascent import OperatorStack, rank_one_ascent
-from .errors import BudgetError, ConvergenceError, StructuralError
+from .errors import DEFAULT_DIM_CAP, BudgetError, ConvergenceError, StructuralError
 from .qgroup import StarAlgebra
 
-DEFAULT_DIM_CAP = 200_000
 # operators of up to this many rows are solved densely, larger ones by Lanczos
 DENSE_ROWS = 200
 

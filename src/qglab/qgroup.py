@@ -484,21 +484,19 @@ class BlockDecomposition:
         return [b.T for b in self._split(p)]
 
 
-def _commutant_basis(mats):
-    n = mats[0].shape[0]
-    eye = np.eye(n)
-    rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in mats]
-    A = np.concatenate(rows, axis=0)
-    _, s, Vh = np.linalg.svd(A)
-    tol = max(A.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-    null = Vh[np.sum(s > tol):].conj()
-    return [v.reshape(n, n) for v in null]
-
-
 def _block_decompose(G, tol, seed):
+    """Split the GNS space into the algebra's matrix blocks by the eigenspaces
+    of a random self-adjoint element Y of the commutant of lambda(A).
+
+    That commutant is rho(A), the right multiplications: a linear map T on A
+    that commutes with every left multiplication satisfies
+    T(a) = T(a 1) = a T(1), so T is right multiplication by T(1).  In GNS
+    coordinates rho(e_m) = Lambda R_m Lambda^-1 with R_m[k, j] = mult[j, m, k],
+    one batched product and no null-space solve."""
     n = G.dim
-    mats = G.gns().images
-    comm = _commutant_basis(mats)
+    gd = G.gns()
+    mats = gd.images
+    comm = gd.lambda_map @ G.mult.transpose(1, 2, 0) @ gd.lambda_inv
     rng = np.random.default_rng(seed)
     last_gap = None
     for _ in range(BLOCK_ATTEMPTS):

@@ -49,22 +49,7 @@ from .duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from .errors import StructuralError
-from .fock import (
-    DEFAULT_DIM_CAP,
-    NonCbRep,
-    build_fock,
-    cb_vs_bounded_probe,
-    column_norm,
-    compression_norm,
-    free_action,
-    khintchine_check,
-    matrix_factor,
-    norm_equivalence,
-    vacuum_state,
-    z2_factor,
-    z2_symmetry,
-)
+from .errors import DEFAULT_DIM_CAP, StructuralError
 from .qgroup import HAAR_INVARIANCE, STRUCT_TOL, validate
 from .serialize import load_instance
 
@@ -506,6 +491,10 @@ def run_multiplier(cfg, report):
 
 
 def run_khintchine(cfg, report):
+    # the Fock layer (and scipy) loads on the first Fock run, not with the suite
+    from .fock import (NonCbRep, build_fock, column_norm, compression_norm,
+                       free_action, khintchine_check, matrix_factor,
+                       norm_equivalence, vacuum_state, z2_factor, z2_symmetry)
     rec = _Recorder(report, "khintchine", _digest(cfg.seed))
     rng = np.random.default_rng(cfg.seed + 3)
     u = z2_symmetry()
@@ -597,6 +586,7 @@ def _pi_bracket(pi_lower):
 
 
 def run_noncb(cfg, report):
+    from .fock import build_fock, cb_vs_bounded_probe, z2_factor
     rec = _Recorder(report, "noncb", "")     # each record gives its digest
     results, floors = {}, {}
     for N in sorted({4, cfg.copies}):

@@ -5,7 +5,7 @@ pipeline stage working, with the same invariant quantities."""
 import numpy as np
 import pytest
 
-from qglab.builders import builtin_instance
+from qglab.builders import builtin_instance, from_group_algebra, symmetric_table
 from qglab.convolution import Functional, l1_norm
 from qglab.corep import cb_norm, is_corep, random_invertible_corep, unitarize
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
@@ -20,8 +20,8 @@ def change_basis(G, B):
     ``w_new = B @ w_old``; the pairing ``w(a)`` is then unchanged.
     """
     Binv = np.linalg.inv(B)
-    mult = np.einsum("ip,jq,pqk,kl->ijl", B, B, G.mult, Binv)
-    cop = np.einsum("ip,pjk,ja,kb->iab", B, G.coproduct, Binv, Binv)
+    mult = np.einsum("ip,jq,pqk,kl->ijl", B, B, G.mult, Binv, optimize=True)
+    cop = np.einsum("ip,pjk,ja,kb->iab", B, G.coproduct, Binv, Binv, optimize=True)
     return FiniteQuantumGroup(
         G.name + "_scrambled",
         mult,
@@ -77,6 +77,15 @@ def test_scrambled_norms_agree(scrambled):
 def test_scrambled_blocks_match(scrambled):
     G, H = scrambled
     assert sorted(H.block_decomposition().sizes) == sorted(G.block_decomposition().sizes)
+
+
+def test_eigengap_heuristic_separates_scrambled_s4_blocks():
+    # n = 24 under a cond-3 basis change: block_decomposition raises
+    # DegeneracyError unless one of its BLOCK_ATTEMPTS random commutant
+    # draws separates the blocks
+    G = from_group_algebra(symmetric_table(4))
+    H = change_basis(G, scrambler(G.dim, seed=42))
+    assert sorted(H.block_decomposition().sizes) == [1, 1, 2, 3, 3]
 
 
 def test_scrambled_duality_pipeline(scrambled):

@@ -6,6 +6,9 @@ check and a dead-code check."""
 
 import ast
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -214,6 +217,10 @@ def test_every_default_is_set_by_some_call():
 # Imports that break a cycle stay inside the function that needs them:
 # catalog imports corep, so corep reaches the catalog at call time.
 CYCLE_BREAKERS = {("corep.py", "random_invertible_corep", ".catalog")}
+# The second reason: the scipy-backed Fock layer loads only in the suite
+# runners that call it, so the algebra commands never import scipy.
+DEFERRED_LAYERS = {("suite.py", "run_khintchine", ".fock"),
+                   ("suite.py", "run_noncb", ".fock")}
 
 
 def nested_imports(source):
@@ -248,4 +255,33 @@ def test_imports_are_at_module_level_except_cycle_breakers():
         with open(os.path.join(SRC, module)) as fh:
             for _, fn, name in nested_imports(fh.read()):
                 seen.add((module, fn, name))
-    assert seen == CYCLE_BREAKERS
+    assert seen == CYCLE_BREAKERS | DEFERRED_LAYERS
+
+
+def test_algebra_suites_load_no_scipy():
+    # only the khintchine and noncb runners load the Fock layer, and scipy with it
+    code = textwrap.dedent("""
+        import sys
+        import qglab.cli
+        from qglab.builders import builtin_instance
+        from qglab.suite import SuiteConfig, run_suite
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+
+        assert scipy_modules() == [], scipy_modules()
+        cfg = SuiteConfig(instances=[("c_z2", builtin_instance("c_z2"))],
+                          suites=("validate", "duality", "corep", "multiplier",
+                                  "unitarize"), trials=2)
+        assert run_suite(cfg).passed
+        assert scipy_modules() == [], scipy_modules()
+        cfg = SuiteConfig(suites=("khintchine",), trials=2, copies=4, length=3)
+        assert run_suite(cfg).passed
+        assert "scipy" in sys.modules
+    """)
+    path = os.pathsep.join([os.path.dirname(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
