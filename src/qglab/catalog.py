@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corep import Corepresentation, check_dimension, is_corep
+from .corep import (Corepresentation, check_dimension, is_corep,
+                    unitarity_defects)
 from .duality import build_dual
 from .errors import StructuralError
 from .qgroup import FiniteQuantumGroup
@@ -26,18 +27,16 @@ def corep_catalog(G: FiniteQuantumGroup):
 def _corep_catalog(G):
     dual = build_dual(G)
     bd = dual.group.block_decomposition()
-    n = G.dim
-    blocks_of_basis = [bd.forward(dual.group.basis_element(mu)) for mu in range(n)]
     cat = []
-    for k in range(len(bd.sizes)):
-        V = Corepresentation(G, np.stack([b[k] for b in blocks_of_basis], axis=2))
+    # block k of each dual basis element, (n, n_k, n_k): the entries of V_k
+    for k, b in enumerate(bd.images(np.eye(G.dim))):
+        V = Corepresentation(G, np.ascontiguousarray(np.moveaxis(b, 0, -1)))
         chk = is_corep(V, tol=1e-8)
         if not chk:
             raise StructuralError(
                 "dual block %d does not yield a corepresentation (violation %.3e)"
                 % (k, chk.violation))
-        g = V.gns_matrix()
-        ures = np.linalg.norm(g @ g.conj().T - np.eye(g.shape[0]), 2)
+        ures = float(np.max(unitarity_defects(V)))
         if ures > 1e-8:
             raise StructuralError(
                 "dual block %d is not unitary (residual %.3e)" % (k, ures))

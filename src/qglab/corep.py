@@ -19,6 +19,9 @@ calculus implemented here covers:
   * inversion by the antipode, unitarization by Haar averaging, essential
     idempotents of degenerate corepresentations, and the completely bounded
     norm ||pi||_cb = ||V||.
+
+Every norm of V's image in B(C^d (x) H_h) is read in the Wedderburn blocks
+of the algebra, (id (x) pi_k)V of size d n_k, never in the dense d n square.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ import numpy as np
 
 from .convolution import Functional, counit_functional, sharp, star_l1
 from .errors import NotInvertibleError, OwnerMismatchError, StructuralError
-from .qgroup import AlgebraElement, FiniteQuantumGroup, adjoint, apply_antipode
+from .qgroup import (
+    AlgebraElement,
+    FiniteQuantumGroup,
+    adjoint,
+    apply_antipode,
+    singular_extremes,
+)
 
 INVERTIBILITY_RTOL = 1e-8
 
@@ -44,13 +53,18 @@ class Corepresentation:
         self.tensor = t
         self.d = t.shape[-2]
 
-    def gns_matrix(self) -> np.ndarray:
-        """The image in B(C^d (x) H_h), blocks indexed by the matrix leg:
-        block (i, j) is lambda(v_ij); shape (..., dn, dn)."""
-        n = self.owner.dim
-        blocks = np.tensordot(self.tensor, self.owner.gns().images, 1)
-        return blocks.swapaxes(-3, -2).reshape(
-            self.tensor.shape[:-3] + (self.d * n, self.d * n))
+    def blocks(self):
+        """The image in B(C^d (x) H_h) block by block: one stack
+        (..., d n_k, d n_k) per Wedderburn block k of the algebra, the matrix
+        (id (x) pi_k)V whose (i, j) entry is pi_k(v_ij).  The image is
+        unitarily equivalent to their direct sum, block k repeated n_k
+        times."""
+        d = self.d
+        out = []
+        for b in self.owner.block_decomposition().images(self.tensor):
+            m = d * b.shape[-1]
+            out.append(b.swapaxes(-3, -2).reshape(b.shape[:-4] + (m, m)))
+        return out
 
     def __repr__(self):
         return "Corepresentation(%r, d=%d)" % (self.owner.name, self.d)
@@ -186,16 +200,16 @@ def corep_distance(X: Corepresentation, Y: Corepresentation):
     return np.max(np.abs(X.tensor - Y.tensor), axis=(-3, -2, -1))
 
 
-def _ratio_test(g):
-    """(sigma_min >= INVERTIBILITY_RTOL * sigma_max for every matrix of g,
-    sigma_min per matrix)."""
-    s = np.linalg.svd(g, compute_uv=False)
-    return bool(np.all(s[..., -1] >= INVERTIBILITY_RTOL * s[..., 0])), s[..., -1]
+def _ratio_test(V):
+    """(sigma_min >= INVERTIBILITY_RTOL * sigma_max for every stacked
+    corepresentation, sigma_min of each), over the blocks of its image."""
+    smax, smin = singular_extremes(V.blocks())
+    return bool(np.all(smin >= INVERTIBILITY_RTOL * smax)), smin
 
 
 def inverse_corep(V: Corepresentation) -> Corepresentation:
     """(S (x) id)V, certified as a two-sided inverse of V in A (x) M_d."""
-    ok, smin = _ratio_test(V.gns_matrix())
+    ok, smin = _ratio_test(V)
     if not ok:
         raise NotInvertibleError(
             "corepresentation is singular (smallest singular value %.3e)"
@@ -289,8 +303,7 @@ def unitarize(V: Corepresentation):
     V' = (1 (x) T^(1/2)) V (1 (x) T^(-1/2)) unitary.
     """
     G = V.owner
-    g = V.gns_matrix()
-    ok, smin = _ratio_test(g)
+    ok, smin = _ratio_test(V)
     if not ok:
         raise NotInvertibleError(
             "cannot unitarize a singular corepresentation (sigma_min %.3e)"
@@ -353,6 +366,15 @@ def essential_data(V: Corepresentation) -> EssentialData:
 
 
 def cb_norm(V: Corepresentation):
-    """||pi||_cb = ||V|| = the operator norm of the image in B(H_h (x) C^d)."""
-    return np.linalg.norm(V.gns_matrix(), 2, axis=(-2, -1))
+    """||pi||_cb = ||V|| = the operator norm of the image in B(H_h (x) C^d):
+    the largest of the norms of its blocks."""
+    return singular_extremes(V.blocks())[0]
+
+
+def unitarity_defects(V: Corepresentation):
+    """(||V*V - 1||, ||VV* - 1||) on C^d (x) H_h, one pair per stacked
+    corepresentation, as an array (2, ...), read block by block."""
+    blocks = [np.stack([adjoints(b) @ b, b @ adjoints(b)]) - np.eye(b.shape[-1])
+              for b in V.blocks()]
+    return singular_extremes(blocks)[0]
 

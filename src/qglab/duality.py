@@ -27,6 +27,7 @@ from .qgroup import (
     FiniteQuantumGroup,
     SpanningFamily,
     operator_norm,
+    singular_extremes,
     validate,
     vector_norms,
 )
@@ -402,6 +403,13 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     expansion over an orthonormal basis (f_i), the adjoint acts as
     L*(y) = sum_i S(b_i*)* y a_i, and lambda-hat(L omega) = x lambda-hat(omega).
 
+    The W-hat residual is a Frobenius norm, a certified upper bound on the
+    spectral one.  The factorization norm ||sum_i c_i (x) a_i^T|| is read in
+    the Wedderburn blocks: lambda is the direct sum of the blocks pi_k, each
+    repeated, and so is lambda^T of the pi_l^T, so the norm is the largest
+    of ||sum_i pi_k(c_i) (x) pi_l(a_i)^T|| over the pairs (k, l), matrices of
+    size n_k n_l instead of n^2.
+
     V may be a stack (..., d, d, n) with alpha, beta (..., d) and basis
     (..., d, d): every field of the result then holds one value per stacked
     corepresentation, each equal to that corepresentation's own.
@@ -435,10 +443,14 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
               - lx @ dual.What_slices)
     residual_action = np.max(np.linalg.svd(action, compute_uv=False)[..., 0],
                              axis=-1)
-    lhs_w = np.einsum("...mac,mbd->...abcd", LZ,
-                      dual.What_slices).reshape(batch + (n * n, n * n))
-    rhs_w = (lx @ dual.What.reshape(n, n, n * n)).reshape(batch + (n * n, n * n))
-    residual_w = np.linalg.norm(lhs_w - rhs_w, 2, axis=(-2, -1))
+    # both sides of the W-hat identity with entries ordered [(b, d), (a, c)],
+    # legs (a, b) out and (c, d) in, so that each is one BLAS product per
+    # corepresentation; a Frobenius norm does not depend on the order
+    lhs_w = dual.What_slices.reshape(n, n * n).T @ LZ.reshape(batch + (n, n * n))
+    what = dual.What.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n, n ** 3)
+    rhs_w = lx[..., 0, :, :] @ what
+    residual_w = vector_norms(lhs_w.reshape(batch + (-1,))
+                              - rhs_w.reshape(batch + (-1,)))
     # sum_i c_i* c_i and sum_i a_i* a_i through the structure tensors
     sum_cc = np.einsum("ijk,...di,...dj->...k", G.mult, np.conj(c_els) @ G.star,
                        c_els)
@@ -446,8 +458,15 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
                        a_els)
     norm_bound = (np.sqrt(operator_norm(G.element(sum_cc)))
                   * np.sqrt(operator_norm(G.element(sum_aa))))
-    fact = np.linalg.norm(np.einsum("...iac,...idb->...abcd", c_mats, a_mats)
-                          .reshape(batch + (n * n, n * n)), 2, axis=(-2, -1))
+    bd = G.block_decomposition()
+    a_blocks = bd.images(a_els)
+    pairs = []
+    for ck in bd.images(c_els):
+        for al in a_blocks:
+            m = ck.shape[-1] * al.shape[-1]
+            pairs.append(np.einsum("...iac,...idb->...abcd", ck, al)
+                         .reshape(batch + (m, m)))
+    fact = singular_extremes(pairs)[0]
     cb_bound = (cb_norm(V) * cb_norm(Vs)
                 * vector_norms(np.asarray(alpha, dtype=complex))
                 * vector_norms(np.asarray(beta, dtype=complex)))

@@ -129,11 +129,13 @@ class StarAlgebra:
     def gns(self):
         return self.cached("gns", _build_gns)
 
+    def block_decomposition(self, tol=NORM_RTOL, seed=7):
+        return self.cached("block_decomposition", _block_decompose, tol, seed)
+
     def cstar_norm(self, coeffs):
         """C*-norm of the element with these coefficients, (..., n): the
-        largest singular value of its left regular image."""
-        return np.linalg.norm(self.gns().left_action(self.element(coeffs)), 2,
-                              axis=(-2, -1))
+        largest singular value over its Wedderburn blocks."""
+        return singular_extremes(self.block_decomposition().images(coeffs))[0]
 
 
 class FiniteQuantumGroup(StarAlgebra):
@@ -165,11 +167,9 @@ class FiniteQuantumGroup(StarAlgebra):
 
     # -- cached constructions ----------------------------------------------
 
-    # Bound in this class body as well, where perfbench/tracer.py wraps it.
+    # Bound in this class body as well, where perfbench/tracer.py wraps them.
     gns = StarAlgebra.gns
-
-    def block_decomposition(self, tol=NORM_RTOL, seed=7):
-        return self.cached("block_decomposition", _block_decompose, tol, seed)
+    block_decomposition = StarAlgebra.block_decomposition
 
 
 class CoefficientVector:
@@ -440,9 +440,28 @@ def vector_norms(x):
                    + (im @ im.swapaxes(-2, -1))[..., 0, 0])
 
 
+def singular_extremes(blocks):
+    """(largest, smallest) singular value over the square blocks, a list of
+    stacks (..., p_k, p_k) of one stack shape, per stacked item: the extreme
+    singular values of any direct sum of the blocks, each repeated any number
+    of times.  The blocks are zero-padded to one size and share one batched
+    SVD, whatever their number and sizes; the padding adds zeros, which sort
+    after the p_k singular values of block k, and each matrix of the stack
+    gets the bits it gets alone."""
+    size = max(b.shape[-1] for b in blocks)
+    padded = np.zeros(blocks[0].shape[:-2] + (len(blocks), size, size),
+                      dtype=complex)
+    for k, b in enumerate(blocks):
+        padded[..., k, :b.shape[-1], :b.shape[-1]] = b
+    s = np.linalg.svd(padded, compute_uv=False)
+    last = [b.shape[-1] - 1 for b in blocks]
+    return (np.max(s[..., 0], axis=-1),
+            np.min(s[..., range(len(blocks)), last], axis=-1))
+
+
 def operator_norm(a: AlgebraElement):
     """C*-norm of a (of each element of a stack): largest singular value of
-    its left regular image."""
+    its left regular image, read block by block."""
     return a.owner.cstar_norm(a.coeffs)
 
 
@@ -451,7 +470,14 @@ def operator_norm(a: AlgebraElement):
 
 
 class BlockDecomposition:
-    """Isometric *-isomorphism of the algebra onto a direct sum of matrix blocks."""
+    """Isometric *-isomorphism of the algebra onto a direct sum of matrix blocks.
+
+    Block k of a is pi_k(a) = P_k* lambda(a) P_k, P_k an isometry onto one
+    copy of the k-th irreducible subspace of the GNS space.  lambda(a) is
+    unitarily equivalent to the direct sum of the pi_k(a), pi_k(a) repeated
+    n_k times, so every singular value of lambda(a) is one of a block: its
+    norms are read block by block, in matrices of size n_k instead of n.
+    """
 
     def __init__(self, owner, isometries):
         self.owner = owner
@@ -462,9 +488,13 @@ class BlockDecomposition:
             axis=1).T
         self.backward_matrix = np.linalg.inv(self.forward_matrix)
 
-    def forward(self, a: AlgebraElement):
-        flat = self.forward_matrix @ a.coeffs
-        return self._split(flat)
+    def images(self, coeffs):
+        """The blocks of the elements with coefficients (..., n): one stack
+        (..., n_k, n_k) per block.  Each coefficient vector is mapped by a
+        product of its own, (1, n) by (n, n), so a stack gives each element
+        the bits it gets alone."""
+        rows = np.asarray(coeffs, dtype=complex)[..., None, :]
+        return self._split((rows @ self.forward_matrix.T)[..., 0, :])
 
     def backward(self, blocks) -> AlgebraElement:
         flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1)
@@ -474,7 +504,8 @@ class BlockDecomposition:
     def _split(self, flat):
         out, pos = [], 0
         for nk in self.sizes:
-            out.append(flat[pos:pos + nk * nk].reshape(nk, nk))
+            out.append(flat[..., pos:pos + nk * nk].reshape(
+                flat.shape[:-1] + (nk, nk)))
             pos += nk * nk
         return out
 
@@ -555,16 +586,16 @@ def _block_decompose(G, tol, seed):
 
 
 def _homomorphism_residual(bd):
+    """The largest Frobenius defect of pi_k(ab) = pi_k(a) pi_k(b) and
+    pi_k(a*) = pi_k(a)* over the blocks, at six seeded random pairs (a, b),
+    drawn in one read: per pair a, then b, each real part then imaginary."""
     G = bd.owner
-    rng = np.random.default_rng(12345)
+    r = np.random.default_rng(12345).standard_normal((6, 2, 2, G.dim))
+    a, b = r[:, 0, 0] + 1j * r[:, 0, 1], r[:, 1, 0] + 1j * r[:, 1, 1]
+    ab = np.einsum("ijk,...i,...j->...k", G.mult, a, b)
     worst = 0.0
-    for _ in range(6):
-        a = G.element(rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
-        b = G.element(rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
-        fa, fb, fab = bd.forward(a), bd.forward(b), bd.forward(multiply(a, b))
-        worst = max(worst, max(
-            np.linalg.norm(x @ y - z) for x, y, z in zip(fa, fb, fab)))
-        fs = bd.forward(adjoint(a))
-        worst = max(worst, max(
-            np.linalg.norm(x.conj().T - y) for x, y in zip(fa, fs)))
+    for x, y, z, s in zip(*(bd.images(c) for c in (a, b, ab, G.star_coeffs(a)))):
+        worst = max(worst, float(np.max(np.linalg.norm(x @ y - z, axis=(-2, -1)))),
+                    float(np.max(np.linalg.norm(x.conj().swapaxes(-2, -1) - s,
+                                                axis=(-2, -1)))))
     return worst

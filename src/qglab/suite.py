@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 import time
@@ -38,6 +39,7 @@ from .corep import (
     pi_tilde,
     random_invertible_corep,
     trivial_corep,
+    unitarity_defects,
     unitarize,
     zero_corep,
 )
@@ -50,7 +52,7 @@ from .duality import (
     pairing_identity_check,
 )
 from .errors import DEFAULT_DIM_CAP, StructuralError
-from .qgroup import HAAR_INVARIANCE, STRUCT_TOL, validate
+from .qgroup import HAAR_INVARIANCE, STRUCT_TOL, singular_extremes, validate
 from .serialize import load_instance
 
 SUITE_NAMES = ("validate", "duality", "corep", "multiplier", "unitarize",
@@ -247,8 +249,25 @@ class _Recorder:
                   lambda v: v >= float(floor) - slack, float(floor), digest)
 
 
-def _complex_normal(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _complex_normals(rng, *shapes):
+    """One complex standard normal array per shape, from one
+    ``rng.standard_normal`` read: the real parts of the first array, then
+    its imaginary parts, then those of the next.  A read of a + b numbers
+    gives the numbers of a read of a and then one of b, and leaves the
+    stream at the same place, so these are the arrays, bit for bit, of one
+    draw per shape in turn, each ``standard_normal(shape) + 1j *
+    standard_normal(shape)``."""
+    shapes = [(s,) if isinstance(s, int) else s for s in shapes]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = rng.standard_normal(2 * sum(sizes))
+    out, pos = [], 0
+    for shape, size in zip(shapes, sizes):
+        z = np.empty(shape, dtype=complex)
+        z.real = flat[pos:pos + size].reshape(shape)
+        z.imag = flat[pos + size:pos + 2 * size].reshape(shape)
+        out.append(z)
+        pos += 2 * size
+    return out
 
 
 def _spectral_norms(*mats):
@@ -303,9 +322,9 @@ def run_duality(cfg, report):
                   cfg.tolerance("pentagon"), Wd.coproduct_residual)
         rec.check("pentagon", "W12 W13 W23 = W23 W12",
                   cfg.tolerance("pentagon"), Wd.pentagon_residual)
-        # drawn one at a time: one (8, n) draw would take the real and
-        # imaginary parts in another order and move the record
-        w = Functional(G, np.stack([_complex_normal(rng, G.dim) for _ in range(8)]))
+        # one read in the order of eight draws of n: an (8, 2, n) read, each
+        # functional's real part and then its imaginary part
+        w = Functional(G, np.stack(_complex_normals(rng, *[G.dim] * 8)))
         rec.note("lambda-sharp", np.linalg.norm(
             Wd.lambda_of(sharp(w)) - adjoints(Wd.lambda_of(w)), 2, axis=(-2, -1)))
         rec.check("lambda-sharp", "lambda(omega#) = lambda(omega)*",
@@ -335,16 +354,13 @@ def run_corep(cfg, report):
         dims = _corep_dims(cfg, rng)
         draws = []
         for trial, d in enumerate(dims):
-            draw = {"w": _complex_normal(rng, G.dim),
-                    "alpha": _complex_normal(rng, d),
-                    "beta": _complex_normal(rng, d),
-                    "w1": _complex_normal(rng, G.dim),
-                    "w2": _complex_normal(rng, G.dim)}
-            if trial % 5 == 0:
-                draw["frame"] = _complex_normal(rng, (d + 1, d + 1))
+            frame = [(d + 1, d + 1)] if trial % 5 == 0 else []
+            draw = dict(zip(("w", "alpha", "beta", "w1", "w2", "frame"),
+                            _complex_normals(rng, G.dim, d, d, G.dim, G.dim, *frame)))
+            if frame:
                 draw["spread"] = rng.random(d + 1)
             if trial % 7 == 0:
-                draw["noise"] = _complex_normal(rng, (d, d, G.dim))
+                draw["noise"] = _complex_normals(rng, (d, d, G.dim))[0]
             draws.append(draw)
         for d, trials, seeds in _dimension_groups(cfg, dims, 1000):
             V, _, V0 = random_invertible_corep(G, d, seeds)
@@ -367,10 +383,7 @@ def run_corep(cfg, report):
             rec.note("generators", gen_norm)
             rec.note("anti-homomorphism", anti_norm)
             # isometry => unitary regression on the unitarized form
-            g = V0.gns_matrix()
-            eye = np.eye(g.shape[-1])
-            iso, unit = _spectral_norms(adjoints(g) @ g - eye,
-                                        g @ adjoints(g) - eye)
+            iso, unit = unitarity_defects(V0)
             rec.note("isometry-unitary", unit[iso <= iso_tol])
             # degenerate block sum, twisted
             deg = trials % 5 == 0
@@ -417,21 +430,19 @@ def run_unitarize(cfg, report):
                         _digest(label, cfg.seed, cfg.trials))
         rng = np.random.default_rng(cfg.seed + 1)
         dims = _corep_dims(cfg, rng)
-        draws = [{"w": _complex_normal(rng, G.dim)} for _ in dims]
+        # one (trials, 2, n) read: each trial's w, real part then imaginary
+        w_table = np.stack(_complex_normals(rng, *[G.dim] * len(dims)))
         for d, trials, seeds in _dimension_groups(cfg, dims, 2000):
             V, _, _ = random_invertible_corep(G, d, seeds)
             T, Vp = unitarize(V)
-            g = Vp.gns_matrix()
-            eye = np.eye(g.shape[-1])
-            rec.note("unitary", *_spectral_norms(adjoints(g) @ g - eye,
-                                                 g @ adjoints(g) - eye))
+            rec.note("unitary", *unitarity_defects(Vp))
             rec.note("corep", is_corep(Vp).violation)
-            w = Functional(G, _stacked(draws, trials, "w"))
+            w = Functional(G, w_table[trials])
             rec.note("star-property", np.linalg.norm(
                 pi_of(Vp, sharp(w)) - adjoints(pi_of(Vp, w)), 2, axis=(-2, -1)))
             # 1 / ||V^-1||^2 is the squared smallest singular value of V,
             # squared by Python's float power as a single trial squares it
-            smin = np.linalg.norm(V.gns_matrix(), -2, axis=(-2, -1))
+            smin = singular_extremes(V.blocks())[1]
             rec.note("positivity-floor", np.min(np.linalg.eigvalsh(T), axis=-1)
                      - np.array([s ** 2 for s in smin.tolist()]))
         rec.check("unitary", "V' = (1 (x) T^1/2) V (1 (x) T^-1/2) is unitary",
@@ -451,10 +462,11 @@ def run_multiplier(cfg, report):
         dims = _corep_dims(cfg, rng)
         draws = []
         for trial, d in enumerate(dims):
-            draw = {"alpha": _complex_normal(rng, d),
-                    "beta": _complex_normal(rng, d)}
-            if trial % 10 == 0:
-                draw["frame"], _ = np.linalg.qr(_complex_normal(rng, (d, d)))
+            frame = [(d, d)] if trial % 10 == 0 else []
+            draw = dict(zip(("alpha", "beta", "frame"),
+                            _complex_normals(rng, d, d, *frame)))
+            if frame:
+                draw["frame"], _ = np.linalg.qr(draw["frame"])
             draws.append(draw)
         for d, trials, seeds in _dimension_groups(cfg, dims, 3000):
             V, _, _ = random_invertible_corep(G, d, seeds)
@@ -482,9 +494,10 @@ def run_multiplier(cfg, report):
                   bound_tol)
         rec.check("basis-independence", "L does not depend on the chosen frame",
                   tol8)
-        samples = [[_complex_normal(rng, G.dim) for _ in range(3)]
-                   for _ in range(max(1, 2 * cfg.trials))]
-        x, w1, w2 = (np.stack(column) for column in zip(*samples))
+        # one (2 trials, 3, 2, n) read: per sample x, w1, w2, each real part
+        # then imaginary part
+        samples = _complex_normals(rng, *[G.dim] * (3 * max(1, 2 * cfg.trials)))
+        x, w1, w2 = (np.stack(samples[j::3]) for j in range(3))
         rec.note("pairing", pairing_identity_check(
             G, G.element(x), Functional(G, w1), Functional(G, w2)))
         rec.check("pairing", "GNS pairing of the two transforms matches", tol8)
@@ -525,9 +538,10 @@ def run_khintchine(cfg, report):
         F = build_fock([matrix_factor(2)] * N,
                        3 if N < 6 else depth, dim_cap=cfg.dim_cap)
         a_fam, x_fam = [], []
+        draws = _complex_normals(rng, *[(2, 2), 4] * N)
         for i in range(N):
-            a_fam.append(_complex_normal(rng, (2, 2)))
-            x = _complex_normal(rng, 4)
+            a_fam.append(draws[2 * i])
+            x = draws[2 * i + 1]
             f = F.factors[i]
             x = x - f.phi(x) * f.unit
             x_fam.append((i, x))

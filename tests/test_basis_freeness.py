@@ -103,7 +103,9 @@ def test_scrambled_corep_and_multiplier(scrambled):
     V, T, V0 = random_invertible_corep(H, 2, seed=3)
     assert is_corep(V).is_corep
     Tav, Vu = unitarize(V)
-    g = Vu.gns_matrix()
+    # dense oracle: the image on C^d (x) H_h, block (i, j) lambda(vu_ij)
+    g = np.block([[H.gns().left_action(H.element(Vu.tensor[i, j]))
+                   for j in range(2)] for i in range(2)])
     assert np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]), 2) < 1e-8
     rng = np.random.default_rng(2)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)

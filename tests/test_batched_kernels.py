@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from qglab import convolution, suite
-from qglab.builders import BUILTIN_NAMES, builtin_instance
+from qglab.builders import (
+    BUILTIN_NAMES,
+    builtin_instance,
+    from_group_algebra,
+    symmetric_table,
+)
 from qglab.catalog import unitary_corepresentation
 from qglab.convolution import (
     Functional,
@@ -38,6 +43,7 @@ from qglab.corep import (
     pi_of,
     random_invertible_corep,
     trivial_corep,
+    unitarity_defects,
     unitarize,
     zero_corep,
 )
@@ -47,7 +53,7 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from qglab.qgroup import adjoint, multiply, operator_norm
+from qglab.qgroup import adjoint, multiply, operator_norm, singular_extremes
 
 RTOL = 1e-13
 
@@ -69,7 +75,8 @@ def loop_basis_pair_defect(V):
 def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     """multiplier_from_coefficient one basis element at a time: one expansion
     and one spectral norm per dual basis element, and sums of Kronecker
-    products for the W-hat identity and the factorization operator."""
+    products for the W-hat identity (its Frobenius norm) and the dense
+    factorization operator on H_h (x) H_h (its spectral norm)."""
     G = V.owner
     dual = build_dual(G)
     gd = G.gns()
@@ -96,7 +103,7 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
                               float(np.linalg.norm(lhs - rhs, 2)))
     lhs_w = sum(np.kron(m, y) for m, y in zip(LZ, dual.What_slices))
     rhs_w = np.kron(np.eye(n), lx) @ dual.What
-    residual_w = float(np.linalg.norm(lhs_w - rhs_w, 2))
+    residual_w = float(np.linalg.norm(lhs_w - rhs_w))
     sum_cc = sum((multiply(adjoint(c), c) for c in c_els), start=G.zero())
     sum_aa = sum((multiply(adjoint(a), a) for a in a_els), start=G.zero())
     norm_bound = np.sqrt(operator_norm(sum_cc)) * np.sqrt(operator_norm(sum_aa))
@@ -177,26 +184,34 @@ def test_vector_functional_matches_the_loop():
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
 
 
-def _count_spectral_calls(monkeypatch, f, *args, **kw):
-    """(np.linalg.svd calls, np.linalg.norm calls with ord 2 or -2) made by
-    f(*args, **kw) through the public numpy attributes."""
+def _spectral_calls(monkeypatch, f, *args, **kw):
+    """{"svd": [...], "norm": [...]}: the width of the matrices of each
+    np.linalg.svd call, and of each np.linalg.norm call with ord 2 or -2,
+    made by f(*args, **kw) through the public numpy attributes."""
     svd, norm = np.linalg.svd, np.linalg.norm
-    counts = {"svd": 0, "norm": 0}
+    widths = {"svd": [], "norm": []}
 
-    def counting_svd(*a, **k):
-        counts["svd"] += 1
-        return svd(*a, **k)
+    def counting_svd(x, *a, **k):
+        widths["svd"].append(np.shape(x)[-1])
+        return svd(x, *a, **k)
 
     def counting_norm(x, ord=None, *a, **k):
         if ord in (2, -2):
-            counts["norm"] += 1
+            widths["norm"].append(np.shape(x)[-1])
         return norm(x, ord, *a, **k)
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "svd", counting_svd)
         m.setattr(np.linalg, "norm", counting_norm)
         f(*args, **kw)
-    return counts["svd"], counts["norm"]
+    return widths
+
+
+def _count_spectral_calls(monkeypatch, f, *args, **kw):
+    """(np.linalg.svd calls, np.linalg.norm calls with ord 2 or -2) made by
+    f(*args, **kw)."""
+    widths = _spectral_calls(monkeypatch, f, *args, **kw)
+    return len(widths["svd"]), len(widths["norm"])
 
 
 def test_multiplier_spectral_calls_do_not_grow_with_n(monkeypatch):
@@ -209,9 +224,24 @@ def test_multiplier_spectral_calls_do_not_grow_with_n(monkeypatch):
         counts.append(_count_spectral_calls(
             monkeypatch, multiplier_from_coefficient, V, alpha, beta))
     assert counts[0] == counts[1]
-    # one batched SVD for the action; W-hat identity, factorization, two
-    # C*-norms and two cb norms
-    assert counts[0] == (1, 6)
+    # one batched SVD each for the action, the factorization norm, two
+    # C*-norms and two cb norms, over the blocks however many there are; the
+    # W-hat identity is a Frobenius norm
+    assert counts[0] == (6, 0)
+
+
+def test_s4_multiplier_makes_no_svd_wider_than_n(monkeypatch):
+    # C[S4], n = 24, blocks [1, 1, 2, 3, 3]: the factorization operator
+    # on H_h (x) H_h is 576 wide, its blocks at most 9; the cb norms of
+    # d = 2 coreps read blocks at most 6 wide where the dense image is 48
+    G = from_group_algebra(symmetric_table(4))
+    V, _, _ = random_invertible_corep(G, 2, seed=[31, 32])
+    alpha = np.array([[1.0, 2j], [0.5, -1.0]])
+    beta = np.array([[0.5, -1.0], [1j, 1.0]])
+    multiplier_from_coefficient(V, alpha, beta)        # warm the dual
+    widths = _spectral_calls(monkeypatch, multiplier_from_coefficient, V, alpha, beta)
+    assert len(widths["svd"]) == 6 and widths["norm"] == []
+    assert max(widths["svd"]) <= G.dim
 
 
 def test_pair_defect_makes_no_convolutions(monkeypatch):
@@ -351,7 +381,9 @@ def test_stacked_corep_kernels_match_each_corep_alone(name):
             for key in ("is_corep", "violation", "pair_defect"):
                 _assert_each(getattr(got, key),
                              lambda k: getattr(is_corep(_alone(W, k)), key))
-        _assert_each(V.gns_matrix(), lambda k: _alone(V, k).gns_matrix())
+        for b, block in enumerate(V.blocks()):
+            _assert_each(block, lambda k: _alone(V, k).blocks()[b])
+        _assert_each(unitarity_defects(V).T, lambda k: unitarity_defects(_alone(V, k)))
         Vs = corep_adjoint(antipode_slice(V))
         _assert_each(corep_product(V, Vs).tensor,
                      lambda k: corep_product(_alone(V, k), _alone(Vs, k)).tensor)
@@ -441,9 +473,7 @@ def _per_trial_values(cfg):
             gen_norm, anti_norm = spectral(gen_diff, anti_diff)
             note(prefix, "generators", gen_norm)
             note(prefix, "anti-homomorphism", anti_norm)
-            g = V0.gns_matrix()
-            eye = np.eye(g.shape[0])
-            iso, unit = spectral(g.conj().T @ g - eye, g @ g.conj().T - eye)
+            iso, unit = unitarity_defects(V0)
             if iso <= cfg.tolerance("isometry"):
                 note(prefix, "isometry-unitary", unit)
             if trial % 5 == 0:
@@ -467,15 +497,13 @@ def _per_trial_values(cfg):
         for trial, d in enumerate(dims):
             V, _, _ = random_invertible_corep(G, d, cfg.seed * 2000 + trial)
             T, Vp = unitarize(V)
-            g = Vp.gns_matrix()
-            eye = np.eye(g.shape[0])
-            note(prefix, "unitary", *spectral(g.conj().T @ g - eye, g @ g.conj().T - eye))
+            note(prefix, "unitary", *unitarity_defects(Vp))
             note(prefix, "corep", is_corep(Vp).violation)
             w = functional(G, rng)
             note(prefix, "star-property", np.linalg.norm(
                 pi_of(Vp, sharp(w)) - pi_of(Vp, w).conj().T, 2))
             note(prefix, "positivity-floor", float(np.min(np.linalg.eigvalsh(T)))
-                 - float(np.linalg.norm(V.gns_matrix(), -2)) ** 2)
+                 - float(singular_extremes(V.blocks())[1]) ** 2)
         prefix = "multiplier/" + label
         rng = np.random.default_rng(cfg.seed + 2)
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]

@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qglab.builders import BUILTIN_NAMES, builtin_instance
+from qglab.builders import (
+    BUILTIN_NAMES,
+    builtin_instance,
+    from_function_algebra,
+    from_group_algebra,
+    symmetric_table,
+)
 from qglab.catalog import corep_catalog, unitary_corepresentation
 from qglab.convolution import (
     Functional,
@@ -35,11 +41,19 @@ from qglab.corep import (
     pi_tilde,
     random_invertible_corep,
     trivial_corep,
+    unitarity_defects,
     unitarize,
     zero_corep,
 )
-from qglab.errors import NotInvertibleError, StructuralError
-from qglab.qgroup import AlgebraElement, FiniteQuantumGroup, adjoint
+from qglab.duality import multiplier_from_coefficient
+from qglab.errors import DegeneracyError, NotInvertibleError, StructuralError
+from qglab.qgroup import (
+    AlgebraElement,
+    FiniteQuantumGroup,
+    adjoint,
+    operator_norm,
+    singular_extremes,
+)
 
 
 def nontrivial_character(G):
@@ -52,6 +66,15 @@ def nontrivial_character(G):
 def transposed(V):
     """The corepresentation-shaped tensor with the entry grid transposed."""
     return Corepresentation(V.owner, V.tensor.swapaxes(-3, -2))
+
+
+def dense_image(V):
+    """The image of one corepresentation on C^d (x) H_h as one dense
+    (dn, dn) matrix, block (i, j) lambda(v_ij): the reference for the norms
+    that the package reads block by block."""
+    G = V.owner
+    return np.block([[G.gns().left_action(G.element(V.tensor[i, j]))
+                      for j in range(V.d)] for i in range(V.d)])
 
 
 def rand_functional(G, rng):
@@ -219,8 +242,8 @@ def test_inverse_corep_examples():
     V2, _, _ = random_invertible_corep(H, 2, seed=13)
     Vi2 = inverse_corep(V2)
     # oracle: invert the GNS image as a matrix
-    g = V2.gns_matrix()
-    assert np.linalg.norm(Vi2.gns_matrix() - np.linalg.inv(g), 2) < 1e-8
+    g = dense_image(V2)
+    assert np.linalg.norm(dense_image(Vi2) - np.linalg.inv(g), 2) < 1e-8
     # the inverse satisfies the anti identity
     # Delta(w_ij) = sum_k w_kj (x) w_ik, the corep identity of its transpose
     assert is_corep(transposed(Vi2)).violation < 1e-9
@@ -264,11 +287,11 @@ def test_unitarize_examples():
     assert corep_distance(V1, V) < 1e-12
     V2, _, _ = random_invertible_corep(builtin_instance("cg_s3"), 2, seed=31)
     T2, V2u = unitarize(V2)
-    g = V2u.gns_matrix()
+    g = dense_image(V2u)
     assert np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]), 2) < 1e-8
     assert is_corep(V2u).violation < 1e-8
     # T is positive definite above the invertibility floor
-    inv_norm = np.linalg.norm(np.linalg.inv(V2.gns_matrix()), 2)
+    inv_norm = np.linalg.norm(np.linalg.inv(dense_image(V2)), 2)
     assert np.min(np.linalg.eigvalsh(T2)) >= 1.0 / inv_norm ** 2 - 1e-8
 
 
@@ -291,7 +314,7 @@ def test_essential_data():
     assert ed.commute_violation < 1e-8
     assert ed.dimension == 2
     # oracle: direct matrix arithmetic on the GNS image
-    P = ed.P.gns_matrix()
+    P = dense_image(ed.P)
     assert np.linalg.norm(P @ P - P, 2) < 1e-8
     for i in range(G.dim):
         piw = pi_of(Vtw, basis_functional(G, i))
@@ -308,7 +331,7 @@ def test_norms():
     assert abs(cb_norm(U) - 1.0) < 1e-10
     D = np.diag([2.0, 1.0])
     V = conjugate_corep(U, D)
-    svals = np.linalg.svd(V.gns_matrix(), compute_uv=False)
+    svals = np.linalg.svd(dense_image(V), compute_uv=False)
     assert abs(svals[0] - cb_norm(V)) < 1e-12
     assert cb_norm(V) <= 2.0 + 1e-9
 
@@ -318,7 +341,7 @@ def test_isometry_implies_unitary():
         G = builtin_instance(name)
         for d in (1, 2):
             V = unitary_corepresentation(G, d, seed=d)
-            g = V.gns_matrix()
+            g = dense_image(V)
             eye = np.eye(g.shape[0])
             if np.linalg.norm(g.conj().T @ g - eye, 2) <= 1e-10:
                 assert np.linalg.norm(g @ g.conj().T - eye, 2) <= 1e-10
@@ -327,12 +350,14 @@ def test_isometry_implies_unitary():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_gns_matrix_blocks_are_the_left_regular_images(name):
     # oracle: lambda(a) = Lambda L(a) Lambda^-1, with L(a)[k, j] the
-    # coefficient of e_k in a e_j, read off mult
+    # coefficient of e_k in a e_j, read off mult; the dense reference
+    # holds these images, and entry (i, j) of V's block k is pi_k(v_ij)
     G = builtin_instance(name)
     gd = G.gns()
+    bd = G.block_decomposition()
     for d in (1, 2, 3, 4):
         V, _, _ = random_invertible_corep(G, d, seed=40 + d)
-        g = V.gns_matrix()
+        g = dense_image(V)
         n = G.dim
         for i in range(d):
             for j in range(d):
@@ -340,6 +365,11 @@ def test_gns_matrix_blocks_are_the_left_regular_images(name):
                 ref = gd.lambda_map @ L @ gd.lambda_inv
                 block = g[i * n:(i + 1) * n, j * n:(j + 1) * n]
                 assert np.max(np.abs(block - ref)) < 1e-13, (name, d, i, j)
+                entry = bd.images(V.tensor[i, j])
+                for b, nk, e in zip(V.blocks(), bd.sizes, entry):
+                    assert b.shape == (d * nk, d * nk)
+                    assert np.array_equal(
+                        b[i * nk:(i + 1) * nk, j * nk:(j + 1) * nk], e)
 
 
 def test_available_dimensions():
@@ -360,7 +390,7 @@ def test_catalog_without_a_one_dimensional_entry_is_refused(monkeypatch):
         bd = real(A, *args)
         keep = [k for k, s in enumerate(bd.sizes) if s > 1]
         return SimpleNamespace(sizes=[bd.sizes[k] for k in keep],
-                               forward=lambda x: [bd.forward(x)[k] for k in keep])
+                               images=lambda c: [bd.images(c)[k] for k in keep])
 
     monkeypatch.setattr(FiniteQuantumGroup, "block_decomposition", drop_1d_blocks)
     with pytest.raises(StructuralError, match="1-dimensional"):
@@ -422,3 +452,77 @@ def test_unitary_corepresentation_is_the_weighted_choice_of_summands(name):
             want = choice_corepresentation(G, d, seed).tensor
             assert np.array_equal(stacked.tensor[k], want)
             assert np.array_equal(unitary_corepresentation(G, d, seed=seed).tensor, want)
+
+
+# ---------------------------------------------------------------------------
+# Norms read in the Wedderburn blocks against dense SVDs of the GNS image
+
+
+def assert_relative(got, want, rtol=1e-13):
+    assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+def dense_factorization_norm(V, alpha, beta):
+    """||sum_i c_i (x) a_i^T|| on H_h (x) H_h from one dense SVD, with
+    a_i = T~[alpha, f_i] and c_i = T*[f_i, beta] in the standard frame."""
+    gd = V.owner.gns()
+    Vt, Vs = corep_adjoint(V), corep_adjoint(antipode_slice(V))
+    f = np.eye(V.d)
+    op = sum(np.kron(gd.left_action(coefficient(Vs, f[:, i], beta)),
+                     gd.left_action(coefficient(Vt, alpha, f[:, i])).T)
+             for i in range(V.d))
+    return np.linalg.norm(op, 2)
+
+
+def assert_blocks_match_dense(V, rng):
+    """||V||, sigma_min(V), ||V*V - 1||, ||VV* - 1|| and ||lambda(a)|| read
+    block by block against dense SVDs; the defects, which can sit at
+    roundoff, relative to max(1, value)."""
+    G = V.owner
+    g = dense_image(V)
+    s = np.linalg.svd(g, compute_uv=False)
+    assert_relative(cb_norm(V), s[0])
+    assert_relative(singular_extremes(V.blocks())[1], s[-1])
+    eye = np.eye(len(g))
+    defects = (g.conj().T @ g - eye, g @ g.conj().T - eye)
+    for got, m in zip(unitarity_defects(V), defects):
+        want = np.linalg.norm(m, 2)
+        assert abs(got - want) <= 1e-13 * max(1.0, want), (got, want)
+    a = G.element(rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
+    assert_relative(operator_norm(a), np.linalg.norm(G.gns().left_action(a), 2))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_block_norms_equal_dense_svds(name):
+    G = builtin_instance(name)
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 4):
+        V, _, _ = random_invertible_corep(G, d, seed=800 + d)
+        assert_blocks_match_dense(V, rng)
+        alpha = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        beta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        assert_relative(multiplier_from_coefficient(V, alpha, beta).factorization_norm,
+                        dense_factorization_norm(V, alpha, beta))
+
+
+@pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
+def test_s4_block_norms_equal_dense_svds(build):
+    # n = 24; the block picture holds for every element of A (x) M_d, so
+    # Gaussian tensors serve without the corep catalog and its dual
+    G = build(symmetric_table(4))
+    rng = np.random.default_rng(18)
+    for d in (1, 2, 3, 4):
+        t = rng.standard_normal((d, d, G.dim)) + 1j * rng.standard_normal((d, d, G.dim))
+        assert_blocks_match_dense(Corepresentation(G, t), rng)
+
+
+def test_a_degenerate_block_decomposition_propagates(monkeypatch):
+    G = builtin_instance("cg_s3")
+    V, _, _ = random_invertible_corep(G, 2, seed=5)
+
+    def degenerate(A, *args):
+        raise DegeneracyError("no blocks", gap=0.0)
+
+    monkeypatch.setattr(FiniteQuantumGroup, "block_decomposition", degenerate)
+    with pytest.raises(DegeneracyError):
+        cb_norm(V)
