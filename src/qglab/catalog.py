@@ -5,10 +5,13 @@ through the Wedderburn decomposition of the dual algebra splits it into one
 unitary corepresentation per dual block.  The counit block of the dual gives
 the trivial corepresentation, which the catalog checks it holds, so direct
 sums of its entries realize every dimension; ``unitary_corepresentation``
-draws such sums, one per seed, into one stacked block-diagonal tensor.
+picks such sums, one per seed or per row of uniforms, into one stacked
+block-diagonal tensor.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -54,38 +57,51 @@ def _sort_key(V):
         tuple(np.round(V.tensor.reshape(-1).imag, 9))
 
 
-def unitary_corepresentation(G: FiniteQuantumGroup, d: int,
-                             seed=0) -> Corepresentation:
+def unitary_corepresentation(G: FiniteQuantumGroup, d: int, seed=0,
+                             uniforms=None) -> Corepresentation:
     """A unitary corepresentation of dimension d: a seeded direct sum of
     catalog entries, preferring the largest nontrivial summands that fit
     (the trivial entry always fits).
 
-    ``seed`` is one seed or an array of them; each seed picks its summands
-    with its own generator, and the sums are stacked along the seed axes,
-    tensor (..., d, d, n).  A seed may also be a generator, which then
-    draws from where its stream stands.
+    ``seed`` is one seed or an array of them; each seed's generator reads d
+    uniforms from the start of its stream and picks each summand with the
+    next one.  ``uniforms`` (..., d), when given, are those reads already
+    made, and stand in for the seeds.  The sums are stacked along the seed
+    axes, tensor (..., d, d, n); rows that pick the same summands share one
+    assembled sum.
     """
     check_dimension(d)
+    if uniforms is None:
+        seeds = np.asarray(seed)
+        uniforms = np.empty(seeds.shape + (d,))
+        for at, s in np.ndenumerate(seeds):
+            uniforms[at] = np.random.default_rng(int(s)).random(d)
     cat = corep_catalog(G)
     # The entries that fit in each remaining dimension, picked with
     # probability proportional to their dimension: the first entry whose
-    # cumulative probability exceeds one uniform draw, which is the pick of
+    # cumulative probability exceeds one uniform, which is the pick of
     # rng.choice(len(fitting), p=probabilities) without its per-call checks.
     fits = {}
     for remaining in range(1, d + 1):
-        fitting = [V for V in cat if V.d <= remaining]
-        weights = np.array([V.d for V in fitting], dtype=float)
+        fitting = [k for k, V in enumerate(cat) if V.d <= remaining]
+        weights = np.array([cat[k].d for k in fitting], dtype=float)
         cdf = (weights / weights.sum()).cumsum()
-        fits[remaining] = fitting, cdf / cdf[-1]
-    seeds = np.asarray(seed)
-    t = np.zeros(seeds.shape + (d, d, G.dim), dtype=complex)
-    for at, s in np.ndenumerate(seeds):
-        rng = (s if isinstance(s, np.random.Generator)
-               else np.random.default_rng(int(s)))
-        start = 0
+        fits[remaining] = fitting, (cdf / cdf[-1]).tolist()
+    sums, which = {}, []       # the catalog indices picked -> their sum's row
+    for row in np.reshape(uniforms, (-1, d)).tolist():
+        picks, start = [], 0
         while start < d:
             fitting, cdf = fits[d - start]
-            pick = fitting[int(cdf.searchsorted(rng.random(), side="right"))]
-            t[at][start:start + pick.d, start:start + pick.d] = pick.tensor
-            start += pick.d
-    return Corepresentation(G, t)
+            k = fitting[bisect.bisect_right(cdf, row[len(picks)])]
+            picks.append(k)
+            start += cat[k].d
+        which.append(sums.setdefault(tuple(picks), len(sums)))
+    t = np.zeros((len(sums), d, d, G.dim), dtype=complex)
+    for block_sum, picks in zip(t, sums):
+        start = 0
+        for k in picks:
+            end = start + cat[k].d
+            block_sum[start:end, start:end] = cat[k].tensor
+            start = end
+    return Corepresentation(G, t[which].reshape(np.shape(uniforms)[:-1]
+                                                + (d, d, G.dim)))

@@ -236,38 +236,52 @@ def diagonal_matrices(s):
     return s[..., None] * np.eye(s.shape[-1])
 
 
-def random_invertible_corep(G: FiniteQuantumGroup, d: int, seed):
-    """(V, T, V0) with V = (1 (x) T) V0 (1 (x) T^-1) for a seeded T with
-    condition <= 10 and a unitary corepresentation V0 of dimension d from
-    the instance catalog.
+class SimilarityDraw:
+    """The seed-only half of random invertible corepresentations of one
+    dimension d, stacked along the seed axes: the twist T (..., d, d) and
+    the first d uniforms (..., d) of each seed's stream, which pick the
+    catalog summands.  Neither depends on an instance."""
 
-    ``seed`` is one seed or an array of them: each seed seeds one generator,
-    which draws T and is then rewound to draw V0, so both read its stream
-    from the start, exactly as a call with that seed alone would; the
-    results are stacked along the seed axes, and one batched SVD, inverse
-    and contraction serve the whole stack.
-    """
-    from .catalog import unitary_corepresentation
+    def __init__(self, T, uniforms):
+        self.T = T
+        self.uniforms = uniforms
 
+
+def similarity_draw(d: int, seed) -> SimilarityDraw:
+    """The twists T of condition <= 10 and the summand uniforms for one seed
+    or an array of them.  Each seed seeds one generator, which draws T and
+    is then rewound to read d uniforms, so both read its stream from the
+    start, exactly as a draw with that seed alone would; one batched SVD
+    serves the whole stack."""
     check_dimension(d)
     seeds = np.asarray(seed)
-    rngs = np.empty(seeds.shape, dtype=object)
     A = np.empty(seeds.shape + (d, d), dtype=complex)
     svals = np.empty(seeds.shape + (d,))
+    uniforms = np.empty(seeds.shape + (d,))
     smin = 0.1
     for at, s in np.ndenumerate(seeds):
-        rng = rngs[at] = np.random.default_rng(int(s))
+        rng = np.random.default_rng(int(s))
         start = rng.bit_generator.state
         A[at] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         svals[at] = smin + (1.0 - smin) * rng.random(d)
         rng.bit_generator.state = start
-    V0 = unitary_corepresentation(G, d, rngs)
+        uniforms[at] = rng.random(d)
     svals[..., 0] = 1.0
     if d > 1:
         svals[..., -1] = smin
     U, _, Vh = np.linalg.svd(A)
-    T = U @ diagonal_matrices(svals) @ Vh
-    return conjugate_corep(V0, T), T, V0
+    return SimilarityDraw(U @ diagonal_matrices(svals) @ Vh, uniforms)
+
+
+def random_invertible_corep(G: FiniteQuantumGroup, draw: SimilarityDraw):
+    """(V, T, V0) with V = (1 (x) T) V0 (1 (x) T^-1): T is the twist of the
+    ``similarity_draw`` and V0 the unitary corepresentation of G that its
+    uniforms pick from the instance catalog, stacked as the draw is; one
+    batched inverse and contraction conjugate the whole stack."""
+    from .catalog import unitary_corepresentation
+
+    V0 = unitary_corepresentation(G, draw.T.shape[-1], uniforms=draw.uniforms)
+    return conjugate_corep(V0, draw.T), draw.T, V0
 
 
 def conjugate_corep(V: Corepresentation, T: np.ndarray) -> Corepresentation:

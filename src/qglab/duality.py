@@ -119,14 +119,13 @@ def _legs(U):
 def _conjugations_leg2(U, X):
     """U* (1 (x) X_i) U as [a, b, c, d] for each X_i of the stack X, one at
     a time (a generator), so only n^4 arrays are live: X_i acts on leg 2
-    only, so the legs (x, y) of U* meet (x, z) of U and X_i joins y, z.
-    The contraction path is formed once."""
-    U4 = _legs(U)
-    U4c = U4.conj()
-    spec = "xyab,yz,xzcd->abcd"
-    path = np.einsum_path(spec, U4c, X[0], U4, optimize=True)[0]
+    only, so (1 (x) X_i) U is X_i times each leg-1 row block of U, (n, n,
+    n^2), and U* multiplies that; two BLAS products."""
+    n = len(X[0])
+    Ustar = U.conj().T
+    U3 = U.reshape(n, n, n * n)
     for Xi in X:
-        yield np.einsum(spec, U4c, Xi, U4, optimize=path)
+        yield (Ustar @ (Xi @ U3).reshape(n * n, n * n)).reshape(n, n, n, n)
 
 
 def _coproduct_residuals(W, coproduct, images):
@@ -134,13 +133,16 @@ def _coproduct_residuals(W, coproduct, images):
     each i, the first term with lambda(e_j) on leg 1 and lambda(e_k) on leg 2.
     The Frobenius norm bounds the spectral norm from above, so each r_i is a
     certified upper bound, read in n^4 time where a spectral norm takes n^6.
-    One i at a time, in n^4 memory; each contraction path is formed once."""
+    One i at a time, in n^4 memory: the first term is left Delta(e_i) right
+    with left [(a, c), j] = lambda(e_j)[a, c] and right [k, (b, d)] =
+    lambda(e_k)[b, d], two BLAS products read as [a, b, c, d]."""
     n = len(images)
-    first = "jk,jac,kbd->abcd"
-    path = np.einsum_path(first, coproduct[0], images, images, optimize=True)[0]
+    right = images.reshape(n, n * n)
+    left = right.T
     r = np.empty(n)
     for i, conj in enumerate(_conjugations_leg2(W, images)):
-        diff = np.einsum(first, coproduct[i], images, images, optimize=path) - conj
+        first = ((left @ coproduct[i]) @ right).reshape(n, n, n, n)
+        diff = first.transpose(0, 2, 1, 3) - conj
         r[i] = np.linalg.norm(diff.ravel())
     return r
 
@@ -449,8 +451,9 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     lhs_w = dual.What_slices.reshape(n, n * n).T @ LZ.reshape(batch + (n, n * n))
     what = dual.What.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n, n ** 3)
     rhs_w = lx[..., 0, :, :] @ what
-    residual_w = vector_norms(lhs_w.reshape(batch + (-1,))
-                              - rhs_w.reshape(batch + (-1,)))
+    lhs_w = lhs_w.reshape(batch + (-1,))
+    lhs_w -= rhs_w.reshape(batch + (-1,))      # in place: two arrays live
+    residual_w = vector_norms(lhs_w)
     # sum_i c_i* c_i and sum_i a_i* a_i through the structure tensors
     sum_cc = np.einsum("ijk,...di,...dj->...k", G.mult, np.conj(c_els) @ G.star,
                        c_els)

@@ -38,6 +38,7 @@ from .corep import (
     pi_of,
     pi_tilde,
     random_invertible_corep,
+    similarity_draw,
     trivial_corep,
     unitarity_defects,
     unitarize,
@@ -284,13 +285,26 @@ def _corep_dims(cfg, rng):
 
 
 def _dimension_groups(cfg, dims, salt):
-    """(d, trials, seeds) for each dimension d drawn: the trials of that
-    dimension as an index array, and their corep seeds cfg.seed*salt+trial.
-    A suite runs each check once per group, on the stack of its trials."""
+    """[(d, trials, draw)] for each dimension d drawn: the trials of that
+    dimension as an index array, and the ``similarity_draw`` of their corep
+    seeds cfg.seed*salt+trial.  A suite runs each check once per group, on
+    the stack of its trials; the draws do not depend on the instance, so a
+    suite makes them once, before its instance loop."""
     dims = np.array(dims)
+    groups = []
     for d in np.unique(dims):
         trials = np.flatnonzero(dims == d)
-        yield int(d), trials, [cfg.seed * salt + int(t) for t in trials]
+        groups.append((int(d), trials, similarity_draw(
+            int(d), [cfg.seed * salt + int(t) for t in trials])))
+    return groups
+
+
+def _generator_at(seed, state):
+    """The generator of ``seed`` with its stream moved to ``state``, a saved
+    ``bit_generator.state``: each instance of a suite draws from there."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.state = state
+    return rng
 
 
 def _stacked(draws, trials, key):
@@ -347,11 +361,14 @@ def run_duality(cfg, report):
 def run_corep(cfg, report):
     tol8 = cfg.tolerance("corep")
     iso_tol = cfg.tolerance("isometry")
+    rng = np.random.default_rng(cfg.seed)
+    dims = _corep_dims(cfg, rng)
+    after_dims = rng.bit_generator.state
+    groups = _dimension_groups(cfg, dims, 1000)
     for label, G in cfg.instances:
         rec = _Recorder(report, "corep/%s" % label,
                         _digest(label, cfg.seed, cfg.trials))
-        rng = np.random.default_rng(cfg.seed)
-        dims = _corep_dims(cfg, rng)
+        rng = _generator_at(cfg.seed, after_dims)
         draws = []
         for trial, d in enumerate(dims):
             frame = [(d + 1, d + 1)] if trial % 5 == 0 else []
@@ -362,8 +379,8 @@ def run_corep(cfg, report):
             if trial % 7 == 0:
                 draw["noise"] = _complex_normals(rng, (d, d, G.dim))[0]
             draws.append(draw)
-        for d, trials, seeds in _dimension_groups(cfg, dims, 1000):
-            V, _, V0 = random_invertible_corep(G, d, seeds)
+        for d, trials, similarity in groups:
+            V, _, V0 = random_invertible_corep(G, similarity)
             chk = is_corep(V)
             rec.note("multiplicativity", chk.violation, chk.pair_defect)
             # generator identity: pi~ is generated by V*
@@ -425,15 +442,18 @@ def run_corep(cfg, report):
 
 def run_unitarize(cfg, report):
     tol8 = cfg.tolerance("unitarize")
+    rng = np.random.default_rng(cfg.seed + 1)
+    dims = _corep_dims(cfg, rng)
+    after_dims = rng.bit_generator.state
+    groups = _dimension_groups(cfg, dims, 2000)
     for label, G in cfg.instances:
         rec = _Recorder(report, "unitarize/%s" % label,
                         _digest(label, cfg.seed, cfg.trials))
-        rng = np.random.default_rng(cfg.seed + 1)
-        dims = _corep_dims(cfg, rng)
+        rng = _generator_at(cfg.seed + 1, after_dims)
         # one (trials, 2, n) read: each trial's w, real part then imaginary
         w_table = np.stack(_complex_normals(rng, *[G.dim] * len(dims)))
-        for d, trials, seeds in _dimension_groups(cfg, dims, 2000):
-            V, _, _ = random_invertible_corep(G, d, seeds)
+        for d, trials, similarity in groups:
+            V, _, _ = random_invertible_corep(G, similarity)
             T, Vp = unitarize(V)
             rec.note("unitary", *unitarity_defects(Vp))
             rec.note("corep", is_corep(Vp).violation)
@@ -455,21 +475,24 @@ def run_unitarize(cfg, report):
 def run_multiplier(cfg, report):
     tol8 = cfg.tolerance("multiplier")
     bound_tol = cfg.tolerance("multiplier_bound")
+    rng = np.random.default_rng(cfg.seed + 2)
+    dims = _corep_dims(cfg, rng)
+    # no draw before the pairing samples depends on the instance
+    draws = []
+    for trial, d in enumerate(dims):
+        frame = [(d, d)] if trial % 10 == 0 else []
+        draw = dict(zip(("alpha", "beta", "frame"),
+                        _complex_normals(rng, d, d, *frame)))
+        if frame:
+            draw["frame"], _ = np.linalg.qr(draw["frame"])
+        draws.append(draw)
+    after_draws = rng.bit_generator.state
+    groups = _dimension_groups(cfg, dims, 3000)
     for label, G in cfg.instances:
         rec = _Recorder(report, "multiplier/%s" % label,
                         _digest(label, cfg.seed, cfg.trials))
-        rng = np.random.default_rng(cfg.seed + 2)
-        dims = _corep_dims(cfg, rng)
-        draws = []
-        for trial, d in enumerate(dims):
-            frame = [(d, d)] if trial % 10 == 0 else []
-            draw = dict(zip(("alpha", "beta", "frame"),
-                            _complex_normals(rng, d, d, *frame)))
-            if frame:
-                draw["frame"], _ = np.linalg.qr(draw["frame"])
-            draws.append(draw)
-        for d, trials, seeds in _dimension_groups(cfg, dims, 3000):
-            V, _, _ = random_invertible_corep(G, d, seeds)
+        for d, trials, similarity in groups:
+            V, _, _ = random_invertible_corep(G, similarity)
             # one stack: every trial in the standard frame, then the framed
             # trials again in their random frame
             framed = np.flatnonzero(trials % 10 == 0)
@@ -496,6 +519,7 @@ def run_multiplier(cfg, report):
                   tol8)
         # one (2 trials, 3, 2, n) read: per sample x, w1, w2, each real part
         # then imaginary part
+        rng = _generator_at(cfg.seed + 2, after_draws)
         samples = _complex_normals(rng, *[G.dim] * (3 * max(1, 2 * cfg.trials)))
         x, w1, w2 = (np.stack(samples[j::3]) for j in range(3))
         rec.note("pairing", pairing_identity_check(

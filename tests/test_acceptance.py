@@ -16,6 +16,7 @@ from qglab.corep import (
     essential_data,
     pi_of,
     random_invertible_corep,
+    similarity_draw,
     zero_corep,
 )
 from qglab.serialize import load_instance
@@ -128,7 +129,7 @@ def test_criterion_5_degenerate(corpus):
     for name, G in corpus:
         for trial in range(10):
             d = 1 + trial % 2
-            V0, _, _ = random_invertible_corep(G, d, seed=90 + trial)
+            V0, _, _ = random_invertible_corep(G, similarity_draw(d, 90 + trial))
             Vdeg = corep_direct_sum(V0, zero_corep(G, 1))
             A = rng.standard_normal((d + 1, d + 1)) \
                 + 1j * rng.standard_normal((d + 1, d + 1))

@@ -7,7 +7,8 @@ import pytest
 
 from qglab.builders import builtin_instance, from_group_algebra, symmetric_table
 from qglab.convolution import Functional, l1_norm
-from qglab.corep import cb_norm, is_corep, random_invertible_corep, unitarize
+from qglab.corep import (cb_norm, is_corep, random_invertible_corep,
+                         similarity_draw, unitarize)
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
 from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
 
@@ -100,7 +101,7 @@ def test_scrambled_duality_pipeline(scrambled):
 
 def test_scrambled_corep_and_multiplier(scrambled):
     G, H = scrambled
-    V, T, V0 = random_invertible_corep(H, 2, seed=3)
+    V, T, V0 = random_invertible_corep(H, similarity_draw(2, 3))
     assert is_corep(V).is_corep
     Tav, Vu = unitarize(V)
     # dense oracle: the image on C^d (x) H_h, block (i, j) lambda(vu_ij)

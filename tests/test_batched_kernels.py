@@ -2,8 +2,9 @@
 the pair defect of ``corep.is_corep``, ``multiplier_from_coefficient`` and
 ``vector_functional``; stacks of corepresentations against each of their
 corepresentations alone, and the stacked suites against a per-trial loop;
-call-count guards that keep the kernels batched; and the gates of the corep
-suite that must not pass vacuously."""
+call-count guards that keep the kernels batched; the gates of the corep
+suite that must not pass vacuously; and the suites' trial draws, made once
+per run and shared by its instances."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from qglab.corep import (
     pi_check,
     pi_of,
     random_invertible_corep,
+    similarity_draw,
     trivial_corep,
     unitarity_defects,
     unitarize,
@@ -130,7 +132,7 @@ def test_batched_multiplier_matches_the_loop(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(11)
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, d, seed=100 + d)
+        V, _, _ = random_invertible_corep(G, similarity_draw(d, 100 + d))
         alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
         Q, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
         for basis in (None, Q):
@@ -150,7 +152,7 @@ def test_batched_pair_defect_matches_the_loop(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(12)
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, d, seed=200 + d)
+        V, _, _ = random_invertible_corep(G, similarity_draw(d, 200 + d))
         bad = Corepresentation(
             G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
         for W in (V, bad):
@@ -218,7 +220,7 @@ def test_multiplier_spectral_calls_do_not_grow_with_n(monkeypatch):
     counts = []
     for name in ("c_z2", "kac_paljutkin"):
         G = builtin_instance(name)
-        V, _, _ = random_invertible_corep(G, 2, seed=3)
+        V, _, _ = random_invertible_corep(G, similarity_draw(2, 3))
         alpha, beta = np.array([1.0, 2j]), np.array([0.5, -1.0])
         multiplier_from_coefficient(V, alpha, beta)        # warm the dual
         counts.append(_count_spectral_calls(
@@ -235,7 +237,7 @@ def test_s4_multiplier_makes_no_svd_wider_than_n(monkeypatch):
     # on H_h (x) H_h is 576 wide, its blocks at most 9; the cb norms of
     # d = 2 coreps read blocks at most 6 wide where the dense image is 48
     G = from_group_algebra(symmetric_table(4))
-    V, _, _ = random_invertible_corep(G, 2, seed=[31, 32])
+    V, _, _ = random_invertible_corep(G, similarity_draw(2, [31, 32]))
     alpha = np.array([[1.0, 2j], [0.5, -1.0]])
     beta = np.array([[0.5, -1.0], [1j, 1.0]])
     multiplier_from_coefficient(V, alpha, beta)        # warm the dual
@@ -246,7 +248,7 @@ def test_s4_multiplier_makes_no_svd_wider_than_n(monkeypatch):
 
 def test_pair_defect_makes_no_convolutions(monkeypatch):
     G = builtin_instance("kac_paljutkin")
-    V, _, _ = random_invertible_corep(G, 4, seed=5)
+    V, _, _ = random_invertible_corep(G, similarity_draw(4, 5))
     calls = []
 
     def counting_convolve(*a):
@@ -338,10 +340,10 @@ def test_stacked_draws_are_the_single_draws(name):
     G = builtin_instance(name)
     for d in (1, 2, 3, 4):
         seeds = np.arange(4).reshape(2, 2) + 300 + 10 * d
-        V, T, V0 = random_invertible_corep(G, d, seeds)
+        V, T, V0 = random_invertible_corep(G, similarity_draw(d, seeds))
         assert V.tensor.shape == (2, 2, d, d, G.dim) and T.shape == (2, 2, d, d)
         for at, seed in np.ndenumerate(seeds):
-            V1, T1, V01 = random_invertible_corep(G, d, int(seed))
+            V1, T1, V01 = random_invertible_corep(G, similarity_draw(d, int(seed)))
             assert np.array_equal(V.tensor[at], V1.tensor)
             assert np.array_equal(T[at], T1)
             assert np.array_equal(V0.tensor[at], V01.tensor)
@@ -355,7 +357,7 @@ def test_one_generator_per_trial_draws_what_two_did(name):
     smin = 0.1
     for d in (1, 2, 3, 4):
         seeds = np.arange(20) + 700 + 20 * d
-        V, T, V0 = random_invertible_corep(G, d, seeds)
+        V, T, V0 = random_invertible_corep(G, similarity_draw(d, seeds))
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(int(seed))
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -374,7 +376,8 @@ def test_stacked_corep_kernels_match_each_corep_alone(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(15)
     for d in (1, 2, 3, 4):
-        V, _, V0 = random_invertible_corep(G, d, [400 + 10 * d + k for k in range(3)])
+        draw = similarity_draw(d, [400 + 10 * d + k for k in range(3)])
+        V, _, V0 = random_invertible_corep(G, draw)
         bad = Corepresentation(G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
         for W in (V, bad):
             got = is_corep(W)
@@ -412,7 +415,8 @@ def test_stacked_multiplier_matches_each_corep_alone(name):
     fields = ("Lmat", "residual_action", "residual_w", "norm_bound",
               "factorization_norm", "cb_bound")
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, d, [500 + 10 * d + k for k in range(3)])
+        draw = similarity_draw(d, [500 + 10 * d + k for k in range(3)])
+        V, _, _ = random_invertible_corep(G, draw)
         alpha, beta = _complex_normal(rng, (3, d)), _complex_normal(rng, (3, d))
         frames, _ = np.linalg.qr(_complex_normal(rng, (3, d, d)))
         for basis in (None, frames):
@@ -456,7 +460,8 @@ def _per_trial_values(cfg):
         rng = np.random.default_rng(cfg.seed)
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
         for trial, d in enumerate(dims):
-            V, _, V0 = random_invertible_corep(G, d, cfg.seed * 1000 + trial)
+            draw = similarity_draw(d, cfg.seed * 1000 + trial)
+            V, _, V0 = random_invertible_corep(G, draw)
             chk = is_corep(V)
             note(prefix, "multiplicativity", chk.violation, chk.pair_defect)
             w = functional(G, rng)
@@ -495,7 +500,8 @@ def _per_trial_values(cfg):
         rng = np.random.default_rng(cfg.seed + 1)
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
         for trial, d in enumerate(dims):
-            V, _, _ = random_invertible_corep(G, d, cfg.seed * 2000 + trial)
+            draw = similarity_draw(d, cfg.seed * 2000 + trial)
+            V, _, _ = random_invertible_corep(G, draw)
             T, Vp = unitarize(V)
             note(prefix, "unitary", *unitarity_defects(Vp))
             note(prefix, "corep", is_corep(Vp).violation)
@@ -508,7 +514,8 @@ def _per_trial_values(cfg):
         rng = np.random.default_rng(cfg.seed + 2)
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
         for trial, d in enumerate(dims):
-            V, _, _ = random_invertible_corep(G, d, cfg.seed * 3000 + trial)
+            draw = similarity_draw(d, cfg.seed * 3000 + trial)
+            V, _, _ = random_invertible_corep(G, draw)
             alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
             md = multiplier_from_coefficient(V, alpha, beta)
             note(prefix, "action", md.residual_action)
@@ -538,3 +545,48 @@ def test_stacked_suites_equal_the_per_trial_loop():
     assert len(got) == 2 * 18 == len(want)
     assert got == want
     assert report.passed
+
+
+def _records_without_runtime(instances):
+    cfg = suite.SuiteConfig(instances=instances, seed=3, trials=7,
+                            suites=("corep", "unitarize", "multiplier"))
+    out = []
+    for r in suite.run_suite(cfg).records:
+        rec = r.to_dict()
+        del rec["runtime_ms"]
+        out.append(rec)
+    return out
+
+
+def test_an_instance_records_do_not_depend_on_the_other_instances():
+    # the suites draw the seed-only half of their coreps once for all
+    # instances; each instance must still see the draws it sees alone
+    names = ("c_s3", "kac_paljutkin", "cg_z3")
+    together = _records_without_runtime([(n, builtin_instance(n)) for n in names])
+    alone = [rec for n in names
+             for rec in _records_without_runtime([(n, builtin_instance(n))])]
+    assert len(together) == 3 * 18
+    assert sorted(together, key=lambda r: r["name"]) == \
+        sorted(alone, key=lambda r: r["name"])
+
+
+def test_each_suite_draws_its_trials_once_per_run(monkeypatch):
+    seeds = []
+
+    def counting_rng(*a):
+        seeds.extend(a)
+        return np.random.Generator(np.random.PCG64(*a))
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    trials, seed = 6, 2
+    cfg = suite.SuiteConfig(
+        instances=[(n, builtin_instance(n)) for n in ("c_s3", "kac_paljutkin", "cg_z3")],
+        suites=("corep", "unitarize", "multiplier"), seed=seed, trials=trials)
+    # the similarity draws' seeds, cfg.seed * salt + trial, of the three suites
+    drawn = {seed * salt + t for salt in (1000, 2000, 3000) for t in range(trials)}
+    for run in (1, 2):
+        suite.run_suite(cfg)
+        counts = {s: seeds.count(s) for s in drawn}
+        # one generator per trial and suite, however many instances; and a
+        # second run makes them again, since no draw outlives a runner call
+        assert counts == dict.fromkeys(drawn, run)

@@ -40,6 +40,7 @@ from qglab.corep import (
     pi_star,
     pi_tilde,
     random_invertible_corep,
+    similarity_draw,
     trivial_corep,
     unitarity_defects,
     unitarize,
@@ -142,7 +143,7 @@ def test_pi_multiplicative_on_random_pairs():
 def test_variant_generators():
     rng = np.random.default_rng(1)
     G = builtin_instance("kac_paljutkin")
-    V, _, _ = random_invertible_corep(G, 2, seed=8)
+    V, _, _ = random_invertible_corep(G, similarity_draw(2, 8))
     Vt = corep_adjoint(V)
     # entries of the tilde generator are the adjoints of the transposed grid
     for i in range(2):
@@ -201,7 +202,7 @@ def test_coefficient_pairing():
 def test_coefficient_coproduct_expansion():
     # Delta(T_{a,b}) = sum_i T_{f_i,b} (x) T_{a,f_i}, by direct contraction
     G = builtin_instance("cg_s3")
-    V, _, _ = random_invertible_corep(G, 2, seed=17)
+    V, _, _ = random_invertible_corep(G, similarity_draw(2, 17))
     rng = np.random.default_rng(5)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -225,7 +226,7 @@ def test_antipode_coefficient_identity():
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert antipode_coeff_check(U, a, b) < 1e-10
-        V2, _, _ = random_invertible_corep(H, 2, seed=12)
+        V2, _, _ = random_invertible_corep(H, similarity_draw(2, 12))
         assert antipode_coeff_check(V2, a, b) < 1e-8
 
 
@@ -239,7 +240,7 @@ def test_inverse_corep_examples():
     Ui = inverse_corep(U)
     # inverse of a unitary corepresentation is its entrywise adjoint transpose
     assert corep_distance(Ui, corep_adjoint(U)) < 1e-10
-    V2, _, _ = random_invertible_corep(H, 2, seed=13)
+    V2, _, _ = random_invertible_corep(H, similarity_draw(2, 13))
     Vi2 = inverse_corep(V2)
     # oracle: invert the GNS image as a matrix
     g = dense_image(V2)
@@ -249,8 +250,8 @@ def test_inverse_corep_examples():
     assert is_corep(transposed(Vi2)).violation < 1e-9
     for name in ("c_s3", "cg_s3", "kac_paljutkin"):
         for d in (1, 2, 3, 4):
-            V, _, _ = random_invertible_corep(builtin_instance(name), d,
-                                              [60 + 10 * d + k for k in range(3)])
+            draw = similarity_draw(d, [60 + 10 * d + k for k in range(3)])
+            V, _, _ = random_invertible_corep(builtin_instance(name), draw)
             check = is_corep(transposed(inverse_corep(V)))
             assert check.violation.shape == (3,) and check, (name, d)
 
@@ -263,14 +264,14 @@ def test_inverse_rejects_singular():
 
 def test_random_invertible_corep_properties():
     G = builtin_instance("cg_s3")
-    V, T, V0 = random_invertible_corep(G, 2, seed=21)
+    V, T, V0 = random_invertible_corep(G, similarity_draw(2, 21))
     assert is_corep(V).is_corep
     assert np.linalg.cond(T) <= 10 + 1e-9
     # conjugating by the identity returns the base point
     assert corep_distance(conjugate_corep(V0, np.eye(2)), V0) < 1e-14
     # one-dimensional conjugation is trivial
     H = builtin_instance("c_z2")
-    V1, T1, V01 = random_invertible_corep(H, 1, seed=5)
+    V1, T1, V01 = random_invertible_corep(H, similarity_draw(1, 5))
     assert corep_distance(V1, V01) < 1e-12
 
 
@@ -285,7 +286,8 @@ def test_unitarize_examples():
     T1, V1 = unitarize(V)
     assert np.allclose(T1, [[1.0]])
     assert corep_distance(V1, V) < 1e-12
-    V2, _, _ = random_invertible_corep(builtin_instance("cg_s3"), 2, seed=31)
+    V2, _, _ = random_invertible_corep(builtin_instance("cg_s3"),
+                                       similarity_draw(2, 31))
     T2, V2u = unitarize(V2)
     g = dense_image(V2u)
     assert np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]), 2) < 1e-8
@@ -297,7 +299,7 @@ def test_unitarize_examples():
 
 def test_essential_data():
     G = builtin_instance("c_s3")
-    V0, _, _ = random_invertible_corep(G, 2, seed=7)
+    V0, _, _ = random_invertible_corep(G, similarity_draw(2, 7))
     ed0 = essential_data(V0)
     assert np.linalg.norm(ed0.Q - np.eye(2)) < 1e-10
     assert ed0.dimension == 2
@@ -356,7 +358,7 @@ def test_gns_matrix_blocks_are_the_left_regular_images(name):
     gd = G.gns()
     bd = G.block_decomposition()
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, d, seed=40 + d)
+        V, _, _ = random_invertible_corep(G, similarity_draw(d, 40 + d))
         g = dense_image(V)
         n = G.dim
         for i in range(d):
@@ -419,11 +421,12 @@ def test_dimension_below_one_is_refused_before_any_draw(monkeypatch, d):
     with pytest.raises(StructuralError, match="dimension"):
         unitary_corepresentation(G, d, seed=1)
     with pytest.raises(StructuralError, match="dimension"):
-        random_invertible_corep(G, d, [1, 2])
+        similarity_draw(d, [1, 2])
     assert draws == []
     # the counting generator draws as numpy's own does
-    assert np.array_equal(random_invertible_corep(G, 1, 3)[0].tensor,
-                          random_invertible_corep(G, 1, [3])[0].tensor[0])
+    one, stack = similarity_draw(1, 3), similarity_draw(1, [3])
+    assert np.array_equal(random_invertible_corep(G, one)[0].tensor,
+                          random_invertible_corep(G, stack)[0].tensor[0])
     assert len(draws) == 2           # one generator per trial
 
 
@@ -497,7 +500,7 @@ def test_block_norms_equal_dense_svds(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(17)
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, d, seed=800 + d)
+        V, _, _ = random_invertible_corep(G, similarity_draw(d, 800 + d))
         assert_blocks_match_dense(V, rng)
         alpha = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         beta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -518,7 +521,7 @@ def test_s4_block_norms_equal_dense_svds(build):
 
 def test_a_degenerate_block_decomposition_propagates(monkeypatch):
     G = builtin_instance("cg_s3")
-    V, _, _ = random_invertible_corep(G, 2, seed=5)
+    V, _, _ = random_invertible_corep(G, similarity_draw(2, 5))
 
     def degenerate(A, *args):
         raise DegeneracyError("no blocks", gap=0.0)
