@@ -5,8 +5,8 @@ through the Wedderburn decomposition of the dual algebra splits it into one
 unitary corepresentation per dual block.  The counit block of the dual gives
 the trivial corepresentation, which the catalog checks it holds, so direct
 sums of its entries realize every dimension; ``unitary_corepresentation``
-picks such sums, one per seed or per row of uniforms, into one stacked
-block-diagonal tensor.
+picks such sums, one per row of uniforms, into one stacked block-diagonal
+tensor.
 """
 
 from __future__ import annotations
@@ -57,25 +57,18 @@ def _sort_key(V):
         tuple(np.round(V.tensor.reshape(-1).imag, 9))
 
 
-def unitary_corepresentation(G: FiniteQuantumGroup, d: int, seed=0,
-                             uniforms=None) -> Corepresentation:
-    """A unitary corepresentation of dimension d: a seeded direct sum of
-    catalog entries, preferring the largest nontrivial summands that fit
-    (the trivial entry always fits).
+def unitary_corepresentation(G: FiniteQuantumGroup, uniforms) -> Corepresentation:
+    """Unitary corepresentations of dimension d: direct sums of catalog
+    entries, preferring the largest nontrivial summands that fit (the
+    trivial entry always fits).
 
-    ``seed`` is one seed or an array of them; each seed's generator reads d
-    uniforms from the start of its stream and picks each summand with the
-    next one.  ``uniforms`` (..., d), when given, are those reads already
-    made, and stand in for the seeds.  The sums are stacked along the seed
-    axes, tensor (..., d, d, n); rows that pick the same summands share one
-    assembled sum.
+    ``uniforms`` (..., d) are d uniforms per sum, the ``uniforms`` of a
+    ``similarity_draw``; each summand is picked with the next one.  The sums
+    are stacked along the leading axes, tensor (..., d, d, n); rows that
+    pick the same summands share one assembled sum.
     """
+    d = np.shape(uniforms)[-1]
     check_dimension(d)
-    if uniforms is None:
-        seeds = np.asarray(seed)
-        uniforms = np.empty(seeds.shape + (d,))
-        for at, s in np.ndenumerate(seeds):
-            uniforms[at] = np.random.default_rng(int(s)).random(d)
     cat = corep_catalog(G)
     # The entries that fit in each remaining dimension, picked with
     # probability proportional to their dimension: the first entry whose

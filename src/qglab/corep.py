@@ -207,8 +207,10 @@ def _ratio_test(V):
     return bool(np.all(smin >= INVERTIBILITY_RTOL * smax)), smin
 
 
-def inverse_corep(V: Corepresentation) -> Corepresentation:
-    """(S (x) id)V, certified as a two-sided inverse of V in A (x) M_d."""
+def inverse_corep(V: Corepresentation):
+    """(W, residual): W = (S (x) id)V, certified as a two-sided inverse of V
+    in A (x) M_d, and the residual max(||WV - 1||, ||VW - 1||) that
+    certified it, entrywise (``corep_distance``), per stacked corep."""
     ok, smin = _ratio_test(V)
     if not ok:
         raise NotInvertibleError(
@@ -218,12 +220,13 @@ def inverse_corep(V: Corepresentation) -> Corepresentation:
     one = trivial_corep(V.owner, V.d)
     left = corep_distance(corep_product(W, V), one)
     right = corep_distance(corep_product(V, W), one)
+    residual = np.maximum(left, right)
     scale = np.maximum(1.0, np.max(np.abs(V.tensor), axis=(-3, -2, -1)))
-    if np.any(np.maximum(left, right) > 1e-8 * scale):
+    if np.any(residual > 1e-8 * scale):
         raise NotInvertibleError(
             "antipode slice is not a two-sided inverse (residuals %.3e / %.3e); "
             "input is not a corepresentation" % (np.max(left), np.max(right)))
-    return W
+    return W, residual
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +241,13 @@ def diagonal_matrices(s):
 
 class SimilarityDraw:
     """The seed-only half of random invertible corepresentations of one
-    dimension d, stacked along the seed axes: the twist T (..., d, d) and
-    the first d uniforms (..., d) of each seed's stream, which pick the
-    catalog summands.  Neither depends on an instance."""
+    dimension d, stacked along the seed axes: the twist T (..., d, d), its
+    inverse Tinv, and the first d uniforms (..., d) of each seed's stream,
+    which pick the catalog summands.  None depends on an instance."""
 
     def __init__(self, T, uniforms):
         self.T = T
+        self.Tinv = np.linalg.inv(T)
         self.uniforms = uniforms
 
 
@@ -252,7 +256,7 @@ def similarity_draw(d: int, seed) -> SimilarityDraw:
     or an array of them.  Each seed seeds one generator, which draws T and
     is then rewound to read d uniforms, so both read its stream from the
     start, exactly as a draw with that seed alone would; one batched SVD
-    serves the whole stack."""
+    and one batched inverse serve the whole stack."""
     check_dimension(d)
     seeds = np.asarray(seed)
     A = np.empty(seeds.shape + (d, d), dtype=complex)
@@ -274,19 +278,20 @@ def similarity_draw(d: int, seed) -> SimilarityDraw:
 
 
 def random_invertible_corep(G: FiniteQuantumGroup, draw: SimilarityDraw):
-    """(V, T, V0) with V = (1 (x) T) V0 (1 (x) T^-1): T is the twist of the
+    """(V, V0) with V = (1 (x) T) V0 (1 (x) T^-1): T is the twist of the
     ``similarity_draw`` and V0 the unitary corepresentation of G that its
     uniforms pick from the instance catalog, stacked as the draw is; one
-    batched inverse and contraction conjugate the whole stack."""
+    contraction with the draw's T and T^-1 conjugates the whole stack."""
     from .catalog import unitary_corepresentation
 
-    V0 = unitary_corepresentation(G, draw.T.shape[-1], uniforms=draw.uniforms)
-    return conjugate_corep(V0, draw.T), draw.T, V0
+    V0 = unitary_corepresentation(G, draw.uniforms)
+    return conjugate_corep(V0, draw.T, draw.Tinv), V0
 
 
-def conjugate_corep(V: Corepresentation, T: np.ndarray) -> Corepresentation:
-    """(1 (x) T) V (1 (x) T^-1), T one matrix or one per stacked corep."""
-    Tinv = np.linalg.inv(T)
+def conjugate_corep(V: Corepresentation, T: np.ndarray,
+                    Tinv: np.ndarray) -> Corepresentation:
+    """(1 (x) T) V (1 (x) Tinv), Tinv the inverse of T; T one matrix or one
+    per stacked corep."""
     t = np.einsum("...ip,...pqm,...qj->...ijm", T, V.tensor, Tinv)
     return Corepresentation(V.owner, t)
 
@@ -313,8 +318,10 @@ def zero_corep(G: FiniteQuantumGroup, d: int) -> Corepresentation:
 def unitarize(V: Corepresentation):
     """Average V*V by the Haar state and conjugate by the positive square root.
 
-    Returns (T, V') with T = (h (x) id)(V*V) positive definite and
-    V' = (1 (x) T^(1/2)) V (1 (x) T^(-1/2)) unitary.
+    Returns (T, V', sigma_min) with T = (h (x) id)(V*V) positive definite,
+    V' = (1 (x) T^(1/2)) V (1 (x) T^(-1/2)) unitary, and sigma_min the
+    smallest singular value of V, so that 1 / ||V^-1||^2 = sigma_min^2 is
+    the floor that T is held to.
     """
     G = V.owner
     ok, smin = _ratio_test(V)
@@ -338,8 +345,7 @@ def unitarize(V: Corepresentation):
         raise NotInvertibleError("averaged operator not positive definite")
     Thalf = U @ diagonal_matrices(np.sqrt(w)) @ adjoints(U)
     Tihalf = U @ diagonal_matrices(1.0 / np.sqrt(w)) @ adjoints(U)
-    t = np.einsum("...ip,...pqm,...qj->...ijm", Thalf, V.tensor, Tihalf)
-    return T, Corepresentation(G, t)
+    return T, conjugate_corep(V, Thalf, Tihalf), smin
 
 
 # ---------------------------------------------------------------------------

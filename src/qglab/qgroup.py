@@ -112,9 +112,6 @@ class StarAlgebra:
     def one(self):
         return AlgebraElement(self, self.unit)
 
-    def zero(self):
-        return AlgebraElement(self, np.zeros(self.dim, dtype=complex))
-
     # -- tensor-level maps on coefficient vectors --------------------------
 
     def mult_coeffs(self, a, b):

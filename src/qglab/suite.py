@@ -28,8 +28,6 @@ from .corep import (
     conjugate_corep,
     corep_adjoint,
     corep_direct_sum,
-    corep_distance,
-    corep_product,
     diagonal_matrices,
     essential_data,
     inverse_corep,
@@ -39,7 +37,6 @@ from .corep import (
     pi_tilde,
     random_invertible_corep,
     similarity_draw,
-    trivial_corep,
     unitarity_defects,
     unitarize,
     zero_corep,
@@ -53,7 +50,7 @@ from .duality import (
     pairing_identity_check,
 )
 from .errors import DEFAULT_DIM_CAP, StructuralError
-from .qgroup import HAAR_INVARIANCE, STRUCT_TOL, singular_extremes, validate
+from .qgroup import HAAR_INVARIANCE, STRUCT_TOL, validate
 from .serialize import load_instance
 
 SUITE_NAMES = ("validate", "duality", "corep", "multiplier", "unitarize",
@@ -277,34 +274,40 @@ def _spectral_norms(*mats):
     return np.linalg.svd(np.stack(mats), compute_uv=False)[..., 0]
 
 
-def _corep_dims(cfg, rng):
-    """The dimension, 1 to 4, of each of cfg.trials random coreps, all drawn
-    from rng before any other draw (the corep catalog holds the trivial
-    corep, so sums of its entries reach every d)."""
-    return [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
+def _trial_plan(cfg, report, suite, stream, shared=lambda rng, dims: dims):
+    """The random coreps of a corep, unitarize or multiplier run, one
+    instance at a time.
 
+    Generator ``cfg.seed + stream`` first draws the dimension, 1 to 4, of
+    each of cfg.trials coreps (the corep catalog holds the trivial corep,
+    so sums of its entries reach every d); then ``shared(rng, dims)`` makes
+    the draws that no instance changes, and the stream state after them is
+    saved.  Each dimension d drawn makes one ``similarity_draw`` of its
+    trials' corep seeds cfg.seed * 1000 * (stream + 1) + trial, before the
+    instance loop, since the draws do not depend on the instance.
 
-def _dimension_groups(cfg, dims, salt):
-    """[(d, trials, draw)] for each dimension d drawn: the trials of that
-    dimension as an index array, and the ``similarity_draw`` of their corep
-    seeds cfg.seed*salt+trial.  A suite runs each check once per group, on
-    the stack of its trials; the draws do not depend on the instance, so a
-    suite makes them once, before its instance loop."""
-    dims = np.array(dims)
-    groups = []
-    for d in np.unique(dims):
-        trials = np.flatnonzero(dims == d)
-        groups.append((int(d), trials, similarity_draw(
-            int(d), [cfg.seed * salt + int(t) for t in trials])))
-    return groups
-
-
-def _generator_at(seed, state):
-    """The generator of ``seed`` with its stream moved to ``state``, a saved
-    ``bit_generator.state``: each instance of a suite draws from there."""
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.state = state
-    return rng
+    Per instance, yields (G, recorder, rng, shared's result, groups): rng
+    is the generator at the saved state, and groups yields (d, trials, V,
+    V0) per dimension d, trials an index array and V, V0 the stack of
+    ``random_invertible_corep`` over them, on which the suite runs each of
+    its checks once.
+    """
+    rng = np.random.default_rng(cfg.seed + stream)
+    dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
+    drawn = shared(rng, dims)
+    state = rng.bit_generator.state
+    salt = cfg.seed * 1000 * (stream + 1)
+    draws = []
+    for d in sorted(set(dims)):
+        trials = np.flatnonzero(np.equal(dims, d))
+        draws.append((d, trials, similarity_draw(d, [salt + int(t) for t in trials])))
+    for label, G in cfg.instances:
+        rec = _Recorder(report, "%s/%s" % (suite, label),
+                        _digest(label, cfg.seed, cfg.trials))
+        rng = np.random.default_rng(cfg.seed + stream)
+        rng.bit_generator.state = state
+        yield G, rec, rng, drawn, ((d, trials, *random_invertible_corep(G, draw))
+                                   for d, trials, draw in draws)
 
 
 def _stacked(draws, trials, key):
@@ -361,14 +364,7 @@ def run_duality(cfg, report):
 def run_corep(cfg, report):
     tol8 = cfg.tolerance("corep")
     iso_tol = cfg.tolerance("isometry")
-    rng = np.random.default_rng(cfg.seed)
-    dims = _corep_dims(cfg, rng)
-    after_dims = rng.bit_generator.state
-    groups = _dimension_groups(cfg, dims, 1000)
-    for label, G in cfg.instances:
-        rec = _Recorder(report, "corep/%s" % label,
-                        _digest(label, cfg.seed, cfg.trials))
-        rng = _generator_at(cfg.seed, after_dims)
+    for G, rec, rng, dims, groups in _trial_plan(cfg, report, "corep", 0):
         draws = []
         for trial, d in enumerate(dims):
             frame = [(d + 1, d + 1)] if trial % 5 == 0 else []
@@ -379,8 +375,7 @@ def run_corep(cfg, report):
             if trial % 7 == 0:
                 draw["noise"] = _complex_normals(rng, (d, d, G.dim))[0]
             draws.append(draw)
-        for d, trials, similarity in groups:
-            V, _, V0 = random_invertible_corep(G, similarity)
+        for d, trials, V, V0 in groups:
             chk = is_corep(V)
             rec.note("multiplicativity", chk.violation, chk.pair_defect)
             # generator identity: pi~ is generated by V*
@@ -388,10 +383,7 @@ def run_corep(cfg, report):
             gen_diff = pi_of(corep_adjoint(V), w) - pi_tilde(V, w)
             rec.note("antipode-coefficient", antipode_coeff_check(
                 V, _stacked(draws, trials, "alpha"), _stacked(draws, trials, "beta")))
-            Vi = inverse_corep(V)
-            one = trivial_corep(G, d)
-            rec.note("inverse", corep_distance(corep_product(Vi, V), one),
-                     corep_distance(corep_product(V, Vi), one))
+            rec.note("inverse", inverse_corep(V)[1])
             w1 = Functional(G, _stacked(draws, trials, "w1"))
             w2 = Functional(G, _stacked(draws, trials, "w2"))
             anti_diff = (pi_check(V, convolve(w1, w2))
@@ -410,7 +402,7 @@ def run_corep(cfg, report):
                 Uq, _, Vq = np.linalg.svd(_stacked(draws, trials[deg], "frame"))
                 spread = 0.2 + 0.8 * _stacked(draws, trials[deg], "spread")
                 Tw = Uq @ diagonal_matrices(spread) @ Vq
-                Vtw = conjugate_corep(Vdeg, Tw)
+                Vtw = conjugate_corep(Vdeg, Tw, np.linalg.inv(Tw))
                 ed = essential_data(Vtw)
                 # pi(e_i) is the slice Vtw.tensor[..., i]
                 piw = np.moveaxis(Vtw.tensor, -1, -3)
@@ -442,19 +434,11 @@ def run_corep(cfg, report):
 
 def run_unitarize(cfg, report):
     tol8 = cfg.tolerance("unitarize")
-    rng = np.random.default_rng(cfg.seed + 1)
-    dims = _corep_dims(cfg, rng)
-    after_dims = rng.bit_generator.state
-    groups = _dimension_groups(cfg, dims, 2000)
-    for label, G in cfg.instances:
-        rec = _Recorder(report, "unitarize/%s" % label,
-                        _digest(label, cfg.seed, cfg.trials))
-        rng = _generator_at(cfg.seed + 1, after_dims)
+    for G, rec, rng, dims, groups in _trial_plan(cfg, report, "unitarize", 1):
         # one (trials, 2, n) read: each trial's w, real part then imaginary
         w_table = np.stack(_complex_normals(rng, *[G.dim] * len(dims)))
-        for d, trials, similarity in groups:
-            V, _, _ = random_invertible_corep(G, similarity)
-            T, Vp = unitarize(V)
+        for _, trials, V, _ in groups:
+            T, Vp, smin = unitarize(V)
             rec.note("unitary", *unitarity_defects(Vp))
             rec.note("corep", is_corep(Vp).violation)
             w = Functional(G, w_table[trials])
@@ -462,7 +446,6 @@ def run_unitarize(cfg, report):
                 pi_of(Vp, sharp(w)) - adjoints(pi_of(Vp, w)), 2, axis=(-2, -1)))
             # 1 / ||V^-1||^2 is the squared smallest singular value of V,
             # squared by Python's float power as a single trial squares it
-            smin = singular_extremes(V.blocks())[1]
             rec.note("positivity-floor", np.min(np.linalg.eigvalsh(T), axis=-1)
                      - np.array([s ** 2 for s in smin.tolist()]))
         rec.check("unitary", "V' = (1 (x) T^1/2) V (1 (x) T^-1/2) is unitary",
@@ -472,12 +455,9 @@ def run_unitarize(cfg, report):
         rec.lower("positivity-floor", "averaged T >= 1/||V^-1||^2", 0.0, tol8)
 
 
-def run_multiplier(cfg, report):
-    tol8 = cfg.tolerance("multiplier")
-    bound_tol = cfg.tolerance("multiplier_bound")
-    rng = np.random.default_rng(cfg.seed + 2)
-    dims = _corep_dims(cfg, rng)
-    # no draw before the pairing samples depends on the instance
+def _multiplier_draws(rng, dims):
+    """Each trial's alpha and beta, and every tenth trial's random frame:
+    no draw before the pairing samples depends on the instance."""
     draws = []
     for trial, d in enumerate(dims):
         frame = [(d, d)] if trial % 10 == 0 else []
@@ -486,13 +466,15 @@ def run_multiplier(cfg, report):
         if frame:
             draw["frame"], _ = np.linalg.qr(draw["frame"])
         draws.append(draw)
-    after_draws = rng.bit_generator.state
-    groups = _dimension_groups(cfg, dims, 3000)
-    for label, G in cfg.instances:
-        rec = _Recorder(report, "multiplier/%s" % label,
-                        _digest(label, cfg.seed, cfg.trials))
-        for d, trials, similarity in groups:
-            V, _, _ = random_invertible_corep(G, similarity)
+    return draws
+
+
+def run_multiplier(cfg, report):
+    tol8 = cfg.tolerance("multiplier")
+    bound_tol = cfg.tolerance("multiplier_bound")
+    for G, rec, rng, draws, groups in _trial_plan(cfg, report, "multiplier", 2,
+                                                  _multiplier_draws):
+        for d, trials, V, _ in groups:
             # one stack: every trial in the standard frame, then the framed
             # trials again in their random frame
             framed = np.flatnonzero(trials % 10 == 0)
@@ -519,7 +501,6 @@ def run_multiplier(cfg, report):
                   tol8)
         # one (2 trials, 3, 2, n) read: per sample x, w1, w2, each real part
         # then imaginary part
-        rng = _generator_at(cfg.seed + 2, after_draws)
         samples = _complex_normals(rng, *[G.dim] * (3 * max(1, 2 * cfg.trials)))
         x, w1, w2 = (np.stack(samples[j::3]) for j in range(3))
         rec.note("pairing", pairing_identity_check(
@@ -640,12 +621,15 @@ def run_noncb(cfg, report):
                   digest=_digest(cfg.seed, N))
     if len(results) > 1:
         a, b = sorted(results)
+        # both grow like sqrt(N): the coefficient sums N entries of 1/sqrt(N)
+        growth = np.sqrt(b) - np.sqrt(a)
         rec.lower("column-growth", "column norms grow by sqrt(N2) - sqrt(N1)",
-                  np.sqrt(b) - np.sqrt(a), 1e-6,
+                  growth, 1e-6,
                   results[b]["column_norm"] - results[a]["column_norm"],
                   digest=_digest(cfg.seed, a, b))
         rec.lower("multiplier-growth",
-                  "dual-side l1 norm of the coefficient grows", 1.0, 1e-9,
+                  "dual-side l1 norm of the coefficient grows by sqrt(N2) - sqrt(N1)",
+                  growth, 1e-9,
                   results[b]["multiplier_l1_lower"]
                   - results[a]["multiplier_l1_lower"],
                   digest=_digest(cfg.seed, a, b))

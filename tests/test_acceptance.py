@@ -129,13 +129,13 @@ def test_criterion_5_degenerate(corpus):
     for name, G in corpus:
         for trial in range(10):
             d = 1 + trial % 2
-            V0, _, _ = random_invertible_corep(G, similarity_draw(d, 90 + trial))
+            V0, _ = random_invertible_corep(G, similarity_draw(d, 90 + trial))
             Vdeg = corep_direct_sum(V0, zero_corep(G, 1))
             A = rng.standard_normal((d + 1, d + 1)) \
                 + 1j * rng.standard_normal((d + 1, d + 1))
             Uq, _, Vq = np.linalg.svd(A)
             Tw = Uq @ np.diag(0.2 + 0.8 * rng.random(d + 1)) @ Vq
-            Vtw = conjugate_corep(Vdeg, Tw)
+            Vtw = conjugate_corep(Vdeg, Tw, np.linalg.inv(Tw))
             ed = essential_data(Vtw)
             worst_p = max(worst_p, ed.idempotent_violation, ed.commute_violation)
             dims_exact = dims_exact and ed.dimension == d

@@ -101,9 +101,9 @@ def test_scrambled_duality_pipeline(scrambled):
 
 def test_scrambled_corep_and_multiplier(scrambled):
     G, H = scrambled
-    V, T, V0 = random_invertible_corep(H, similarity_draw(2, 3))
+    V, V0 = random_invertible_corep(H, similarity_draw(2, 3))
     assert is_corep(V).is_corep
-    Tav, Vu = unitarize(V)
+    _, Vu, _ = unitarize(V)
     # dense oracle: the image on C^d (x) H_h, block (i, j) lambda(vu_ij)
     g = np.block([[H.gns().left_action(H.element(Vu.tensor[i, j]))
                    for j in range(2)] for i in range(2)])

@@ -106,8 +106,8 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     lhs_w = sum(np.kron(m, y) for m, y in zip(LZ, dual.What_slices))
     rhs_w = np.kron(np.eye(n), lx) @ dual.What
     residual_w = float(np.linalg.norm(lhs_w - rhs_w))
-    sum_cc = sum((multiply(adjoint(c), c) for c in c_els), start=G.zero())
-    sum_aa = sum((multiply(adjoint(a), a) for a in a_els), start=G.zero())
+    sum_cc = sum((multiply(adjoint(c), c) for c in c_els), start=G.element(np.zeros(G.dim)))
+    sum_aa = sum((multiply(adjoint(a), a) for a in a_els), start=G.element(np.zeros(G.dim)))
     norm_bound = np.sqrt(operator_norm(sum_cc)) * np.sqrt(operator_norm(sum_aa))
     fact = float(np.linalg.norm(
         sum(np.kron(c_mats[i], a_mats[i].T) for i in range(d)), 2))
@@ -132,7 +132,7 @@ def test_batched_multiplier_matches_the_loop(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(11)
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, similarity_draw(d, 100 + d))
+        V, _ = random_invertible_corep(G, similarity_draw(d, 100 + d))
         alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
         Q, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
         for basis in (None, Q):
@@ -152,7 +152,7 @@ def test_batched_pair_defect_matches_the_loop(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(12)
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, similarity_draw(d, 200 + d))
+        V, _ = random_invertible_corep(G, similarity_draw(d, 200 + d))
         bad = Corepresentation(
             G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
         for W in (V, bad):
@@ -220,7 +220,7 @@ def test_multiplier_spectral_calls_do_not_grow_with_n(monkeypatch):
     counts = []
     for name in ("c_z2", "kac_paljutkin"):
         G = builtin_instance(name)
-        V, _, _ = random_invertible_corep(G, similarity_draw(2, 3))
+        V, _ = random_invertible_corep(G, similarity_draw(2, 3))
         alpha, beta = np.array([1.0, 2j]), np.array([0.5, -1.0])
         multiplier_from_coefficient(V, alpha, beta)        # warm the dual
         counts.append(_count_spectral_calls(
@@ -237,7 +237,7 @@ def test_s4_multiplier_makes_no_svd_wider_than_n(monkeypatch):
     # on H_h (x) H_h is 576 wide, its blocks at most 9; the cb norms of
     # d = 2 coreps read blocks at most 6 wide where the dense image is 48
     G = from_group_algebra(symmetric_table(4))
-    V, _, _ = random_invertible_corep(G, similarity_draw(2, [31, 32]))
+    V, _ = random_invertible_corep(G, similarity_draw(2, [31, 32]))
     alpha = np.array([[1.0, 2j], [0.5, -1.0]])
     beta = np.array([[0.5, -1.0], [1j, 1.0]])
     multiplier_from_coefficient(V, alpha, beta)        # warm the dual
@@ -248,7 +248,7 @@ def test_s4_multiplier_makes_no_svd_wider_than_n(monkeypatch):
 
 def test_pair_defect_makes_no_convolutions(monkeypatch):
     G = builtin_instance("kac_paljutkin")
-    V, _, _ = random_invertible_corep(G, similarity_draw(4, 5))
+    V, _ = random_invertible_corep(G, similarity_draw(4, 5))
     calls = []
 
     def counting_convolve(*a):
@@ -340,12 +340,15 @@ def test_stacked_draws_are_the_single_draws(name):
     G = builtin_instance(name)
     for d in (1, 2, 3, 4):
         seeds = np.arange(4).reshape(2, 2) + 300 + 10 * d
-        V, T, V0 = random_invertible_corep(G, similarity_draw(d, seeds))
-        assert V.tensor.shape == (2, 2, d, d, G.dim) and T.shape == (2, 2, d, d)
+        draw = similarity_draw(d, seeds)
+        V, V0 = random_invertible_corep(G, draw)
+        assert V.tensor.shape == (2, 2, d, d, G.dim) and draw.T.shape == (2, 2, d, d)
         for at, seed in np.ndenumerate(seeds):
-            V1, T1, V01 = random_invertible_corep(G, similarity_draw(d, int(seed)))
+            one = similarity_draw(d, int(seed))
+            V1, V01 = random_invertible_corep(G, one)
             assert np.array_equal(V.tensor[at], V1.tensor)
-            assert np.array_equal(T[at], T1)
+            assert np.array_equal(draw.T[at], one.T)
+            assert np.array_equal(draw.Tinv[at], one.Tinv)
             assert np.array_equal(V0.tensor[at], V01.tensor)
 
 
@@ -357,7 +360,8 @@ def test_one_generator_per_trial_draws_what_two_did(name):
     smin = 0.1
     for d in (1, 2, 3, 4):
         seeds = np.arange(20) + 700 + 20 * d
-        V, T, V0 = random_invertible_corep(G, similarity_draw(d, seeds))
+        draw = similarity_draw(d, seeds)
+        _, V0 = random_invertible_corep(G, draw)
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(int(seed))
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -366,9 +370,10 @@ def test_one_generator_per_trial_draws_what_two_did(name):
             if d > 1:
                 svals[-1] = smin
             U, _, Vh = np.linalg.svd(A)
-            assert np.array_equal(T[k], U @ diagonal_matrices(svals) @ Vh)
+            assert np.array_equal(draw.T[k], U @ diagonal_matrices(svals) @ Vh)
+            uniforms = np.random.default_rng(int(seed)).random(d)
             assert np.array_equal(V0.tensor[k],
-                                  unitary_corepresentation(G, d, int(seed)).tensor)
+                                  unitary_corepresentation(G, uniforms).tensor)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -377,7 +382,7 @@ def test_stacked_corep_kernels_match_each_corep_alone(name):
     rng = np.random.default_rng(15)
     for d in (1, 2, 3, 4):
         draw = similarity_draw(d, [400 + 10 * d + k for k in range(3)])
-        V, _, V0 = random_invertible_corep(G, draw)
+        V, V0 = random_invertible_corep(G, draw)
         bad = Corepresentation(G, V.tensor + 0.3 * _complex_normal(rng, V.tensor.shape))
         for W in (V, bad):
             got = is_corep(W)
@@ -390,16 +395,19 @@ def test_stacked_corep_kernels_match_each_corep_alone(name):
         Vs = corep_adjoint(antipode_slice(V))
         _assert_each(corep_product(V, Vs).tensor,
                      lambda k: corep_product(_alone(V, k), _alone(Vs, k)).tensor)
-        _assert_each(inverse_corep(V).tensor,
-                     lambda k: inverse_corep(_alone(V, k)).tensor)
-        T, Vp = unitarize(V)
+        Vi, residual = inverse_corep(V)
+        _assert_each(Vi.tensor, lambda k: inverse_corep(_alone(V, k))[0].tensor)
+        _assert_each(residual, lambda k: inverse_corep(_alone(V, k))[1])
+        T, Vp, smin = unitarize(V)
         _assert_each(T, lambda k: unitarize(_alone(V, k))[0])
         _assert_each(Vp.tensor, lambda k: unitarize(_alone(V, k))[1].tensor)
+        _assert_each(smin, lambda k: unitarize(_alone(V, k))[2])
         _assert_each(cb_norm(V), lambda k: cb_norm(_alone(V, k)))
         # a degenerate stack: the essential part has dimension d of d + 1
         U, _, Vh = np.linalg.svd(_complex_normal(rng, (3, d + 1, d + 1)))
         Tw = U @ (np.linspace(0.3, 1.0, d + 1) * Vh)
-        Vdeg = conjugate_corep(corep_direct_sum(V0, zero_corep(G, 1)), Tw)
+        Vdeg = conjugate_corep(corep_direct_sum(V0, zero_corep(G, 1)), Tw,
+                               np.linalg.inv(Tw))
         ed = essential_data(Vdeg)
         assert np.array_equal(ed.dimension, [d] * 3)
         for key in ("dimension", "idempotent_violation", "commute_violation", "Q"):
@@ -416,7 +424,7 @@ def test_stacked_multiplier_matches_each_corep_alone(name):
               "factorization_norm", "cb_bound")
     for d in (1, 2, 3, 4):
         draw = similarity_draw(d, [500 + 10 * d + k for k in range(3)])
-        V, _, _ = random_invertible_corep(G, draw)
+        V, _ = random_invertible_corep(G, draw)
         alpha, beta = _complex_normal(rng, (3, d)), _complex_normal(rng, (3, d))
         frames, _ = np.linalg.qr(_complex_normal(rng, (3, d, d)))
         for basis in (None, frames):
@@ -461,7 +469,7 @@ def _per_trial_values(cfg):
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
         for trial, d in enumerate(dims):
             draw = similarity_draw(d, cfg.seed * 1000 + trial)
-            V, _, V0 = random_invertible_corep(G, draw)
+            V, V0 = random_invertible_corep(G, draw)
             chk = is_corep(V)
             note(prefix, "multiplicativity", chk.violation, chk.pair_defect)
             w = functional(G, rng)
@@ -469,7 +477,8 @@ def _per_trial_values(cfg):
                         - pi_of(V, star_l1(w)).conj().T)
             alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
             note(prefix, "antipode-coefficient", antipode_coeff_check(V, alpha, beta))
-            Vi, one = inverse_corep(V), trivial_corep(G, d)
+            Vi, _ = inverse_corep(V)
+            one = trivial_corep(G, d)
             note(prefix, "inverse", corep_distance(corep_product(Vi, V), one),
                  corep_distance(corep_product(V, Vi), one))
             w1, w2 = functional(G, rng), functional(G, rng)
@@ -484,7 +493,8 @@ def _per_trial_values(cfg):
             if trial % 5 == 0:
                 Uq, _, Vq = np.linalg.svd(_complex_normal(rng, (d + 1, d + 1)))
                 Tw = Uq @ np.diag(0.2 + 0.8 * rng.random(d + 1)) @ Vq
-                Vtw = conjugate_corep(corep_direct_sum(V0, zero_corep(G, 1)), Tw)
+                Vtw = conjugate_corep(corep_direct_sum(V0, zero_corep(G, 1)), Tw,
+                                      np.linalg.inv(Tw))
                 ed = essential_data(Vtw)
                 piw = np.moveaxis(Vtw.tensor, 2, 0)
                 note(prefix, "degenerate", ed.idempotent_violation,
@@ -501,8 +511,8 @@ def _per_trial_values(cfg):
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
         for trial, d in enumerate(dims):
             draw = similarity_draw(d, cfg.seed * 2000 + trial)
-            V, _, _ = random_invertible_corep(G, draw)
-            T, Vp = unitarize(V)
+            V, _ = random_invertible_corep(G, draw)
+            T, Vp, _ = unitarize(V)
             note(prefix, "unitary", *unitarity_defects(Vp))
             note(prefix, "corep", is_corep(Vp).violation)
             w = functional(G, rng)
@@ -515,7 +525,7 @@ def _per_trial_values(cfg):
         dims = [int(rng.integers(0, 4)) + 1 for _ in range(cfg.trials)]
         for trial, d in enumerate(dims):
             draw = similarity_draw(d, cfg.seed * 3000 + trial)
-            V, _, _ = random_invertible_corep(G, draw)
+            V, _ = random_invertible_corep(G, draw)
             alpha, beta = _complex_normal(rng, d), _complex_normal(rng, d)
             md = multiplier_from_coefficient(V, alpha, beta)
             note(prefix, "action", md.residual_action)

@@ -132,7 +132,7 @@ def test_pi_multiplicative_on_random_pairs():
     rng = np.random.default_rng(0)
     for name in ("cg_s3", "c_s3", "kac_paljutkin"):
         G = builtin_instance(name)
-        V = unitary_corepresentation(G, 2, seed=5)
+        V = unitary_corepresentation(G, similarity_draw(2, 5).uniforms)
         for _ in range(10):
             w1, w2 = rand_functional(G, rng), rand_functional(G, rng)
             lhs = pi_of(V, convolve(w1, w2))
@@ -143,7 +143,7 @@ def test_pi_multiplicative_on_random_pairs():
 def test_variant_generators():
     rng = np.random.default_rng(1)
     G = builtin_instance("kac_paljutkin")
-    V, _, _ = random_invertible_corep(G, similarity_draw(2, 8))
+    V, _ = random_invertible_corep(G, similarity_draw(2, 8))
     Vt = corep_adjoint(V)
     # entries of the tilde generator are the adjoints of the transposed grid
     for i in range(2):
@@ -171,7 +171,7 @@ def test_pi_check_equals_pi_for_z2_character():
 
 def test_pi_star_is_star_representation_on_unitary():
     G = builtin_instance("cg_s3")
-    V = unitary_corepresentation(G, 2, seed=3)
+    V = unitary_corepresentation(G, similarity_draw(2, 3).uniforms)
     rng = np.random.default_rng(3)
     for _ in range(5):
         w = rand_functional(G, rng)
@@ -189,7 +189,7 @@ def test_coefficient_examples():
 
 def test_coefficient_pairing():
     G = builtin_instance("kac_paljutkin")
-    V = unitary_corepresentation(G, 2, seed=1)
+    V = unitary_corepresentation(G, similarity_draw(2, 1).uniforms)
     rng = np.random.default_rng(4)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -202,7 +202,7 @@ def test_coefficient_pairing():
 def test_coefficient_coproduct_expansion():
     # Delta(T_{a,b}) = sum_i T_{f_i,b} (x) T_{a,f_i}, by direct contraction
     G = builtin_instance("cg_s3")
-    V, _, _ = random_invertible_corep(G, similarity_draw(2, 17))
+    V, _ = random_invertible_corep(G, similarity_draw(2, 17))
     rng = np.random.default_rng(5)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -222,26 +222,30 @@ def test_antipode_coefficient_identity():
     rng = np.random.default_rng(6)
     for name in ("cg_s3", "kac_paljutkin"):
         H = builtin_instance(name)
-        U = unitary_corepresentation(H, 2, seed=2)
+        U = unitary_corepresentation(H, similarity_draw(2, 2).uniforms)
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert antipode_coeff_check(U, a, b) < 1e-10
-        V2, _, _ = random_invertible_corep(H, similarity_draw(2, 12))
+        V2, _ = random_invertible_corep(H, similarity_draw(2, 12))
         assert antipode_coeff_check(V2, a, b) < 1e-8
 
 
 def test_inverse_corep_examples():
     G = builtin_instance("c_z2")
     V = nontrivial_character(G)
-    Vi = inverse_corep(V)
+    Vi, _ = inverse_corep(V)
     assert corep_distance(Vi, V) < 1e-12          # u^2 = 1
     H = builtin_instance("kac_paljutkin")
-    U = unitary_corepresentation(H, 2, seed=4)
-    Ui = inverse_corep(U)
+    U = unitary_corepresentation(H, similarity_draw(2, 4).uniforms)
+    Ui, _ = inverse_corep(U)
     # inverse of a unitary corepresentation is its entrywise adjoint transpose
     assert corep_distance(Ui, corep_adjoint(U)) < 1e-10
-    V2, _, _ = random_invertible_corep(H, similarity_draw(2, 13))
-    Vi2 = inverse_corep(V2)
+    V2, _ = random_invertible_corep(H, similarity_draw(2, 13))
+    Vi2, residual = inverse_corep(V2)
+    # the residual is the larger of the two products' distances to 1
+    one = trivial_corep(H, 2)
+    assert np.array_equal(residual, max(corep_distance(corep_product(Vi2, V2), one),
+                                        corep_distance(corep_product(V2, Vi2), one)))
     # oracle: invert the GNS image as a matrix
     g = dense_image(V2)
     assert np.linalg.norm(dense_image(Vi2) - np.linalg.inv(g), 2) < 1e-8
@@ -251,8 +255,8 @@ def test_inverse_corep_examples():
     for name in ("c_s3", "cg_s3", "kac_paljutkin"):
         for d in (1, 2, 3, 4):
             draw = similarity_draw(d, [60 + 10 * d + k for k in range(3)])
-            V, _, _ = random_invertible_corep(builtin_instance(name), draw)
-            check = is_corep(transposed(inverse_corep(V)))
+            V, _ = random_invertible_corep(builtin_instance(name), draw)
+            check = is_corep(transposed(inverse_corep(V)[0]))
             assert check.violation.shape == (3,) and check, (name, d)
 
 
@@ -262,33 +266,44 @@ def test_inverse_rejects_singular():
         inverse_corep(zero_corep(G, 1))
 
 
-def test_random_invertible_corep_properties():
+def test_random_invertible_corep_properties(monkeypatch):
     G = builtin_instance("cg_s3")
-    V, T, V0 = random_invertible_corep(G, similarity_draw(2, 21))
+    draw = similarity_draw(2, 21)
+    assert np.array_equal(draw.Tinv, np.linalg.inv(draw.T))
+    V, V0 = random_invertible_corep(G, draw)
     assert is_corep(V).is_corep
-    assert np.linalg.cond(T) <= 10 + 1e-9
+    assert np.linalg.cond(draw.T) <= 10 + 1e-9
     # conjugating by the identity returns the base point
-    assert corep_distance(conjugate_corep(V0, np.eye(2)), V0) < 1e-14
+    assert corep_distance(conjugate_corep(V0, np.eye(2), np.eye(2)), V0) < 1e-14
     # one-dimensional conjugation is trivial
     H = builtin_instance("c_z2")
-    V1, T1, V01 = random_invertible_corep(H, similarity_draw(1, 5))
+    V1, V01 = random_invertible_corep(H, similarity_draw(1, 5))
     assert corep_distance(V1, V01) < 1e-12
+
+    # a ready draw is conjugated with its own inverse; nothing inverts again
+    def no_inverse(a):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    assert np.array_equal(random_invertible_corep(G, draw)[0].tensor, V.tensor)
 
 
 def test_unitarize_examples():
     G = builtin_instance("kac_paljutkin")
-    U = unitary_corepresentation(G, 2, seed=6)
-    T, Up = unitarize(U)
+    U = unitary_corepresentation(G, similarity_draw(2, 6).uniforms)
+    T, Up, _ = unitarize(U)
     assert np.linalg.norm(T - np.eye(2)) < 1e-10
     assert corep_distance(Up, U) < 1e-9
     H = builtin_instance("c_z2")
     V = nontrivial_character(H)
-    T1, V1 = unitarize(V)
+    T1, V1, _ = unitarize(V)
     assert np.allclose(T1, [[1.0]])
     assert corep_distance(V1, V) < 1e-12
-    V2, _, _ = random_invertible_corep(builtin_instance("cg_s3"),
-                                       similarity_draw(2, 31))
-    T2, V2u = unitarize(V2)
+    V2, _ = random_invertible_corep(builtin_instance("cg_s3"),
+                                    similarity_draw(2, 31))
+    T2, V2u, smin = unitarize(V2)
+    # the sigma_min that the ratio test read is the one of V's blocks
+    assert np.array_equal(smin, singular_extremes(V2.blocks())[1])
     g = dense_image(V2u)
     assert np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0]), 2) < 1e-8
     assert is_corep(V2u).violation < 1e-8
@@ -299,7 +314,7 @@ def test_unitarize_examples():
 
 def test_essential_data():
     G = builtin_instance("c_s3")
-    V0, _, _ = random_invertible_corep(G, similarity_draw(2, 7))
+    V0, _ = random_invertible_corep(G, similarity_draw(2, 7))
     ed0 = essential_data(V0)
     assert np.linalg.norm(ed0.Q - np.eye(2)) < 1e-10
     assert ed0.dimension == 2
@@ -310,7 +325,7 @@ def test_essential_data():
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     Uq, _, Vq = np.linalg.svd(A)
     Tw = Uq @ np.diag([1.0, 0.6, 0.4]) @ Vq
-    Vtw = conjugate_corep(Vdeg, Tw)
+    Vtw = conjugate_corep(Vdeg, Tw, np.linalg.inv(Tw))
     ed = essential_data(Vtw)
     assert ed.idempotent_violation < 1e-8
     assert ed.commute_violation < 1e-8
@@ -329,10 +344,10 @@ def test_essential_data():
 
 def test_norms():
     G = builtin_instance("c_s3")
-    U = unitary_corepresentation(G, 2, seed=9)
+    U = unitary_corepresentation(G, similarity_draw(2, 9).uniforms)
     assert abs(cb_norm(U) - 1.0) < 1e-10
     D = np.diag([2.0, 1.0])
-    V = conjugate_corep(U, D)
+    V = conjugate_corep(U, D, np.linalg.inv(D))
     svals = np.linalg.svd(dense_image(V), compute_uv=False)
     assert abs(svals[0] - cb_norm(V)) < 1e-12
     assert cb_norm(V) <= 2.0 + 1e-9
@@ -342,7 +357,7 @@ def test_isometry_implies_unitary():
     for name in ("c_s3", "kac_paljutkin"):
         G = builtin_instance(name)
         for d in (1, 2):
-            V = unitary_corepresentation(G, d, seed=d)
+            V = unitary_corepresentation(G, similarity_draw(d, d).uniforms)
             g = dense_image(V)
             eye = np.eye(g.shape[0])
             if np.linalg.norm(g.conj().T @ g - eye, 2) <= 1e-10:
@@ -358,7 +373,7 @@ def test_gns_matrix_blocks_are_the_left_regular_images(name):
     gd = G.gns()
     bd = G.block_decomposition()
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, similarity_draw(d, 40 + d))
+        V, _ = random_invertible_corep(G, similarity_draw(d, 40 + d))
         g = dense_image(V)
         n = G.dim
         for i in range(d):
@@ -381,7 +396,7 @@ def test_available_dimensions():
     for name in ("kac_paljutkin", "c_s3"):
         assert sorted({V.d for V in corep_catalog(builtin_instance(name))}) == [1, 2]
     for d in (1, 2, 3, 4):
-        V = unitary_corepresentation(G, d, seed=12)
+        V = unitary_corepresentation(G, similarity_draw(d, 12).uniforms)
         assert V.d == d and is_corep(V).is_corep
 
 
@@ -419,8 +434,6 @@ def test_dimension_below_one_is_refused_before_any_draw(monkeypatch, d):
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     with pytest.raises(StructuralError, match="dimension"):
-        unitary_corepresentation(G, d, seed=1)
-    with pytest.raises(StructuralError, match="dimension"):
         similarity_draw(d, [1, 2])
     assert draws == []
     # the counting generator draws as numpy's own does
@@ -428,6 +441,12 @@ def test_dimension_below_one_is_refused_before_any_draw(monkeypatch, d):
     assert np.array_equal(random_invertible_corep(G, one)[0].tensor,
                           random_invertible_corep(G, stack)[0].tensor[0])
     assert len(draws) == 2           # one generator per trial
+
+
+def test_rows_of_no_uniforms_are_refused():
+    # they ask the catalog for sums of dimension 0
+    with pytest.raises(StructuralError, match="dimension"):
+        unitary_corepresentation(builtin_instance("c_z2"), np.empty((2, 0)))
 
 
 def choice_corepresentation(G, d, seed):
@@ -450,11 +469,12 @@ def test_unitary_corepresentation_is_the_weighted_choice_of_summands(name):
     G = builtin_instance(name)
     for d in (1, 2, 3, 4):
         seeds = list(range(20))
-        stacked = unitary_corepresentation(G, d, seed=seeds)
+        stacked = unitary_corepresentation(G, similarity_draw(d, seeds).uniforms)
         for k, seed in enumerate(seeds):
             want = choice_corepresentation(G, d, seed).tensor
             assert np.array_equal(stacked.tensor[k], want)
-            assert np.array_equal(unitary_corepresentation(G, d, seed=seed).tensor, want)
+            alone = unitary_corepresentation(G, similarity_draw(d, seed).uniforms)
+            assert np.array_equal(alone.tensor, want)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +520,7 @@ def test_block_norms_equal_dense_svds(name):
     G = builtin_instance(name)
     rng = np.random.default_rng(17)
     for d in (1, 2, 3, 4):
-        V, _, _ = random_invertible_corep(G, similarity_draw(d, 800 + d))
+        V, _ = random_invertible_corep(G, similarity_draw(d, 800 + d))
         assert_blocks_match_dense(V, rng)
         alpha = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         beta = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -521,7 +541,7 @@ def test_s4_block_norms_equal_dense_svds(build):
 
 def test_a_degenerate_block_decomposition_propagates(monkeypatch):
     G = builtin_instance("cg_s3")
-    V, _, _ = random_invertible_corep(G, similarity_draw(2, 5))
+    V, _ = random_invertible_corep(G, similarity_draw(2, 5))
 
     def degenerate(A, *args):
         raise DegeneracyError("no blocks", gap=0.0)

@@ -202,7 +202,7 @@ def test_multiplier_character_on_z2():
 def test_multiplier_unitary_contractive():
     for name in ("cg_s3", "kac_paljutkin"):
         G = builtin_instance(name)
-        U = unitary_corepresentation(G, 2, seed=3)
+        U = unitary_corepresentation(G, similarity_draw(2, 3).uniforms)
         alpha = np.array([1.0, 0.0])
         md = multiplier_from_coefficient(U, alpha, alpha)
         assert md.residual_action < 1e-9
@@ -214,7 +214,7 @@ def test_multiplier_random_and_bounds():
     for name in ("c_s3", "kac_paljutkin"):
         G = builtin_instance(name)
         for seed in range(6):
-            V, _, _ = random_invertible_corep(G, similarity_draw(2, 40 + seed))
+            V, _ = random_invertible_corep(G, similarity_draw(2, 40 + seed))
             a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             md = multiplier_from_coefficient(V, a, b)
@@ -227,7 +227,7 @@ def test_multiplier_random_and_bounds():
 def test_multiplier_is_a_left_multiplier():
     # L(w1 w2) = L(w1) w2 on the dual convolution algebra
     G = builtin_instance("kac_paljutkin")
-    V, _, _ = random_invertible_corep(G, similarity_draw(2, 50))
+    V, _ = random_invertible_corep(G, similarity_draw(2, 50))
     rng = np.random.default_rng(4)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -244,7 +244,7 @@ def test_multiplier_is_a_left_multiplier():
 
 def test_multiplier_basis_independence():
     G = builtin_instance("kac_paljutkin")
-    V, _, _ = random_invertible_corep(G, similarity_draw(2, 60))
+    V, _ = random_invertible_corep(G, similarity_draw(2, 60))
     rng = np.random.default_rng(5)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)

@@ -1,6 +1,7 @@
 """Every import in the package is used, every module-level function or class
-is read somewhere in the package (a public one may instead be traced by the
-benchmark or kept on an explicit list), and every defaulted parameter is set
+and every method of such a class is read somewhere in the package (a public
+one may instead be traced by the benchmark or kept on an explicit list), and
+every defaulted parameter is set
 by some call: stdlib ``ast`` scans standing in for pyflakes' unused-import
 check and a dead-code check."""
 
@@ -54,7 +55,9 @@ def unread_defs(sources):
     """(module, line, name) of every module-level function or class, dunders
     aside, that no other top-level statement of any module reads, by name,
     by attribute or through an import; a re-export in ``__init__.py`` reads
-    nothing."""
+    nothing.  A method of a module-level class, named "Class.method", is
+    unread when no other statement reads it: no top-level statement but its
+    class, and no other member of its class."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
 
     def reads(node, module):
@@ -70,14 +73,28 @@ def unread_defs(sources):
 
     tops = [(node, reads(node, module)) for module, tree in trees.items()
             for node in tree.body]
+    members = [(member, reads(member, module)) for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for member in node.body]
+
+    def is_read(name, *skip):
+        return any(name in names for other, names in tops + members
+                   if other not in skip)
+
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("__")
-                    and not any(node.name in names
-                                for other, names in tops if other is not node)):
+                    and not is_read(node.name, node, *node.body)):
                 unread.append((module, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if (isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("__")
+                            and not is_read(fn.name, node, fn)):
+                        unread.append((module, fn.lineno,
+                                       "%s.%s" % (node.name, fn.name)))
     return unread
 
 
@@ -93,16 +110,30 @@ def test_the_scan_sees_an_unread_private_def():
     sources = {
         "a.py": "def _used():\n    pass\n\ndef _self_only():\n    _self_only()\n",
         "b.py": "from .a import _used\nclass _Dead:\n    pass\n"
-                "def public():\n    pass\n",
+                "def public():\n    pass\n"
+                "class _SelfMade:\n    def make(self):\n        return _SelfMade()\n",
         "c.py": "from .b import public\n",
     }
     assert unread_defs(sources) == [("a.py", 4, "_self_only"),
-                                    ("b.py", 2, "_Dead")]
+                                    ("b.py", 2, "_Dead"),
+                                    ("b.py", 6, "_SelfMade"),
+                                    ("b.py", 7, "_SelfMade.make")]
+
+
+def test_the_scan_sees_an_unread_method():
+    sources = {
+        "a.py": "class K:\n    def used(self):\n        self.helper()\n"
+                "    def helper(self):\n        pass\n"
+                "    def recursive(self):\n        self.recursive()\n"
+                "    def __len__(self):\n        return 0\n",
+        "b.py": "from .a import K\nK().used()\n",
+    }
+    assert unread_defs(sources) == [("a.py", 6, "K.recursive")]
 
 
 def test_no_unread_private_def():
     assert [u for u in unread_defs(package_sources())
-            if u[2].startswith("_")] == []
+            if u[2].split(".")[-1].startswith("_")] == []
 
 
 # Public names that nothing in the package reads and the benchmark does not
@@ -115,6 +146,12 @@ KEPT_PUBLIC = {
     ("corep.py", "pi_star"),
     ("fock.py", "factor_from_quantum_group"),
     ("serialize.py", "save_instance"),
+}
+# Methods of package classes that only the tests read.
+KEPT_METHODS = {
+    ("qgroup.py", "StarAlgebra.basis_element"),
+    ("qgroup.py", "FiniteQuantumGroup.coproduct_coeffs"),
+    ("qgroup.py", "ValidationReport.failures"),
 }
 
 
@@ -133,25 +170,31 @@ def traced_names():
 def test_the_scan_sees_an_unread_public_def():
     sources = {
         "a.py": "def used():\n    pass\n\nclass Dead:\n    pass\n"
-                "def self_only():\n    self_only()\n",
+                "def self_only():\n    self_only()\n"
+                "class SelfMade:\n    def make(self):\n        return SelfMade()\n",
         "b.py": "from .a import used\n",
     }
     assert unread_defs(sources) == [("a.py", 4, "Dead"),
-                                    ("a.py", 6, "self_only")]
+                                    ("a.py", 6, "self_only"),
+                                    ("a.py", 8, "SelfMade"),
+                                    ("a.py", 9, "SelfMade.make")]
     # a def that only the package's __init__ re-exports is unread
     sources["a.py"] += "def exported():\n    pass\n"
     sources["__init__.py"] = ("from .a import exported, used\n"
                               "__all__ = ['exported']\n")
     assert unread_defs(sources) == [("a.py", 4, "Dead"),
                                     ("a.py", 6, "self_only"),
-                                    ("a.py", 8, "exported")]
+                                    ("a.py", 8, "SelfMade"),
+                                    ("a.py", 9, "SelfMade.make"),
+                                    ("a.py", 11, "exported")]
 
 
 def test_no_unread_public_def():
     unread = {(module, name) for module, _, name in unread_defs(package_sources())
-              if not name.startswith("_")}
+              if not name.split(".")[-1].startswith("_")}
     traced = traced_names()
-    assert {u for u in unread if u[1] not in traced} == KEPT_PUBLIC
+    assert ({u for u in unread if u[1].split(".")[-1] not in traced}
+            == KEPT_PUBLIC | KEPT_METHODS)
 
 
 def unset_defaults(sources, callers):

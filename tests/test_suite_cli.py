@@ -106,6 +106,21 @@ def _cli(*args, env=None):
         cwd=os.path.join(os.path.dirname(__file__), os.pardir))
 
 
+def test_readme_tour_runs():
+    # the README's tour calls the package as a reader would; running it keeps
+    # its signatures current
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md")) as fh:
+        tour = fh.read().split("## A two-minute tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=root, timeout=60)
+    assert r.returncode == 0, r.stderr
+    # the drawn twist shows: ||V|| well above the unitarized 1
+    cb_twisted, cb_unitary = map(float, r.stdout.splitlines()[-2].split())
+    assert cb_twisted > 2.0 and abs(cb_unitary - 1.0) < 1e-9
+
+
 def test_cli_validate_pass_and_fail(tmp_path):
     r = _cli("validate", "--builtin", "c_z2")
     assert r.returncode == 0, r.stderr
@@ -219,6 +234,17 @@ def test_noncb_pi_bracket_holds_for_every_n():
         assert lo == d["measured"][N]["pi_lower_search"]
         assert hi == math.sqrt(10)
         assert hi >= lo
+
+
+@pytest.mark.parametrize("copies", [3, 5, 8, 9])
+def test_noncb_passes_at_small_copy_counts(copies):
+    # the coefficient's l1 norm is sqrt(N), so from N1 = min(4, copies) to
+    # N2 = max(4, copies) it grows by sqrt(N2) - sqrt(N1), at most 1 here
+    report = run_suite(small_cfg(("noncb",), copies=copies))
+    n1, n2 = sorted({4, copies})
+    growth = {r.name: r for r in report.records}["noncb/multiplier-growth"]
+    assert growth.bound == math.sqrt(n2) - math.sqrt(n1) <= 1.0
+    assert report.passed, [r.name for r in report.records if not r.passed]
 
 
 def test_noncb_records_agree_across_blas_thread_counts():
