@@ -1,21 +1,21 @@
 """Command-line front end.
 
-Subcommands: validate, dual, corep-suite, multiplier-suite, unitarize,
-khintchine, noncb, all.  Exit codes: 0 all checks pass, 1 at least one check
-failed, 2 structural or budget error, or an --out path that cannot be
-written.  QGLAB_DIM_CAP overrides the Fock dimension budget.
+Subcommands: validate, dual (of exactly one instance), corep-suite,
+multiplier-suite, unitarize, khintchine, noncb, all.  Exit codes: 0 all
+checks pass, 1 at least one check failed, 2 structural or budget error, or
+an --out path that cannot be written.  QGLAB_DIM_CAP overrides the Fock
+dimension budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .duality import build_dual
 from .errors import DEFAULT_DIM_CAP, BudgetError, QglabError, StructuralError
-from .serialize import instance_to_dict
+from .serialize import instance_json
 from .suite import (
     SUITE_NAMES,
     SuiteConfig,
@@ -59,7 +59,7 @@ def _parser():
     for name in _SUBCOMMANDS:
         sub.add_parser(name, parents=[common])
     sub.add_parser("dual", parents=[common],
-                   help="emit the dual instance as JSON")
+                   help="emit the dual of exactly one instance as JSON")
     return p
 
 
@@ -89,15 +89,15 @@ def main() -> int:
         if dim_cap is None:
             dim_cap = _number(int, os.environ.get("QGLAB_DIM_CAP", DEFAULT_DIM_CAP),
                               "QGLAB_DIM_CAP")
-        instances = load_config_instances(args.builtin, args.instance)
         if args.command == "dual":
-            text = ""
-            for label, G in instances:
-                dual = build_dual(G)
-                text += json.dumps(instance_to_dict(dual.group), indent=1,
-                                   sort_keys=True) + "\n"
-            _write(text, args.out)
+            count = len(args.builtin) + len(args.instance)
+            if count != 1:
+                raise StructuralError("dual takes exactly one instance "
+                                      "(--builtin or --instance), got %d" % count)
+            [(_, G)] = load_config_instances(args.builtin, args.instance)
+            _write(instance_json(build_dual(G).group), args.out)
             return 0
+        instances = load_config_instances(args.builtin, args.instance)
         cfg = SuiteConfig(
             instances=instances,
             suites=_SUBCOMMANDS[args.command],

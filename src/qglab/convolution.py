@@ -9,9 +9,6 @@ to the coproduct, the unit is the counit, and two involutions matter:
 The antipode is everywhere defined here, so the sharp involution is total.
 Products, involutions and the module action take stacks of functionals,
 coefficients (..., n), slice by slice.
-The dual norm is computed exactly through the Wedderburn blocks: pushing
-omega to trace-pairing matrices W_k per block, the norm is the sum of the
-per-block trace norms.
 """
 
 from __future__ import annotations
@@ -41,18 +38,8 @@ class Functional(CoefficientVector):
         return super().__mul__(other)
 
 
-def basis_functional(G: FiniteQuantumGroup, i: int) -> Functional:
-    v = np.zeros(G.dim, dtype=complex)
-    v[i] = 1.0
-    return Functional(G, v)
-
-
 def counit_functional(G: FiniteQuantumGroup) -> Functional:
     return Functional(G, G.counit)
-
-
-def haar_functional(G: FiniteQuantumGroup) -> Functional:
-    return Functional(G, G.haar)
 
 
 def convolve(w1: Functional, w2: Functional) -> Functional:
@@ -84,26 +71,3 @@ def module_action(x: AlgebraElement, w: Functional) -> Functional:
     return Functional(G, np.einsum("ijk,...j,...k->...i", G.mult, x.coeffs,
                                    w.coeffs))
 
-
-def l1_norm(w: Functional) -> float:
-    return l1_norm_witness(w)[0]
-
-
-def l1_norm_witness(w: Functional):
-    """Exact dual norm plus a norm-one element attaining it.
-
-    omega(x) = sum_k tr(W_k x_k) through the block decomposition, so
-    ||omega||_1 = sum_k ||W_k||_S1, attained at the partial-isometry blocks
-    from the polar decompositions of the W_k.
-    """
-    G = w.owner
-    bd = G.block_decomposition()
-    pair = bd.pairing_blocks(w.coeffs)
-    total = 0.0
-    witness_blocks = []
-    for Wk in pair:
-        U, s, Vh = np.linalg.svd(Wk)
-        total += float(np.sum(s))
-        witness_blocks.append(Vh.conj().T @ U.conj().T)
-    witness = bd.backward(witness_blocks)
-    return total, witness

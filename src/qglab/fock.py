@@ -57,6 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ascent import OperatorStack, rank_one_ascent
+from .builders import builtin_instance
 from .errors import DEFAULT_DIM_CAP, BudgetError, ConvergenceError, StructuralError
 from .qgroup import StarAlgebra
 
@@ -116,14 +117,15 @@ def matrix_factor(m) -> FreeFactor:
     return FreeFactor(mult, unit, star, unit / m, name="M%d" % m)
 
 
+# The builtin C(Z2), built once when the Fock layer loads, so that a Z2
+# factor costs no quantum-group build and a Fock pass calls no builder.
+_C_Z2 = builtin_instance("c_z2")
+
+
 def z2_factor() -> FreeFactor:
-    """C(Z2) with the uniform state; the centred symmetry is (1, -1)."""
-    mult = np.zeros((2, 2, 2), dtype=complex)
-    mult[0, 0, 0] = mult[1, 1, 1] = 1.0
-    unit = np.ones(2, dtype=complex)
-    star = np.eye(2, dtype=complex)
-    state = np.array([0.5, 0.5], dtype=complex)
-    return FreeFactor(mult, unit, star, state, name="c_z2")
+    """The free factor of the builtin C(Z2): the uniform Haar state, and
+    the centred symmetry (1, -1)."""
+    return factor_from_quantum_group(_C_Z2)
 
 
 def z2_symmetry() -> np.ndarray:

@@ -104,14 +104,6 @@ class StarAlgebra:
     def element(self, coeffs):
         return AlgebraElement(self, coeffs)
 
-    def basis_element(self, i):
-        v = np.zeros(self.dim, dtype=complex)
-        v[i] = 1.0
-        return AlgebraElement(self, v)
-
-    def one(self):
-        return AlgebraElement(self, self.unit)
-
     # -- tensor-level maps on coefficient vectors --------------------------
 
     def mult_coeffs(self, a, b):
@@ -153,10 +145,6 @@ class FiniteQuantumGroup(StarAlgebra):
 
     def antipode_coeffs(self, a):
         return np.einsum("...i,ij->...j", a, self.antipode)
-
-    def coproduct_coeffs(self, a):
-        """Delta(a) as an (n, n) coefficient array over e_j (x) e_k."""
-        return np.einsum("i,ijk->jk", a, self.coproduct)
 
     def is_cocommutative(self):
         return (np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1)))
@@ -257,9 +245,6 @@ class ValidationReport:
     @property
     def passed(self):
         return all(v <= self.tol for _, v in self.checks)
-
-    def failures(self):
-        return [(a, v) for a, v in self.checks if v > self.tol]
 
     def __str__(self):
         lines = ["validate(%s): %s (tol %.1e)" % (
@@ -378,20 +363,13 @@ class SpanningFamily:
 
 
 class GnsData:
-    """GNS space of the state: Lambda, the modular conjugation, and the left
-    regular images lambda(e_m) of the basis, built once as one stack.
-
-    For a quantum group the state is the tracial Haar state, so the modular
-    operator is the identity and J Lambda(x) = Lambda(x*) realizes the
-    Tomita conjugation exactly.
-    """
+    """GNS space of the state: Lambda and the left regular images
+    lambda(e_m) of the basis, built once as one stack."""
 
     def __init__(self, owner, lam, lam_inv):
         self.owner = owner
         self.lambda_map = lam          # coefficients -> H_h  (Lambda)
         self.lambda_inv = lam_inv
-        # conjugate-linear J: v -> Jmat conj(v)
-        self.modular_conj = lam @ owner.star.T @ np.conj(lam_inv)
         # images[m] = lambda(e_m) = Lambda L_m Lambda^-1 with L_m the matrix
         # of y -> e_m y on coefficients, L_m[k, j] = mult[m, j, k]
         self.images = lam @ owner.mult.transpose(0, 2, 1) @ lam_inv
@@ -483,7 +461,6 @@ class BlockDecomposition:
         self.forward_matrix = np.concatenate(          # coeffs -> stacked blocks
             [(P.conj().T @ images @ P).reshape(owner.dim, -1) for P in isometries],
             axis=1).T
-        self.backward_matrix = np.linalg.inv(self.forward_matrix)
 
     def images(self, coeffs):
         """The blocks of the elements with coefficients (..., n): one stack
@@ -491,25 +468,13 @@ class BlockDecomposition:
         product of its own, (1, n) by (n, n), so a stack gives each element
         the bits it gets alone."""
         rows = np.asarray(coeffs, dtype=complex)[..., None, :]
-        return self._split((rows @ self.forward_matrix.T)[..., 0, :])
-
-    def backward(self, blocks) -> AlgebraElement:
-        flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1)
-                               for b in blocks])
-        return AlgebraElement(self.owner, self.backward_matrix @ flat)
-
-    def _split(self, flat):
+        flat = (rows @ self.forward_matrix.T)[..., 0, :]
         out, pos = [], 0
         for nk in self.sizes:
             out.append(flat[..., pos:pos + nk * nk].reshape(
                 flat.shape[:-1] + (nk, nk)))
             pos += nk * nk
         return out
-
-    def pairing_blocks(self, functional_values):
-        """Trace-pairing matrices W_k with omega(x) = sum_k tr(W_k x_k)."""
-        p = self.backward_matrix.T @ np.asarray(functional_values, dtype=complex)
-        return [b.T for b in self._split(p)]
 
 
 def _block_decompose(G, tol, seed):

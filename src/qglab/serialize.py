@@ -71,10 +71,9 @@ def instance_from_dict(data: dict) -> FiniteQuantumGroup:
     return FiniteQuantumGroup(data["name"], basis_labels=labels, **tensors)
 
 
-def save_instance(G: FiniteQuantumGroup, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(G), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def instance_json(G: FiniteQuantumGroup) -> str:
+    """The text of G's instance file, the one form every writer emits."""
+    return json.dumps(instance_to_dict(G), indent=1, sort_keys=True) + "\n"
 
 
 def load_instance(path) -> FiniteQuantumGroup:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qglab.builders import BUILTIN_NAMES
-from qglab.convolution import basis_functional
+from qglab.convolution import Functional
 from qglab.corep import (
     conjugate_corep,
     corep_direct_sum,
@@ -140,7 +140,7 @@ def test_criterion_5_degenerate(corpus):
             worst_p = max(worst_p, ed.idempotent_violation, ed.commute_violation)
             dims_exact = dims_exact and ed.dimension == d
             for i in range(G.dim):
-                piw = pi_of(Vtw, basis_functional(G, i))
+                piw = pi_of(Vtw, Functional(G, np.eye(G.dim)[i]))
                 worst_pq = max(worst_pq, float(np.linalg.norm(piw @ ed.Q - piw)))
     dt = time.perf_counter() - t0
     announce(5, worst_p <= 1e-8 and worst_pq <= 1e-10 and dims_exact,

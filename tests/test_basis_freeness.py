@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from qglab.builders import builtin_instance, from_group_algebra, symmetric_table
-from qglab.convolution import Functional, l1_norm
+from qglab.convolution import Functional
 from qglab.corep import (cb_norm, is_corep, random_invertible_corep,
                          similarity_draw, unitarize)
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
 from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
+from test_convolution import l1_norm
 
 
 def change_basis(G, B):

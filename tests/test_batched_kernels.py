@@ -19,7 +19,6 @@ from qglab.builders import (
 from qglab.catalog import unitary_corepresentation
 from qglab.convolution import (
     Functional,
-    basis_functional,
     convolve,
     sharp,
     star_l1,
@@ -64,11 +63,12 @@ def loop_basis_pair_defect(V):
     """max over basis pairs (i, j) of ||pi(e_i e_j) - pi(e_i) pi(e_j)||_F,
     one convolution and one pi per pair."""
     G = V.owner
-    mats = [pi_of(V, basis_functional(G, i)) for i in range(G.dim)]
+    basis = [Functional(G, e) for e in np.eye(G.dim)]
+    mats = [pi_of(V, w) for w in basis]
     worst = 0.0
     for i in range(G.dim):
         for j in range(G.dim):
-            conv = convolve(basis_functional(G, i), basis_functional(G, j))
+            conv = convolve(basis[i], basis[j])
             worst = max(worst, float(np.linalg.norm(
                 pi_of(V, conv) - mats[i] @ mats[j])))
     return worst
@@ -98,7 +98,7 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     Lmat = np.array([dual.expand_in_dual(m) for m in LZ])
     residual_action = 0.0
     for nu in range(n):
-        what = basis_functional(dual.group, nu)
+        what = Functional(dual.group, np.eye(dual.group.dim)[nu])
         lhs = dual.lambda_hat(Functional(what.owner, Lmat @ what.coeffs))
         rhs = lx @ dual.lambda_hat(what)
         residual_action = max(residual_action,

@@ -16,10 +16,8 @@ from qglab.builders import (
 from qglab.catalog import corep_catalog, unitary_corepresentation
 from qglab.convolution import (
     Functional,
-    basis_functional,
     convolve,
     counit_functional,
-    haar_functional,
 )
 from qglab.corep import (
     Corepresentation,
@@ -88,7 +86,7 @@ def corep_violation_oracle(V):
     worst = 0.0
     for i in range(d):
         for j in range(d):
-            lhs = G.coproduct_coeffs(t[i, j])
+            lhs = np.tensordot(t[i, j], G.coproduct, 1)
             rhs = np.zeros((G.dim, G.dim), dtype=complex)
             for k in range(d):
                 rhs += np.outer(t[i, k], t[k, j])
@@ -105,7 +103,7 @@ def test_is_corep_character():
 
 def test_is_corep_rejects_idempotent():
     G = builtin_instance("c_z2")
-    V = Corepresentation(G, G.basis_element(0).coeffs.reshape(1, 1, 2))
+    V = Corepresentation(G, np.eye(G.dim)[0].reshape(1, 1, 2))
     assert not is_corep(V).is_corep
     assert corep_violation_oracle(V) > 0.4
 
@@ -125,7 +123,7 @@ def test_pi_of_examples():
     G = builtin_instance("c_z2")
     V = nontrivial_character(G)
     assert np.allclose(pi_of(V, counit_functional(G)), [[1.0]])
-    assert np.allclose(pi_of(V, haar_functional(G)), [[0.0]])
+    assert np.allclose(pi_of(V, Functional(G, G.haar)), [[0.0]])
 
 
 def test_pi_multiplicative_on_random_pairs():
@@ -206,7 +204,7 @@ def test_coefficient_coproduct_expansion():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = G.coproduct_coeffs(coefficient(V, a, b).coeffs)
+    lhs = np.tensordot(coefficient(V, a, b).coeffs, G.coproduct, 1)
     rhs = np.zeros((6, 6), dtype=complex)
     eye = np.eye(2)
     for i in range(2):
@@ -334,7 +332,7 @@ def test_essential_data():
     P = dense_image(ed.P)
     assert np.linalg.norm(P @ P - P, 2) < 1e-8
     for i in range(G.dim):
-        piw = pi_of(Vtw, basis_functional(G, i))
+        piw = pi_of(Vtw, Functional(G, np.eye(G.dim)[i]))
         assert np.linalg.norm(piw @ ed.Q - piw) < 1e-10
     # the zero corepresentation degenerates gracefully
     edz = essential_data(zero_corep(G, 2))

@@ -17,10 +17,8 @@ from qglab.builders import (
 from qglab.catalog import corep_catalog, unitary_corepresentation
 from qglab.convolution import (
     Functional,
-    basis_functional,
     convolve,
     counit_functional,
-    l1_norm,
     sharp,
 )
 from qglab.corep import random_invertible_corep, similarity_draw
@@ -36,6 +34,7 @@ from qglab.duality import (
 from qglab import duality
 from qglab.errors import BudgetError, InvalidInstanceError
 from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, validate
+from test_convolution import l1_norm
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
           "cg_z2", "cg_z3", "cg_z4", "cg_z2xz2", "cg_s3", "kac_paljutkin")
@@ -75,7 +74,7 @@ def test_w_implements_coproduct_group_algebra_z2():
     gd = G.gns()
     Wd = build_w(G)
     for i in range(2):
-        lam = [gd.left_action(G.basis_element(k)) for k in range(2)]
+        lam = [gd.left_action(G.element(np.eye(G.dim)[k])) for k in range(2)]
         lhs = sum(G.coproduct[i, j, k] * np.kron(lam[j], lam[k])
                   for j in range(2) for k in range(2))
         rhs = Wd.W.conj().T @ np.kron(np.eye(2), lam[i]) @ Wd.W
@@ -86,13 +85,13 @@ def test_lambda_rep_examples():
     G = builtin_instance("c_z2")
     Wd = build_w(G)
     assert np.allclose(Wd.lambda_of(counit_functional(G)), np.eye(2))
-    wg = basis_functional(G, 1)
+    wg = Functional(G, np.eye(G.dim)[1])
     lam_g = Wd.lambda_of(wg)
     # oracle: the translation unitary permutes the GNS basis of delta functions
     gd = G.gns()
     for x in range(2):
-        v = gd.lambda_map @ G.basis_element(x).coeffs
-        swapped = gd.lambda_map @ G.basis_element(1 - x).coeffs
+        v = gd.lambda_map @ np.eye(G.dim)[x]
+        swapped = gd.lambda_map @ np.eye(G.dim)[1 - x]
         assert np.linalg.norm(lam_g @ v - swapped) < 1e-12
     rng = np.random.default_rng(0)
     for name in ("cg_s3", "kac_paljutkin"):
@@ -163,7 +162,7 @@ def test_lambda_hat_gns_pairing():
             w = rand_functional(G, rng)
             xi = dual.Lambda_hat_of_functional(w)
             for i in range(G.dim):
-                x = G.basis_element(i)
+                x = G.element(np.eye(G.dim)[i])
                 assert abs(w(adjoint(x)) - np.vdot(gd.lambda_map @ x.coeffs, xi)) < 1e-10
             w1 = rand_functional(G, rng)
             lhs = dual.Lambda_hat_of_functional(convolve(w, w1))
@@ -256,7 +255,7 @@ def test_multiplier_basis_independence():
 
 def test_pairing_identity():
     G = builtin_instance("c_z2")
-    res = pairing_identity_check(G, G.one(), counit_functional(G),
+    res = pairing_identity_check(G, G.element(G.unit), counit_functional(G),
                                  counit_functional(G))
     assert res < 1e-12
     rng = np.random.default_rng(6)

@@ -56,20 +56,23 @@ def unread_defs(sources):
     aside, that no other top-level statement of any module reads, by name,
     by attribute or through an import; a re-export in ``__init__.py`` reads
     nothing.  A method of a module-level class, named "Class.method", is
-    unread when no other statement reads it: no top-level statement but its
-    class, and no other member of its class."""
+    unread when no other statement reads it as an attribute, ``x.method``:
+    no top-level statement but its class, and no other member of its class.
+    A bare name, such as a local variable of the method's name, does not
+    read a method."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
 
     def reads(node, module):
-        out = set()
+        """(every name the node reads, the attribute names among them)"""
+        names, attrs = set(), set()
         for n in ast.walk(node):
             if isinstance(n, ast.Name):
-                out.add(n.id)
+                names.add(n.id)
             elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
+                attrs.add(n.attr)
             elif isinstance(n, ast.ImportFrom) and module != "__init__.py":
-                out.update(alias.name for alias in n.names)
-        return out
+                names.update(alias.name for alias in n.names)
+        return names | attrs, attrs
 
     tops = [(node, reads(node, module)) for module, tree in trees.items()
             for node in tree.body]
@@ -77,8 +80,8 @@ def unread_defs(sources):
                for node in tree.body if isinstance(node, ast.ClassDef)
                for member in node.body]
 
-    def is_read(name, *skip):
-        return any(name in names for other, names in tops + members
+    def is_read(name, as_attr, *skip):
+        return any(name in read[as_attr] for other, read in tops + members
                    if other not in skip)
 
     unread = []
@@ -86,13 +89,13 @@ def unread_defs(sources):
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("__")
-                    and not is_read(node.name, node, *node.body)):
+                    and not is_read(node.name, False, node, *node.body)):
                 unread.append((module, node.lineno, node.name))
             if isinstance(node, ast.ClassDef):
                 for fn in node.body:
                     if (isinstance(fn, ast.FunctionDef)
                             and not fn.name.startswith("__")
-                            and not is_read(fn.name, node, fn)):
+                            and not is_read(fn.name, True, node, fn)):
                         unread.append((module, fn.lineno,
                                        "%s.%s" % (node.name, fn.name)))
     return unread
@@ -125,10 +128,15 @@ def test_the_scan_sees_an_unread_method():
         "a.py": "class K:\n    def used(self):\n        self.helper()\n"
                 "    def helper(self):\n        pass\n"
                 "    def recursive(self):\n        self.recursive()\n"
-                "    def __len__(self):\n        return 0\n",
-        "b.py": "from .a import K\nK().used()\n",
+                "    def __len__(self):\n        return 0\n"
+                "    def shadowed(self):\n        pass\n",
+        # a local variable named like a method does not read it
+        "b.py": "from .a import K\nK().used()\n"
+                "def f():\n    shadowed = K()\n    return shadowed\n",
+        "c.py": "from .b import f\n",
     }
-    assert unread_defs(sources) == [("a.py", 6, "K.recursive")]
+    assert unread_defs(sources) == [("a.py", 6, "K.recursive"),
+                                    ("a.py", 10, "K.shadowed")]
 
 
 def test_no_unread_private_def():
@@ -137,22 +145,9 @@ def test_no_unread_private_def():
 
 
 # Public names that nothing in the package reads and the benchmark does not
-# trace: small helpers the tests use, and the factor of a quantum group,
-# which the free copies of a non-cocommutative corepresentation will need.
-KEPT_PUBLIC = {
-    ("convolution.py", "basis_functional"),
-    ("convolution.py", "haar_functional"),
-    ("convolution.py", "l1_norm"),
-    ("corep.py", "pi_star"),
-    ("fock.py", "factor_from_quantum_group"),
-    ("serialize.py", "save_instance"),
-}
-# Methods of package classes that only the tests read.
-KEPT_METHODS = {
-    ("qgroup.py", "StarAlgebra.basis_element"),
-    ("qgroup.py", "FiniteQuantumGroup.coproduct_coeffs"),
-    ("qgroup.py", "ValidationReport.failures"),
-}
+# trace: pi_star, pi(omega#)*, until the corep suite's generators record
+# checks the V_star generator against it.
+KEPT_PUBLIC = {("corep.py", "pi_star")}
 
 
 def traced_names():
@@ -194,7 +189,7 @@ def test_no_unread_public_def():
               if not name.split(".")[-1].startswith("_")}
     traced = traced_names()
     assert ({u for u in unread if u[1].split(".")[-1] not in traced}
-            == KEPT_PUBLIC | KEPT_METHODS)
+            == KEPT_PUBLIC)
 
 
 def unset_defaults(sources, callers):

@@ -9,12 +9,14 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from qglab import suite
 from qglab.builders import builtin_instance
+from qglab.duality import build_dual
 from qglab.errors import StructuralError
-from qglab.serialize import instance_to_dict, load_instance
+from qglab.serialize import instance_json, instance_to_dict, load_instance
 from qglab.suite import (
     SUITE_NAMES,
     TOLERANCES,
@@ -187,10 +189,27 @@ def test_cli_dual_round_trips(tmp_path):
     out = tmp_path / "dual.json"
     r = _cli("dual", "--builtin", "c_z2", "--out", str(out))
     assert r.returncode == 0, r.stderr
+    dual = build_dual(builtin_instance("c_z2")).group
+    assert out.read_text() == instance_json(dual)
     H = load_instance(out)
     assert H.dim == 2
+    for key in ("mult", "coproduct", "unit", "counit", "antipode", "star",
+                "haar"):
+        assert np.array_equal(getattr(H, key), getattr(dual, key)), key
+    assert H.basis_labels == dual.basis_labels
     from qglab.qgroup import validate
     assert validate(H, tol=1e-9).passed
+
+
+@pytest.mark.parametrize("flags", [(), ("--builtin", "c_z2", "--builtin", "c_z3"),
+                                   ("--builtin", "c_z2", "--instance",
+                                    os.path.join(CORPUS_DIR, "c_z3.json"))])
+def test_cli_dual_takes_exactly_one_instance(tmp_path, flags):
+    out = tmp_path / "dual.json"
+    r = _cli("dual", *flags, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: dual takes exactly one instance")
+    assert not out.exists()
 
 
 def test_cli_noncb_report_fields():
@@ -497,7 +516,6 @@ def test_fock_suites_compute_at_depth_at_most_4():
 
 
 def test_dual_haar_reads_the_haar_invariance_axioms():
-    from qglab.duality import build_dual
     from qglab.qgroup import HAAR_INVARIANCE
     G = builtin_instance("kac_paljutkin")
     checks = dict(build_dual(G).validation.checks)
