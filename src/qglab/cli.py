@@ -40,11 +40,13 @@ def _parser():
     p = argparse.ArgumentParser(prog="qglab",
                                 description="finite quantum group laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--instance", action="append", default=[],
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--instance", action="append", default=[],
                         help="path to an instance JSON file (repeatable)")
-    common.add_argument("--builtin", action="append", default=[],
+    source.add_argument("--builtin", action="append", default=[],
                         help="builtin instance name (repeatable)")
+    source.add_argument("--out", default=None)
+    common = argparse.ArgumentParser(add_help=False, parents=[source])
     common.add_argument("--seed", type=int, default=SuiteConfig.seed)
     common.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE", help="tolerance override")
@@ -55,10 +57,10 @@ def _parser():
                              "noncb suites compute at depth min(length, 4)")
     common.add_argument("--dim-cap", type=int, default=None)
     common.add_argument("--format", choices=("json", "md"), default="json")
-    common.add_argument("--out", default=None)
     for name in _SUBCOMMANDS:
         sub.add_parser(name, parents=[common])
-    sub.add_parser("dual", parents=[common],
+    # the dual is one instance file: no suite flag applies to it
+    sub.add_parser("dual", parents=[source],
                    help="emit the dual of exactly one instance as JSON")
     return p
 
@@ -85,10 +87,6 @@ def _tol_overrides(pairs):
 def main() -> int:
     args = _parser().parse_args()
     try:
-        dim_cap = args.dim_cap
-        if dim_cap is None:
-            dim_cap = _number(int, os.environ.get("QGLAB_DIM_CAP", DEFAULT_DIM_CAP),
-                              "QGLAB_DIM_CAP")
         if args.command == "dual":
             count = len(args.builtin) + len(args.instance)
             if count != 1:
@@ -97,6 +95,10 @@ def main() -> int:
             [(_, G)] = load_config_instances(args.builtin, args.instance)
             _write(instance_json(build_dual(G).group), args.out)
             return 0
+        dim_cap = args.dim_cap
+        if dim_cap is None:
+            dim_cap = _number(int, os.environ.get("QGLAB_DIM_CAP", DEFAULT_DIM_CAP),
+                              "QGLAB_DIM_CAP")
         instances = load_config_instances(args.builtin, args.instance)
         cfg = SuiteConfig(
             instances=instances,

@@ -9,10 +9,11 @@ layer by layer so that the words starting with one factor are contiguous.
 The per-factor index maps that assemble each free action are slices and
 reshapes of these arrays.  The free symmetries of the non-cb representation
 are held on the whole space, in an ``ascent.OperatorStack`` built one free
-action at a time, whose row sums apply the Kesten sum sum_i u_i: its top
-eigenvector gives the symmetric vector functional behind the certified lower
-bound on ||pi||.  Their exact-zone corners, from ``_zone_actions``, give the
-generator and the creation column.
+action at a time, whose row sums apply the Kesten sum sum_i u_i to the
+layer sums of the words: its top eigenvector, a combination of them, gives
+the symmetric vector functional behind the certified lower bound on ||pi||.
+Their exact-zone corners, from ``_zone_actions``, give the generator and the
+creation column.
 ``ascent.rank_one_ascent`` searches a coefficient span for the lower end of
 the C1 bracket.
 
@@ -38,13 +39,17 @@ the Kesten sum behind the ||pi|| bound acts on the whole space.  All of these
 are the same CSR matrices as the compressions of the full operators, so
 every norm is unchanged bit for bit.
 
-Arithmetic: every operator is stored complex, but a Lanczos solve runs on
-the real matrix when every stored imaginary part is exactly 0, as for the
-free symmetries and their Kesten sum; the dense SVD of an operator of at
-most ``DENSE_ROWS`` rows runs as stored.  ``norm_equivalence`` builds the
-action of each basis element in each factor once and takes each sample as
-their linear combination, with the norms of all samples of a small zone
-from one batched SVD.
+Arithmetic: every operator is stored complex.  A norm of more than
+``DENSE_ROWS`` rows comes from a plain two-pass Lanczos solve on m*m: the
+first pass keeps only the tridiagonal, the second reruns the recurrence to
+sum the Ritz vector, so memory stays O(n).  It runs on the real matrix when
+every stored imaginary part is exactly 0, as for the free symmetries and the
+non-cb generator; the dense SVD of an operator of at most ``DENSE_ROWS``
+rows runs as stored.  The Kesten sum needs no solve: its top eigenvector
+lies in the span of the layer sums, where S is an (L + 1) x (L + 1) matrix.
+``norm_equivalence`` builds the action of each basis element in each factor
+once and takes each sample as their linear combination, with the norms of
+all samples of a small zone from one batched SVD.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .ascent import OperatorStack, rank_one_ascent
 from .builders import builtin_instance
@@ -63,6 +67,12 @@ from .qgroup import StarAlgebra
 
 # operators of up to this many rows are solved densely, larger ones by Lanczos
 DENSE_ROWS = 200
+# a Lanczos pass stops after this many steps, far above the 45 that the
+# slowest solve of `qglab all` takes, and tests for convergence every
+# LANCZOS_CHECK steps
+LANCZOS_STEPS = 1500
+LANCZOS_CHECK = 5
+_EPS23 = np.finfo(float).eps ** (2 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +300,10 @@ def vacuum_state(F: FockSpace, operators) -> complex:
 def compression_norm(m, F: FockSpace, domain_len=None, seed=0) -> float:
     """Norm of the compression of the operator m on F to words of length
     <= domain_len (default: the exact zone), by ``_largest_singular_value``:
-    a dense SVD up to ``DENSE_ROWS`` rows, beyond that one seeded Lanczos
-    solve on m*m evaluated at its Ritz vector.  Every reported value is
-    ||m v|| at a unit vector v of the zone, a certified lower bound on the
-    true operator norm because the compressed action zone is exact."""
+    a dense SVD up to ``DENSE_ROWS`` rows, beyond that one seeded two-pass
+    Lanczos solve on m*m evaluated at its Ritz vector.  Every reported value
+    is ||m v|| at a unit vector v of the zone, a certified lower bound on
+    the true operator norm because the compressed action zone is exact."""
     if m.shape != (F.dim, F.dim):
         raise StructuralError("operator shape %s is not (%d, %d)"
                               % (m.shape, F.dim, F.dim))
@@ -313,9 +323,10 @@ def _largest_singular_values(subs, n, seed) -> np.ndarray:
     """Largest singular value of each n x n operator of the iterable subs
     (n >= 1): up to ``DENSE_ROWS`` rows all of them from one batched dense
     SVD; beyond, one operator at a time, ||sub x|| / ||x|| at the Ritz vector
-    x of ``_top_ritz_vector`` on sub* sub, in real arithmetic when every
-    stored entry of sub is real.  The Ritz value itself is never reported,
-    so every value is a norm attained at a concrete vector."""
+    x of the two-pass Lanczos solve ``_top_ritz_vector`` on sub* sub, to
+    relative tolerance 1e-10, in real arithmetic when every stored entry of
+    sub is real.  The Ritz value itself is never reported, so every value is
+    a norm attained at a concrete vector."""
     if n <= DENSE_ROWS:
         stack = np.array([sub.toarray() for sub in subs]).reshape(-1, n, n)
         return np.linalg.svd(stack, compute_uv=False)[:, 0]
@@ -339,23 +350,72 @@ def _real_if_exact(m):
 
 def _top_ritz_vector(matvec, n, seed, tol, dtype) -> np.ndarray:
     """The Ritz vector of the largest eigenvalue of the symmetric (dtype
-    real) or Hermitian (dtype complex) operator y -> matvec(y) on R^n or
-    C^n, from one Lanczos solve (``eigsh`` with 6 basis vectors, relative
-    tolerance tol) started from a seeded random unit vector whose real part
-    is drawn first; an ARPACK failure is raised as a ``ConvergenceError``."""
+    real) or Hermitian (dtype complex) operator A: y -> matvec(y) on R^n or
+    C^n, by a plain Lanczos recurrence run twice from one seeded random unit
+    vector, whose real part is drawn first (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 13).
+
+    The first pass keeps only the tridiagonal T_k: the alpha_j and beta_j of
+    A v_j = beta_j v_(j-1) + alpha_j v_j + beta_(j+1) v_(j+1).  Every
+    ``LANCZOS_CHECK`` steps, and at once on a zero beta, it takes the top
+    eigenpair (theta, s) of T_k and stops when beta_(k+1) |s_k| <=
+    tol max(|theta|, eps^(2/3)), ARPACK's convergence test.  The second pass
+    reruns the same recurrence from the kept alpha_j and beta_j, bit for
+    bit, and sums x = sum_j s_j v_j, so a few vectors of length n are held
+    whatever the step count.  No step reorthogonalizes: the pair is taken
+    when it first converges, and the caller evaluates its norm at x, never
+    theta.  After ``LANCZOS_STEPS`` steps without convergence a
+    ``ConvergenceError`` carries the steps taken and the last residual
+    beta_(k+1) |s_k|."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    start = rng.standard_normal(n)
     if np.issubdtype(dtype, np.complexfloating):
-        v = v + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
-    try:
-        _, ritz = spla.eigsh(op, k=1, which="LA", v0=v, ncv=6, maxiter=300,
-                             tol=tol)
-    except spla.ArpackError as exc:    # ArpackNoConvergence included
-        raise ConvergenceError("the Lanczos solve did not converge",
-                               diagnostics={"lanczos_error": str(exc)}) from exc
-    return ritz[:, 0]
+        start = start + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
+    # alphas[j] = alpha_j, betas[j] = beta_j (beta_0 = 0)
+    alphas, betas = [], [0.0]
+    v_prev, v = 0.0, start
+    for step in range(1, LANCZOS_STEPS + 1):
+        w = matvec(v)
+        alphas.append(np.vdot(v, w).real)
+        w = _lanczos_residual(w, v, v_prev, alphas[-1], betas[-1])
+        betas.append(float(np.sqrt(np.vdot(w, w).real)))
+        if betas[-1] == 0 or step % LANCZOS_CHECK == 0 or step == LANCZOS_STEPS:
+            theta, s = _top_tridiagonal_pair(alphas, betas[1:-1])
+            residual = betas[-1] * abs(s[-1])
+            if residual <= tol * max(abs(theta), _EPS23):
+                break
+        v_prev, v = v, w * (1.0 / betas[-1])
+    else:
+        raise ConvergenceError(
+            "the Lanczos solve did not converge in %d steps" % LANCZOS_STEPS,
+            diagnostics={"lanczos_steps": LANCZOS_STEPS,
+                         "lanczos_residual": float(residual)})
+    # the second pass: v_1, ..., v_(k-1) again, from the kept coefficients
+    x = s[0] * start
+    v_prev, v = 0.0, start
+    for j in range(1, len(s)):
+        w = _lanczos_residual(matvec(v), v, v_prev, alphas[j - 1], betas[j - 1])
+        v_prev, v = v, w * (1.0 / betas[j])
+        x += s[j] * v
+    return x
+
+
+def _lanczos_residual(w, v, v_prev, alpha, beta):
+    """w - alpha v - beta v_prev, for w = A v: one expression for both passes,
+    so the second rebuilds the first's vectors bit for bit."""
+    r = w - alpha * v
+    r -= beta * v_prev
+    return r
+
+
+def _top_tridiagonal_pair(alphas, betas):
+    """The largest eigenvalue of the real symmetric tridiagonal matrix with
+    diagonal alphas and off-diagonal betas, and a unit eigenvector."""
+    k = len(alphas)
+    theta, s = sla.eigh_tridiagonal(np.array(alphas), np.array(betas),
+                                    select="i", select_range=(k - 1, k - 1))
+    return float(theta[0]), s[:, 0]
 
 
 def _zone_actions(F: FockSpace, elements):
@@ -572,7 +632,9 @@ class NonCbRep:
     e_ii + e_i0.  ``generator()`` is V compressed to the exact zone,
     amplified from ``zone``; the cb norms read it.  ``pi_norm_search`` bounds
     ||pi|| from below at one symmetric functional: the vector state of the
-    top eigenvector of sum_i u_i, which takes the same value on every u_i.
+    top eigenvector of sum_i u_i, a combination of the layer sums found
+    from ``family`` without a Lanczos solve, which takes the same value on
+    every u_i.
     """
 
     def __init__(self, F: FockSpace):
@@ -610,29 +672,45 @@ class NonCbRep:
         return a[1:] * (np.conj(b[1:]) + np.conj(b[0]))
 
 
-def pi_norm_search(rep: NonCbRep, seed=0) -> float:
+def pi_norm_search(rep: NonCbRep) -> float:
     """Certified lower bound on ||pi||: ||pi(omega)|| at the vector functional
     omega = (. xi | xi), for xi the top eigenvector of the Kesten sum
-    S = sum_i u_i on the whole truncated space (a dense ``eigh`` up to
-    ``DENSE_ROWS`` rows, beyond that ``_top_ritz_vector`` with S applied
-    from the stacked rows, never formed, in real arithmetic when the stack
-    is real, as it is for the free symmetries).
+    S = sum_i u_i on the whole truncated space, taken from the layer sums.
 
-    The value is certified whatever the solver's accuracy: xi lies in the
-    truncated space, so (P u_i P xi | xi) = (u_i xi | xi) and every omega(u_i)
-    is the exact value of a vector functional of norm at most one.  At the
-    top eigenvector omega(u_i) = kappa/N for every i, kappa the top
-    eigenvalue of S, so the value is (kappa/N) sqrt(N + 1).  The solve runs
-    to tol 1e-12, where the omega(u_i) agree to about 2e-13 (at 1e-10 they
-    spread by up to 1.3e-11)."""
-    fam, n = rep.family, rep.space.dim
-    if n <= DENSE_ROWS:
-        xi = np.linalg.eigh((fam.by_word @ fam.stack).toarray())[1][:, -1]
-    else:
-        rows, stack = _real_if_exact(fam.by_word), _real_if_exact(fam.stack)
-        xi = _top_ritz_vector(lambda y: rows @ (stack @ y), n, seed, 1e-12,
-                              np.result_type(rows.dtype, stack.dtype))
-    xi = xi / np.linalg.norm(xi)
+    Let R have the normalised indicators r_0, ..., r_L of the words of each
+    length as columns.  S is applied to them through the stacked rows of
+    ``rep.family``, never formed; J = R^T S R is (L + 1) x (L + 1), and
+    xi = R c for c the top eigenvector of J.  This xi is the top eigenvector
+    of S.  Each free symmetry acts on a word w as sigma times the sum of the
+    word i w and the word w with a leading i removed, sigma = +-1 the
+    creation coefficient of the centred symmetry, plus a diagonal that is
+    zero but for rounding and depends only on which factor a word starts
+    with; every factor carries the same one.  So S = sigma A + D, A the
+    adjacency matrix of the tree of alternating words cut at depth L, which
+    is spherically symmetric (the root has N children, every other vertex
+    above depth L has N - 1), and D depends only on word length.  Every
+    tree automorphism commutes with S and acts transitively on each layer,
+    so the span of the layer sums is invariant under S, and J is its
+    restriction there, the Kesten-Jacobi matrix with off-diagonals
+    sqrt(N), sqrt(N - 1), ... (Kesten, Trans. AMS 92, 1959).  The top
+    eigenvector of sigma A is simple: the Perron vector of the connected
+    graph, multiplied by (-1)^length when sigma = -1 (the tree is bipartite).
+    A simple eigenvector is fixed up to a scalar by every automorphism, and
+    the Perron vector, positive everywhere, is fixed outright, so it is
+    radial: it is R c.
+
+    The value is certified whatever xi is: xi lies in the truncated space,
+    so (P u_i P xi | xi) = (u_i xi | xi) and every omega(u_i) is the exact
+    value of a vector functional of norm at most one.  At the top
+    eigenvector omega(u_i) = kappa/N for every i, kappa the top eigenvalue
+    of S, so the value is (kappa/N) sqrt(N + 1)."""
+    F, fam = rep.space, rep.family
+    counts = np.bincount(F.lengths)
+    R = sp.csr_matrix((1.0 / np.sqrt(counts[F.lengths]),
+                       (np.arange(F.dim), F.lengths)),
+                      shape=(F.dim, F.max_len + 1))
+    J = (R.T @ (fam.by_word @ (fam.stack @ R))).toarray()
+    xi = R @ np.linalg.eigh(J)[1][:, -1]
     return float(np.linalg.norm(rep.pi_rep(xi, xi), 2))
 
 
@@ -651,7 +729,7 @@ def cb_vs_bounded_probe(F: FockSpace, seed=0) -> dict:
     N = rep.N
     cb_lower = _largest_singular_value(rep.generator(), seed=seed)
     col = column_norm(rep, seed=seed)
-    pi_lower = pi_norm_search(rep, seed=seed)
+    pi_lower = pi_norm_search(rep)
     alpha = np.r_[0.0, np.full(N, 1.0 / np.sqrt(N))]
     beta = np.eye(N + 1)[0]
     fourier_l1 = float(np.sum(np.abs(rep.coefficient_expansion(alpha, beta))))

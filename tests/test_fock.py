@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from qglab import fock as fock_module
 from qglab.ascent import rank_one_ascent
@@ -281,6 +280,13 @@ def kesten_jacobi_top(N, L):
     return sla.eigh_tridiagonal(np.zeros(L + 1), off, eigvals_only=True)[-1]
 
 
+def layer_sums(F):
+    """R: the normalised indicators of the words of each length, as columns."""
+    R = np.zeros((F.dim, F.max_len + 1))
+    R[np.arange(F.dim), F.lengths] = 1.0
+    return R / np.linalg.norm(R, axis=0)
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 @pytest.mark.parametrize("N", [4, 9, 16])
 def test_pi_norm_search_is_the_symmetric_kesten_functional(N, L):
@@ -291,15 +297,40 @@ def test_pi_norm_search_is_the_symmetric_kesten_functional(N, L):
         seen.append(rep.family.values(xi, eta))
         return NonCbRep.pi_rep(rep, xi, eta)
     rep.pi_rep = pi_rep
-    got = pi_norm_search(rep, seed=0)
+    got = pi_norm_search(rep)
     kappa = kesten_jacobi_top(N, L)
-    assert abs(got - kappa / N * np.sqrt(N + 1)) < 1e-9
-    assert len(seen) == 1 and np.ptp(seen[0]) < 1e-12
-    assert abs(seen[0][0] - kappa / N) < 1e-9
+    assert abs(got - kappa / N * np.sqrt(N + 1)) < 1e-12
+    assert len(seen) == 1 and np.ptp(seen[0]) < 1e-13
+    assert abs(seen[0][0] - kappa / N) < 1e-12
     if L == 4:
         ascent = rank_one_ascent(rep.family, rep.theta, rep.space.zone_size(),
                                  seed=0)
         assert got >= ascent
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("N", [4, 9, 16])
+def test_the_layer_sums_span_an_invariant_subspace_of_the_kesten_sum(N, L):
+    F = build_fock([z2_factor()] * N, L)
+    R = layer_sums(F)
+    SR = sum(free_symmetries(F)) @ R
+    J = R.T @ SR
+    assert np.linalg.norm(SR - R @ J) <= 1e-12
+    # the Kesten-Jacobi matrix, up to the sign of the symmetry's creation
+    off = np.sqrt([N] + [N - 1] * (L - 1))
+    assert np.allclose(abs(np.diag(J, 1)), off, rtol=0, atol=1e-12)
+    assert np.allclose(J, np.diag(np.diag(J, 1), 1) + np.diag(np.diag(J, 1), -1),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N,L", [(4, 2), (4, 3), (4, 4), (9, 2)])
+def test_pi_norm_search_matches_a_dense_eigh_of_the_kesten_sum(N, L):
+    F = build_fock([z2_factor()] * N, L)
+    assert F.dim <= 200
+    rep = NonCbRep(F)
+    xi = np.linalg.eigh(sum(free_symmetries(F)).toarray())[1][:, -1]
+    dense = np.linalg.norm(rep.pi_rep(xi, xi), 2)
+    assert abs(pi_norm_search(rep) - dense) <= 1e-12
 
 
 def test_hot_paths_never_touch_word_tuples():
@@ -715,7 +746,7 @@ def test_pi_search_exceeds_trivial_bound():
     # the searched lower bound should at least see a single symmetry
     F = build_fock([z2_factor()] * 4, 3)
     rep = NonCbRep(F)
-    assert pi_norm_search(rep, seed=3) >= 1.0 - 1e-6
+    assert pi_norm_search(rep) >= 1.0 - 1e-6
 
 
 def test_empirical_phi_star_lower_bound():
@@ -972,40 +1003,63 @@ def slow_gap_operator(n=300, gap=1e-4, top=0.99):
     return (U * s) @ V.T
 
 
-def spy_eigsh(monkeypatch, reply=None):
-    """Record every eigsh call; answer it with reply(*args, **kw) if given."""
+def spy_lanczos(monkeypatch, fail_at=None):
+    """Record every Lanczos solve: its dtype, the vector of its first matvec
+    (the seeded start) and the dtype of every matvec input; with fail_at,
+    the matvec raises a TypeError on that call."""
     calls = []
-    eigsh = spla.eigsh
+    solve = fock_module._top_ritz_vector
 
-    def spy(*args, **kw):
-        calls.append(dict(kw, A=args[0]))
-        return (reply or eigsh)(*args, **kw)
-    monkeypatch.setattr(fock_module.spla, "eigsh", spy)
+    def spy(matvec, n, seed, tol, dtype):
+        call = dict(n=n, seed=seed, tol=tol, dtype=dtype, inputs=[])
+        calls.append(call)
+
+        def spied(y):
+            if not call["inputs"]:
+                call["start"] = y.copy()
+            call["inputs"].append(y.dtype)
+            if len(call["inputs"]) == fail_at:
+                raise TypeError("not a convergence failure")
+            return matvec(y)
+        return solve(spied, n, seed, tol, dtype)
+    monkeypatch.setattr(fock_module, "_top_ritz_vector", spy)
     return calls
+
+
+def seeded_start(n, seed):
+    start = np.random.default_rng(seed).standard_normal(n)
+    return start / np.linalg.norm(start)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("top", [0.99, 0.5])
 def test_slow_gap_is_solved_by_the_lanczos_stage(monkeypatch, top, seed):
     dense = slow_gap_operator(top=top)
-    calls = spy_eigsh(monkeypatch)
+    calls = spy_lanczos(monkeypatch)
     got = fock_module._largest_singular_value(sp.csr_matrix(dense), seed=seed)
     exact = np.linalg.norm(dense, 2)
-    assert len(calls) == 1 and calls[0]["ncv"] == 6
+    assert len(calls) == 1 and calls[0]["tol"] == 1e-10
+    # two passes of one recurrence, well inside the step cap
+    assert len(calls[0]["inputs"]) < 2 * fock_module.LANCZOS_STEPS
     assert abs(got - exact) <= 1e-12
     assert got <= exact * (1 + 1e-12)
 
 
 def test_lanczos_stage_reports_its_ritz_vector_not_its_ritz_value(monkeypatch):
-    # an eigsh that claims a Ritz value of 1e6 at the first basis vector: the
-    # solver must report the norm evaluated there, never the claimed value
-    sub = sp.csr_matrix(slow_gap_operator())
-    x = np.zeros((sub.shape[0], 1), dtype=complex)
-    x[0] = 2.0
-    spy_eigsh(monkeypatch, reply=lambda *a, **kw: (np.array([1e6]), x))
-    got = fock_module._largest_singular_value(sub)
+    # a tridiagonal step that claims a Ritz value of 1e6 at the first basis
+    # vector, the seeded start: the solver must report the norm evaluated
+    # there, never the claimed value
+    dense = slow_gap_operator()
+    claim = []
+
+    def top_pair(alphas, betas):
+        claim.append(len(alphas))
+        return 1e6, np.eye(len(alphas))[0]
+    monkeypatch.setattr(fock_module, "_top_tridiagonal_pair", top_pair)
+    got = fock_module._largest_singular_value(sp.csr_matrix(dense))
+    assert claim == [fock_module.LANCZOS_CHECK]
     assert got < 1.0 + 1e-12
-    assert got >= np.linalg.norm(sub[:, [0]].toarray())
+    assert abs(got - np.linalg.norm(dense @ seeded_start(300, 0))) <= 1e-12
 
 
 def test_real_operators_take_the_real_lanczos_solve(monkeypatch):
@@ -1016,30 +1070,37 @@ def test_real_operators_take_the_real_lanczos_solve(monkeypatch):
     sub = sum(free_symmetries(F)).tocsr()[:K, :K]
     assert K > fock_module.DENSE_ROWS and sub.dtype == complex
     assert not sub.data.imag.any()
-    calls = spy_eigsh(monkeypatch)
+    calls = spy_lanczos(monkeypatch)
     real = fock_module._largest_singular_value(sub, seed=3)
-    assert calls[-1]["A"].dtype == np.float64
-    start = np.random.default_rng(3).standard_normal(K)
-    assert np.array_equal(calls[-1]["v0"], start / np.linalg.norm(start))
+    assert calls[-1]["dtype"] == np.float64
+    assert set(calls[-1]["inputs"]) == {np.dtype(np.float64)}
+    assert np.array_equal(calls[-1]["start"], seeded_start(K, 3))
     # the complex solve of the same operator from the complex start
     subH = sub.conj().T.tocsr()
     x = fock_module._top_ritz_vector(lambda y: subH @ (sub @ y), K, 3, 1e-10,
                                      complex)
-    assert calls[-1]["A"].dtype == complex
+    assert set(calls[-1]["inputs"]) == {np.dtype(complex)}
     complex_value = np.linalg.norm(sub @ x) / np.linalg.norm(x)
     assert abs(real - complex_value) <= 1e-12 * complex_value
     assert max(real, complex_value) <= 2 * np.sqrt(3) + 1e-12
-    # the Kesten sum behind the ||pi|| bound takes the real solve too
-    pi_norm_search(NonCbRep(build_fock([z2_factor()] * 9, 3)), seed=0)
-    assert calls[-1]["A"].dtype == np.float64
+    # the non-cb generator (820 rows) takes the real solve too, and the
+    # Kesten sum behind the ||pi|| bound takes none: it is read from the
+    # layer sums
+    rep = NonCbRep(build_fock([z2_factor()] * 9, 3))
+    fock_module._largest_singular_value(rep.generator(), seed=0)
+    assert set(calls[-1]["inputs"]) == {np.dtype(np.float64)}
+    solves = len(calls)
+    pi_norm_search(rep)
+    assert len(calls) == solves
 
 
 def test_complex_operators_keep_the_complex_solve(monkeypatch):
     # M2 coefficients with nonzero imaginary parts, 242 amplified zone rows
     F, a_fam, x_fam = m2_family(4, 3, seed=4)
-    calls = spy_eigsh(monkeypatch)
+    calls = spy_lanczos(monkeypatch)
     khintchine_check(a_fam, x_fam, F, seed=1)
-    assert [c["A"].dtype for c in calls] == [complex]
+    assert [c["dtype"] for c in calls] == [complex]
+    assert set(calls[0]["inputs"]) == {np.dtype(complex)}
 
 
 def test_solver_is_deterministic_for_a_seed():
@@ -1051,22 +1112,19 @@ def test_solver_is_deterministic_for_a_seed():
 # --- solver failures --------------------------------------------------------
 
 
-def _unconverged_call(monkeypatch, exc):
-    # an operator above 200 rows goes to the Lanczos solve, which raises exc
-    def eigsh(*args, **kwargs):
-        raise exc
-    monkeypatch.setattr(fock_module.spla, "eigsh", eigsh)
-    sub = sp.random(300, 300, density=0.02, random_state=0, format="csr")
-    return fock_module._largest_singular_value(sub)
-
-
 def test_lanczos_programming_errors_propagate(monkeypatch):
-    with pytest.raises(TypeError, match="not an ARPACK failure"):
-        _unconverged_call(monkeypatch, TypeError("not an ARPACK failure"))
+    # an error in a matvec of the second pass (the slow-gap operator takes
+    # 85 steps in the first) reaches the caller as it is
+    spy_lanczos(monkeypatch, fail_at=120)
+    with pytest.raises(TypeError, match="not a convergence failure"):
+        fock_module._largest_singular_value(sp.csr_matrix(slow_gap_operator()))
 
 
 def test_lanczos_failure_is_reported_in_diagnostics(monkeypatch):
-    exc = spla.ArpackNoConvergence("No convergence", np.array([]), np.array([]))
+    # the slow-gap operator needs 85 steps; a cap of 10 stops the solve
+    monkeypatch.setattr(fock_module, "LANCZOS_STEPS", 10)
     with pytest.raises(ConvergenceError) as info:
-        _unconverged_call(monkeypatch, exc)
-    assert "No convergence" in info.value.diagnostics["lanczos_error"]
+        fock_module._largest_singular_value(sp.csr_matrix(slow_gap_operator()))
+    diagnostics = info.value.diagnostics
+    assert diagnostics["lanczos_steps"] == 10
+    assert 1e-10 < diagnostics["lanczos_residual"] < 1

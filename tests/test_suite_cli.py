@@ -212,6 +212,20 @@ def test_cli_dual_takes_exactly_one_instance(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [("--format", "md"), ("--seed", "5"),
+                                  ("--trials", "3"), ("--copies", "4"),
+                                  ("--length", "3"), ("--tol", "pentagon=1e-6"),
+                                  ("--dim-cap", "100")])
+def test_cli_dual_refuses_the_suite_flags(tmp_path, flag):
+    # the dual is one instance file: a suite flag would be accepted and
+    # ignored, so the parser refuses it
+    out = tmp_path / "dual.json"
+    r = _cli("dual", "--builtin", "c_z2", *flag, "--out", str(out))
+    assert r.returncode == 2
+    assert "unrecognized arguments: %s" % flag[0] in r.stderr
+    assert not out.exists()
+
+
 def test_cli_noncb_report_fields():
     r = _cli("noncb", "--copies", "4", "--length", "3")
     assert r.returncode == 0, r.stderr
