@@ -9,6 +9,14 @@ algebra is the span of its image, and the dual structure tensors are
 extracted by solving linear systems in this concrete picture.  The dual
 side of Tomita theory is trivialized by traciality: the adjoint of the
 dual Tomita map equals the dual modular conjugation.
+
+Leg one of W lies in lambda(A) and leg one of W-hat in the dual algebra,
+and each of them is closed under products and adjoints through its own
+structure tensors.  So W's unitarity and coproduct residuals and the
+dual's coproduct are read in leg-one coordinates (_leg2_conjugations):
+a conjugation U*(1 (x) X)U is a sum over the basis of leg one, never
+formed as an operator on H (x) H, which takes n^6 time for a stack of n
+conjugations where the dense products take n^7.
 """
 
 from __future__ import annotations
@@ -43,21 +51,24 @@ DUAL_TOL = 1e-9
 
 def _check_bytes(n):
     """Peak bytes of the duality layer at dim H = n: build_w, the coproduct
-    and pentagon checks of W, and build_dual.
+    and pentagon checks of W, build_dual and biduality.
 
     Each works on complex n^4 arrays, ten at most at once (traced at
-    n = 12 and 24: build_w 7.1, the coproduct residual 6.0, the pentagon
-    bound 3.0 and build_dual 9.2-9.5 arrays): the coproduct residual and
-    the dual's coproduct are formed one basis element at a time.  2^20
-    bytes cover numpy's iteration buffers.
+    n = 12 and 24: build_w 5.0, the coproduct residual 4.1-4.2, the
+    pentagon bound 3.0, build_dual 6.2-6.4 beside the W it reads, and
+    biduality 8.6-9.2 from a cold instance): the leg-one conjugations of
+    a whole stack are n^4 arrays, and build_dual holds no copy of W-hat
+    while the dual is validated.  2^20 bytes cover numpy's iteration
+    buffers.
     """
     return 16 * 10 * n ** 4 + 2 ** 20
 
 
 class MultiplicativeUnitary:
-    """W on H_h (x) H_h with its leg-one expansion over the algebra basis
-    and its unitarity residual, max(||WW* - 1||_F, ||W*W - 1||_F), an upper
-    bound on the spectral one.
+    """W on H_h (x) H_h with its leg-one expansion over the algebra basis,
+    W = W0 + R with W0 = sum_i lambda(e_i) (x) Z_i and rho = ||R||_F, and
+    its unitarity residual u, a certified upper bound on ||WW* - 1|| and
+    ||W*W - 1|| (see _unitarity_bound).
 
     The coproduct and pentagon residuals are computed when first read, so a
     W built only to extract a dual never pays for them; the pentagon bound
@@ -69,18 +80,14 @@ class MultiplicativeUnitary:
         self.W = W
         Z, self.expansion_residual = _leg1_expand(owner.gns().span, W)
         self.leg1_slices = Z                # W = sum_i lambda(e_i) (x) Z_i + R
-        Wstar = W.conj().T
-        eye = np.eye(len(W))
-        self.unitarity_residual = float(max(np.linalg.norm(W @ Wstar - eye),
-                                            np.linalg.norm(Wstar @ W - eye)))
+        self.rho = self.expansion_residual * max(1.0, float(np.linalg.norm(W)))
+        self.leg1_norm, self.unitarity_residual = _unitarity_bound(self)
 
     @cached_property
     def coproduct_residuals(self) -> np.ndarray:
-        """r_i = ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||_F,
-        one per basis element e_i: each a certified upper bound on the
-        spectral norm of that difference."""
-        return _coproduct_residuals(self.W, self.owner.coproduct,
-                                    self.owner.gns().images)
+        """r_i >= ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W||,
+        one per basis element e_i (see _coproduct_residuals)."""
+        return _coproduct_residuals(self)
 
     @property
     def coproduct_residual(self) -> float:
@@ -116,35 +123,78 @@ def _legs(U):
     return U.reshape(n, n, n, n)
 
 
-def _conjugations_leg2(U, X):
-    """U* (1 (x) X_i) U as [a, b, c, d] for each X_i of the stack X, one at
-    a time (a generator), so only n^4 arrays are live: X_i acts on leg 2
-    only, so (1 (x) X_i) U is X_i times each leg-1 row block of U, (n, n,
-    n^2), and U* multiplies that; two BLAS products."""
-    n = len(X[0])
-    Ustar = U.conj().T
-    U3 = U.reshape(n, n, n * n)
-    for Xi in X:
-        yield (Ustar @ (Xi @ U3).reshape(n * n, n * n)).reshape(n, n, n, n)
+def _leg2_conjugations(star, mult, Y, X):
+    """C[i, m] with U*(1 (x) X_i)U = sum_m b_m (x) C[i, m], (len(X), n, p, p),
+    for U = sum_j b_j (x) Y_j whose leg one lies in a *-algebra with basis
+    b_j, product ``mult`` and involution ``star``.
+
+    b_j* b_k = sum_m K[j, k, m] b_m with K = sum_q star[j, q] mult[q, k, m],
+    so C[i, m] = sum_jk K[j, k, m] Y_j* X_i Y_k: leg one is never formed,
+    and the stack costs n^2 p^3 per X_i where the dense conjugation costs
+    (n p)^3.  Two BLAS products serve the whole stack, S[i][r, (j, c)] =
+    (Y_j* X_i)[r, c] times V[(j, c), (m, d)] = sum_k K[j, k, m] Y_k[c, d],
+    each array of at most max(len(X), n) n p^2 entries."""
+    n, p = len(Y), Y.shape[-1]
+    Yh = Y.conj().transpose(0, 2, 1).reshape(n * p, p)
+    S = (Yh @ X).reshape(-1, n, p, p).transpose(0, 2, 1, 3).reshape(-1, p, n * p)
+    K = (star @ mult.reshape(n, n * n)).reshape(n, n, n)
+    V = K.transpose(0, 2, 1).reshape(n * n, n) @ Y.reshape(n, p * p)
+    V = V.reshape(n, n, p, p).transpose(0, 2, 1, 3).reshape(n * p, n * p)
+    return (S @ V).reshape(-1, p, n, p).transpose(0, 2, 1, 3)
 
 
-def _coproduct_residuals(W, coproduct, images):
-    """r_i = || (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda(e_i))W ||_F for
-    each i, the first term with lambda(e_j) on leg 1 and lambda(e_k) on leg 2.
-    The Frobenius norm bounds the spectral norm from above, so each r_i is a
-    certified upper bound, read in n^4 time where a spectral norm takes n^6.
-    One i at a time, in n^4 memory: the first term is left Delta(e_i) right
-    with left [(a, c), j] = lambda(e_j)[a, c] and right [k, (b, d)] =
-    lambda(e_k)[b, d], two BLAS products read as [a, b, c, d]."""
+def _leg1_frobenius(images, D):
+    """||sum_m lambda_m (x) D[..., m]||_F for each stacked D, (..., n, p, p).
+    Up to the order of its entries the operator is L^T D, L with rows
+    vec(lambda_m) and D with rows vec(D_m); with L^T = QR, Q an isometry, its
+    Frobenius norm is that of R D, an n x p^2 matrix."""
     n = len(images)
-    right = images.reshape(n, n * n)
-    left = right.T
-    r = np.empty(n)
-    for i, conj in enumerate(_conjugations_leg2(W, images)):
-        first = ((left @ coproduct[i]) @ right).reshape(n, n, n, n)
-        diff = first.transpose(0, 2, 1, 3) - conj
-        r[i] = np.linalg.norm(diff.ravel())
-    return r
+    R = np.linalg.qr(images.reshape(n, -1).T, mode="r")
+    return np.linalg.norm(R @ D.reshape(D.shape[:-2] + (-1,)), axis=(-2, -1))
+
+
+def _unitarity_bound(Wd):
+    """(w0, u) with w0 >= ||W0|| and u >= ||WW* - 1|| = ||W*W - 1||, read in
+    the leg-one coordinates of W0 = sum_j lambda_j (x) Z_j.
+
+    For a square X, XX* and X*X are unitarily similar (X = V|X|), so
+    ||XX* - 1|| = ||X*X - 1||, for W and for W0 alike.
+    W0*W0 = sum_m lambda_m (x) A_m by _leg2_conjugations and
+    1 = sum_m unit[m] lambda_m (x) 1, so W0*W0 - 1 = sum_m lambda_m (x) D_m,
+    whose Frobenius norm u0 (_leg1_frobenius) bounds its spectral norm.
+    ||W0||^2 = ||W0*W0|| <= 1 + u0 = w0^2, and with W = W0 + R,
+    W*W - 1 = (W0*W0 - 1) + W0*R + R*W0 + R*R, so u = u0 + rho (2 w0 + rho)
+    with rho = ||R||_F >= ||R||."""
+    G = Wd.owner
+    images = G.gns().images
+    eye = np.eye(images.shape[-1])
+    D = _leg2_conjugations(G.star, G.mult, Wd.leg1_slices, eye[None])[0]
+    u0 = float(_leg1_frobenius(images, D - G.unit[:, None, None] * eye))
+    w0 = float(np.sqrt(1.0 + u0))
+    return w0, u0 + Wd.rho * (2 * w0 + Wd.rho)
+
+
+def _coproduct_residuals(Wd):
+    """r_i >= ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W||, one
+    per basis element e_i, lambda_i = lambda(e_i), certified upper bounds
+    read in n^6 time where the dense conjugations take n^7.
+
+    With W = W0 + R as in _unitarity_bound, W0*(1 (x) lambda_i)W0 =
+    sum_m lambda_m (x) C[i, m] (_leg2_conjugations) and
+    (lambda (x) lambda)Delta(e_i) = sum_m lambda_m (x) F[i, m] with
+    F[i, m] = sum_l Delta[i, m, l] lambda_l, so their difference is
+    sum_m lambda_m (x) (F - C)[i, m], whose Frobenius norm
+    (_leg1_frobenius) bounds its spectral norm.  The rest,
+    R*(1 (x) lambda_i)W + W0*(1 (x) lambda_i)R, has norm at most
+    ||lambda_i|| rho (2 w0 + rho), since ||W|| <= w0 + rho."""
+    G = Wd.owner
+    images = G.gns().images
+    n, p = len(images), images.shape[-1]
+    D = (G.coproduct.reshape(n * n, n) @ images.reshape(n, p * p)).reshape(n, n, p, p)
+    D -= _leg2_conjugations(G.star, G.mult, Wd.leg1_slices, images)
+    lam = np.linalg.norm(images, 2, axis=(1, 2))
+    return (_leg1_frobenius(images, D)
+            + lam * Wd.rho * (2 * Wd.leg1_norm + Wd.rho))
 
 
 def _pentagon_bound(Wd, r):
@@ -153,14 +203,14 @@ def _pentagon_bound(Wd, r):
 
     Notation: W is the multiplicative unitary; lambda_i = lambda(e_i) are
     the left regular images; the leg-one slices Z_i satisfy
-    W = sum_i lambda_i (x) Z_i + R; rho = expansion_residual * max(1, ||W||_F)
-    >= ||R||; u is the unitarity residual, a Frobenius norm and so an upper
-    bound on ||WW* - 1|| and ||W*W - 1||, and w = sqrt(1 + u) >= ||W||;
-    r_i, the coproduct residual at i, is the Frobenius norm of
-    (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W, an upper bound on
-    its spectral norm; E_jk = sum_i Delta_i^{jk} Z_i - Z_j Z_k.  The bound
-    below rises with u, w and every r_i, so upper bounds in their place
-    keep it certified.
+    W = sum_i lambda_i (x) Z_i + R; rho = ||R||_F >= ||R||; u is the
+    unitarity residual, an upper bound on ||WW* - 1|| and ||W*W - 1||
+    (_unitarity_bound), and w = sqrt(1 + u) >= ||W||; r_i, the coproduct
+    residual at i, is an upper bound on the spectral norm of
+    (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W
+    (_coproduct_residuals); E_jk = sum_i Delta_i^{jk} Z_i - Z_j Z_k.  The
+    bound below rises with u, w and every r_i, so upper bounds in their
+    place keep it certified.
 
     With D' = W12* W23 W12 - W13 W23, D = -W12 D' + (W12 W12* - 1) W23 W12.
     Expanding W23 and W13 in the slices, W12* (1 (x) lambda_i (x) Z_i) W12 =
@@ -181,7 +231,7 @@ def _pentagon_bound(Wd, r):
     n = len(Z)
     u = Wd.unitarity_residual
     w = np.sqrt(1.0 + u)
-    rho = Wd.expansion_residual * max(1.0, float(np.linalg.norm(Wd.W)))
+    rho = Wd.rho
     E = (np.einsum("ijk,iab->jkab", G.coproduct, Z)
          - Z[:, None] @ Z[None]).reshape(n * n, n * n)
     GE = (E.conj() @ E.T).reshape(n, n, n, n)
@@ -202,45 +252,58 @@ def _build_w(G):
     pentagon residuals are computed when first read, and the dual is built
     from W, but the bytes all of them need are checked against the budget
     here, before anything is allocated: the coproduct residual is a
-    Frobenius norm per basis element, an upper bound on its spectral norm,
-    and the pentagon residual a certified upper bound built from those
-    norms.  The unitarity residual refused above 1e-8 is a Frobenius norm
-    too, so the refusal is at least as strict as a spectral one."""
+    certified upper bound per basis element on its spectral norm, and the
+    pentagon residual a certified upper bound built from those.  The
+    unitarity residual refused above 1e-8 is an upper bound on the spectral
+    defects too, so the refusal is at least as strict as a spectral one."""
     n = G.dim
     need = _check_bytes(n)
     if need > PENTAGON_BUDGET_BYTES:
         raise BudgetError("duality at n = %d needs %d bytes (budget %d)"
                           % (n, need, PENTAGON_BUDGET_BYTES))
-    gd = G.gns()
-    # W* on coefficients: (a (x) b) -> Delta(b)(a (x) 1)
-    wstar_c = np.einsum("mjq,jip->pqim", G.coproduct, G.mult).reshape(n * n, n * n)
-    lam2 = np.kron(gd.lambda_map, gd.lambda_map)
-    lam2_inv = np.kron(gd.lambda_inv, gd.lambda_inv)
-    Wd = MultiplicativeUnitary(G, (lam2 @ wstar_c @ lam2_inv).conj().T)
+    Wd = MultiplicativeUnitary(G, _w_matrix(G))
     if Wd.unitarity_residual > 1e-8:
         raise InvalidInstanceError("fundamental operator is not unitary "
                                    "(residual %.3e)" % Wd.unitarity_residual)
     return Wd
 
 
+def _w_matrix(G):
+    """W, C-ordered: W* = (Lambda (x) Lambda) w* (Lambda (x) Lambda)^-1 with
+    w* the map (a (x) b) -> Delta(b)(a (x) 1) on coefficients.  The Kronecker
+    factors are freed on return, before W's residuals are read."""
+    n = G.dim
+    gd = G.gns()
+    wstar_c = np.einsum("mjq,jip->pqim", G.coproduct, G.mult).reshape(n * n, n * n)
+    lam2 = np.kron(gd.lambda_map, gd.lambda_map)
+    lam2_inv = np.kron(gd.lambda_inv, gd.lambda_inv)
+    W = (lam2 @ wstar_c @ lam2_inv).T.copy()
+    return np.conj(W, out=W)
+
+
 class DualQuantumGroup:
     """The dual instance plus its concrete identification inside B(H_h)."""
 
-    def __init__(self, owner, group, Wd, span, What, What_slices,
-                 Lambda_hat_mat, phihat_one, extraction_residual, validation):
+    def __init__(self, owner, group, Wd, span, What_slices, Lambda_hat_mat,
+                 phihat_one, extraction_residual, validation):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
         self.validation = validation        # validate(group, tol=DUAL_TOL)
         self.Wd = Wd
         self.span = span                    # the Z[mu] as a spanning family
         self.Z = span.family                # Z[mu] = lambda(omega_mu) on H
-        self.What = What                    # Sigma W* Sigma
         self.What_slices = What_slices      # What = sum_mu Z_mu (x) Yhat_mu
         self.Lambda_hat_mat = Lambda_hat_mat  # columns Lambda^(lambda(omega_mu))
         self.phihat_one = float(phihat_one)
         self.extraction_residual = float(extraction_residual)
         self.Jhat_mat = (Lambda_hat_mat @ group.star.T
                          @ np.conj(np.linalg.inv(Lambda_hat_mat)))
+
+    @cached_property
+    def What(self) -> np.ndarray:
+        """Sigma W* Sigma, formed on first read: the extraction reads only
+        its slices, so no copy of it is held while the dual is validated."""
+        return _w_hat(self.Wd.W)
 
     # -- concrete maps ------------------------------------------------------
 
@@ -272,6 +335,14 @@ class DualQuantumGroup:
                           np.einsum("...a,mab,...b->...m", np.conj(eta), self.Z, xi))
 
 
+def _w_hat(W):
+    """W-hat = Sigma W* Sigma, C-ordered: W-hat[(b, a), (y, x)] =
+    conj(W[(x, y), (a, b)])."""
+    What = np.empty_like(W)
+    np.conj(_legs(W).transpose(3, 2, 1, 0), out=_legs(What))
+    return What
+
+
 def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
     return G.cached("build_dual", _build_dual)
 
@@ -280,37 +351,34 @@ def _build_dual(G):
     """Extract the dual instance from the slices Z_mu = lambda(omega_mu) of W,
     expanding products, adjoints and coproducts back in the Z_mu.
 
-    W-hat* (1 (x) Z_mu) W-hat = sum_ab c[a,b] Z_a (x) Z_b, grouped as rows
-    (i, k) of leg 1 and columns (j, l) of leg 2, reads zmat c zmat^T = T_mu
-    (zmat has columns vec(Z_a)).  zmat has full column rank, so
-    pinv(zmat (x) zmat) = zpinv (x) zpinv and c = zpinv T_mu zpinv^T is the
-    least-squares solution of the n^4 x n^2 system in vec(Z_a (x) Z_b).
-    The T_mu are formed one mu at a time, so only n^4 arrays are live.
+    W-hat = Sigma W* Sigma has leg one in the dual algebra, the span of the
+    Z_mu, which the dual's mult and star close under products and adjoints:
+    W-hat = sum_nu Z_nu (x) Yhat_nu up to the expansion residual r_what.  So
+    W-hat*(1 (x) Z_mu)W-hat = sum_a Z_a (x) C[mu, a] (_leg2_conjugations, in
+    n^6 time for all mu where the dense conjugations take n^7), and
+    Delta-hat(e_mu)[a, b] is the expansion of C[mu, a] in the Z_b, the
+    least-squares solution of the system in vec(Z_a (x) Z_b) when the
+    residuals vanish.
     """
     Wd = build_w(G)
     gd = G.gns()
     n = G.dim
     Z = Wd.leg1_slices                  # Z[mu] = (omega_mu (x) id)W
     span = SpanningFamily(Z)
-    zmat, zpinv = span.matrix, span.pinv
-    if np.linalg.matrix_rank(zmat, tol=1e-9) < n:
+    if np.linalg.matrix_rank(span.matrix, tol=1e-9) < n:
         raise InvalidInstanceError("left regular representation is not injective")
     mult_hat, r_mult = span.expand(Z[:, None] @ Z[None])     # [a, b] = Z_a Z_b
-    Wstar = Wd.W.conj().T
-    What = _legs(Wstar).transpose(1, 0, 3, 2).reshape(n * n, n * n)  # Sigma W* Sigma
-    cop_hat = np.empty((n, n, n), dtype=complex)
-    r_cop = np.empty(n)
-    for mu, T in enumerate(_conjugations_leg2(What, Z)):
-        T = T.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        cop_hat[mu] = zpinv @ T @ zpinv.T
-        r_cop[mu] = np.linalg.norm(zmat @ cop_hat[mu] @ zmat.T - T, axis=(0, 1))
-    unit_hat = G.counit.copy()
-    counit_hat = G.unit.copy()
-    # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*)
-    Zstar_slices, r_leg = _leg1_expand(gd.span, Wstar)
-    antipode_hat, r_anti = span.expand(Zstar_slices)
     # star: the sharp involution implemented by the concrete adjoint
     star_hat, r_star = span.expand(Z.conj().transpose(0, 2, 1))
+    What_slices, r_what = _leg1_expand(span, _w_hat(Wd.W))
+    cop_hat, r_cop = span.expand(
+        _leg2_conjugations(star_hat, mult_hat, What_slices, Z))
+    unit_hat = G.counit.copy()
+    counit_hat = G.unit.copy()
+    # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*), and W* has the
+    # leg-one slices sum_j star[j, m] Z_j*, as lambda(e_j)* = sum_m star[j, m] lambda_m
+    antipode_hat, r_anti = span.expand(
+        np.tensordot(G.star, Z.conj().transpose(0, 2, 1), ([0], [0])))
     # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
     Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
     xi_one = Lhat @ unit_hat
@@ -320,8 +388,7 @@ def _build_dual(G):
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    What_slices, r_what = _leg1_expand(span, What)
-    resid = max(r_leg, r_what,
+    resid = max(Wd.expansion_residual, r_what,
                 *(float(np.max(r)) for r in (r_mult, r_cop, r_anti, r_star)))
     if resid > DUAL_TOL:
         raise InvalidInstanceError(
@@ -331,8 +398,8 @@ def _build_dual(G):
         raise InvalidInstanceError(
             "extracted dual instance fails validation (max violation %.3e)"
             % validation.max_violation)
-    return DualQuantumGroup(G, dual_group, Wd, span, What, What_slices,
-                            Lhat, phihat_one, resid, validation)
+    return DualQuantumGroup(G, dual_group, Wd, span, What_slices, Lhat,
+                            phihat_one, resid, validation)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ all samples of a small zone from one batched SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -248,8 +249,8 @@ def free_action(F: FockSpace, i: int, coeffs) -> FreeOperator:
     phi, create, annihilate, replace = f.action_data(coeffs)
     rows, cols, vals = [], [], []
     # identity-component on the vacuum and on words starting elsewhere
-    other = np.nonzero(F.first != i)[0]
     if abs(phi) > 0:
+        other = np.nonzero(F.first != i)[0]
         rows.append(other)
         cols.append(other)
         vals.append(np.full(len(other), phi, dtype=complex))
@@ -627,8 +628,8 @@ class NonCbRep:
     representation norm stays bounded in N, by the free Khintchine
     inequality (``qglab.suite`` states the bound and checks it).
     The symmetries on the whole space are held in the ``OperatorStack``
-    ``family``, built one free action at a time, and their exact-zone
-    corners in ``zone``, from ``_zone_actions``; ``theta`` stacks the
+    ``family``, built one free action at a time on first read, and their
+    exact-zone corners in ``zone``, from ``_zone_actions``; ``theta`` stacks the
     e_ii + e_i0.  ``generator()`` is V compressed to the exact zone,
     amplified from ``zone``; the cb norms read it.  ``pi_norm_search`` bounds
     ||pi|| from below at one symmetric functional: the vector state of the
@@ -646,8 +647,6 @@ class NonCbRep:
                 raise StructuralError("symmetry coefficients do not fit the factor")
             if abs(f.phi(u)) > 1e-12:
                 raise StructuralError("symmetry must be centred")
-        self.family = OperatorStack(
-            (free_action(F, i, u).matrix for i in range(self.N)), F.dim)
         self.zone = list(_zone_actions(F, [(i, u) for i in range(self.N)]))
         i = np.arange(self.N)
         self.theta = np.zeros((self.N, self.N + 1, self.N + 1), dtype=complex)
@@ -656,6 +655,14 @@ class NonCbRep:
     def generator(self) -> sp.csr_matrix:
         """V compressed to the exact zone, on C^K (x) C^(N+1)."""
         return amplified_sum(zip(self.zone, self.theta), self.space)[0]
+
+    @cached_property
+    def family(self) -> OperatorStack:
+        """The symmetries on the whole space, built on first read: the
+        generator and the creation column read only ``zone`` and ``theta``."""
+        u = z2_symmetry()
+        return OperatorStack((free_action(self.space, i, u).matrix
+                              for i in range(self.N)), self.space.dim)
 
     def theta0(self, a) -> np.ndarray:
         return np.tensordot(np.asarray(a, dtype=complex), self.theta, 1)

@@ -347,7 +347,9 @@ class SpanningFamily:
         batch = X.shape[:-2]
         B = X.reshape(batch[:-1] + (-1, self.matrix.shape[0]))   # rows vec(X)
         C = B @ self.pinv.T
-        resid = np.linalg.norm(C @ self.matrix.T - B, axis=-1)
+        R = C @ self.matrix.T
+        R -= B
+        resid = np.linalg.norm(R, axis=-1)
         return C.reshape(batch + (-1,)), resid.reshape(batch)
 
     def expand_within(self, X, rtol, refusal):

@@ -31,7 +31,7 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from qglab import duality
+from qglab import duality, qgroup
 from qglab.errors import BudgetError, InvalidInstanceError
 from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, validate
 from test_convolution import l1_norm
@@ -429,22 +429,43 @@ def test_pentagon_residual_bounds_perturbed_w(eps):
     assert bound >= norm
 
 
-def test_coproduct_residual_matches_kron_formula():
-    # r_i is the Frobenius norm of the dense Kronecker difference, so it
-    # bounds the difference's spectral norm from above
-    rng = np.random.default_rng(6)
-    n = 3
-    W = _random_unitary(n * n, rng)
-    D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    L = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    diffs = [sum(D[i, j, k] * np.kron(L[j], L[k]) for j in range(n) for k in range(n))
-             - W.conj().T @ np.kron(np.eye(n), L[i]) @ W for i in range(n)]
-    frob = np.array([np.linalg.norm(X, "fro") for X in diffs])
-    spectral = np.array([np.linalg.norm(X, 2) for X in diffs])
-    assert spectral.min() > 0.5
-    r = _coproduct_residuals(W, D, L)
-    assert np.all(np.abs(r - frob) <= 1e-12 * frob)
-    assert np.all(r >= spectral)
+def _dense_residuals(G, W):
+    """The spectral norms that r_i and u bound, by the dense Kronecker
+    formulas: ||(lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W|| for
+    each i, and max(||WW* - 1||, ||W*W - 1||)."""
+    n = G.dim
+    L = G.gns().images
+    Wstar = W.conj().T
+    eye = np.eye(n * n)
+    cop = [np.linalg.norm(
+        np.einsum("jk,jac,kbd->abcd", G.coproduct[i], L, L).reshape(n * n, n * n)
+        - Wstar @ np.kron(np.eye(n), L[i]) @ W, 2) for i in range(n)]
+    unit = max(np.linalg.norm(W @ Wstar - eye, 2), np.linalg.norm(Wstar @ W - eye, 2))
+    return np.array(cop), unit
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_residuals_bound_their_dense_spectral_values(name):
+    # r_i and u are read in leg-one coordinates; each must stay above the
+    # spectral norm it bounds, for unitaries far from multiplicative and
+    # for the instance's W perturbed off lambda(A) (x) B(H) by 1e-12 to 1
+    G = builtin_instance(name)
+    n = G.dim
+    rng = np.random.default_rng(n)
+    noise = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    noise /= np.linalg.norm(noise, 2)
+    W0 = build_w(G).W
+    # (W, bars the largest dense coproduct value and u's must clear, so
+    # that no case is vacuous)
+    cases = [(_random_unitary(n * n, rng), 0.5, 0.0)]
+    cases += [(W0 + eps * noise, eps / 100, eps / 100)
+              for eps in (1e-12, 1e-8, 1e-4, 1.0)]
+    for W, cop_floor, unit_floor in cases:
+        cop, unit = _dense_residuals(G, W)
+        assert cop.max() > cop_floor and unit >= unit_floor
+        Wd = MultiplicativeUnitary(G, W)
+        assert np.all(_coproduct_residuals(Wd) >= cop)
+        assert Wd.unitarity_residual >= unit
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
@@ -553,14 +574,45 @@ def test_residual_checks_stay_in_their_budget():
     G = from_function_algebra(cyclic_table(12))
     n = G.dim
     Wd = build_w(G)
-    coproduct = _traced_peak(_coproduct_residuals, Wd.W, G.coproduct, G.gns().images)
+    coproduct = _traced_peak(_coproduct_residuals, Wd)
     assert coproduct <= duality._check_bytes(n)
     assert coproduct < 16 * n ** 5      # slice-wise: no n^5 array is formed
     pentagon = _traced_peak(duality._pentagon_bound, Wd, np.zeros(n))
     assert pentagon <= duality._check_bytes(n)
     assert pentagon < 16 * n ** 5
-    # the dual's coproduct is formed one basis element at a time too
     assert _traced_peak(build_dual, G) <= duality._check_bytes(n)
+    # the double dual is built while G's W and the dual's are held
+    assert _traced_peak(biduality, from_function_algebra(cyclic_table(12))) \
+        <= duality._check_bytes(n)
+
+
+def test_biduality_decomposes_no_algebra_and_the_catalog_each_once(monkeypatch):
+    # W's residuals and the dual's coproduct are read in leg-one
+    # coordinates, so biduality splits no algebra into blocks; the catalog
+    # splits G and the dual once each, the dual into the blocks a fresh
+    # decomposition gives
+    decomposed = []
+    decompose = qgroup._block_decompose
+
+    def spy(A, *args):
+        decomposed.append(A)
+        return decompose(A, *args)
+    monkeypatch.setattr(qgroup, "_block_decompose", spy)
+    G = builtin_instance("kac_paljutkin")
+    biduality(G)
+    assert decomposed == []
+    cat = corep_catalog(G)
+    corep_catalog(G)
+    dual = build_dual(G).group
+    # the catalog checks its entries in the blocks of G as well
+    assert len(decomposed) == 2 and {id(A) for A in decomposed} == {id(G), id(dual)}
+    fresh = FiniteQuantumGroup("fresh", dual.mult, dual.unit, dual.coproduct,
+                               dual.counit, dual.antipode, dual.star, dual.haar)
+    blocks = [np.moveaxis(b, 0, -1)
+              for b in fresh.block_decomposition().images(np.eye(G.dim))]
+    assert len(blocks) == len(cat)
+    for V in cat:
+        assert sum(np.array_equal(V.tensor, b) for b in blocks) == 1
 
 
 def test_residuals_are_computed_when_first_read(monkeypatch):

@@ -486,6 +486,24 @@ def test_compression_norm_symmetry():
     assert compression_norm(op.matrix, F, domain_len=0) == 0.0
 
 
+def test_column_norm_builds_no_whole_space_action(monkeypatch):
+    # the column reads only the zone actions; the whole-space symmetries of
+    # NonCbRep.family are built on their first read, which it never makes
+    F = build_fock([z2_factor()] * 9, 3)
+    spaces = []
+    action = fock_module.free_action
+
+    def spy(space, i, coeffs):
+        spaces.append(space)
+        return action(space, i, coeffs)
+    monkeypatch.setattr(fock_module, "free_action", spy)
+    rep = NonCbRep(F)
+    assert abs(fock_module.column_norm(rep) - 3.0) < 1e-9
+    assert len(spaces) == 9 and all(space is not F for space in spaces)
+    assert rep.family is rep.family
+    assert sum(space is F for space in spaces) == 9
+
+
 def test_column_of_free_symmetries():
     u = z2_symmetry()
     for N in (4, 9):
@@ -942,7 +960,7 @@ def test_noncb_rep_construction_peak():
     # the stack is built from each action's live rows, never from the vstack
     # of the 16 full actions (925,712 rows, of which 810,000 are empty)
     F = build_fock([z2_factor()] * 16, 4)
-    peak = traced_peak(lambda: NonCbRep(F))
+    peak = traced_peak(lambda: NonCbRep(F).family)
     assert peak <= 28 * 2 ** 20
 
 
