@@ -10,13 +10,16 @@ extracted by solving linear systems in this concrete picture.  The dual
 side of Tomita theory is trivialized by traciality: the adjoint of the
 dual Tomita map equals the dual modular conjugation.
 
-Leg one of W lies in lambda(A) and leg one of W-hat in the dual algebra,
-and each of them is closed under products and adjoints through its own
-structure tensors.  So W's unitarity and coproduct residuals and the
-dual's coproduct are read in leg-one coordinates (_leg2_conjugations):
-a conjugation U*(1 (x) X)U is a sum over the basis of leg one, never
-formed as an operator on H (x) H, which takes n^6 time for a stack of n
-conjugations where the dense products take n^7.
+W is held as its leg-one slices: leg one of W lies in lambda(A), and the
+coefficient map of W* factors by legs, so W = sum_m lambda(e_m) (x) Z_m
+with the Z_m in closed form (_w_slices), n^4 time and no operator on
+H (x) H.  Leg one of W-hat lies in the dual algebra.  Each leg one is
+closed under products and adjoints through its own structure tensors, so
+W's unitarity and coproduct residuals and the dual's coproduct are read in
+leg-one coordinates (_leg2_conjugations): a conjugation U*(1 (x) X)U is a
+sum over the basis of leg one, never formed as an operator on H (x) H,
+which takes n^6 time for a stack of n conjugations where the dense
+products take n^7.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ def _check_bytes(n):
     and pentagon checks of W, build_dual and biduality.
 
     Each works on complex n^4 arrays, ten at most at once (traced at
-    n = 12 and 24: build_w 5.0, the coproduct residual 4.1-4.2, the
-    pentagon bound 3.0, build_dual 6.2-6.4 beside the W it reads, and
-    biduality 8.6-9.2 from a cold instance): the leg-one conjugations of
+    n = 12 and 24: build_w 2.2-2.3, the coproduct residual 4.1-4.2, the
+    pentagon bound 3.0, build_dual 6.2-6.4 and biduality 6.5-7.1 from a
+    cold instance): W is held as n^3 slices, the leg-one conjugations of
     a whole stack are n^4 arrays, and build_dual holds no copy of W-hat
     while the dual is validated.  2^20 bytes cover numpy's iteration
     buffers.
@@ -65,23 +68,19 @@ def _check_bytes(n):
 
 
 class MultiplicativeUnitary:
-    """W on H_h (x) H_h with its leg-one expansion over the algebra basis,
-    W = W0 + R with W0 = sum_i lambda(e_i) (x) Z_i and rho = ||R||_F, and
-    its unitarity residual u, a certified upper bound on ||WW* - 1|| and
-    ||W*W - 1|| (see _unitarity_bound).
+    """W = sum_i lambda(e_i) (x) Z_i on H_h (x) H_h, held as its leg-one
+    slices Z_i, and its unitarity residual u, a certified upper bound on
+    ||WW* - 1|| and ||W*W - 1|| (see _unitarity_bound).
 
     The coproduct and pentagon residuals are computed when first read, so a
     W built only to extract a dual never pays for them; the pentagon bound
     reads the per-element coproduct residuals, which are computed once.
     """
 
-    def __init__(self, owner, W):
+    def __init__(self, owner, Z):
         self.owner = owner
-        self.W = W
-        Z, self.expansion_residual = _leg1_expand(owner.gns().span, W)
-        self.leg1_slices = Z                # W = sum_i lambda(e_i) (x) Z_i + R
-        self.rho = self.expansion_residual * max(1.0, float(np.linalg.norm(W)))
-        self.leg1_norm, self.unitarity_residual = _unitarity_bound(self)
+        self.leg1_slices = Z                # W = sum_i lambda(e_i) (x) Z_i
+        self.unitarity_residual = _unitarity_bound(self)
 
     @cached_property
     def coproduct_residuals(self) -> np.ndarray:
@@ -154,24 +153,19 @@ def _leg1_frobenius(images, D):
 
 
 def _unitarity_bound(Wd):
-    """(w0, u) with w0 >= ||W0|| and u >= ||WW* - 1|| = ||W*W - 1||, read in
-    the leg-one coordinates of W0 = sum_j lambda_j (x) Z_j.
+    """u >= ||WW* - 1|| = ||W*W - 1||, read in the leg-one coordinates of
+    W = sum_j lambda_j (x) Z_j.
 
     For a square X, XX* and X*X are unitarily similar (X = V|X|), so
-    ||XX* - 1|| = ||X*X - 1||, for W and for W0 alike.
-    W0*W0 = sum_m lambda_m (x) A_m by _leg2_conjugations and
-    1 = sum_m unit[m] lambda_m (x) 1, so W0*W0 - 1 = sum_m lambda_m (x) D_m,
-    whose Frobenius norm u0 (_leg1_frobenius) bounds its spectral norm.
-    ||W0||^2 = ||W0*W0|| <= 1 + u0 = w0^2, and with W = W0 + R,
-    W*W - 1 = (W0*W0 - 1) + W0*R + R*W0 + R*R, so u = u0 + rho (2 w0 + rho)
-    with rho = ||R||_F >= ||R||."""
+    ||XX* - 1|| = ||X*X - 1||.  W*W = sum_m lambda_m (x) A_m by
+    _leg2_conjugations and 1 = sum_m unit[m] lambda_m (x) 1, so
+    W*W - 1 = sum_m lambda_m (x) D_m, whose Frobenius norm u
+    (_leg1_frobenius) bounds its spectral norm."""
     G = Wd.owner
     images = G.gns().images
     eye = np.eye(images.shape[-1])
     D = _leg2_conjugations(G.star, G.mult, Wd.leg1_slices, eye[None])[0]
-    u0 = float(_leg1_frobenius(images, D - G.unit[:, None, None] * eye))
-    w0 = float(np.sqrt(1.0 + u0))
-    return w0, u0 + Wd.rho * (2 * w0 + Wd.rho)
+    return float(_leg1_frobenius(images, D - G.unit[:, None, None] * eye))
 
 
 def _coproduct_residuals(Wd):
@@ -179,34 +173,28 @@ def _coproduct_residuals(Wd):
     per basis element e_i, lambda_i = lambda(e_i), certified upper bounds
     read in n^6 time where the dense conjugations take n^7.
 
-    With W = W0 + R as in _unitarity_bound, W0*(1 (x) lambda_i)W0 =
-    sum_m lambda_m (x) C[i, m] (_leg2_conjugations) and
-    (lambda (x) lambda)Delta(e_i) = sum_m lambda_m (x) F[i, m] with
+    W*(1 (x) lambda_i)W = sum_m lambda_m (x) C[i, m] (_leg2_conjugations)
+    and (lambda (x) lambda)Delta(e_i) = sum_m lambda_m (x) F[i, m] with
     F[i, m] = sum_l Delta[i, m, l] lambda_l, so their difference is
     sum_m lambda_m (x) (F - C)[i, m], whose Frobenius norm
-    (_leg1_frobenius) bounds its spectral norm.  The rest,
-    R*(1 (x) lambda_i)W + W0*(1 (x) lambda_i)R, has norm at most
-    ||lambda_i|| rho (2 w0 + rho), since ||W|| <= w0 + rho."""
+    (_leg1_frobenius) bounds its spectral norm."""
     G = Wd.owner
     images = G.gns().images
     n, p = len(images), images.shape[-1]
     D = (G.coproduct.reshape(n * n, n) @ images.reshape(n, p * p)).reshape(n, n, p, p)
     D -= _leg2_conjugations(G.star, G.mult, Wd.leg1_slices, images)
-    lam = np.linalg.norm(images, 2, axis=(1, 2))
-    return (_leg1_frobenius(images, D)
-            + lam * Wd.rho * (2 * Wd.leg1_norm + Wd.rho))
+    return _leg1_frobenius(images, D)
 
 
 def _pentagon_bound(Wd, r):
     """Certified upper bound on ||D||, D = W12 W13 W23 - W23 W12 on
     H (x) H (x) H, from the coproduct identity.
 
-    Notation: W is the multiplicative unitary; lambda_i = lambda(e_i) are
-    the left regular images; the leg-one slices Z_i satisfy
-    W = sum_i lambda_i (x) Z_i + R; rho = ||R||_F >= ||R||; u is the
-    unitarity residual, an upper bound on ||WW* - 1|| and ||W*W - 1||
-    (_unitarity_bound), and w = sqrt(1 + u) >= ||W||; r_i, the coproduct
-    residual at i, is an upper bound on the spectral norm of
+    Notation: W = sum_i lambda_i (x) Z_i is the multiplicative unitary,
+    lambda_i = lambda(e_i) the left regular images and Z_i its leg-one
+    slices; u is the unitarity residual, an upper bound on ||WW* - 1|| and
+    ||W*W - 1|| (_unitarity_bound), and w = sqrt(1 + u) >= ||W||; r_i, the
+    coproduct residual at i, is an upper bound on the spectral norm of
     (lambda (x) lambda)Delta(e_i) - W*(1 (x) lambda_i)W
     (_coproduct_residuals); E_jk = sum_i Delta_i^{jk} Z_i - Z_j Z_k.  The
     bound below rises with u, w and every r_i, so upper bounds in their
@@ -216,11 +204,10 @@ def _pentagon_bound(Wd, r):
     Expanding W23 and W13 in the slices, W12* (1 (x) lambda_i (x) Z_i) W12 =
     W*(1 (x) lambda_i)W (x) Z_i, whose first factor is within r_i of
     (lambda (x) lambda)Delta(e_i), and W13 W23 leaves
-    sum_jk lambda_j (x) lambda_k (x) Z_j Z_k; the terms in R are bounded by
-    rho with ||sum_i lambda_i (x) Z_i|| <= w + rho.  So
+    sum_jk lambda_j (x) lambda_k (x) Z_j Z_k.  So
 
         ||D|| <= w (||sum_jk lambda_j (x) lambda_k (x) E_jk||_F
-                    + sum_i r_i ||Z_i|| + rho (w^2 + 2 w + rho)) + u w^2.
+                    + sum_i r_i ||Z_i||) + u w^2.
 
     The Frobenius norm squared is sum GL[j,j'] GL[k,k'] GE[(j,k),(j',k')]
     over Gram matrices, GL[j,j'] = tr(lambda_j* lambda_j') and GE that of
@@ -231,7 +218,6 @@ def _pentagon_bound(Wd, r):
     n = len(Z)
     u = Wd.unitarity_residual
     w = np.sqrt(1.0 + u)
-    rho = Wd.rho
     E = (np.einsum("ijk,iab->jkab", G.coproduct, Z)
          - Z[:, None] @ Z[None]).reshape(n * n, n * n)
     GE = (E.conj() @ E.T).reshape(n, n, n, n)
@@ -239,8 +225,7 @@ def _pentagon_bound(Wd, r):
     GL = L.conj() @ L.T
     frob2 = float(np.einsum("jJ,kK,jkJK->", GL, GL, GE).real)
     slices = float(r @ np.linalg.norm(Z, 2, axis=(1, 2)))
-    return float(w * (np.sqrt(max(frob2, 0.0)) + slices
-                      + rho * (w * w + 2 * w + rho)) + u * w * w)
+    return float(w * (np.sqrt(max(frob2, 0.0)) + slices) + u * w * w)
 
 
 def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
@@ -248,37 +233,43 @@ def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
 
 
 def _build_w(G):
-    """W with its unitarity and leg-one residuals.  The coproduct and
-    pentagon residuals are computed when first read, and the dual is built
-    from W, but the bytes all of them need are checked against the budget
-    here, before anything is allocated: the coproduct residual is a
-    certified upper bound per basis element on its spectral norm, and the
-    pentagon residual a certified upper bound built from those.  The
-    unitarity residual refused above 1e-8 is an upper bound on the spectral
-    defects too, so the refusal is at least as strict as a spectral one."""
+    """W with its unitarity residual.  The coproduct and pentagon residuals
+    are computed when first read, and the dual is built from W, but the
+    bytes all of them need are checked against the budget here, before
+    anything is allocated: the coproduct residual is a certified upper
+    bound per basis element on its spectral norm, and the pentagon residual
+    a certified upper bound built from those.  The unitarity residual
+    refused above 1e-8 is an upper bound on the spectral defects too, so
+    the refusal is at least as strict as a spectral one."""
     n = G.dim
     need = _check_bytes(n)
     if need > PENTAGON_BUDGET_BYTES:
         raise BudgetError("duality at n = %d needs %d bytes (budget %d)"
                           % (n, need, PENTAGON_BUDGET_BYTES))
-    Wd = MultiplicativeUnitary(G, _w_matrix(G))
+    Wd = MultiplicativeUnitary(G, _w_slices(G))
     if Wd.unitarity_residual > 1e-8:
         raise InvalidInstanceError("fundamental operator is not unitary "
                                    "(residual %.3e)" % Wd.unitarity_residual)
     return Wd
 
 
-def _w_matrix(G):
-    """W, C-ordered: W* = (Lambda (x) Lambda) w* (Lambda (x) Lambda)^-1 with
-    w* the map (a (x) b) -> Delta(b)(a (x) 1) on coefficients.  The Kronecker
-    factors are freed on return, before W's residuals are read."""
-    n = G.dim
+def _w_slices(G):
+    """The leg-one slices Z_m of W = sum_m lambda_m (x) Z_m, in n^4 time.
+
+    W* = (Lambda (x) Lambda) w* (Lambda (x) Lambda)^-1 with w* the map
+    a (x) b -> Delta(b)(a (x) 1) = sum_j e_j a (x) sum_q Delta[b, j, q] e_q
+    on coefficients, so W* = sum_j lambda_j (x) X_j with X_j = Lambda Y_j
+    Lambda^-1 and Y_j[q, b] = Delta[b, j, q], and W is its adjoint."""
     gd = G.gns()
-    wstar_c = np.einsum("mjq,jip->pqim", G.coproduct, G.mult).reshape(n * n, n * n)
-    lam2 = np.kron(gd.lambda_map, gd.lambda_map)
-    lam2_inv = np.kron(gd.lambda_inv, gd.lambda_inv)
-    W = (lam2 @ wstar_c @ lam2_inv).T.copy()
-    return np.conj(W, out=W)
+    X = gd.lambda_map @ G.coproduct.transpose(1, 2, 0) @ gd.lambda_inv
+    return _adjoint_slices(G.star, X)
+
+
+def _adjoint_slices(star, Y):
+    """The slices of U* for U = sum_j b_j (x) Y_j whose leg one lies in a
+    *-algebra with basis b_j and involution ``star``: b_j* =
+    sum_m star[j, m] b_m, so U* = sum_m b_m (x) sum_j star[j, m] Y_j*."""
+    return np.tensordot(star, Y.conj().transpose(0, 2, 1), ([0], [0]))
 
 
 class DualQuantumGroup:
@@ -303,7 +294,7 @@ class DualQuantumGroup:
     def What(self) -> np.ndarray:
         """Sigma W* Sigma, formed on first read: the extraction reads only
         its slices, so no copy of it is held while the dual is validated."""
-        return _w_hat(self.Wd.W)
+        return _w_hat(self.owner.gns().images, self.Wd.leg1_slices)
 
     # -- concrete maps ------------------------------------------------------
 
@@ -335,11 +326,15 @@ class DualQuantumGroup:
                           np.einsum("...a,mab,...b->...m", np.conj(eta), self.Z, xi))
 
 
-def _w_hat(W):
-    """W-hat = Sigma W* Sigma, C-ordered: W-hat[(b, a), (y, x)] =
-    conj(W[(x, y), (a, b)])."""
-    What = np.empty_like(W)
-    np.conj(_legs(W).transpose(3, 2, 1, 0), out=_legs(What))
+def _w_hat(images, Z):
+    """W-hat = Sigma W* Sigma, C-ordered, for W = sum_m images[m] (x) Z[m]:
+    W-hat[(b, a), (y, x)] = conj(W[(x, y), (a, b)]), and
+    W[(x, y), (a, b)] = M[(x, a), (y, b)] for the one product
+    M = sum_m vec(images[m]) vec(Z[m])^T."""
+    n, p = len(Z), Z.shape[-1]
+    M = (images.reshape(n, p * p).T @ Z.reshape(n, p * p)).reshape(p, p, p, p)
+    What = np.empty((p * p, p * p), dtype=M.dtype)
+    np.conj(M.transpose(3, 1, 2, 0), out=_legs(What))
     return What
 
 
@@ -370,15 +365,13 @@ def _build_dual(G):
     mult_hat, r_mult = span.expand(Z[:, None] @ Z[None])     # [a, b] = Z_a Z_b
     # star: the sharp involution implemented by the concrete adjoint
     star_hat, r_star = span.expand(Z.conj().transpose(0, 2, 1))
-    What_slices, r_what = _leg1_expand(span, _w_hat(Wd.W))
+    What_slices, r_what = _leg1_expand(span, _w_hat(gd.images, Z))
     cop_hat, r_cop = span.expand(
         _leg2_conjugations(star_hat, mult_hat, What_slices, Z))
     unit_hat = G.counit.copy()
     counit_hat = G.unit.copy()
-    # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*), and W* has the
-    # leg-one slices sum_j star[j, m] Z_j*, as lambda(e_j)* = sum_m star[j, m] lambda_m
-    antipode_hat, r_anti = span.expand(
-        np.tensordot(G.star, Z.conj().transpose(0, 2, 1), ([0], [0])))
+    # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*)
+    antipode_hat, r_anti = span.expand(_adjoint_slices(G.star, Z))
     # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
     Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
     xi_one = Lhat @ unit_hat
@@ -388,8 +381,7 @@ def _build_dual(G):
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    resid = max(Wd.expansion_residual, r_what,
-                *(float(np.max(r)) for r in (r_mult, r_cop, r_anti, r_star)))
+    resid = max(float(np.max(r)) for r in (r_what, r_mult, r_cop, r_anti, r_star))
     if resid > DUAL_TOL:
         raise InvalidInstanceError(
             "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))

@@ -684,8 +684,9 @@ def emit_report(report: SuiteReport, fmt: str) -> str:
         for r in report.sorted_records():
             status = "ok" if r.passed else "FAIL"
             bound = "" if r.bound is None else " (bound %.3e)" % r.bound
+            name, anchor = (t.replace("|", "\\|") for t in (r.name, r.anchor))
             lines.append("| %s | %s | %.3e%s | %.1e | %s |"
-                         % (r.name, r.anchor, r.value, bound, r.tol, status))
+                         % (name, anchor, r.value, bound, r.tol, status))
         lines.append("")
         lines.append("aggregate: %s" % ("PASS" if report.passed else "FAIL"))
         return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from qglab.corep import (cb_norm, is_corep, random_invertible_corep,
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
 from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
 from test_convolution import l1_norm
+from test_duality import _dense_w, _pentagon_norm
 
 
 def change_basis(G, B):
@@ -98,6 +99,17 @@ def test_scrambled_duality_pipeline(scrambled):
     dual = build_dual(H)
     assert validate(dual.group, tol=1e-8).passed
     assert biduality(H)["max_violation"] < 1e-7
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])
+def test_w_stays_multiplicative_under_a_cond_100_basis(name):
+    # each leg of W is conjugated by Lambda alone, never by Lambda (x) Lambda,
+    # whose condition number is cond(Lambda)^2, so W stays multiplicative to
+    # well below 1e-9 at basis condition 100
+    G = builtin_instance(name)
+    H = change_basis(G, scrambler(G.dim, 42, cond=100))
+    W = _dense_w(H, build_w(H).leg1_slices)
+    assert _pentagon_norm(W, H.dim) < 1e-9
 
 
 def test_scrambled_corep_and_multiplier(scrambled):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -88,6 +89,16 @@ def test_emit_report_md_flags_failures():
     assert "FAIL" in text
     with pytest.raises(Exception):
         emit_report(rep, "yaml")
+
+
+def test_emit_report_md_escapes_pipes_in_its_cells():
+    # the noncb and khintchine anchors hold norms such as ||V||: each row of
+    # the table must still split into its five cells
+    text = emit_report(run_suite(small_cfg(("khintchine", "noncb"))), "md")
+    rows = [line for line in text.splitlines() if line.startswith("|")]
+    assert any("\\|" in row for row in rows)
+    for row in rows:
+        assert len(re.split(r"(?<!\\)\|", row)) == 7, row
 
 
 def test_full_run_contains_anchors():
