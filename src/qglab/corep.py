@@ -355,8 +355,7 @@ def unitarize(V: Corepresentation):
 class EssentialData:
     """Per stacked corepresentation when V is a stack."""
 
-    def __init__(self, P, Q, dimension, idempotent_violation, commute_violation):
-        self.P = P                        # idempotent in A (x) M_d
+    def __init__(self, Q, dimension, idempotent_violation, commute_violation):
         self.Q = Q                        # induced idempotent on C^d
         self.dimension = dimension
         self.idempotent_violation = idempotent_violation
@@ -364,7 +363,8 @@ class EssentialData:
 
 
 def essential_data(V: Corepresentation) -> EssentialData:
-    """P = V (S (x) id)V and the essential projection Q = pi(counit).
+    """The defects of P = V (S (x) id)V in A (x) M_d, from P^2 and from
+    (S (x) id)V V, and the essential projection Q = pi(counit).
 
     The counit is the unit of the convolution algebra, so pi(eps) is an
     idempotent whose range is the joint column space of all pi(omega);
@@ -378,7 +378,7 @@ def essential_data(V: Corepresentation) -> EssentialData:
     comm = corep_distance(P, other)
     Q = pi_of(V, counit_functional(V.owner))
     dim = np.rint(np.real(np.trace(Q, axis1=-2, axis2=-1))).astype(int)
-    return EssentialData(P, Q, dim, idem, comm)
+    return EssentialData(Q, dim, idem, comm)
 
 
 # ---------------------------------------------------------------------------

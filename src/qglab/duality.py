@@ -13,13 +13,14 @@ dual Tomita map equals the dual modular conjugation.
 W is held as its leg-one slices: leg one of W lies in lambda(A), and the
 coefficient map of W* factors by legs, so W = sum_m lambda(e_m) (x) Z_m
 with the Z_m in closed form (_w_slices), n^4 time and no operator on
-H (x) H.  Leg one of W-hat lies in the dual algebra.  Each leg one is
-closed under products and adjoints through its own structure tensors, so
-W's unitarity and coproduct residuals and the dual's coproduct are read in
-leg-one coordinates (_leg2_conjugations): a conjugation U*(1 (x) X)U is a
-sum over the basis of leg one, never formed as an operator on H (x) H,
-which takes n^6 time for a stack of n conjugations where the dense
-products take n^7.
+H (x) H.  W-hat = Sigma W* Sigma = sum_m Z_m* (x) lambda_m* has leg one in
+the dual algebra, whose involution rewrites the Z_m* in the Z_b, so W-hat
+is held as slices too, in closed form.  Each leg one is closed under
+products and adjoints through its own structure tensors, so W's unitarity
+and coproduct residuals and the dual's coproduct are read in leg-one
+coordinates (_leg2_conjugations): a conjugation U*(1 (x) X)U is a sum over
+the basis of leg one, never formed as an operator on H (x) H, which takes
+n^6 time for a stack of n conjugations where the dense products take n^7.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ def _check_bytes(n):
     and pentagon checks of W, build_dual and biduality.
 
     Each works on complex n^4 arrays, ten at most at once (traced at
-    n = 12 and 24: build_w 2.2-2.3, the coproduct residual 4.1-4.2, the
-    pentagon bound 3.0, build_dual 6.2-6.4 and biduality 6.5-7.1 from a
-    cold instance): W is held as n^3 slices, the leg-one conjugations of
-    a whole stack are n^4 arrays, and build_dual holds no copy of W-hat
-    while the dual is validated.  2^20 bytes cover numpy's iteration
-    buffers.
+    n = 12 and 24: build_w 2.2-2.5, the coproduct residual 4.1-4.2, the
+    pentagon bound 3.0, build_dual 6.3-6.6 and biduality 6.5-7.1 from a
+    cold instance): W and W-hat are held as n^3 slices, the leg-one
+    conjugations of a whole stack are n^4 arrays, and build_dual's peak is
+    the validation of the extracted dual.  2^20 bytes cover numpy's
+    iteration buffers.
     """
     return 16 * 10 * n ** 4 + 2 ** 20
 
@@ -107,21 +108,6 @@ class MultiplicativeUnitary:
         return np.einsum("...m,mij->...ij", w.coeffs, self.leg1_slices)
 
 
-def _leg1_expand(span, X):
-    """Write X on H (x) H as sum_i b_i (x) Z_i over the spanning family b_i
-    of ``span``; return (Z, residual relative to max(1, ||X||)).  Each leg-2
-    entry (b, y) of X is a matrix on leg 1, expanded in the b_i."""
-    c, resid = span.expand(_legs(X).transpose(1, 3, 0, 2))    # [b, y, i]
-    return (c.transpose(2, 0, 1),
-            float(np.linalg.norm(resid) / max(1.0, np.linalg.norm(X))))
-
-
-def _legs(U):
-    """U on H (x) H as U[a, b, x, y]: output legs a, b and input legs x, y."""
-    n = int(round(np.sqrt(U.shape[0])))
-    return U.reshape(n, n, n, n)
-
-
 def _leg2_conjugations(star, mult, Y, X):
     """C[i, m] with U*(1 (x) X_i)U = sum_m b_m (x) C[i, m], (len(X), n, p, p),
     for U = sum_j b_j (x) Y_j whose leg one lies in a *-algebra with basis
@@ -142,14 +128,26 @@ def _leg2_conjugations(star, mult, Y, X):
     return (S @ V).reshape(-1, p, n, p).transpose(0, 2, 1, 3)
 
 
+def _leg1_factor(images):
+    """R with L^T = QR, Q an isometry, L with rows vec(lambda_m): then
+    ||sum_m lambda_m (x) D_m||_F = ||R D||_F for any D with rows vec(D_m),
+    since up to the order of its entries the operator is L^T D."""
+    return np.linalg.qr(images.reshape(len(images), -1).T, mode="r")
+
+
 def _leg1_frobenius(images, D):
-    """||sum_m lambda_m (x) D[..., m]||_F for each stacked D, (..., n, p, p).
-    Up to the order of its entries the operator is L^T D, L with rows
-    vec(lambda_m) and D with rows vec(D_m); with L^T = QR, Q an isometry, its
-    Frobenius norm is that of R D, an n x p^2 matrix."""
-    n = len(images)
-    R = np.linalg.qr(images.reshape(n, -1).T, mode="r")
+    """||sum_m lambda_m (x) D[..., m]||_F for each stacked D, (..., n, p, p):
+    the Frobenius norm of R D, an n x p^2 matrix (_leg1_factor)."""
+    R = _leg1_factor(images)
     return np.linalg.norm(R @ D.reshape(D.shape[:-2] + (-1,)), axis=(-2, -1))
+
+
+def _leg12_frobenius(images, E):
+    """||sum_jk lambda_j (x) lambda_k (x) E[j, k]||_F for E, (n, n, p, p):
+    R (_leg1_factor) applied to each of the two legs, n^5 time."""
+    R = _leg1_factor(images)
+    n = len(E)
+    return float(np.linalg.norm(R @ (R @ E.reshape(n, n, -1)).swapaxes(0, 1)))
 
 
 def _unitarity_bound(Wd):
@@ -209,23 +207,15 @@ def _pentagon_bound(Wd, r):
         ||D|| <= w (||sum_jk lambda_j (x) lambda_k (x) E_jk||_F
                     + sum_i r_i ||Z_i||) + u w^2.
 
-    The Frobenius norm squared is sum GL[j,j'] GL[k,k'] GE[(j,k),(j',k')]
-    over Gram matrices, GL[j,j'] = tr(lambda_j* lambda_j') and GE that of
-    the vec(E_jk): n^6 time and n^4 memory.
+    The Frobenius norm is read by _leg12_frobenius, in n^5 time.
     """
     G = Wd.owner
     Z = Wd.leg1_slices
-    n = len(Z)
     u = Wd.unitarity_residual
     w = np.sqrt(1.0 + u)
-    E = (np.einsum("ijk,iab->jkab", G.coproduct, Z)
-         - Z[:, None] @ Z[None]).reshape(n * n, n * n)
-    GE = (E.conj() @ E.T).reshape(n, n, n, n)
-    L = G.gns().images.reshape(n, n * n)
-    GL = L.conj() @ L.T
-    frob2 = float(np.einsum("jJ,kK,jkJK->", GL, GL, GE).real)
+    E = np.einsum("ijk,iab->jkab", G.coproduct, Z) - Z[:, None] @ Z[None]
     slices = float(r @ np.linalg.norm(Z, 2, axis=(1, 2)))
-    return float(w * (np.sqrt(max(frob2, 0.0)) + slices) + u * w * w)
+    return float(w * (_leg12_frobenius(G.gns().images, E) + slices) + u * w * w)
 
 
 def build_w(G: FiniteQuantumGroup) -> MultiplicativeUnitary:
@@ -273,28 +263,23 @@ def _adjoint_slices(star, Y):
 
 
 class DualQuantumGroup:
-    """The dual instance plus its concrete identification inside B(H_h)."""
+    """The dual instance plus its concrete identification inside B(H_h):
+    the slices Z_mu = lambda(omega_mu) of W, which span the dual algebra,
+    and W-hat = Sigma W* Sigma held as its leg-one slices,
+    W-hat = sum_mu Z_mu (x) Yhat_mu."""
 
-    def __init__(self, owner, group, Wd, span, What_slices, Lambda_hat_mat,
-                 phihat_one, extraction_residual, validation):
+    def __init__(self, owner, group, span, What_slices, Lambda_hat_mat,
+                 phihat_one, validation):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
         self.validation = validation        # validate(group, tol=DUAL_TOL)
-        self.Wd = Wd
         self.span = span                    # the Z[mu] as a spanning family
         self.Z = span.family                # Z[mu] = lambda(omega_mu) on H
         self.What_slices = What_slices      # What = sum_mu Z_mu (x) Yhat_mu
         self.Lambda_hat_mat = Lambda_hat_mat  # columns Lambda^(lambda(omega_mu))
         self.phihat_one = float(phihat_one)
-        self.extraction_residual = float(extraction_residual)
         self.Jhat_mat = (Lambda_hat_mat @ group.star.T
                          @ np.conj(np.linalg.inv(Lambda_hat_mat)))
-
-    @cached_property
-    def What(self) -> np.ndarray:
-        """Sigma W* Sigma, formed on first read: the extraction reads only
-        its slices, so no copy of it is held while the dual is validated."""
-        return _w_hat(self.owner.gns().images, self.Wd.leg1_slices)
 
     # -- concrete maps ------------------------------------------------------
 
@@ -326,18 +311,6 @@ class DualQuantumGroup:
                           np.einsum("...a,mab,...b->...m", np.conj(eta), self.Z, xi))
 
 
-def _w_hat(images, Z):
-    """W-hat = Sigma W* Sigma, C-ordered, for W = sum_m images[m] (x) Z[m]:
-    W-hat[(b, a), (y, x)] = conj(W[(x, y), (a, b)]), and
-    W[(x, y), (a, b)] = M[(x, a), (y, b)] for the one product
-    M = sum_m vec(images[m]) vec(Z[m])^T."""
-    n, p = len(Z), Z.shape[-1]
-    M = (images.reshape(n, p * p).T @ Z.reshape(n, p * p)).reshape(p, p, p, p)
-    What = np.empty((p * p, p * p), dtype=M.dtype)
-    np.conj(M.transpose(3, 1, 2, 0), out=_legs(What))
-    return What
-
-
 def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
     return G.cached("build_dual", _build_dual)
 
@@ -346,14 +319,20 @@ def _build_dual(G):
     """Extract the dual instance from the slices Z_mu = lambda(omega_mu) of W,
     expanding products, adjoints and coproducts back in the Z_mu.
 
-    W-hat = Sigma W* Sigma has leg one in the dual algebra, the span of the
-    Z_mu, which the dual's mult and star close under products and adjoints:
-    W-hat = sum_nu Z_nu (x) Yhat_nu up to the expansion residual r_what.  So
-    W-hat*(1 (x) Z_mu)W-hat = sum_a Z_a (x) C[mu, a] (_leg2_conjugations, in
-    n^6 time for all mu where the dense conjugations take n^7), and
-    Delta-hat(e_mu)[a, b] is the expansion of C[mu, a] in the Z_b, the
-    least-squares solution of the system in vec(Z_a (x) Z_b) when the
-    residuals vanish.
+    W-hat = Sigma W* Sigma = sum_m Z_m* (x) lambda_m*, and the dual's star
+    writes Z_m* = sum_b star_hat[m, b] Z_b, so W-hat = sum_b Z_b (x) Yhat_b
+    with Yhat_b = sum_m star_hat[m, b] lambda_m* (_adjoint_slices), in
+    closed form.  The slices held differ from Sigma W* Sigma by
+    sum_m R_m (x) lambda_m*, R_m the residual of the star's expansion, so
+    the star's residual, checked with the others, controls theirs, and no
+    residual of their own is needed.  W-hat*(1 (x) Z_mu)W-hat =
+    sum_a Z_a (x) C[mu, a] (_leg2_conjugations, in n^6 time for all mu
+    where the dense conjugations take n^7), and Delta-hat(e_mu)[a, b] is
+    the expansion of C[mu, a] in the Z_b, the least-squares solution of
+    the system in vec(Z_a (x) Z_b) when the residuals vanish.  The
+    antipode S-hat((omega (x) id)W) = (omega (x) id)(W*) takes Z_m to
+    sum_j star[j, m] Z_j*, which the star writes in the Z_b: antipode_hat
+    = star^T star_hat, also in closed form.
     """
     Wd = build_w(G)
     gd = G.gns()
@@ -365,13 +344,12 @@ def _build_dual(G):
     mult_hat, r_mult = span.expand(Z[:, None] @ Z[None])     # [a, b] = Z_a Z_b
     # star: the sharp involution implemented by the concrete adjoint
     star_hat, r_star = span.expand(Z.conj().transpose(0, 2, 1))
-    What_slices, r_what = _leg1_expand(span, _w_hat(gd.images, Z))
+    What_slices = _adjoint_slices(star_hat, gd.images)
     cop_hat, r_cop = span.expand(
         _leg2_conjugations(star_hat, mult_hat, What_slices, Z))
     unit_hat = G.counit.copy()
     counit_hat = G.unit.copy()
-    # antipode: S-hat((omega (x) id)W) = (omega (x) id)(W*)
-    antipode_hat, r_anti = span.expand(_adjoint_slices(G.star, Z))
+    antipode_hat = G.star.T @ star_hat
     # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
     Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
     xi_one = Lhat @ unit_hat
@@ -381,7 +359,7 @@ def _build_dual(G):
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    resid = max(float(np.max(r)) for r in (r_what, r_mult, r_cop, r_anti, r_star))
+    resid = max(float(np.max(r)) for r in (r_mult, r_cop, r_star))
     if resid > DUAL_TOL:
         raise InvalidInstanceError(
             "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))
@@ -390,8 +368,8 @@ def _build_dual(G):
         raise InvalidInstanceError(
             "extracted dual instance fails validation (max violation %.3e)"
             % validation.max_violation)
-    return DualQuantumGroup(G, dual_group, Wd, span, What_slices, Lhat,
-                            phihat_one, resid, validation)
+    return DualQuantumGroup(G, dual_group, span, What_slices, Lhat,
+                            phihat_one, validation)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +393,7 @@ def _biduality(G):
     d2 = build_dual(Ghat)
     gd = G.gns()
     n = G.dim
-    lam_dual = Ghat.gns().lambda_map
-    U = (d1.Lambda_hat_mat / np.sqrt(d1.phihat_one)) @ np.linalg.inv(lam_dual)
+    U = (d1.Lambda_hat_mat / np.sqrt(d1.phihat_one)) @ Ghat.gns().lambda_inv
     viol = float(np.linalg.norm(U @ U.conj().T - np.eye(n), 2))
     X = U @ d2.Z @ U.conj().T               # the double dual's images on H_h
     phi, resid = gd.span.expand_within(     # double-dual coeffs -> G coeffs
@@ -444,10 +421,9 @@ def _biduality(G):
 class MultiplierData:
     """Per stacked corepresentation when the multiplier came from a stack."""
 
-    def __init__(self, Lmat, x, residual_action, residual_w, norm_bound,
+    def __init__(self, Lmat, residual_action, residual_w, norm_bound,
                  factorization_norm, cb_bound):
         self.Lmat = Lmat                    # action on dual functional coefficients
-        self.x = x                          # the implementing algebra element
         self.residual_action = residual_action
         self.residual_w = residual_w
         self.norm_bound = norm_bound
@@ -464,12 +440,13 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     expansion over an orthonormal basis (f_i), the adjoint acts as
     L*(y) = sum_i S(b_i*)* y a_i, and lambda-hat(L omega) = x lambda-hat(omega).
 
-    The W-hat residual is a Frobenius norm, a certified upper bound on the
-    spectral one.  The factorization norm ||sum_i c_i (x) a_i^T|| is read in
-    the Wedderburn blocks: lambda is the direct sum of the blocks pi_k, each
-    repeated, and so is lambda^T of the pi_l^T, so the norm is the largest
-    of ||sum_i pi_k(c_i) (x) pi_l(a_i)^T|| over the pairs (k, l), matrices of
-    size n_k n_l instead of n^2.
+    The W-hat residual is the Frobenius norm of (L* (x) id)(W-hat) -
+    (1 (x) x)W-hat, both sides read from W-hat's slices, a certified upper
+    bound on the spectral one.  The factorization norm
+    ||sum_i c_i (x) a_i^T|| is read in the Wedderburn blocks: lambda is the
+    direct sum of the blocks pi_k, each repeated, and so is lambda^T of the
+    pi_l^T, so the norm is the largest of ||sum_i pi_k(c_i) (x) pi_l(a_i)^T||
+    over the pairs (k, l), matrices of size n_k n_l instead of n^2.
 
     V may be a stack (..., d, d, n) with alpha, beta (..., d) and basis
     (..., d, d): every field of the result then holds one value per stacked
@@ -499,20 +476,21 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     LZ = sum(c_mats[..., i, None, :, :] @ dual.Z @ a_mats[..., i, None, :, :]
              for i in range(d))                                     # L*(Z_mu)
     Lmat = dual.expand_in_dual(LZ)
+    xY = lx @ dual.What_slices                                      # x Yhat_mu
     # lambda-hat(L e_nu) - x lambda-hat(e_nu) for every dual basis element e_nu
-    action = (np.tensordot(Lmat.swapaxes(-2, -1), dual.What_slices, 1)
-              - lx @ dual.What_slices)
+    action = np.tensordot(Lmat.swapaxes(-2, -1), dual.What_slices, 1) - xY
     residual_action = np.max(np.linalg.svd(action, compute_uv=False)[..., 0],
                              axis=-1)
-    # both sides of the W-hat identity with entries ordered [(b, d), (a, c)],
-    # legs (a, b) out and (c, d) in, so that each is one BLAS product per
-    # corepresentation; a Frobenius norm does not depend on the order
+    # both sides of the W-hat identity from its slices,
+    # sum_mu L*(Z_mu) (x) Yhat_mu and sum_mu Z_mu (x) x Yhat_mu, with entries
+    # ordered [(b, d), (a, c)], legs (a, b) out and (c, d) in, so that each
+    # is one BLAS product per corepresentation; a Frobenius norm does not
+    # depend on the order
     lhs_w = dual.What_slices.reshape(n, n * n).T @ LZ.reshape(batch + (n, n * n))
-    what = dual.What.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n, n ** 3)
-    rhs_w = lx[..., 0, :, :] @ what
-    lhs_w = lhs_w.reshape(batch + (-1,))
-    lhs_w -= rhs_w.reshape(batch + (-1,))      # in place: two arrays live
-    residual_w = vector_norms(lhs_w)
+    rhs_w = (xY.reshape(batch + (n, n * n)).swapaxes(-2, -1)
+             @ dual.Z.reshape(n, n * n))
+    lhs_w -= rhs_w                              # in place: two arrays live
+    residual_w = vector_norms(lhs_w.reshape(batch + (-1,)))
     # sum_i c_i* c_i and sum_i a_i* a_i through the structure tensors
     sum_cc = np.einsum("ijk,...di,...dj->...k", G.mult, np.conj(c_els) @ G.star,
                        c_els)
@@ -532,8 +510,8 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     cb_bound = (cb_norm(V) * cb_norm(Vs)
                 * vector_norms(np.asarray(alpha, dtype=complex))
                 * vector_norms(np.asarray(beta, dtype=complex)))
-    return MultiplierData(Lmat, x, residual_action, residual_w, norm_bound,
-                          fact, cb_bound)
+    return MultiplierData(Lmat, residual_action, residual_w, norm_bound, fact,
+                          cb_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from qglab.corep import (cb_norm, is_corep, random_invertible_corep,
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
 from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
 from test_convolution import l1_norm
-from test_duality import _dense_w, _pentagon_norm
+from test_duality import (_dense_sigma_w_star_sigma, _dense_w, _dense_w_hat,
+                          _pentagon_norm)
 
 
 def change_basis(G, B):
@@ -99,6 +100,13 @@ def test_scrambled_duality_pipeline(scrambled):
     dual = build_dual(H)
     assert validate(dual.group, tol=1e-8).passed
     assert biduality(H)["max_violation"] < 1e-7
+
+
+def test_scrambled_held_w_hat_is_sigma_w_star_sigma(scrambled):
+    _, H = scrambled
+    dense = _dense_sigma_w_star_sigma(H)
+    held = _dense_w_hat(build_dual(H))
+    assert np.linalg.norm(held - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])

@@ -55,6 +55,7 @@ from qglab.duality import (
     pairing_identity_check,
 )
 from qglab.qgroup import adjoint, multiply, operator_norm, singular_extremes
+from test_duality import _dense_w_hat
 
 RTOL = 1e-13
 
@@ -77,8 +78,9 @@ def loop_basis_pair_defect(V):
 def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     """multiplier_from_coefficient one basis element at a time: one expansion
     and one spectral norm per dual basis element, and sums of Kronecker
-    products for the W-hat identity (its Frobenius norm) and the dense
-    factorization operator on H_h (x) H_h (its spectral norm)."""
+    products for the W-hat identity (its Frobenius norm, against the dense
+    W-hat) and the dense factorization operator on H_h (x) H_h (its
+    spectral norm).  Returns the multiplier and the coefficient x."""
     G = V.owner
     dual = build_dual(G)
     gd = G.gns()
@@ -104,7 +106,7 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
         residual_action = max(residual_action,
                               float(np.linalg.norm(lhs - rhs, 2)))
     lhs_w = sum(np.kron(m, y) for m, y in zip(LZ, dual.What_slices))
-    rhs_w = np.kron(np.eye(n), lx) @ dual.What
+    rhs_w = np.kron(np.eye(n), lx) @ _dense_w_hat(dual)
     residual_w = float(np.linalg.norm(lhs_w - rhs_w))
     sum_cc = sum((multiply(adjoint(c), c) for c in c_els), start=G.element(np.zeros(G.dim)))
     sum_aa = sum((multiply(adjoint(a), a) for a in a_els), start=G.element(np.zeros(G.dim)))
@@ -113,8 +115,8 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
         sum(np.kron(c_mats[i], a_mats[i].T) for i in range(d)), 2))
     cb_bound = (cb_norm(V) * cb_norm(Vs)
                 * float(np.linalg.norm(alpha)) * float(np.linalg.norm(beta)))
-    return MultiplierData(Lmat, x, residual_action, residual_w, norm_bound,
-                          fact, cb_bound)
+    return MultiplierData(Lmat, residual_action, residual_w, norm_bound, fact,
+                          cb_bound), x
 
 
 def close(a, b):
@@ -137,11 +139,13 @@ def test_batched_multiplier_matches_the_loop(name):
         Q, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
         for basis in (None, Q):
             got = multiplier_from_coefficient(V, alpha, beta, basis=basis)
-            want = loop_multiplier_from_coefficient(V, alpha, beta, basis=basis)
+            want, want_x = loop_multiplier_from_coefficient(V, alpha, beta,
+                                                            basis=basis)
             assert got.Lmat.shape == want.Lmat.shape == (G.dim, G.dim)
             assert (np.max(np.abs(got.Lmat - want.Lmat))
                     <= RTOL * max(1.0, np.max(np.abs(want.Lmat))))
-            assert np.array_equal(got.x.coeffs, want.x.coeffs)
+            assert np.array_equal(coefficient(corep_adjoint(V), alpha, beta).coeffs,
+                                  want_x.coeffs)
             for key in ("residual_action", "residual_w", "norm_bound",
                         "factorization_norm", "cb_bound"):
                 assert close(getattr(got, key), getattr(want, key)), (d, key)
@@ -413,7 +417,9 @@ def test_stacked_corep_kernels_match_each_corep_alone(name):
         for key in ("dimension", "idempotent_violation", "commute_violation", "Q"):
             _assert_each(getattr(ed, key),
                          lambda k: getattr(essential_data(_alone(Vdeg, k)), key))
-        _assert_each(ed.P.tensor, lambda k: essential_data(_alone(Vdeg, k)).P.tensor)
+        _assert_each(corep_product(Vdeg, antipode_slice(Vdeg)).tensor,
+                     lambda k: corep_product(_alone(Vdeg, k),
+                                             antipode_slice(_alone(Vdeg, k))).tensor)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -437,7 +443,9 @@ def test_stacked_multiplier_matches_each_corep_alone(name):
 
             for key in fields:
                 _assert_each(getattr(got, key), lambda k: getattr(alone(k), key))
-            _assert_each(got.x.coeffs, lambda k: alone(k).x.coeffs)
+            _assert_each(coefficient(corep_adjoint(V), alpha, beta).coeffs,
+                         lambda k: coefficient(corep_adjoint(_alone(V, k)),
+                                               alpha[k], beta[k]).coeffs)
     x, w1, w2 = _complex_normal(rng, (3, 4, G.dim))
     got = pairing_identity_check(G, G.element(x), Functional(G, w1), Functional(G, w2))
     _assert_each(got, lambda k: pairing_identity_check(

@@ -329,7 +329,7 @@ def test_essential_data():
     assert ed.commute_violation < 1e-8
     assert ed.dimension == 2
     # oracle: direct matrix arithmetic on the GNS image
-    P = dense_image(ed.P)
+    P = dense_image(corep_product(Vtw, antipode_slice(Vtw)))
     assert np.linalg.norm(P @ P - P, 2) < 1e-8
     for i in range(G.dim):
         piw = pi_of(Vtw, Functional(G, np.eye(G.dim)[i]))

@@ -44,12 +44,23 @@ def rand_functional(G, rng):
     return Functional(G, rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
 
 
-def _dense_w(G, Z):
-    """W = sum_m lambda_m (x) Z_m as an n^2 x n^2 matrix, through the one
-    product that duality._w_hat forms, so that W-hat compares exactly."""
-    n = G.dim
-    M = G.gns().images.reshape(n, -1).T @ Z.reshape(n, -1)
+def _kron_sum(X, Y):
+    """sum_m X_m (x) Y_m for two stacks of n x n matrices, as an n^2 x n^2
+    matrix, through one product M = sum_m vec(X_m) vec(Y_m)^T."""
+    n = X.shape[-1]
+    M = X.reshape(len(X), -1).T @ Y.reshape(len(Y), -1)
     return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _dense_w(G, Z):
+    """W = sum_m lambda_m (x) Z_m as an n^2 x n^2 matrix."""
+    return _kron_sum(G.gns().images, Z)
+
+
+def _dense_w_hat(dual):
+    """The W-hat the dual holds, sum_mu Z_mu (x) Yhat_mu, as an n^2 x n^2
+    matrix."""
+    return _kron_sum(dual.Z, dual.What_slices)
 
 
 def _kron_w(G):
@@ -83,7 +94,8 @@ def test_w_invariants_all_instances():
         assert Wd.unitarity_residual < 1e-9, name
         assert Wd.pentagon_residual < 1e-9, name
         assert Wd.coproduct_residual < 1e-9, name
-        assert build_dual(G).extraction_residual < 1e-9, name
+        # build_dual refuses an extraction residual above 1e-9
+        assert build_dual(G).validation.passed, name
 
 
 def test_w_implements_coproduct_group_algebra_z2():
@@ -184,7 +196,7 @@ def test_lambda_hat_gns_pairing():
                 assert abs(w(adjoint(x)) - np.vdot(gd.lambda_map @ x.coeffs, xi)) < 1e-10
             w1 = rand_functional(G, rng)
             lhs = dual.Lambda_hat_of_functional(convolve(w, w1))
-            rhs = dual.Wd.lambda_of(w) @ dual.Lambda_hat_of_functional(w1)
+            rhs = build_w(G).lambda_of(w) @ dual.Lambda_hat_of_functional(w1)
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
@@ -540,9 +552,8 @@ def test_factored_coproduct_solve_matches_pinv_of_kron_system():
     G = builtin_instance("kac_paljutkin")
     n = G.dim
     dual = build_dual(G)
-    swap = _swap_matrix(n)
-    What = swap @ _dense_w(G, dual.Wd.leg1_slices).conj().T @ swap
-    assert np.array_equal(dual.What, What)
+    What = _dense_sigma_w_star_sigma(G)
+    assert np.linalg.norm(_dense_w_hat(dual) - What) <= 1e-13 * np.linalg.norm(What)
     Z = dual.Z
     zz = np.stack([np.kron(Z[a], Z[b]).reshape(-1)
                    for a in range(n) for b in range(n)], axis=1)
@@ -551,6 +562,60 @@ def test_factored_coproduct_solve_matches_pinv_of_kron_system():
         target = What.conj().T @ np.kron(np.eye(n), Z[mu]) @ What
         c = (zz_pinv @ target.reshape(-1)).reshape(n, n)
         assert np.max(np.abs(c - dual.group.coproduct[mu])) < 1e-12
+
+
+def _dense_sigma_w_star_sigma(G):
+    swap = _swap_matrix(G.dim)
+    return swap @ _dense_w(G, build_w(G).leg1_slices).conj().T @ swap
+
+
+def test_held_w_hat_is_sigma_w_star_sigma(instance):
+    dense = _dense_sigma_w_star_sigma(instance)
+    held = _dense_w_hat(build_dual(instance))
+    assert np.linalg.norm(held - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_dual_antipode_is_the_fit_of_the_adjoint_slices(instance):
+    # S-hat((omega (x) id)W) = (omega (x) id)(W*), expanded in the Z_mu by
+    # least squares, against the closed form star^T star_hat
+    dual = build_dual(instance)
+    fit, _ = SpanningFamily(dual.Z).expand(
+        duality._adjoint_slices(instance.star, dual.Z))
+    assert np.max(np.abs(dual.group.antipode - fit)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["cg_z4", "cg_s3", "kac_paljutkin"])
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 1.0])
+def test_pentagon_frobenius_term_is_the_dense_norm(name, eps):
+    # ||sum_jk lambda_j (x) lambda_k (x) E_jk||_F, read through the images'
+    # triangular factor on both legs, against the operator formed densely;
+    # the images of these instances are not orthonormal in the trace, so a
+    # factor left off one leg shows
+    G = builtin_instance(name)
+    n = G.dim
+    Z = _perturbed_slices(G, eps, np.random.default_rng(13))
+    E = np.einsum("ijk,iab->jkab", G.coproduct, Z) - Z[:, None] @ Z[None]
+    L = G.gns().images
+    dense = np.linalg.norm(np.einsum("jac,kbd,jkef->abecdf", L, L, E,
+                                     optimize=True))
+    assert dense > eps / 100
+    got = duality._leg12_frobenius(L, E)
+    assert abs(got - dense) <= 1e-13 * dense
+
+
+def test_build_dual_makes_three_expansions(monkeypatch):
+    # the products, the adjoints and the coproduct: W-hat and the antipode
+    # are read in closed form
+    expand, calls = SpanningFamily.expand, []
+
+    def spy(self, X):
+        calls.append(np.shape(X))
+        return expand(self, X)
+    monkeypatch.setattr(SpanningFamily, "expand", spy)
+    for build in (from_function_algebra, from_group_algebra):
+        calls.clear()
+        build_dual(build(dihedral_table(3)))
+        assert len(calls) == 3, calls
 
 
 def test_dual_keeps_its_validation_report():

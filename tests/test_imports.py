@@ -1,9 +1,10 @@
 """Every import in the package is used, every module-level function or class
 and every method of such a class is read somewhere in the package (a public
-one may instead be traced by the benchmark or kept on an explicit list), and
-every defaulted parameter is set
-by some call: stdlib ``ast`` scans standing in for pyflakes' unused-import
-check and a dead-code check."""
+one may instead be traced by the benchmark or kept on an explicit list),
+every field that a class's ``__init__`` sets is read somewhere in the
+package (exception payloads are kept on an explicit list), and every
+defaulted parameter is set by some call: stdlib ``ast`` scans standing in
+for pyflakes' unused-import check and a dead-code check."""
 
 import ast
 import os
@@ -190,6 +191,58 @@ def test_no_unread_public_def():
     traced = traced_names()
     assert ({u for u in unread if u[1].split(".")[-1] not in traced}
             == KEPT_PUBLIC)
+
+
+def unread_fields(sources):
+    """(module, line, "Class.field") of every attribute that the ``__init__``
+    of a module-level class sets on self, ``self.field = ...``, and that no
+    statement of any module reads as an attribute, ``x.field``; a store or
+    a delete is no read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    for n in ast.walk(fn):
+                        if (isinstance(n, ast.Attribute)
+                                and isinstance(n.ctx, ast.Store)
+                                and getattr(n.value, "id", None) == "self"
+                                and n.attr not in read):
+                            unread.append((module, n.lineno,
+                                           "%s.%s" % (cls.name, n.attr)))
+    return unread
+
+
+def test_the_scan_sees_an_unread_field():
+    sources = {
+        "a.py": "class K:\n    def __init__(self, a, b):\n"
+                "        self.used = a\n        self.dead = b\n"
+                "        self.own, self.pair = a, b\n"
+                "    def m(self):\n        return self.own\n"
+                "def f(k):\n    k.dead = 1\n    return k.used\n",
+        # a bare name does not read a field
+        "b.py": "pair = 0\nclass L:\n    def __init__(self):\n"
+                "        self.lone = pair\n",
+    }
+    assert unread_fields(sources) == [("a.py", 4, "K.dead"),
+                                      ("a.py", 5, "K.pair"),
+                                      ("b.py", 4, "L.lone")]
+
+
+# Exception payloads: nothing in the package reads them, but callers that
+# catch the exception do.
+KEPT_FIELDS = {("errors.py", "DegeneracyError.gap"),
+               ("errors.py", "ConvergenceError.diagnostics")}
+
+
+def test_no_unread_field():
+    assert {(module, field) for module, _, field
+            in unread_fields(package_sources())} == KEPT_FIELDS
 
 
 def unset_defaults(sources, callers):
