@@ -5,10 +5,10 @@ coefficient-induced left multipliers of the dual convolution algebra.
 Everything is anchored at the unitary W on H_h (x) H_h determined by
 W*(Lambda(a) (x) Lambda(b)) = (Lambda (x) Lambda)(Delta(b)(a (x) 1)).  The
 left regular representation is lambda(omega) = (omega (x) id)W, the dual
-algebra is the span of its image, and the dual structure tensors are
-extracted by solving linear systems in this concrete picture.  The dual
-side of Tomita theory is trivialized by traciality: the adjoint of the
-dual Tomita map equals the dual modular conjugation.
+algebra is the span of its image, and the dual structure tensors are the
+transposes of G's (_build_dual), certified on this concrete picture.  The
+dual side of Tomita theory is trivialized by traciality: the adjoint of
+the dual Tomita map equals the dual modular conjugation.
 
 W is held as its leg-one slices: leg one of W lies in lambda(A), and the
 coefficient map of W* factors by legs, so W = sum_m lambda(e_m) (x) Z_m
@@ -37,7 +37,6 @@ from .errors import (BudgetError, InvalidInstanceError, NotInvertibleError,
 from .qgroup import (
     AlgebraElement,
     FiniteQuantumGroup,
-    SpanningFamily,
     operator_norm,
     singular_extremes,
     validate,
@@ -268,18 +267,20 @@ class DualQuantumGroup:
     and W-hat = Sigma W* Sigma held as its leg-one slices,
     W-hat = sum_mu Z_mu (x) Yhat_mu."""
 
-    def __init__(self, owner, group, span, What_slices, Lambda_hat_mat,
-                 phihat_one, validation):
+    def __init__(self, owner, group, Z, What_slices, Lambda_hat_mat,
+                 phihat_one, validation, extraction_residual):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
         self.validation = validation        # validate(group, tol=DUAL_TOL)
-        self.span = span                    # the Z[mu] as a spanning family
-        self.Z = span.family                # Z[mu] = lambda(omega_mu) on H
+        self.extraction_residual = extraction_residual  # largest certificate
+        self.Z = Z                          # Z[mu] = lambda(omega_mu) on H
         self.What_slices = What_slices      # What = sum_mu Z_mu (x) Yhat_mu
         self.Lambda_hat_mat = Lambda_hat_mat  # columns Lambda^(lambda(omega_mu))
         self.phihat_one = float(phihat_one)
+        # Lambda_hat_mat = Lambda^-1 star and conj(star) star = 1, so its
+        # inverse is conj(star) Lambda
         self.Jhat_mat = (Lambda_hat_mat @ group.star.T
-                         @ np.conj(np.linalg.inv(Lambda_hat_mat)))
+                         @ owner.star @ np.conj(owner.gns().lambda_map))
 
     # -- concrete maps ------------------------------------------------------
 
@@ -288,12 +289,6 @@ class DualQuantumGroup:
         if what.owner is not self.group:
             raise OwnerMismatchError("functional does not live on the dual")
         return np.einsum("...m,mij->...ij", what.coeffs, self.What_slices)
-
-    def expand_in_dual(self, m: np.ndarray):
-        """Coefficients of m, one matrix or a stack of them, in the basis
-        lambda(omega_mu) of the dual algebra.  Each matrix's residual must
-        stay below 1e-7 * max(1, ||m||)."""
-        return self.span.expand_within(m, 1e-7, "matrix is not in the dual algebra")[0]
 
     def Lambda_hat_of_functional(self, w: Functional) -> np.ndarray:
         """Lambda^(lambda(omega)) from <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))."""
@@ -316,40 +311,40 @@ def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
 
 
 def _build_dual(G):
-    """Extract the dual instance from the slices Z_mu = lambda(omega_mu) of W,
-    expanding products, adjoints and coproducts back in the Z_mu.
-
-    W-hat = Sigma W* Sigma = sum_m Z_m* (x) lambda_m*, and the dual's star
-    writes Z_m* = sum_b star_hat[m, b] Z_b, so W-hat = sum_b Z_b (x) Yhat_b
-    with Yhat_b = sum_m star_hat[m, b] lambda_m* (_adjoint_slices), in
-    closed form.  The slices held differ from Sigma W* Sigma by
-    sum_m R_m (x) lambda_m*, R_m the residual of the star's expansion, so
-    the star's residual, checked with the others, controls theirs, and no
-    residual of their own is needed.  W-hat*(1 (x) Z_mu)W-hat =
-    sum_a Z_a (x) C[mu, a] (_leg2_conjugations, in n^6 time for all mu
-    where the dense conjugations take n^7), and Delta-hat(e_mu)[a, b] is
-    the expansion of C[mu, a] in the Z_b, the least-squares solution of
-    the system in vec(Z_a (x) Z_b) when the residuals vanish.  The
-    antipode S-hat((omega (x) id)W) = (omega (x) id)(W*) takes Z_m to
-    sum_j star[j, m] Z_j*, which the star writes in the Z_b: antipode_hat
-    = star^T star_hat, also in closed form.
-    """
+    """The dual instance: A* with G's structure maps transposed (Van Daele,
+    Adv. Math. 140, 1998): on the basis omega_mu dual to the e_mu,
+    mult_hat[a, b, c] = Delta[c, a, b], cop_hat[c, a, b] = mult[b, a, c],
+    antipode_hat = S^T, star_hat = conj((star S)^T), unit and counit swap.
+    The slices Z_mu = lambda(omega_mu) of W certify it: the Frobenius norms
+    of Z_a Z_b - sum_c mult_hat[a, b, c] Z_c, Z_a* - sum_b star_hat[a, b] Z_b
+    and C[mu, a] - sum_b cop_hat[mu, a, b] Z_b, W-hat*(1 (x) Z_mu)W-hat =
+    sum_a Z_a (x) C[mu, a] (_leg2_conjugations), each at least the residual
+    of a least-squares fit in the Z_b, are refused above DUAL_TOL.  W-hat =
+    Sigma W* Sigma is held as sum_b Z_b (x) Yhat_b with Yhat_b =
+    sum_m star_hat[m, b] lambda_m* (_adjoint_slices): it differs from
+    sum_m Z_m* (x) lambda_m* by sum_m R_m (x) lambda_m*, R_m the star's
+    residual."""
     Wd = build_w(G)
     gd = G.gns()
     n = G.dim
     Z = Wd.leg1_slices                  # Z[mu] = (omega_mu (x) id)W
-    span = SpanningFamily(Z)
-    if np.linalg.matrix_rank(span.matrix, tol=1e-9) < n:
+    if np.linalg.matrix_rank(Z.reshape(n, -1), tol=1e-9) < n:
         raise InvalidInstanceError("left regular representation is not injective")
-    mult_hat, r_mult = span.expand(Z[:, None] @ Z[None])     # [a, b] = Z_a Z_b
-    # star: the sharp involution implemented by the concrete adjoint
-    star_hat, r_star = span.expand(Z.conj().transpose(0, 2, 1))
+    mult_hat = np.ascontiguousarray(G.coproduct.transpose(1, 2, 0))
+    cop_hat = np.ascontiguousarray(G.mult.transpose(2, 1, 0))
+    star_hat = np.ascontiguousarray(np.conj(G.star @ G.antipode).T)
+    antipode_hat = np.ascontiguousarray(G.antipode.T)
     What_slices = _adjoint_slices(star_hat, gd.images)
-    cop_hat, r_cop = span.expand(
-        _leg2_conjugations(star_hat, mult_hat, What_slices, Z))
+    resid = max(
+        _span_residuals(Z[:, None] @ Z[None], mult_hat, Z).max(),
+        _span_residuals(Z.conj().transpose(0, 2, 1), star_hat, Z).max(),
+        _span_residuals(_leg2_conjugations(star_hat, mult_hat, What_slices, Z),
+                        cop_hat, Z).max())
+    if resid > DUAL_TOL:
+        raise InvalidInstanceError(
+            "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))
     unit_hat = G.counit.copy()
     counit_hat = G.unit.copy()
-    antipode_hat = G.star.T @ star_hat
     # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
     Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
     xi_one = Lhat @ unit_hat
@@ -359,17 +354,19 @@ def _build_dual(G):
         "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
         antipode_hat, star_hat, haar_hat,
         basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
-    resid = max(float(np.max(r)) for r in (r_mult, r_cop, r_star))
-    if resid > DUAL_TOL:
-        raise InvalidInstanceError(
-            "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))
     validation = validate(dual_group, tol=DUAL_TOL)
     if not validation.passed:
         raise InvalidInstanceError(
             "extracted dual instance fails validation (max violation %.3e)"
             % validation.max_violation)
-    return DualQuantumGroup(G, dual_group, span, What_slices, Lhat,
-                            phihat_one, validation)
+    return DualQuantumGroup(G, dual_group, Z, What_slices, Lhat,
+                            phihat_one, validation, float(resid))
+
+
+def _span_residuals(X, C, Z):
+    """||X_i - sum_m C[i, m] Z_m||_F for each matrix of the stack X,
+    (..., p, p), with coefficients C, (..., n), in the family Z."""
+    return np.linalg.norm(np.tensordot(C, Z, 1) - X, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +374,12 @@ def _build_dual(G):
 
 
 def biduality(G: FiniteQuantumGroup) -> dict:
-    """Exhibit the canonical *-isomorphism of the double dual onto G.
-
-    The double dual's concrete left regular image is transported to H_h by
-    the GNS unitary between the two realizations of the dual Haar weight and
-    matched against the left regular image of G by solving linear systems;
-    the report carries the worst violation over all structural checks.
+    """Exhibit the canonical *-isomorphism of the double dual onto G: the
+    antipode S, since the double dual is G with the product and coproduct
+    opposed.  The double dual's left regular image, transported to H_h by
+    the GNS unitary U between the two realizations of the dual Haar
+    weight, must be sum_m S[i, m] lambda(e_m) at basis element i; the
+    report carries the worst violation of that and of every structure map.
     """
     return G.cached("biduality", _biduality)
 
@@ -391,14 +388,12 @@ def _biduality(G):
     d1 = build_dual(G)
     Ghat = d1.group
     d2 = build_dual(Ghat)
-    gd = G.gns()
-    n = G.dim
     U = (d1.Lambda_hat_mat / np.sqrt(d1.phihat_one)) @ Ghat.gns().lambda_inv
-    viol = float(np.linalg.norm(U @ U.conj().T - np.eye(n), 2))
     X = U @ d2.Z @ U.conj().T               # the double dual's images on H_h
-    phi, resid = gd.span.expand_within(     # double-dual coeffs -> G coeffs
-        X, 1e-7, "double dual is not in the image of the left regular representation")
-    viol = max(viol, resid)
+    phi = G.antipode                        # double-dual coeffs -> G coeffs
+    rel = _span_residuals(X, phi, G.gns().images) / np.maximum(
+        1.0, np.linalg.norm(X, axis=(1, 2)))
+    viol = max(np.linalg.norm(U @ U.conj().T - np.eye(len(U)), 2), np.max(rel))
     Gdd = d2.group
     # row i of phi holds the G coefficients of the image of basis element i
     # of the double dual; each structure map must commute with phi
@@ -411,7 +406,7 @@ def _biduality(G):
             (np.einsum("iab,ap,bq->ipq", Gdd.coproduct, phi, phi),
              np.einsum("im,mpq->ipq", phi, G.coproduct))):
         viol = max(viol, float(np.max(np.abs(lhs - rhs))))
-    return {"isomorphism": phi, "max_violation": viol}
+    return {"isomorphism": phi, "max_violation": float(viol)}
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +470,11 @@ def multiplier_from_coefficient(V: Corepresentation, alpha, beta,
     batch = V.tensor.shape[:-3]
     LZ = sum(c_mats[..., i, None, :, :] @ dual.Z @ a_mats[..., i, None, :, :]
              for i in range(d))                                     # L*(Z_mu)
-    Lmat = dual.expand_in_dual(LZ)
+    # lambda-hat(e_nu) = sum_k S[nu, k] lambda(e_k), as star_hat^T star = S, so
+    # lambda-hat(L omega) = x lambda-hat(omega) reads Lmat^T = S M_x S (S^2 = 1)
+    # with M_x[j, k] = sum_i x_i mult[i, j, k], the matrix of y -> x y
+    Mx = np.tensordot(x.coeffs, G.mult, 1)
+    Lmat = (G.antipode @ Mx @ G.antipode).swapaxes(-2, -1)
     xY = lx @ dual.What_slices                                      # x Yhat_mu
     # lambda-hat(L e_nu) - x lambda-hat(e_nu) for every dual basis element e_nu
     action = np.tensordot(Lmat.swapaxes(-2, -1), dual.What_slices, 1) - xY

@@ -338,7 +338,6 @@ class SpanningFamily:
     """
 
     def __init__(self, family):
-        self.family = family
         self.matrix = family.reshape(len(family), -1).T     # columns vec(b_m)
         self.pinv = np.linalg.pinv(self.matrix)
 

@@ -348,7 +348,8 @@ def run_duality(cfg, report):
                   cfg.tolerance("lambda_sharp"))
         dual = build_dual(G)
         rec.check("dual-axioms", "extracted dual instance satisfies all axioms",
-                  cfg.tolerance("dual"), dual.validation.max_violation)
+                  cfg.tolerance("dual"),
+                  max(dual.validation.max_violation, dual.extraction_residual))
         haar_inv = max(v for axiom, v in dual.validation.checks
                        if axiom in HAAR_INVARIANCE)
         rec.check("dual-haar", "dual Haar state is bi-invariant",

@@ -5,15 +5,17 @@ pipeline stage working, with the same invariant quantities."""
 import numpy as np
 import pytest
 
+from qglab import duality
 from qglab.builders import builtin_instance, from_group_algebra, symmetric_table
 from qglab.convolution import Functional
 from qglab.corep import (cb_norm, is_corep, random_invertible_corep,
                          similarity_draw, unitarize)
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
-from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
+from qglab.errors import InvalidInstanceError
+from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, operator_norm, validate
 from test_convolution import l1_norm
 from test_duality import (_dense_sigma_w_star_sigma, _dense_w, _dense_w_hat,
-                          _pentagon_norm)
+                          _pentagon_norm, _assert_closed_forms_are_the_fits)
 
 
 def change_basis(G, B):
@@ -107,6 +109,47 @@ def test_scrambled_held_w_hat_is_sigma_w_star_sigma(scrambled):
     dense = _dense_sigma_w_star_sigma(H)
     held = _dense_w_hat(build_dual(H))
     assert np.linalg.norm(held - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_scrambled_closed_forms_are_the_fits(scrambled):
+    _assert_closed_forms_are_the_fits(scrambled[1])
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])
+@pytest.mark.parametrize("cond", [3.0, 30.0, 100.0])
+def test_dual_certificates_bound_the_least_squares_residuals(name, cond, monkeypatch):
+    # each certificate of the closed-form dual is at least the residual of
+    # the least-squares expansion of the same matrix in the slices, which
+    # minimizes it; the fit's own residual is computed with rounding, up to
+    # 28 eps ||X||_F above the certificate at cond 3, where both are at
+    # rounding level.  The refusal is lifted so that cond 100 builds.
+    G = builtin_instance(name)
+    H = change_basis(G, scrambler(G.dim, 42, cond=cond))
+    monkeypatch.setattr(duality, "DUAL_TOL", 1.0)
+    dual = build_dual(H)
+    Ghat, Z = dual.group, dual.Z
+    span = SpanningFamily(Z)
+    certificates = []
+    for X, C in ((Z[:, None] @ Z[None], Ghat.mult),
+                 (Z.conj().transpose(0, 2, 1), Ghat.star),
+                 (duality._leg2_conjugations(Ghat.star, Ghat.mult, dual.What_slices, Z),
+                  Ghat.coproduct)):
+        cert = duality._span_residuals(X, C, Z)
+        rounding = 64 * np.finfo(float).eps * np.maximum(
+            1.0, np.linalg.norm(X, axis=(-2, -1)))
+        assert np.all(cert >= span.expand(X)[1] - rounding)
+        certificates.append(np.max(cert))
+    assert dual.extraction_residual == max(certificates)
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])
+def test_dual_refusal_between_cond_30_and_cond_100(name):
+    G = builtin_instance(name)
+    H = change_basis(G, scrambler(G.dim, 42, cond=30))
+    assert build_dual(H).extraction_residual < 1e-9
+    H = change_basis(G, scrambler(G.dim, 42, cond=100))
+    with pytest.raises(InvalidInstanceError, match="extraction residual"):
+        build_dual(H)
 
 
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])

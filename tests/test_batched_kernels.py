@@ -54,7 +54,8 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from qglab.qgroup import adjoint, multiply, operator_norm, singular_extremes
+from qglab.qgroup import (SpanningFamily, adjoint, multiply, operator_norm,
+                          singular_extremes)
 from test_duality import _dense_w_hat
 
 RTOL = 1e-13
@@ -76,11 +77,12 @@ def loop_basis_pair_defect(V):
 
 
 def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
-    """multiplier_from_coefficient one basis element at a time: one expansion
-    and one spectral norm per dual basis element, and sums of Kronecker
-    products for the W-hat identity (its Frobenius norm, against the dense
-    W-hat) and the dense factorization operator on H_h (x) H_h (its
-    spectral norm).  Returns the multiplier and the coefficient x."""
+    """multiplier_from_coefficient one basis element at a time: one
+    least-squares expansion and one spectral norm per dual basis element,
+    and sums of Kronecker products for the W-hat identity (its Frobenius
+    norm, against the dense W-hat) and the dense factorization operator on
+    H_h (x) H_h (its spectral norm).  Returns the multiplier and the
+    coefficient x."""
     G = V.owner
     dual = build_dual(G)
     gd = G.gns()
@@ -97,7 +99,11 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     lx = gd.left_action(x)
     n = G.dim
     LZ = [sum(c_mats[i] @ z @ a_mats[i] for i in range(d)) for z in dual.Z]
-    Lmat = np.array([dual.expand_in_dual(m) for m in LZ])
+    # the least-squares expansion in the dual's slices, as an oracle for the
+    # closed form
+    span = SpanningFamily(dual.Z)
+    Lmat = np.array([span.expand_within(m, 1e-7, "not in the dual algebra")[0]
+                     for m in LZ])
     residual_action = 0.0
     for nu in range(n):
         what = Functional(dual.group, np.eye(dual.group.dim)[nu])
