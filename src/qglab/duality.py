@@ -6,9 +6,13 @@ Everything is anchored at the unitary W on H_h (x) H_h determined by
 W*(Lambda(a) (x) Lambda(b)) = (Lambda (x) Lambda)(Delta(b)(a (x) 1)).  The
 left regular representation is lambda(omega) = (omega (x) id)W, the dual
 algebra is the span of its image, and the dual structure tensors are the
-transposes of G's (_build_dual), certified on this concrete picture.  The
-dual side of Tomita theory is trivialized by traciality: the adjoint of
-the dual Tomita map equals the dual modular conjugation.
+transposes of G's (_dual_group), certified on this concrete picture
+(_build_dual).  The double dual is read without a second dual: its
+tensors are the dual's transposed and its images the slices of the dual's
+W.  Nothing is solved by least squares: a GNS vector is read as
+Lambda(a) = lambda(a)Lambda(1) from the operator lambda(a).  The dual side
+of Tomita theory is trivialized by traciality: the adjoint of the dual
+Tomita map equals the dual modular conjugation.
 
 W is held as its leg-one slices: leg one of W lies in lambda(A), and the
 coefficient map of W* factors by legs, so W = sum_m lambda(e_m) (x) Z_m
@@ -58,11 +62,11 @@ def _check_bytes(n):
 
     Each works on complex n^4 arrays, ten at most at once (traced at
     n = 12 and 24: build_w 2.2-2.5, the coproduct residual 4.1-4.2, the
-    pentagon bound 3.0, build_dual 6.3-6.6 and biduality 6.5-7.1 from a
-    cold instance): W and W-hat are held as n^3 slices, the leg-one
-    conjugations of a whole stack are n^4 arrays, and build_dual's peak is
-    the validation of the extracted dual.  2^20 bytes cover numpy's
-    iteration buffers.
+    pentagon bound 3.0, build_dual and biduality 6.2-6.5 from a cold
+    instance): W and W-hat are held as n^3 slices, the leg-one
+    conjugations of a whole stack are n^4 arrays, and the peak of
+    build_dual, which biduality runs once, is the validation of the
+    extracted dual.  2^20 bytes cover numpy's iteration buffers.
     """
     return 16 * 10 * n ** 4 + 2 ** 20
 
@@ -311,49 +315,34 @@ def build_dual(G: FiniteQuantumGroup) -> DualQuantumGroup:
 
 
 def _build_dual(G):
-    """The dual instance: A* with G's structure maps transposed (Van Daele,
-    Adv. Math. 140, 1998): on the basis omega_mu dual to the e_mu,
-    mult_hat[a, b, c] = Delta[c, a, b], cop_hat[c, a, b] = mult[b, a, c],
-    antipode_hat = S^T, star_hat = conj((star S)^T), unit and counit swap.
-    The slices Z_mu = lambda(omega_mu) of W certify it: the Frobenius norms
-    of Z_a Z_b - sum_c mult_hat[a, b, c] Z_c, Z_a* - sum_b star_hat[a, b] Z_b
-    and C[mu, a] - sum_b cop_hat[mu, a, b] Z_b, W-hat*(1 (x) Z_mu)W-hat =
+    """The dual instance (_dual_group), certified on the slices Z_mu =
+    lambda(omega_mu) of W: the Frobenius norms of Z_a Z_b -
+    sum_c mult_hat[a, b, c] Z_c, Z_a* - sum_b star_hat[a, b] Z_b and
+    C[mu, a] - sum_b cop_hat[mu, a, b] Z_b, W-hat*(1 (x) Z_mu)W-hat =
     sum_a Z_a (x) C[mu, a] (_leg2_conjugations), each at least the residual
     of a least-squares fit in the Z_b, are refused above DUAL_TOL.  W-hat =
     Sigma W* Sigma is held as sum_b Z_b (x) Yhat_b with Yhat_b =
     sum_m star_hat[m, b] lambda_m* (_adjoint_slices): it differs from
     sum_m Z_m* (x) lambda_m* by sum_m R_m (x) lambda_m*, R_m the star's
-    residual."""
+    residual.  The dual is validated too: a perturbed counit of G reaches
+    none of the certificates, only the dual's validation."""
     Wd = build_w(G)
     gd = G.gns()
     n = G.dim
     Z = Wd.leg1_slices                  # Z[mu] = (omega_mu (x) id)W
     if np.linalg.matrix_rank(Z.reshape(n, -1), tol=1e-9) < n:
         raise InvalidInstanceError("left regular representation is not injective")
-    mult_hat = np.ascontiguousarray(G.coproduct.transpose(1, 2, 0))
-    cop_hat = np.ascontiguousarray(G.mult.transpose(2, 1, 0))
-    star_hat = np.ascontiguousarray(np.conj(G.star @ G.antipode).T)
-    antipode_hat = np.ascontiguousarray(G.antipode.T)
+    dual_group, Lhat, phihat_one = _dual_group(G)
+    mult_hat, star_hat = dual_group.mult, dual_group.star
     What_slices = _adjoint_slices(star_hat, gd.images)
     resid = max(
         _span_residuals(Z[:, None] @ Z[None], mult_hat, Z).max(),
         _span_residuals(Z.conj().transpose(0, 2, 1), star_hat, Z).max(),
         _span_residuals(_leg2_conjugations(star_hat, mult_hat, What_slices, Z),
-                        cop_hat, Z).max())
+                        dual_group.coproduct, Z).max())
     if resid > DUAL_TOL:
         raise InvalidInstanceError(
             "dual extraction residual %.3e exceeds %.0e" % (resid, DUAL_TOL))
-    unit_hat = G.counit.copy()
-    counit_hat = G.unit.copy()
-    # dual GNS map and Haar: <x*, omega> = (Lambda^(lambda(omega)) | Lambda(x))
-    Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
-    xi_one = Lhat @ unit_hat
-    phihat_one = float(np.real(np.vdot(xi_one, xi_one)))
-    haar_hat = xi_one.conj() @ Lhat / phihat_one
-    dual_group = FiniteQuantumGroup(
-        "%s_dual" % G.name, mult_hat, unit_hat, cop_hat, counit_hat,
-        antipode_hat, star_hat, haar_hat,
-        basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
     validation = validate(dual_group, tol=DUAL_TOL)
     if not validation.passed:
         raise InvalidInstanceError(
@@ -361,6 +350,30 @@ def _build_dual(G):
             % validation.max_violation)
     return DualQuantumGroup(G, dual_group, Z, What_slices, Lhat,
                             phihat_one, validation, float(resid))
+
+
+def _dual_group(G):
+    """The dual instance: A* with G's structure maps transposed (Van Daele,
+    Adv. Math. 140, 1998): on the basis omega_mu dual to the e_mu,
+    mult_hat[a, b, c] = Delta[c, a, b], cop_hat[c, a, b] = mult[b, a, c],
+    antipode_hat = S^T, star_hat = conj((star S)^T), unit and counit swap,
+    and the Haar weight read through the dual GNS map, <x*, omega> =
+    (Lambda^(lambda(omega)) | Lambda(x)).  Returns the instance, the matrix
+    whose column mu is Lambda^(lambda(omega_mu)), and phi-hat(1)."""
+    gd = G.gns()
+    unit_hat = G.counit.copy()
+    Lhat = gd.lambda_inv @ G.star       # column mu: Lambda^(lambda(omega_mu))
+    xi_one = Lhat @ unit_hat
+    phihat_one = float(np.real(np.vdot(xi_one, xi_one)))
+    group = FiniteQuantumGroup(
+        "%s_dual" % G.name,
+        np.ascontiguousarray(G.coproduct.transpose(1, 2, 0)), unit_hat,
+        np.ascontiguousarray(G.mult.transpose(2, 1, 0)), G.unit.copy(),
+        np.ascontiguousarray(G.antipode.T),
+        np.ascontiguousarray(np.conj(G.star @ G.antipode).T),
+        xi_one.conj() @ Lhat / phihat_one,
+        basis_labels=["w[%s]" % lbl for lbl in G.basis_labels])
+    return group, Lhat, phihat_one
 
 
 def _span_residuals(X, C, Z):
@@ -376,8 +389,10 @@ def _span_residuals(X, C, Z):
 def biduality(G: FiniteQuantumGroup) -> dict:
     """Exhibit the canonical *-isomorphism of the double dual onto G: the
     antipode S, since the double dual is G with the product and coproduct
-    opposed.  The double dual's left regular image, transported to H_h by
-    the GNS unitary U between the two realizations of the dual Haar
+    opposed.  No second dual is built: the double dual's structure maps are
+    the dual's transposed (_dual_group), and its left regular images are
+    the leg-one slices of the dual's W.  Those images, transported to H_h
+    by the GNS unitary U between the two realizations of the dual Haar
     weight, must be sum_m S[i, m] lambda(e_m) at basis element i; the
     report carries the worst violation of that and of every structure map.
     """
@@ -387,14 +402,13 @@ def biduality(G: FiniteQuantumGroup) -> dict:
 def _biduality(G):
     d1 = build_dual(G)
     Ghat = d1.group
-    d2 = build_dual(Ghat)
     U = (d1.Lambda_hat_mat / np.sqrt(d1.phihat_one)) @ Ghat.gns().lambda_inv
-    X = U @ d2.Z @ U.conj().T               # the double dual's images on H_h
+    X = U @ build_w(Ghat).leg1_slices @ U.conj().T  # the double dual's images
     phi = G.antipode                        # double-dual coeffs -> G coeffs
     rel = _span_residuals(X, phi, G.gns().images) / np.maximum(
         1.0, np.linalg.norm(X, axis=(1, 2)))
     viol = max(np.linalg.norm(U @ U.conj().T - np.eye(len(U)), 2), np.max(rel))
-    Gdd = d2.group
+    Gdd = _dual_group(Ghat)[0]
     # row i of phi holds the G coefficients of the image of basis element i
     # of the double dual; each structure map must commute with phi
     for lhs, rhs in (
@@ -521,15 +535,16 @@ def pairing_identity_check(G: FiniteQuantumGroup, x: AlgebraElement,
                            w1: Functional, w2: Functional):
     """Residual of Lambda(lambda-hat(omega-hat)) = Lambda^(lambda((x w1) w2))
     with omega-hat the vector functional at (lambda(x) xi, J-hat eta),
-    xi = Lambda^(lambda(w1)), eta = J-hat Lambda^(lambda(w2)).  For stacks
-    of x, w1 and w2, (..., n), one residual per stacked triple."""
+    xi = Lambda^(lambda(w1)), eta = J-hat Lambda^(lambda(w2)).  The left
+    side needs no solve: lambda-hat(omega-hat) = lambda(a) for an a in A by
+    construction (W-hat's leg two lies in lambda(A)), and Lambda(a) =
+    lambda(a)Lambda(1).  For stacks of x, w1 and w2, (..., n), one residual
+    per stacked triple."""
     dual = build_dual(G)
     gd = G.gns()
     xi = dual.Lambda_hat_of_functional(w1)
     eta = dual.apply_Jhat(dual.Lambda_hat_of_functional(w2))
     what = dual.vector_functional((gd.left_action(x) @ xi[..., None])[..., 0], eta)
-    # one expansion product per triple, (..., 1, n, n), as for a lone one
-    lam_hat = dual.lambda_hat(what)[..., None, :, :]
-    lhs = gd.left_action_inv(lam_hat, rtol=1e-6).coeffs[..., 0, :] @ gd.lambda_map.T
+    lhs = dual.lambda_hat(what) @ (gd.lambda_map @ G.unit)
     rhs = dual.Lambda_hat_of_functional(convolve(module_action(x, w1), w2))
     return vector_norms(lhs - rhs)

@@ -22,7 +22,6 @@ antipode to S for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -325,44 +324,6 @@ def validate(G: FiniteQuantumGroup, tol: float = STRUCT_TOL) -> ValidationReport
 # GNS construction
 
 
-class SpanningFamily:
-    """Least-squares expansion in a family of matrices b_0..b_{k-1}, given as
-    one (k, p, q) stack, through the pseudo-inverse of the family formed once.
-
-    ``expand(X)`` takes one p x q matrix or any stack of them and returns the
-    coefficients c, shape (..., k), with X ~ sum_m c[..., m] b_m, and the
-    residual ||sum_m c_m b_m - X|| (Frobenius) of each matrix, shape (...).
-    The matrices along the last stack axis share one matrix product and any
-    axes before it loop, so each matrix of a stack (..., 1, p, q) is
-    expanded by the very product that expands it alone.
-    """
-
-    def __init__(self, family):
-        self.matrix = family.reshape(len(family), -1).T     # columns vec(b_m)
-        self.pinv = np.linalg.pinv(self.matrix)
-
-    def expand(self, X):
-        X = np.asarray(X)
-        batch = X.shape[:-2]
-        B = X.reshape(batch[:-1] + (-1, self.matrix.shape[0]))   # rows vec(X)
-        C = B @ self.pinv.T
-        R = C @ self.matrix.T
-        R -= B
-        resid = np.linalg.norm(R, axis=-1)
-        return C.reshape(batch + (-1,)), resid.reshape(batch)
-
-    def expand_within(self, X, rtol, refusal):
-        """expand(X) and the largest residual relative to max(1, ||X||_F)
-        over the matrices; InvalidInstanceError("<refusal> (residual r)")
-        when it exceeds rtol."""
-        C, resid = self.expand(X)
-        rel = float(np.max(resid / np.maximum(
-            1.0, np.linalg.norm(X, axis=(-2, -1)))))
-        if rel > rtol:
-            raise InvalidInstanceError("%s (residual %.3e)" % (refusal, rel))
-        return C, rel
-
-
 class GnsData:
     """GNS space of the state: Lambda and the left regular images
     lambda(e_m) of the basis, built once as one stack."""
@@ -379,18 +340,6 @@ class GnsData:
     def left_action(self, a: AlgebraElement) -> np.ndarray:
         """lambda_h(a) acting on H_h: Lambda(y) -> Lambda(a y)."""
         return np.tensordot(a.coeffs, self.images, 1)
-
-    @cached_property
-    def span(self) -> SpanningFamily:
-        """The images as a spanning family, for lambda_h(a) -> a."""
-        return SpanningFamily(self.images)
-
-    def left_action_inv(self, m: np.ndarray, rtol=1e-9):
-        """Solve lambda_h(a) = m for a by least squares; the residual must
-        stay below rtol * max(1, ||m||)."""
-        coeffs, _ = self.span.expand_within(
-            m, rtol, "matrix is not in the image of the left regular representation")
-        return AlgebraElement(self.owner, coeffs)
 
 
 def _build_gns(A: StarAlgebra) -> GnsData:

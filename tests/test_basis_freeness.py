@@ -12,10 +12,12 @@ from qglab.corep import (cb_norm, is_corep, random_invertible_corep,
                          similarity_draw, unitarize)
 from qglab.duality import biduality, build_dual, build_w, multiplier_from_coefficient
 from qglab.errors import InvalidInstanceError
-from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, operator_norm, validate
+from qglab.qgroup import FiniteQuantumGroup, operator_norm, validate
 from test_convolution import l1_norm
 from test_duality import (_dense_sigma_w_star_sigma, _dense_w, _dense_w_hat,
-                          _pentagon_norm, _assert_closed_forms_are_the_fits)
+                          _lstsq_expand, _pentagon_norm,
+                          _assert_closed_forms_are_the_fits,
+                          _assert_pairing_is_the_least_squares_one)
 
 
 def change_basis(G, B):
@@ -115,6 +117,10 @@ def test_scrambled_closed_forms_are_the_fits(scrambled):
     _assert_closed_forms_are_the_fits(scrambled[1])
 
 
+def test_scrambled_pairing_lhs_is_the_least_squares_reconstruction(scrambled):
+    _assert_pairing_is_the_least_squares_one(scrambled[1], 1e-12)
+
+
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kac_paljutkin"])
 @pytest.mark.parametrize("cond", [3.0, 30.0, 100.0])
 def test_dual_certificates_bound_the_least_squares_residuals(name, cond, monkeypatch):
@@ -128,7 +134,6 @@ def test_dual_certificates_bound_the_least_squares_residuals(name, cond, monkeyp
     monkeypatch.setattr(duality, "DUAL_TOL", 1.0)
     dual = build_dual(H)
     Ghat, Z = dual.group, dual.Z
-    span = SpanningFamily(Z)
     certificates = []
     for X, C in ((Z[:, None] @ Z[None], Ghat.mult),
                  (Z.conj().transpose(0, 2, 1), Ghat.star),
@@ -137,7 +142,7 @@ def test_dual_certificates_bound_the_least_squares_residuals(name, cond, monkeyp
         cert = duality._span_residuals(X, C, Z)
         rounding = 64 * np.finfo(float).eps * np.maximum(
             1.0, np.linalg.norm(X, axis=(-2, -1)))
-        assert np.all(cert >= span.expand(X)[1] - rounding)
+        assert np.all(cert >= _lstsq_expand(Z, X)[1] - rounding)
         certificates.append(np.max(cert))
     assert dual.extraction_residual == max(certificates)
 

@@ -54,9 +54,8 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from qglab.qgroup import (SpanningFamily, adjoint, multiply, operator_norm,
-                          singular_extremes)
-from test_duality import _dense_w_hat
+from qglab.qgroup import adjoint, multiply, operator_norm, singular_extremes
+from test_duality import _dense_w_hat, _lstsq_expand
 
 RTOL = 1e-13
 
@@ -101,9 +100,8 @@ def loop_multiplier_from_coefficient(V, alpha, beta, basis=None):
     LZ = [sum(c_mats[i] @ z @ a_mats[i] for i in range(d)) for z in dual.Z]
     # the least-squares expansion in the dual's slices, as an oracle for the
     # closed form
-    span = SpanningFamily(dual.Z)
-    Lmat = np.array([span.expand_within(m, 1e-7, "not in the dual algebra")[0]
-                     for m in LZ])
+    Lmat, resid = _lstsq_expand(dual.Z, np.array(LZ))
+    assert np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(LZ, axis=(1, 2))))
     residual_action = 0.0
     for nu in range(n):
         what = Functional(dual.group, np.eye(dual.group.dim)[nu])

@@ -19,6 +19,7 @@ from qglab.convolution import (
     Functional,
     convolve,
     counit_functional,
+    module_action,
     sharp,
 )
 from qglab.corep import random_invertible_corep, similarity_draw
@@ -31,9 +32,9 @@ from qglab.duality import (
     multiplier_from_coefficient,
     pairing_identity_check,
 )
-from qglab import duality, qgroup
+from qglab import duality, qgroup, suite
 from qglab.errors import BudgetError, InvalidInstanceError
-from qglab.qgroup import FiniteQuantumGroup, SpanningFamily, validate
+from qglab.qgroup import FiniteQuantumGroup, validate, vector_norms
 from test_convolution import l1_norm
 
 CORPUS = ("c_z2", "c_z3", "c_z4", "c_z2xz2", "c_s3",
@@ -50,6 +51,17 @@ def _kron_sum(X, Y):
     n = X.shape[-1]
     M = X.reshape(len(X), -1).T @ Y.reshape(len(Y), -1)
     return M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _lstsq_expand(family, X):
+    """Least-squares coefficients c, (..., k), of each matrix of the stack X,
+    (..., p, q), in the family (k, p, q) of matrices, with the Frobenius
+    residual ||sum_m c_m family_m - X|| of each, (...)."""
+    M = family.reshape(len(family), -1).T           # columns vec(family_m)
+    B = X.reshape(-1, M.shape[0]).T                 # columns vec(X_i)
+    C = np.linalg.lstsq(M, B, rcond=None)[0]
+    resid = np.linalg.norm(M @ C - B, axis=0)
+    return C.T.reshape(X.shape[:-2] + (-1,)), resid.reshape(X.shape[:-2])
 
 
 def _dense_w(G, Z):
@@ -215,6 +227,67 @@ def test_biduality_all_instances():
         assert rep["max_violation"] <= tol, name
 
 
+def test_biduality_builds_no_second_dual(monkeypatch):
+    # the double dual's tensors are the dual's transposed and its images
+    # the slices of the dual's W: build_dual runs on G alone, and validate
+    # on the dual alone
+    built, validated = [], []
+    build, check = duality.build_dual, duality.validate
+    monkeypatch.setattr(duality, "build_dual",
+                        lambda A: built.append(A) or build(A))
+    monkeypatch.setattr(duality, "validate",
+                        lambda A, **kw: validated.append(A) or check(A, **kw))
+    G = builtin_instance("kac_paljutkin")
+    biduality(G)
+    assert built == [G]
+    assert validated == [build(G).group]
+
+
+def _double_dual_violation(G):
+    """biduality's max_violation read through a second dual,
+    build_dual(G-hat), which builds, certifies and validates the double
+    dual in full."""
+    d1 = build_dual(G)
+    Ghat = d1.group
+    d2 = build_dual(Ghat)
+    U = (d1.Lambda_hat_mat / np.sqrt(d1.phihat_one)) @ Ghat.gns().lambda_inv
+    X = U @ d2.Z @ U.conj().T
+    phi = G.antipode
+    rel = duality._span_residuals(X, phi, G.gns().images) / np.maximum(
+        1.0, np.linalg.norm(X, axis=(1, 2)))
+    viol = max(np.linalg.norm(U @ U.conj().T - np.eye(len(U)), 2), np.max(rel))
+    Gdd = d2.group
+    for lhs, rhs in (
+            (Gdd.unit @ phi, G.unit),
+            (Gdd.star @ phi, np.conj(phi) @ G.star),
+            (phi @ G.counit, Gdd.counit),
+            (phi @ G.haar, Gdd.haar),
+            (Gdd.mult @ phi, np.einsum("abk,ia,jb->ijk", G.mult, phi, phi)),
+            (np.einsum("iab,ap,bq->ipq", Gdd.coproduct, phi, phi),
+             np.einsum("im,mpq->ipq", phi, G.coproduct))):
+        viol = max(viol, float(np.max(np.abs(lhs - rhs))))
+    return float(viol)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_biduality_equals_the_double_dual_path(name):
+    G = builtin_instance(name)
+    assert biduality(G)["max_violation"] == _double_dual_violation(G)
+
+
+def test_dual_validation_refuses_a_perturbed_counit():
+    # W and the dual's certificates never read G's counit, which becomes
+    # the dual's unit: only the dual's validation sees it perturbed
+    G = builtin_instance("kac_paljutkin")
+    counit = G.counit.copy()
+    counit[0] += 1e-6
+    H = FiniteQuantumGroup("perturbed", G.mult, G.unit, G.coproduct, counit,
+                           G.antipode, G.star, G.haar)
+    cfg = suite.SuiteConfig(instances=[("perturbed", H)], suites=("duality",))
+    with pytest.raises(InvalidInstanceError, match="fails validation"):
+        suite.run_suite(cfg)
+
+
 def test_multiplier_character_on_z2():
     # V = [u]: the induced multiplier is multiplication by the character,
     # so L^2 = id on dual coefficients and the action residual vanishes
@@ -300,6 +373,41 @@ def test_pairing_identity():
         assert pairing_identity_check(H, x, w1, w2) < 1e-8
 
 
+def _pairing_sides(G, x, w1, w2):
+    """The pairing check's closed-form left side lambda-hat(omega-hat)
+    Lambda(1), the left side reconstructed as Lambda(a) from a least-squares
+    solve of lambda(a) = lambda-hat(omega-hat) with that solve's relative
+    residual, and the right side."""
+    dual = build_dual(G)
+    gd = G.gns()
+    xi = dual.Lambda_hat_of_functional(w1)
+    eta = dual.apply_Jhat(dual.Lambda_hat_of_functional(w2))
+    what = dual.vector_functional((gd.left_action(x) @ xi[..., None])[..., 0], eta)
+    lam_hat = dual.lambda_hat(what)
+    closed = lam_hat @ (gd.lambda_map @ G.unit)
+    a, resid = _lstsq_expand(gd.images, lam_hat)
+    rhs = dual.Lambda_hat_of_functional(convolve(module_action(x, w1), w2))
+    return closed, gd.lambda_map @ a, resid / max(1.0, np.linalg.norm(lam_hat)), rhs
+
+
+def _assert_pairing_is_the_least_squares_one(G, rtol, seed=8):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = G.element(rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
+        w1, w2 = rand_functional(G, rng), rand_functional(G, rng)
+        closed, fit, resid, rhs = _pairing_sides(G, x, w1, w2)
+        assert np.linalg.norm(closed - fit) <= rtol * np.linalg.norm(fit)
+        # lambda-hat(omega-hat) lies in lambda(A): no membership refusal
+        # could fire
+        assert resid <= rtol
+        assert pairing_identity_check(G, x, w1, w2) == vector_norms(closed - rhs)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_pairing_lhs_is_the_least_squares_reconstruction(name):
+    _assert_pairing_is_the_least_squares_one(builtin_instance(name), 1e-13)
+
+
 def test_regularity_slices_span():
     for name in ("c_z2", "kac_paljutkin"):
         G = builtin_instance(name)
@@ -332,7 +440,8 @@ def _random_unitary_slices(G, rng):
     X = _dense_w(G, _gaussian_slices(n, rng))
     e, V = np.linalg.eigh(X + X.conj().T)
     U = (V * np.exp(1j * e)) @ V.conj().T
-    Z, resid = G.gns().span.expand(U.reshape(n, n, n, n).transpose(1, 3, 0, 2))
+    Z, resid = _lstsq_expand(G.gns().images,
+                             U.reshape(n, n, n, n).transpose(1, 3, 0, 2))
     assert np.max(resid) < 1e-12
     return Z.transpose(2, 0, 1)
 
@@ -583,14 +692,14 @@ def _least_squares_fits(G):
     the lambda(e_m) of the double dual's images transported to H_h."""
     dual = build_dual(G)
     Ghat, Z = dual.group, dual.Z
-    span = SpanningFamily(Z)
-    mult = span.expand(Z[:, None] @ Z[None])[0]
-    star = span.expand(Z.conj().transpose(0, 2, 1))[0]
+    mult = _lstsq_expand(Z, Z[:, None] @ Z[None])[0]
+    star = _lstsq_expand(Z, Z.conj().transpose(0, 2, 1))[0]
     what = duality._adjoint_slices(star, G.gns().images)
-    cop = span.expand(duality._leg2_conjugations(star, mult, what, Z))[0]
-    antipode = span.expand(duality._adjoint_slices(G.star, Z))[0]
+    cop = _lstsq_expand(Z, duality._leg2_conjugations(star, mult, what, Z))[0]
+    antipode = _lstsq_expand(Z, duality._adjoint_slices(G.star, Z))[0]
     U = (dual.Lambda_hat_mat / np.sqrt(dual.phihat_one)) @ Ghat.gns().lambda_inv
-    phi = G.gns().span.expand(U @ build_dual(Ghat).Z @ U.conj().T)[0]
+    phi = _lstsq_expand(G.gns().images,
+                        U @ build_w(Ghat).leg1_slices @ U.conj().T)[0]
     return {"mult": (Ghat.mult, mult), "star": (Ghat.star, star),
             "coproduct": (Ghat.coproduct, cop), "antipode": (Ghat.antipode, antipode),
             "isomorphism": (biduality(G)["isomorphism"], phi)}
@@ -628,8 +737,9 @@ def test_pentagon_frobenius_term_is_the_dense_norm(name, eps):
 
 
 def test_duality_makes_no_least_squares_solve(monkeypatch):
-    # the dual's tensors, the multiplier's Lmat and biduality's isomorphism
-    # are closed forms: no expansion in a spanning family, no inverse
+    # the dual's tensors, the multiplier's Lmat, biduality's isomorphism and
+    # the pairing's Lambda(a) = lambda(a)Lambda(1) are closed forms: no
+    # least-squares solve, no inverse
     calls = []
 
     def spy(name, f):
@@ -643,12 +753,13 @@ def test_duality_makes_no_least_squares_solve(monkeypatch):
         V, _ = random_invertible_corep(G, similarity_draw(2, 5))
         alpha, beta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         with monkeypatch.context() as m:
-            m.setattr(SpanningFamily, "expand", spy("expand", SpanningFamily.expand))
             for name in ("inv", "pinv", "lstsq", "solve"):
                 m.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
             build_dual(G)
             biduality(G)
             multiplier_from_coefficient(V, alpha, beta)
+            pairing_identity_check(G, G.element(G.unit), rand_functional(G, rng),
+                                   rand_functional(G, rng))
         assert calls == [], calls
 
 
@@ -718,7 +829,8 @@ def test_residual_checks_stay_in_their_budget():
     assert pentagon <= duality._check_bytes(n)
     assert pentagon < 16 * n ** 5
     assert _traced_peak(build_dual, G) <= duality._check_bytes(n)
-    # the double dual is built while G's W and the dual's are held
+    # the dual's W is built and the double dual's tensors transposed while
+    # G's W and the dual are held
     assert _traced_peak(biduality, from_function_algebra(cyclic_table(12))) \
         <= duality._check_bytes(n)
 
