@@ -272,12 +272,13 @@ class DualQuantumGroup:
     W-hat = sum_mu Z_mu (x) Yhat_mu."""
 
     def __init__(self, owner, group, Z, What_slices, Lambda_hat_mat,
-                 phihat_one, validation, extraction_residual):
+                 phihat_one, validation, extraction_residual, slice_rank):
         self.owner = owner                  # primal G
         self.group = group                  # abstract dual instance
         self.validation = validation        # validate(group, tol=DUAL_TOL)
         self.extraction_residual = extraction_residual  # largest certificate
         self.Z = Z                          # Z[mu] = lambda(omega_mu) on H
+        self.slice_rank = slice_rank        # rank of the Z_mu at tol 1e-9
         self.What_slices = What_slices      # What = sum_mu Z_mu (x) Yhat_mu
         self.Lambda_hat_mat = Lambda_hat_mat  # columns Lambda^(lambda(omega_mu))
         self.phihat_one = float(phihat_one)
@@ -330,7 +331,8 @@ def _build_dual(G):
     gd = G.gns()
     n = G.dim
     Z = Wd.leg1_slices                  # Z[mu] = (omega_mu (x) id)W
-    if np.linalg.matrix_rank(Z.reshape(n, -1), tol=1e-9) < n:
+    slice_rank = int(np.linalg.matrix_rank(Z.reshape(n, -1), tol=1e-9))
+    if slice_rank < n:
         raise InvalidInstanceError("left regular representation is not injective")
     dual_group, Lhat, phihat_one = _dual_group(G)
     mult_hat, star_hat = dual_group.mult, dual_group.star
@@ -349,7 +351,7 @@ def _build_dual(G):
             "extracted dual instance fails validation (max violation %.3e)"
             % validation.max_violation)
     return DualQuantumGroup(G, dual_group, Z, What_slices, Lhat,
-                            phihat_one, validation, float(resid))
+                            phihat_one, validation, float(resid), slice_rank)
 
 
 def _dual_group(G):

@@ -3,16 +3,17 @@ centred GNS vectors, sparse free actions, certified norm lower bounds, and
 the bounded-but-not-completely-bounded representation built from free
 symmetries.
 
-Words are integer arrays, not tuples: word k is its first factor, the slot
-of its first letter and the index of the word without that letter, laid out
-layer by layer so that the words starting with one factor are contiguous.
-The per-factor index maps that assemble each free action are slices and
-reshapes of these arrays.  The free symmetries of the non-cb representation
-are held on the whole space, in an ``ascent.OperatorStack`` built one free
-action at a time, whose row sums apply the Kesten sum sum_i u_i to the
-layer sums of the words: its top eigenvector, a combination of them, gives
-the symmetric vector functional behind the certified lower bound on ||pi||.
-Their exact-zone corners, from ``_zone_actions``, give the generator and the
+Words are integer arrays, not tuples, laid out layer by layer so that the
+words starting with one factor are contiguous: the table of first factors,
+the lengths and, per factor, the words that do not start with it beside
+the words made by prepending each slot, all int32 below 2^31 words.  The
+slot and the remainder of a word are read from its place in those maps, so
+they hold no table of their own.  ``pi_norm_search`` builds the free
+symmetries of the non-cb representation on the whole space, once each, and
+applies the Kesten sum sum_i u_i to the layer sums of the words one action
+at a time: its top eigenvector, a combination of them, gives the symmetric
+vector functional behind the certified lower bound on ||pi||.  Their
+exact-zone corners, from ``_zone_actions``, give the generator and the
 creation column.
 ``ascent.rank_one_ascent`` searches a coefficient span for the lower end of
 the C1 bracket.
@@ -34,28 +35,32 @@ L=4 that layer holds 54,000 of the 57,857 words).  ``_zone_actions`` is the
 one source of zone operators: it builds actions on the depth-(max_len - 1)
 space, whose words are the zone's, so the Khintchine probe,
 ``norm_equivalence`` and the non-cb generator and column never assemble that
-layer.  The non-cb representation keeps whole-space actions as well, because
-the Kesten sum behind the ||pi|| bound acts on the whole space.  All of these
+layer.  ``pi_norm_search`` builds whole-space actions as well, because the
+Kesten sum behind the ||pi|| bound acts on the whole space.  All of these
 are the same CSR matrices as the compressions of the full operators, so
 every norm is unchanged bit for bit.
 
-Arithmetic: every operator is stored complex.  A norm of more than
-``DENSE_ROWS`` rows comes from a plain two-pass Lanczos solve on m*m: the
-first pass keeps only the tridiagonal, the second reruns the recurrence to
-sum the Ritz vector, so memory stays O(n).  It runs on the real matrix when
-every stored imaginary part is exactly 0, as for the free symmetries and the
-non-cb generator; the dense SVD of an operator of at most ``DENSE_ROWS``
-rows runs as stored.  The Kesten sum needs no solve: its top eigenvector
-lies in the span of the layer sums, where S is an (L + 1) x (L + 1) matrix.
+Arithmetic: a free action is stored real when every value it places is
+real, as for the free symmetries, and complex otherwise; an amplified sum
+is stored complex.  The real parts are the bits the complex entries would
+hold, and every solve reads them as before: a norm of more than
+``DENSE_ROWS`` rows comes from a plain two-pass Lanczos solve on m*m, in
+real arithmetic when every stored imaginary part is exactly 0 (the free
+symmetries, their sums and the non-cb generator); the first pass keeps only
+the tridiagonal, the second reruns the recurrence to sum the Ritz vector,
+and m* is applied through the transpose view of m's CSR arrays, so memory
+stays O(n) beside m itself.  The dense SVD of an operator of at most
+``DENSE_ROWS`` rows runs in complex arithmetic, real operators cast.  The
+Kesten sum needs no solve: its top eigenvector lies in the span of the
+layer sums, where S is an (L + 1) x (L + 1) matrix.
 ``norm_equivalence`` builds the action of each basis element in each factor
-once and takes each sample as their linear combination, with the norms of
-all samples of a small zone from one batched SVD.
+once and takes each sample as their linear combination, formed and solved
+one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -74,6 +79,8 @@ DENSE_ROWS = 200
 LANCZOS_STEPS = 1500
 LANCZOS_CHECK = 5
 _EPS23 = np.finfo(float).eps ** (2 / 3)
+# ``amplified_sum`` merges the zone rows in runs of about this many entries
+AMPLIFY_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +173,19 @@ def fock_dimension(dims0, max_len) -> int:
 class FockSpace:
     """Word basis of the truncated free product and per-factor index maps.
 
-    Word k is stored as integers: ``first[k]`` (its first factor, -1 for the
-    vacuum), ``slot[k]`` (the slot of its first letter in that factor's
-    frame) and ``rest[k]`` (the index of the word without its first letter).
-    Layer L + 1 lists, for each factor i in turn, the layer-L words that do
-    not start with i, each followed by every slot, so the words that start
-    with i are contiguous within a layer, one row of slots per rest.
-    """
+    ``first[k]`` is the first factor of word k (-1 for the vacuum) and
+    ``lengths[k]`` its length.  Layer L + 1 lists, for each factor i in
+    turn, the layer-L words that do not start with i, each followed by every
+    slot of i's frame, so the words that start with i are contiguous within
+    a layer, one row of slots per parent.  ``_prepend[i]`` = (src, dst)
+    holds that row structure: src lists the words of length < max_len that
+    do not start with i, and row j of dst the words (i, p) src[j], p = 0,
+    1, ..., for every slot p.  Every row of dst is a run of consecutive
+    indices, and dst lists every word that starts with i, so the slot and
+    the remainder of such a word are read from its position in dst: the
+    free actions need no other table.  Every table is int32 below 2^31
+    words (int64 from there), 4 bytes per word for ``first`` and for
+    ``lengths``, and about 4 bytes more for the (src, dst) pairs."""
 
     def __init__(self, factors, max_len, dim_cap=DEFAULT_DIM_CAP):
         if max_len < 1:
@@ -185,36 +198,28 @@ class FockSpace:
             raise BudgetError("Fock dimension %d exceeds the cap %d"
                               % (dim, dim_cap))
         N = len(self.factors)
+        index = np.int32 if dim < 2 ** 31 else np.int64
         self.dim = dim
-        self.first = np.empty(dim, dtype=int)
-        self.slot = np.empty(dim, dtype=int)
-        self.rest = np.empty(dim, dtype=int)
-        self.first[0] = self.slot[0] = self.rest[0] = -1
+        self.first = np.empty(dim, dtype=index)
+        self.first[0] = -1
         sizes = [1]
         lo, hi = 0, 1
         for _ in range(max_len):
             at = hi
             for i in range(N):
-                parents = lo + np.nonzero(self.first[lo:hi] != i)[0]
-                d = dims0[i]
-                end = at + len(parents) * d
+                parents = int(np.count_nonzero(self.first[lo:hi] != i))
+                end = at + parents * dims0[i]
                 self.first[at:end] = i
-                self.slot[at:end] = np.tile(np.arange(d), len(parents))
-                self.rest[at:end] = np.repeat(parents, d)
                 at = end
             lo, hi = hi, at
             sizes.append(hi - lo)
-        self.lengths = np.repeat(np.arange(max_len + 1), sizes)
-        # per-factor index arrays driving the sparse assembly
+        self.lengths = np.repeat(np.arange(max_len + 1, dtype=index), sizes)
+        K = dim - sizes[-1]
         self._prepend = []
-        self._first = []
         for i, d in enumerate(dims0):
-            kids = np.nonzero(self.first == i)[0]
-            src = np.nonzero((self.first != i) & (self.lengths < max_len))[0]
-            self._prepend.append((src, kids.reshape(len(src), d)))
-            fslot = self.slot[kids]
-            frepl = (kids - fslot)[:, None] + np.arange(d)
-            self._first.append((kids, fslot, self.rest[kids], frepl))
+            src = np.flatnonzero(self.first[:K] != i).astype(index)
+            dst = np.flatnonzero(self.first == i).astype(index)
+            self._prepend.append((src, dst.reshape(len(src), d)))
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -241,43 +246,40 @@ class FreeOperator:
 
 
 def free_action(F: FockSpace, i: int, coeffs) -> FreeOperator:
-    """The truncated free-product action of element `coeffs` of factor i."""
+    """The truncated free-product action of element `coeffs` of factor i,
+    stored real when every value it places is real, else complex."""
     if not 0 <= i < len(F.factors):
         raise StructuralError("factor index %d out of range" % i)
-    f = F.factors[i]
-    coeffs = np.asarray(coeffs, dtype=complex)
-    phi, create, annihilate, replace = f.action_data(coeffs)
+    data = F.factors[i].action_data(np.asarray(coeffs, dtype=complex))
+    if not any(np.any(np.imag(x)) for x in data):
+        data = [np.real(x) for x in data]
+    phi, create, annihilate, replace = data
+    src, dst = F._prepend[i]
+    n, d = dst.shape
+    kids = dst.ravel()
     rows, cols, vals = [], [], []
     # identity-component on the vacuum and on words starting elsewhere
     if abs(phi) > 0:
-        other = np.nonzero(F.first != i)[0]
+        other = np.flatnonzero(F.first != i).astype(F.first.dtype)
         rows.append(other)
         cols.append(other)
-        vals.append(np.full(len(other), phi, dtype=complex))
-    src, dst = F._prepend[i]
-    for p in range(f.dim0):
-        if len(src) and abs(create[p]) > 0:
+        vals.append(np.full(len(other), phi))
+    for p in range(d):
+        if abs(create[p]) > 0:
             rows.append(dst[:, p])
             cols.append(src)
-            vals.append(np.full(len(src), create[p], dtype=complex))
-    fsrc, fslot, frest, frepl = F._first[i]
-    if len(fsrc):
-        for p in range(f.dim0):
-            vv = replace[p, fslot]
-            rows.append(frepl[:, p])
-            cols.append(fsrc)
-            vals.append(vv)
-        rows.append(frest)
-        cols.append(fsrc)
-        vals.append(annihilate[fslot])
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = np.zeros(0, dtype=int)
-        vals = np.zeros(0, dtype=complex)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(F.dim, F.dim)).tocsr()
+            vals.append(np.full(n, create[p]))
+    # a word (i, q) w, the kids[j d + q], has remainder w = src[j] and slot q
+    for p in range(d):
+        rows.append(np.repeat(dst[:, p], d))
+        cols.append(kids)
+        vals.append(np.tile(replace[p], n))
+    rows.append(np.repeat(src, d))
+    cols.append(kids)
+    vals.append(np.tile(annihilate, n))
+    m = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(F.dim, F.dim)).tocsr()
     return FreeOperator(m)
 
 
@@ -322,23 +324,33 @@ def _largest_singular_value(sub, seed=0) -> float:
 
 def _largest_singular_values(subs, n, seed) -> np.ndarray:
     """Largest singular value of each n x n operator of the iterable subs
-    (n >= 1): up to ``DENSE_ROWS`` rows all of them from one batched dense
-    SVD; beyond, one operator at a time, ||sub x|| / ||x|| at the Ritz vector
-    x of the two-pass Lanczos solve ``_top_ritz_vector`` on sub* sub, to
-    relative tolerance 1e-10, in real arithmetic when every stored entry of
-    sub is real.  The Ritz value itself is never reported, so every value is
-    a norm attained at a concrete vector."""
+    (n >= 1), one operator at a time: up to ``DENSE_ROWS`` rows from a dense
+    complex SVD (the bits of one batched SVD of them all, which would hold
+    every dense operator at once); beyond, ||sub x|| / ||x|| at the Ritz
+    vector x of the two-pass Lanczos solve ``_top_ritz_vector`` on sub* sub,
+    to relative tolerance 1e-10, in real arithmetic when every stored entry
+    of sub is real.  The Ritz value itself is never reported, so every value
+    is a norm attained at a concrete vector."""
     if n <= DENSE_ROWS:
-        stack = np.array([sub.toarray() for sub in subs]).reshape(-1, n, n)
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+        return np.array([np.linalg.svd(sub.toarray().astype(complex),
+                                       compute_uv=False)[0] for sub in subs])
     norms = []
     for sub in subs:
         sub = _real_if_exact(sub)
-        subH = sub.conj().T.tocsr()
-        x = _top_ritz_vector(lambda y: subH @ (sub @ y), n, seed, 1e-10,
-                             sub.dtype)
+        x = _top_ritz_vector(_gram_matvec(sub), n, seed, 1e-10, sub.dtype)
         norms.append(np.linalg.norm(sub @ x) / np.linalg.norm(x))
     return np.array(norms)
+
+
+def _gram_matvec(sub):
+    """y -> sub* sub y, with sub* applied through the transpose view of sub's
+    CSR arrays: csc_matvec adds each output entry's terms in the order of
+    the rows of sub, which is the order of the CSR copy of sub*, so no copy
+    is made (a complex sub conjugates the vectors, not the entries)."""
+    subT = sub.T
+    if np.iscomplexobj(sub.data):
+        return lambda y: (subT @ (sub @ y).conj()).conj()
+    return lambda y: subT @ (sub @ y)
 
 
 def _real_if_exact(m):
@@ -403,11 +415,12 @@ def _top_ritz_vector(matvec, n, seed, tol, dtype) -> np.ndarray:
 
 
 def _lanczos_residual(w, v, v_prev, alpha, beta):
-    """w - alpha v - beta v_prev, for w = A v: one expression for both passes,
-    so the second rebuilds the first's vectors bit for bit."""
-    r = w - alpha * v
-    r -= beta * v_prev
-    return r
+    """w - alpha v - beta v_prev, for w = A v, formed in w: one expression
+    for both passes, so the second rebuilds the first's vectors bit for
+    bit."""
+    w -= alpha * v
+    w -= beta * v_prev
+    return w
 
 
 def _top_tridiagonal_pair(alphas, betas):
@@ -440,30 +453,55 @@ def amplified_sum(pairs, F: FockSpace):
     union pattern and added there in term order: the same CSR arrays, bit
     for bit, as adding the CSR terms one after another, which keeps the
     first term's explicit zeros when it is the only one, adds +0 where a
-    term has no entry, and drops each exact zero it makes."""
+    term has no entry and drops each exact zero it makes.  The zone rows
+    are merged in runs of about ``AMPLIFY_CHUNK`` entries over all terms,
+    so the working arrays stay that size whatever the zone."""
     K = F.zone_size()
-    keys, vals, amp = [], [], None
+    terms, amp = [], None
     for m, a in pairs:
         a = np.atleast_2d(np.asarray(a, dtype=complex))
         if amp is None:
             amp = a.shape[0]
         elif a.shape[0] != amp:
             raise StructuralError("inconsistent amplification dimensions")
-        # the entries of m's zone corner in CSR order, each times those of a
-        end = m.indptr[K]
-        inside = m.indices[:end] < K
-        rows = np.repeat(np.arange(K), np.diff(m.indptr[:K + 1]))[inside]
-        cols = m.indices[:end][inside].astype(np.int64)
         p, q = np.nonzero(a)
-        keys.append(((rows[:, None] * amp + p) * K * amp
-                     + cols[:, None] * amp + q).ravel())
-        vals.append((m.data[:end][inside][:, None] * a[p, q]).ravel())
-    if not keys:
+        terms.append((m, p, q, a[p, q]))
+    if not terms:
         return None, amp
     n = K * amp
+    # runs of zone rows, cut where the running count of entries (those
+    # outside the zone's columns too) passes a multiple of AMPLIFY_CHUNK
+    load = np.cumsum(sum(np.diff(m.indptr[:K + 1]) * len(p)
+                         for m, p, _, _ in terms))
+    cuts = np.searchsorted(load, np.arange(AMPLIFY_CHUNK, load[-1], AMPLIFY_CHUNK))
+    edges = np.unique(np.r_[0, cuts, K])
+    runs = [_merge_rows(terms, lo, hi, K, amp)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+    if not any(placed for placed, _, _, _ in runs):
+        return sp.csr_matrix((n, n)), amp     # as a kron without entries
+    indptr = np.r_[0, np.cumsum(np.concatenate([c for _, c, _, _ in runs]))]
+    cols = np.concatenate([c for _, _, c, _ in runs])
+    total = np.concatenate([t for _, _, _, t in runs])
+    return sp.csr_matrix((total, cols, indptr), shape=(n, n)), amp
+
+
+def _merge_rows(terms, lo, hi, K, amp):
+    """Zone rows lo..hi - 1 of ``amplified_sum``: the number of amplified
+    entries placed, and the entry count per amplified row, the columns and
+    the values of their merged CSR rows."""
+    n = K * amp
+    keys, vals = [], []
+    for m, p, q, c in terms:
+        # the entries of m's zone rows in CSR order, each times those of a
+        start, end = m.indptr[lo], m.indptr[hi]
+        inside = m.indices[start:end] < K
+        rows = np.repeat(np.arange(hi - lo), np.diff(m.indptr[lo:hi + 1]))
+        rows = rows[inside]
+        cols = m.indices[start:end][inside].astype(np.int64)
+        keys.append(((rows[:, None] * amp + p) * n
+                     + cols[:, None] * amp + q).ravel())
+        vals.append((m.data[start:end][inside][:, None] * c).ravel())
     key = np.concatenate(keys)
-    if not len(key):            # as a kron without entries: a real zero
-        return sp.csr_matrix((n, n)), amp
     # a stable sort gives runs of equal keys, each listing the entries at
     # one position in term order
     order = np.argsort(key, kind="stable")
@@ -478,14 +516,15 @@ def amplified_sum(pairs, F: FockSpace):
         total[live] = step
         r += 1
         live = live[count[live] > r]
-    if len(keys) > 1:
+    if len(terms) > 1:
         # a term without an entry at a position adds +0 there, which turns
         # a -0 part into +0
-        total[count < len(keys)] += 0
+        total[count < len(terms)] += 0
         first, total = first[total != 0], total[total != 0]
     rows, cols = np.divmod(key[first], n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    return sp.csr_matrix((total, cols, indptr), shape=(n, n)), amp
+    counts = np.bincount(rows, minlength=(hi - lo) * amp)
+    index = np.int32 if n < 2 ** 31 else np.int64
+    return len(key), counts, cols.astype(index), total
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +588,7 @@ def norm_equivalence(F: FockSpace, coeff_basis, sample_count=100, seed=0) -> dic
     action A_{i,t} of b_t in factor i is built once on the depth-(L - 1)
     space, and each sample is the combination sum_{i,t} c_{i,t} A_{i,t} of
     its coefficients, drawn sample by sample; ``_largest_singular_values``
-    takes the norms, all from one batched SVD when the zone has at most
+    takes the norms, one dense SVD each when the zone has at most
     ``DENSE_ROWS`` words.
     """
     f0 = F.factors[0]
@@ -627,15 +666,13 @@ class NonCbRep:
     operator because N is finite; its norm grows like sqrt(N) while the
     representation norm stays bounded in N, by the free Khintchine
     inequality (``qglab.suite`` states the bound and checks it).
-    The symmetries on the whole space are held in the ``OperatorStack``
-    ``family``, built one free action at a time on first read, and their
-    exact-zone corners in ``zone``, from ``_zone_actions``; ``theta`` stacks the
-    e_ii + e_i0.  ``generator()`` is V compressed to the exact zone,
-    amplified from ``zone``; the cb norms read it.  ``pi_norm_search`` bounds
-    ||pi|| from below at one symmetric functional: the vector state of the
-    top eigenvector of sum_i u_i, a combination of the layer sums found
-    from ``family`` without a Lanczos solve, which takes the same value on
-    every u_i.
+    The exact-zone corners of the symmetries are held in ``zone``, from
+    ``_zone_actions``; ``theta`` stacks the e_ii + e_i0.  ``generator()`` is
+    V compressed to the exact zone, amplified from ``zone``; the cb norms
+    read it.  ``pi_norm_search`` bounds ||pi|| from below at one symmetric
+    functional: the vector state of the top eigenvector of sum_i u_i on the
+    whole space, a combination of the layer sums found without a Lanczos
+    solve, which takes the same value on every u_i.
     """
 
     def __init__(self, F: FockSpace):
@@ -656,19 +693,8 @@ class NonCbRep:
         """V compressed to the exact zone, on C^K (x) C^(N+1)."""
         return amplified_sum(zip(self.zone, self.theta), self.space)[0]
 
-    @cached_property
-    def family(self) -> OperatorStack:
-        """The symmetries on the whole space, built on first read: the
-        generator and the creation column read only ``zone`` and ``theta``."""
-        u = z2_symmetry()
-        return OperatorStack((free_action(self.space, i, u).matrix
-                              for i in range(self.N)), self.space.dim)
-
     def theta0(self, a) -> np.ndarray:
         return np.tensordot(np.asarray(a, dtype=complex), self.theta, 1)
-
-    def pi_rep(self, xi, eta) -> np.ndarray:
-        return self.theta0(self.family.values(xi, eta))
 
     def coefficient_expansion(self, alpha, beta) -> np.ndarray:
         """The free-symmetry coefficients c_i of T^{pi~}_{alpha,beta}:
@@ -685,10 +711,9 @@ def pi_norm_search(rep: NonCbRep) -> float:
     S = sum_i u_i on the whole truncated space, taken from the layer sums.
 
     Let R have the normalised indicators r_0, ..., r_L of the words of each
-    length as columns.  S is applied to them through the stacked rows of
-    ``rep.family``, never formed; J = R^T S R is (L + 1) x (L + 1), and
-    xi = R c for c the top eigenvector of J.  This xi is the top eigenvector
-    of S.  Each free symmetry acts on a word w as sigma times the sum of the
+    length as columns.  J = R^T S R is (L + 1) x (L + 1), and xi = R c for
+    c the top eigenvector of J.  This xi is the top eigenvector of S.  Each
+    free symmetry acts on a word w as sigma times the sum of the
     word i w and the word w with a leading i removed, sigma = +-1 the
     creation coefficient of the centred symmetry, plus a diagonal that is
     zero but for rounding and depends only on which factor a word starts
@@ -706,19 +731,38 @@ def pi_norm_search(rep: NonCbRep) -> float:
     the Perron vector, positive everywhere, is fixed outright, so it is
     radial: it is R c.
 
+    The N free symmetries are built once each and held as a list; S R is
+    summed from the u_i R, S is never formed, and J is solved in complex
+    arithmetic.  Each omega(u_i) is summed over the rows of u_i that store
+    an entry, in row order, one term after another: the bits of the row sums
+    of the N actions stacked into one matrix, which is not built.
+
     The value is certified whatever xi is: xi lies in the truncated space,
     so (P u_i P xi | xi) = (u_i xi | xi) and every omega(u_i) is the exact
     value of a vector functional of norm at most one.  At the top
     eigenvector omega(u_i) = kappa/N for every i, kappa the top eigenvalue
     of S, so the value is (kappa/N) sqrt(N + 1)."""
-    F, fam = rep.space, rep.family
+    F = rep.space
+    u = z2_symmetry()
+    actions = [free_action(F, i, u).matrix for i in range(rep.N)]
     counts = np.bincount(F.lengths)
     R = sp.csr_matrix((1.0 / np.sqrt(counts[F.lengths]),
                        (np.arange(F.dim), F.lengths)),
                       shape=(F.dim, F.max_len + 1))
-    J = (R.T @ (fam.by_word @ (fam.stack @ R))).toarray()
+    SR = actions[0] @ R
+    for m in actions[1:]:
+        SR = SR + m @ R
+    J = (R.T @ SR).toarray().astype(complex)
     xi = R @ np.linalg.eigh(J)[1][:, -1]
-    return float(np.linalg.norm(rep.pi_rep(xi, xi), 2))
+    values = np.array([_row_sum(m, xi) for m in actions])
+    return float(np.linalg.norm(rep.theta0(values), 2))
+
+
+def _row_sum(m, xi) -> complex:
+    """(m xi | xi), summed over the rows of m that store an entry, in row
+    order, one term after another."""
+    live = np.flatnonzero(np.diff(m.indptr))
+    return np.cumsum((m @ xi)[live] * np.conj(xi[live]))[-1]
 
 
 def column_norm(rep: NonCbRep, seed=0) -> float:

@@ -418,6 +418,29 @@ def test_regularity_slices_span():
         assert np.linalg.matrix_rank(ymat, tol=1e-9) == G.dim
 
 
+def test_duality_suite_takes_one_slice_rank_per_instance(monkeypatch):
+    # build_dual measures the rank of the slices Z_mu once and keeps it;
+    # the regularity record reads it instead of taking a second SVD
+    shapes = []
+    rank = np.linalg.matrix_rank
+
+    def spy(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return rank(A, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "matrix_rank", spy)
+    names = ("c_s3", "kac_paljutkin", "cg_z4")
+    instances = [(name, builtin_instance(name)) for name in names]
+    report = suite.run_suite(suite.SuiteConfig(instances=instances,
+                                               suites=("duality",), seed=1))
+    for name, G in instances:
+        n = G.dim
+        assert shapes.count((n, n * n)) == 1, name
+        assert build_dual(G).slice_rank == n
+        record = [r for r in report.records
+                  if r.name == "duality/%s/regularity" % name]
+        assert len(record) == 1 and record[0].value == 0.0 and record[0].passed
+
+
 # --- leg-wise contractions against the dense Kronecker formulas ------------
 
 

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qglab import fock as fock_module
-from qglab.ascent import rank_one_ascent
+from qglab.ascent import OperatorStack, rank_one_ascent
 from qglab.builders import builtin_instance
 from qglab.errors import (
     BudgetError,
@@ -187,13 +187,21 @@ def test_fock_space_matches_tuple_reference(kinds, max_len):
     R = reference_space(factors, max_len)
     assert F.dim == R.dim
     tail = R.words[1:]
-    assert _same_array(F.first, np.array([-1] + [w[0][0] for w in tail]))
-    assert _same_array(F.slot, np.array([-1] + [w[0][1] for w in tail]))
-    assert _same_array(F.rest, np.array([-1] + [R.index[w[1:]] for w in tail]))
-    assert _same_array(F.lengths, R.lengths)
-    for got, want in zip(F._prepend + F._first, R._prepend + R._first):
+    index = np.int32
+    assert _same_array(F.first, np.array([-1] + [w[0][0] for w in tail], index))
+    assert _same_array(F.lengths, R.lengths.astype(index))
+    # a word's slot and remainder, read from its place in dst
+    slot = np.full(F.dim, -1, dtype=index)
+    rest = np.full(F.dim, -1, dtype=index)
+    for src, dst in F._prepend:
+        slot[dst] = np.arange(dst.shape[1])
+        rest[dst] = src[:, None]
+    assert _same_array(slot, np.array([-1] + [w[0][1] for w in tail], index))
+    assert _same_array(rest, np.array([-1] + [R.index[w[1:]] for w in tail],
+                                      index))
+    for got, want in zip(F._prepend, R._prepend):
         assert len(got) == len(want)
-        assert all(_same_array(a, b) for a, b in zip(got, want))
+        assert all(_same_array(a, b.astype(index)) for a, b in zip(got, want))
     rng = np.random.default_rng(len(kinds) * 10 + max_len)
     for i, f in enumerate(factors):
         centred = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
@@ -202,12 +210,47 @@ def test_fock_space_matches_tuple_reference(kinds, max_len):
                   centred, f.unit):
             got = free_action(F, i, x).matrix
             want = reference_free_action(R, i, np.asarray(x, dtype=complex))
+            if not want.data.imag.any():      # every placed value is real
+                want = want.real
             for attr in ("indptr", "indices", "data"):
                 assert _same_array(getattr(got, attr), getattr(want, attr))
 
 
+def test_free_action_is_real_exactly_when_its_values_are():
+    # the free symmetry places only real values and is stored real; a
+    # complex M2 element is stored complex; both with the reference's values
+    F = build_fock([z2_factor()] * 3, 4)
+    R = reference_space(F.factors, F.max_len)
+    for i in range(3):
+        got = free_action(F, i, z2_symmetry()).matrix
+        want = reference_free_action(R, i, z2_symmetry())
+        assert got.dtype == np.float64 and want.dtype == complex
+        assert not want.data.imag.any()
+        assert_same_csr(got, want.real)
+    F = build_fock([matrix_factor(2)] * 2, 3)
+    R = reference_space(F.factors, F.max_len)
+    x = np.array([1.0, 2.0 + 1.0j, 0.5j, -1.0])
+    got = free_action(F, 1, x).matrix
+    assert got.dtype == complex
+    assert_same_csr(got, reference_free_action(R, 1, x))
+    # a real M2 element: real values, stored real
+    got = free_action(F, 1, x.real).matrix
+    assert got.dtype == np.float64
+    assert_same_csr(got, reference_free_action(R, 1, x.real.astype(complex)).real)
+
+
 def free_symmetries(F):
     return [free_action(F, i, z2_symmetry()).matrix for i in range(len(F.factors))]
+
+
+def symmetry_stack(F):
+    """The free symmetries on the whole space as one ``OperatorStack``."""
+    return OperatorStack(free_symmetries(F), F.dim)
+
+
+def pi_of(rep, stack, xi, eta):
+    """pi(omega) at the vector functional omega = (. xi | eta)."""
+    return rep.theta0(stack.values(xi, eta))
 
 
 def theta_units(N):
@@ -269,7 +312,8 @@ def test_rank_one_ascent_matches_per_operator_loop():
     F = build_fock([z2_factor()] * 4, 4)
     rep = NonCbRep(F)
     for seed in (0, 1, 2):
-        got = rank_one_ascent(rep.family, rep.theta, F.zone_size(), seed=seed)
+        got = rank_one_ascent(symmetry_stack(F), rep.theta, F.zone_size(),
+                              seed=seed)
         assert abs(got - reference_rank_one_ascent(rep, seed=seed)) < 1e-12
 
 
@@ -287,23 +331,33 @@ def layer_sums(F):
     return R / np.linalg.norm(R, axis=0)
 
 
+def reference_kesten_vector(F, stack):
+    """xi = R c, c the top eigenvector of J = R^T S R, with S applied through
+    the stack's row sums."""
+    counts = np.bincount(F.lengths)
+    R = sp.csr_matrix((1.0 / np.sqrt(counts[F.lengths]),
+                       (np.arange(F.dim), F.lengths)),
+                      shape=(F.dim, F.max_len + 1))
+    J = (R.T @ (stack.by_word @ (stack.stack @ R))).toarray()
+    return R @ np.linalg.eigh(J)[1][:, -1]
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 @pytest.mark.parametrize("N", [4, 9, 16])
 def test_pi_norm_search_is_the_symmetric_kesten_functional(N, L):
-    rep = NonCbRep(build_fock([z2_factor()] * N, L))
-    seen = []
-
-    def pi_rep(xi, eta):
-        seen.append(rep.family.values(xi, eta))
-        return NonCbRep.pi_rep(rep, xi, eta)
-    rep.pi_rep = pi_rep
+    F = build_fock([z2_factor()] * N, L)
+    rep = NonCbRep(F)
+    stack = symmetry_stack(F)
+    values = stack.values(*[reference_kesten_vector(F, stack)] * 2)
     got = pi_norm_search(rep)
+    # bit for bit the value of the stacked row sums
+    assert got == float(np.linalg.norm(rep.theta0(values), 2))
     kappa = kesten_jacobi_top(N, L)
     assert abs(got - kappa / N * np.sqrt(N + 1)) < 1e-12
-    assert len(seen) == 1 and np.ptp(seen[0]) < 1e-13
-    assert abs(seen[0][0] - kappa / N) < 1e-12
+    assert np.ptp(values) < 1e-13
+    assert abs(values[0] - kappa / N) < 1e-12
     if L == 4:
-        ascent = rank_one_ascent(rep.family, rep.theta, rep.space.zone_size(),
+        ascent = rank_one_ascent(stack, rep.theta, rep.space.zone_size(),
                                  seed=0)
         assert got >= ascent
 
@@ -329,7 +383,7 @@ def test_pi_norm_search_matches_a_dense_eigh_of_the_kesten_sum(N, L):
     assert F.dim <= 200
     rep = NonCbRep(F)
     xi = np.linalg.eigh(sum(free_symmetries(F)).toarray())[1][:, -1]
-    dense = np.linalg.norm(rep.pi_rep(xi, xi), 2)
+    dense = np.linalg.norm(pi_of(rep, symmetry_stack(F), xi, xi), 2)
     assert abs(pi_norm_search(rep) - dense) <= 1e-12
 
 
@@ -487,8 +541,8 @@ def test_compression_norm_symmetry():
 
 
 def test_column_norm_builds_no_whole_space_action(monkeypatch):
-    # the column reads only the zone actions; the whole-space symmetries of
-    # NonCbRep.family are built on their first read, which it never makes
+    # the column reads only the zone actions; pi_norm_search builds each
+    # whole-space symmetry once
     F = build_fock([z2_factor()] * 9, 3)
     spaces = []
     action = fock_module.free_action
@@ -500,7 +554,7 @@ def test_column_norm_builds_no_whole_space_action(monkeypatch):
     rep = NonCbRep(F)
     assert abs(fock_module.column_norm(rep) - 3.0) < 1e-9
     assert len(spaces) == 9 and all(space is not F for space in spaces)
-    assert rep.family is rep.family
+    pi_norm_search(rep)
     assert sum(space is F for space in spaces) == 9
 
 
@@ -696,7 +750,7 @@ def test_non_cb_rep_small():
     assert fock_module._largest_singular_value(rep.generator(), seed=1) <= 2.0 + 1e-9
     xi = F.vacuum()
     eta = free_action(F, 0, z2_symmetry()).matrix @ xi
-    piw = rep.pi_rep(xi, eta)
+    piw = pi_of(rep, symmetry_stack(F), xi, eta)
     want = np.zeros((2, 2), dtype=complex)
     want[1, 1] = want[1, 0] = 1.0
     assert np.linalg.norm(piw - want) < 1e-12
@@ -716,6 +770,7 @@ def test_pi_rep_multiplicative_under_convolution():
     # evaluations, so pi factors through theta0
     F = build_fock([z2_factor()] * 3, 4)
     rep = NonCbRep(F)
+    stack = symmetry_stack(F)
     rng = np.random.default_rng(6)
     keep = np.nonzero(F.lengths <= F.max_len - 1)[0]
     for _ in range(5):
@@ -727,9 +782,9 @@ def test_pi_rep_multiplicative_under_convolution():
         eta2 = np.zeros(F.dim, dtype=complex)
         xi2[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
         eta2[keep] = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
-        conv_values = rep.family.values(xi, eta) * rep.family.values(xi2, eta2)
+        conv_values = stack.values(xi, eta) * stack.values(xi2, eta2)
         lhs = rep.theta0(conv_values)
-        rhs = rep.pi_rep(xi, eta) @ rep.pi_rep(xi2, eta2)
+        rhs = pi_of(rep, stack, xi, eta) @ pi_of(rep, stack, xi2, eta2)
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
@@ -919,6 +974,22 @@ def test_amplified_sum_is_the_chained_csr_sum_byte_for_byte():
         assert_same_bytes(amplified_sum(pairs, F)[0], want)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_amplified_sum_in_runs_of_rows_is_the_chained_csr_sum(monkeypatch,
+                                                               chunk):
+    # merged a row or a few rows at a time: the same bytes as one merge
+    monkeypatch.setattr(fock_module, "AMPLIFY_CHUNK", chunk)
+    test_amplified_sum_is_the_chained_csr_sum_byte_for_byte()
+    F, a_fam, x_fam = m2_family(4, 3, seed=4)
+    cases = [(F, [free_action(F, i, x).matrix for i, x in x_fam], a_fam)]
+    F = build_fock([z2_factor()] * 4, 4)
+    cases.append((F, free_symmetries(F), theta_units(4)))
+    for F, ops, coeffs in cases:
+        K = F.zone_size()
+        want = full_amplified_sum((m[:K, :K], a) for m, a in zip(ops, coeffs))
+        assert_same_bytes(amplified_sum(zip(ops, coeffs), F)[0], want)
+
+
 def test_compression_norm_slices_the_zone(monkeypatch):
     F = build_fock([z2_factor()] * 4, 5)
     total = sum(free_action(F, i, z2_symmetry()).matrix for i in range(4))
@@ -950,23 +1021,61 @@ def test_khintchine_memory_stays_in_the_zone():
 
 
 def test_noncb_probe_memory_stays_in_the_zone():
-    # N=16, depth 4: the full generator has 983,569 rows, the zone 65,569
+    # N=16, depth 4: the full generator has 983,569 rows, the zone 65,569;
+    # the probe traces 10.5 MiB, a stack of complex copies of the actions
+    # for the ||pi|| search 20.2 MiB
     F = build_fock([z2_factor()] * 16, 4)
     peak = traced_peak(lambda: cb_vs_bounded_probe(F, seed=1))
-    assert peak <= 45 * 2 ** 20
+    assert peak <= 16 * 2 ** 20
 
 
 def test_noncb_rep_construction_peak():
-    # the stack is built from each action's live rows, never from the vstack
-    # of the 16 full actions (925,712 rows, of which 810,000 are empty)
+    # the rep and its ||pi|| search: the 16 whole-space symmetries are held
+    # as a list of real CSR actions and never stacked (their vstack has
+    # 925,712 rows, of which 810,000 are empty); 10.5 MiB traced
     F = build_fock([z2_factor()] * 16, 4)
-    peak = traced_peak(lambda: NonCbRep(F).family)
-    assert peak <= 28 * 2 ** 20
+    peak = traced_peak(lambda: pi_norm_search(NonCbRep(F)))
+    assert peak <= 16 * 2 ** 20
+
+
+def test_fock_space_holds_at_most_40_bytes_per_word():
+    # first and lengths (4 bytes each) and the (src, dst) maps: 18 bytes
+    # per word traced; int64 tables with per-factor slot and remainder
+    # tables trace 73.5
+    peak = traced_peak(lambda: build_fock([z2_factor()] * 4, 10))
+    F = build_fock([z2_factor()] * 4, 10)
+    assert F.dim == 118097
+    assert peak <= 40 * F.dim
+
+
+def test_kesten_certificate_memory():
+    # the benchmark's depth-10 Kesten sequence: the space, four real free
+    # actions, their sum and its certified norm by Lanczos, with sub* applied
+    # through the transpose view; 11.3 MiB traced, 23.0 MiB with complex
+    # actions and a transposed copy
+    def kesten():
+        F = build_fock([z2_factor()] * 4, 10)
+        total = sum(free_action(F, i, z2_symmetry()).matrix for i in range(4))
+        return compression_norm(total, F, seed=1)
+    assert traced_peak(kesten) <= 16 * 2 ** 20
+
+
+def test_amplified_sum_merges_in_bounded_memory():
+    # the khintchine suite's N=6 M2 sum (K = 4,339, amplification 2): a
+    # 1.5 MiB result, merged in runs of rows; 3.1 MiB traced, 10.9 MiB
+    # with one sort over all the entries
+    F, a_fam, x_fam = m2_family(6, 4, seed=0)
+    ops = list(fock_module._zone_actions(F, x_fam))
+    peak = traced_peak(lambda: amplified_sum(zip(ops, a_fam), F))
+    m = amplified_sum(zip(ops, a_fam), F)[0]
+    assert m.shape == (2 * 4339, 2 * 4339)
+    assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes > 2 ** 20
+    assert peak <= 5 * 2 ** 20
 
 
 def test_noncb_stack_is_the_live_rows_of_the_full_vstack():
     F = build_fock([z2_factor()] * 5, 4)
-    fam = NonCbRep(F).family
+    fam = symmetry_stack(F)
     full = sp.vstack(free_symmetries(F), format="csr")
     live = np.flatnonzero(np.diff(full.indptr))
     owner, word = np.divmod(live, F.dim)
@@ -1082,11 +1191,11 @@ def test_lanczos_stage_reports_its_ritz_vector_not_its_ritz_value(monkeypatch):
 
 def test_real_operators_take_the_real_lanczos_solve(monkeypatch):
     # the Kesten sum of 4 free symmetries compressed to depth 5: 485 rows,
-    # stored complex with every imaginary part 0
+    # stored real
     F = build_fock([z2_factor()] * 4, 6)
     K = F.zone_size()
     sub = sum(free_symmetries(F)).tocsr()[:K, :K]
-    assert K > fock_module.DENSE_ROWS and sub.dtype == complex
+    assert K > fock_module.DENSE_ROWS and sub.dtype == np.float64
     assert not sub.data.imag.any()
     calls = spy_lanczos(monkeypatch)
     real = fock_module._largest_singular_value(sub, seed=3)
@@ -1110,6 +1219,31 @@ def test_real_operators_take_the_real_lanczos_solve(monkeypatch):
     solves = len(calls)
     pi_norm_search(rep)
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_gram_matvec_is_the_transposed_copy_bit_for_bit(kind):
+    # sub* is applied through the transpose view of sub's CSR arrays: the
+    # same sums, in the same order, as the CSR copy of sub* it replaces
+    if kind == "real":
+        F = build_fock([z2_factor()] * 4, 6)
+        K = F.zone_size()
+        sub = sum(free_symmetries(F)).tocsr()[:K, :K]
+    else:
+        F, a_fam, x_fam = m2_family(4, 3, seed=4)
+        ops = list(fock_module._zone_actions(F, x_fam))
+        sub = amplified_sum(zip(ops, a_fam), F)[0]
+    assert sub.dtype == (np.float64 if kind == "real" else complex)
+    subH = sub.conj().T.tocsr()
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        y = rng.standard_normal(sub.shape[0])
+        if kind == "complex":
+            y = y + 1j * rng.standard_normal(sub.shape[0])
+        got = fock_module._gram_matvec(sub)(y)
+        want = subH @ (sub @ y)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_complex_operators_keep_the_complex_solve(monkeypatch):

@@ -400,6 +400,23 @@ def test_validate_contracted_homomorphism_check_matches_dense_einsum():
 
 
 @pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
+def test_validate_forms_its_n4_differences_in_place(build):
+    # n = 12: the 'mult associative' and 'coproduct is an algebra
+    # homomorphism' differences are written into one of their operands, so
+    # validate holds five complex n^4 arrays at its peak, not six
+    G = build(cyclic_table(12))
+    n = G.dim
+    tracemalloc.start()
+    try:
+        rep = validate(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 5.5 * 16 * n ** 4
+
+
+@pytest.mark.parametrize("build", [from_function_algebra, from_group_algebra])
 def test_s4_instances_validate(build):
     # n = 24; the plain 8-index einsum would take minutes here
     G = build(symmetric_table(4))
